@@ -14,7 +14,7 @@ func TestRayleighUnitPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		m := NewRayleigh(rng, 8, 2.5)
-		if p := m.Power(); math.Abs(p-1) > 1e-9 {
+		if p := tapPower(m.Taps); math.Abs(p-1) > 1e-9 {
 			t.Fatalf("power = %g, want 1", p)
 		}
 	}
@@ -51,7 +51,7 @@ func TestRicianKFactor(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		m := NewRician(rng, 4, 1.5, k)
 		pdp := m.PowerDelayProfile()
-		totalPower += m.Power()
+		totalPower += tapPower(m.Taps)
 		losPower += pdp[0]
 	}
 	if math.Abs(totalPower/draws-1) > 0.05 {
@@ -62,6 +62,108 @@ func TestRicianKFactor(t *testing.T) {
 	frac := losPower / totalPower
 	if frac < 0.7 || frac > 0.95 {
 		t.Fatalf("first-tap power fraction %.2f outside Rician expectation", frac)
+	}
+}
+
+// refRayleigh and refRician are the channel draws as written before they
+// shared drawTaps, kept as the reference the constructors must match bit
+// for bit.
+func refRayleigh(rng *rand.Rand, nTaps int, decayTaps float64) *Multipath {
+	if nTaps < 1 {
+		nTaps = 1
+	}
+	taps := make([]complex128, nTaps)
+	for i := range taps {
+		p := math.Exp(-float64(i) / math.Max(decayTaps, 1e-9))
+		g := math.Sqrt(p / 2)
+		taps[i] = complex(rng.NormFloat64()*g, rng.NormFloat64()*g)
+	}
+	m := &Multipath{Taps: taps}
+	norm := 1 / math.Sqrt(refPower(m))
+	for i := range taps {
+		taps[i] *= complex(norm, 0)
+	}
+	return m
+}
+
+func refRician(rng *rand.Rand, nTaps int, decayTaps, kFactorDB float64) *Multipath {
+	m := refRayleigh(rng, nTaps, decayTaps)
+	k := dsp.FromDB(kFactorDB)
+	scatter := 1 / (1 + k)
+	los := k / (1 + k)
+	s := math.Sqrt(scatter)
+	for i := range m.Taps {
+		m.Taps[i] *= complex(s, 0)
+	}
+	phase := rng.Float64() * 2 * math.Pi
+	m.Taps[0] += cmplx.Rect(math.Sqrt(los), phase)
+	norm := complex(1/math.Sqrt(refPower(m)), 0)
+	for i := range m.Taps {
+		m.Taps[i] *= norm
+	}
+	return m
+}
+
+func refPower(m *Multipath) float64 {
+	var p float64
+	for _, v := range m.PowerDelayProfile() {
+		p += v
+	}
+	return p
+}
+
+func sameBits(a, b []complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestDrawsMatchReference(t *testing.T) {
+	fast, ref := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		nTaps, decay, k := i%12, float64(i%7)/2, float64(i%5)*3-3
+		if got, want := NewRayleigh(fast, nTaps, decay), refRayleigh(ref, nTaps, decay); !sameBits(got.Taps, want.Taps) {
+			t.Fatalf("NewRayleigh(%d, %g) draw %d: %v, reference %v", nTaps, decay, i, got.Taps, want.Taps)
+		}
+		if got, want := NewRician(fast, nTaps, decay, k), refRician(ref, nTaps, decay, k); !sameBits(got.Taps, want.Taps) {
+			t.Fatalf("NewRician(%d, %g, %g) draw %d: %v, reference %v", nTaps, decay, k, i, got.Taps, want.Taps)
+		}
+	}
+	if fast.Int63() != ref.Int63() {
+		t.Fatal("RNG positions diverged")
+	}
+}
+
+func TestIndoorResponseMatchesFreqResponse(t *testing.T) {
+	// 20 and 128 MHz at 50 ns are the two shipped profiles' channels (5 and
+	// 27 taps); 200 ns at 20 MHz on an 8-point grid has more taps (17) than
+	// grid points, which FreqResponse truncates.
+	cases := []struct {
+		fs, spreadNs float64
+		nfft         int
+	}{{20e6, 50, 64}, {128e6, 50, 128}, {20e6, 200, 8}, {20e6, -10, 4}}
+	for _, c := range cases {
+		for _, k := range []float64{0, 6} {
+			fast, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			h := make([]complex128, c.nfft)
+			for i := 0; i < 50; i++ {
+				IndoorResponse(fast, h, c.fs, c.spreadNs, k)
+				want := NewIndoor(ref, c.fs, c.spreadNs, k).FreqResponse(c.nfft)
+				if !sameBits(h, want) {
+					t.Fatalf("fs %g, spread %g ns, K %g dB, nfft %d, draw %d: %v, reference %v", c.fs, c.spreadNs, k, c.nfft, i, h, want)
+				}
+			}
+			if fast.Int63() != ref.Int63() {
+				t.Fatalf("fs %g, spread %g ns, K %g dB: RNG positions diverged", c.fs, c.spreadNs, k)
+			}
+		}
 	}
 }
 

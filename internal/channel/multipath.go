@@ -26,45 +26,55 @@ type Multipath struct {
 // power variation is modeled separately by shadowing in the path loss model,
 // keeping link budgets controlled in experiments.
 func NewRayleigh(rng *rand.Rand, nTaps int, decayTaps float64) *Multipath {
-	if nTaps < 1 {
-		nTaps = 1
-	}
-	taps := make([]complex128, nTaps)
-	for i := range taps {
-		p := math.Exp(-float64(i) / math.Max(decayTaps, 1e-9))
-		g := math.Sqrt(p / 2)
-		taps[i] = complex(rng.NormFloat64()*g, rng.NormFloat64()*g)
-	}
-	m := &Multipath{Taps: taps}
-	norm := 1 / math.Sqrt(m.Power())
-	for i := range taps {
-		taps[i] *= complex(norm, 0)
-	}
-	return m
+	taps := make([]complex128, max(nTaps, 1))
+	drawTaps(rng, taps, decayTaps, false, 0)
+	return &Multipath{Taps: taps}
 }
 
 // NewRician is like NewRayleigh but adds a deterministic line-of-sight
 // component on the first tap with the given K-factor (dB): the ratio of LOS
 // power to total scattered power.
 func NewRician(rng *rand.Rand, nTaps int, decayTaps, kFactorDB float64) *Multipath {
-	m := NewRayleigh(rng, nTaps, decayTaps)
+	taps := make([]complex128, max(nTaps, 1))
+	drawTaps(rng, taps, decayTaps, true, kFactorDB)
+	return &Multipath{Taps: taps}
+}
+
+// drawTaps fills taps with one channel realization: Rayleigh taps with an
+// exponential power-delay profile normalized to unit power, then, when los
+// is set, scaled to the scattered share of a K-factor kFactorDB channel
+// with a random-phase line-of-sight component added to the first tap and
+// the whole renormalized. The RNG is consumed in that order: two normals
+// per tap, then the LOS phase.
+func drawTaps(rng *rand.Rand, taps []complex128, decayTaps float64, los bool, kFactorDB float64) {
+	for i := range taps {
+		p := math.Exp(-float64(i) / math.Max(decayTaps, 1e-9))
+		g := math.Sqrt(p / 2)
+		taps[i] = complex(rng.NormFloat64()*g, rng.NormFloat64()*g)
+	}
+	normalize(taps)
+	if !los {
+		return
+	}
 	k := dsp.FromDB(kFactorDB)
 	// Scattered power is currently 1; scale so scattered + LOS = 1.
-	scatter := 1 / (1 + k)
-	los := k / (1 + k)
-	s := math.Sqrt(scatter)
-	for i := range m.Taps {
-		m.Taps[i] *= complex(s, 0)
+	s := math.Sqrt(1 / (1 + k))
+	for i := range taps {
+		taps[i] *= complex(s, 0)
 	}
 	phase := rng.Float64() * 2 * math.Pi
-	m.Taps[0] += cmplx.Rect(math.Sqrt(los), phase)
+	taps[0] += cmplx.Rect(math.Sqrt(k/(1+k)), phase)
 	// Renormalize the realized power (LOS and scatter add incoherently only
 	// in expectation).
-	norm := complex(1/math.Sqrt(m.Power()), 0)
-	for i := range m.Taps {
-		m.Taps[i] *= norm
+	normalize(taps)
+}
+
+// normalize scales taps to a realized total power of exactly 1.
+func normalize(taps []complex128) {
+	norm := complex(1/math.Sqrt(tapPower(taps)), 0)
+	for i := range taps {
+		taps[i] *= norm
 	}
-	return m
 }
 
 // Flat returns a single-tap unit channel (no multipath).
@@ -75,12 +85,37 @@ func Flat() *Multipath {
 // NewIndoor draws a channel whose RMS delay spread is roughly spreadNs at
 // sample rate fs. Line-of-sight placements should pass a positive K-factor.
 func NewIndoor(rng *rand.Rand, fs, spreadNs, kFactorDB float64) *Multipath {
-	decayTaps := spreadNs * 1e-9 * fs
-	nTaps := int(math.Ceil(4*decayTaps)) + 1
+	nTaps, decayTaps := indoorProfile(fs, spreadNs)
 	if kFactorDB > 0 {
 		return NewRician(rng, nTaps, decayTaps, kFactorDB)
 	}
 	return NewRayleigh(rng, nTaps, decayTaps)
+}
+
+// IndoorResponse draws one NewIndoor channel and writes its frequency
+// response on a len(h)-point grid (FFT bin order) into h: the same RNG
+// draws and the same bits as NewIndoor(rng, fs, spreadNs,
+// kFactorDB).FreqResponse(len(h)), without allocating when the taps fit
+// in h.
+func IndoorResponse(rng *rand.Rand, h []complex128, fs, spreadNs, kFactorDB float64) {
+	nTaps, decayTaps := indoorProfile(fs, spreadNs)
+	if nTaps <= len(h) {
+		drawTaps(rng, h[:nTaps], decayTaps, kFactorDB > 0, kFactorDB)
+		clear(h[nTaps:])
+	} else {
+		// More taps than grid points: FreqResponse keeps the first len(h).
+		taps := make([]complex128, nTaps)
+		drawTaps(rng, taps, decayTaps, kFactorDB > 0, kFactorDB)
+		copy(h, taps)
+	}
+	dsp.FFTInto(h, h)
+}
+
+// indoorProfile returns NewIndoor's tap count (at least one) and decay
+// constant (in taps) for an RMS delay spread of spreadNs at sample rate fs.
+func indoorProfile(fs, spreadNs float64) (nTaps int, decayTaps float64) {
+	decayTaps = spreadNs * 1e-9 * fs
+	return max(int(math.Ceil(4*decayTaps))+1, 1), decayTaps
 }
 
 // Apply convolves x with the channel, returning len(x)+len(Taps)-1 samples.
@@ -114,11 +149,12 @@ func (m *Multipath) PowerDelayProfile() []float64 {
 	return out
 }
 
-// Power returns the total tap power (1.0 for freshly drawn channels).
-func (m *Multipath) Power() float64 {
+// tapPower returns the total power of taps, the sum of |tap|^2 (1.0 for
+// freshly drawn channels).
+func tapPower(taps []complex128) float64 {
 	var p float64
-	for _, v := range m.PowerDelayProfile() {
-		p += v
+	for _, t := range taps {
+		p += real(t)*real(t) + imag(t)*imag(t)
 	}
 	return p
 }

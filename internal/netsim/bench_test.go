@@ -109,6 +109,46 @@ func BenchmarkInterferenceRateAware(b *testing.B) {
 	benchInterference(b, NewRateAware(cfg, modem.StandardRates(), 1460))
 }
 
+// BenchmarkLinkDeliver and BenchmarkJointLinkDeliver time one delivery
+// draw — a fresh multipath realization per sender, the per-subcarrier SNR
+// combine, and the PER lookup — the cost every rate-aware settle and every
+// lasthop/exor packet pays. Links are NLOS (Rayleigh) on the 802.11
+// profile; the joint draw is a two-sender SourceSync group. Both report
+// allocs/op: CI requires the joint draw's, and
+// TestDeliveryDrawsAllocateNothing holds both at 0.
+func BenchmarkLinkDeliver(b *testing.B) {
+	cfg := modem.Profile80211()
+	link := testbed.Default(cfg).LinkAtSNR(15, 20)
+	rate := modem.StandardRates()[4]
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	delivered := 0
+	for b.Loop() {
+		if LinkDeliverScaled(rng, link, rate, 1460, 0.8) {
+			delivered++
+		}
+	}
+	deliverSink = delivered
+}
+
+func BenchmarkJointLinkDeliver(b *testing.B) {
+	cfg := modem.Profile80211()
+	env := testbed.Default(cfg)
+	links := []testbed.Link{env.LinkAtSNR(15, 20), env.LinkAtSNR(12, 25)}
+	rate := modem.StandardRates()[4]
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	delivered := 0
+	for b.Loop() {
+		if JointLinkDeliverScaled(rng, links, rate, 1460, 0.8) {
+			delivered++
+		}
+	}
+	deliverSink = delivered
+}
+
+var deliverSink int
+
 // BenchmarkStepScaling drives the indexed scheduler across city sizes —
 // 100 through 100k concurrent placed flows in 4-client cells on a square
 // grid — and reports the per-event cost. Under the spatial index and the

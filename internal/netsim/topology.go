@@ -85,6 +85,11 @@ func LinkDeliver(rng *rand.Rand, link testbed.Link, rate modem.Rate, payload int
 	return LinkDeliverScaled(rng, link, rate, payload, 1)
 }
 
+// maxStackBins is how many data subcarriers a delivery draw keeps on its
+// stack; it covers both shipped profiles (48 and 16 data bins, NFFT <=
+// 128). Larger configurations still work, through a heap slice.
+const maxStackBins = 128
+
 // LinkDeliverScaled draws one reception over a single link with the
 // per-subcarrier SNRs scaled by snrScale — the effective-SNR degradation
 // an interference model charges a partially overlapped frame
@@ -92,7 +97,8 @@ func LinkDeliver(rng *rand.Rand, link testbed.Link, rate modem.Rate, payload int
 // randomness is consumed either way, so degrading a draw never perturbs
 // the deterministic stream.
 func LinkDeliverScaled(rng *rand.Rand, link testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	bins := link.DrawSubcarrierSNRs(rng)
+	var buf [maxStackBins]float64
+	bins := link.AppendSubcarrierSNRs(buf[:0], rng)
 	scaleBins(bins, snrScale)
 	per := permodel.PER(rate, payload, bins)
 	return rng.Float64() >= per
@@ -108,12 +114,25 @@ func JointLinkDeliver(rng *rand.Rand, links []testbed.Link, rate modem.Rate, pay
 // per-subcarrier SNRs scaled by snrScale (interference degrades the summed
 // signal and the individual ones identically — the interferer is additive
 // noise at the one receiver).
+//
+// Each sender's SNRs are added into the joint sum as soon as they are
+// drawn (permodel.AccumulateSNR, in permodel.JointSNR's order), so the
+// draw keeps one sender's bins and the sum, both on the stack.
 func JointLinkDeliverScaled(rng *rand.Rand, links []testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	per := make([][]float64, len(links))
+	var sumBuf, drawBuf [maxStackBins]float64
+	var bins []float64
 	for i, l := range links {
-		per[i] = l.DrawSubcarrierSNRs(rng)
+		sender := l.AppendSubcarrierSNRs(drawBuf[:0], rng)
+		if i == 0 {
+			// A zeroed sum as long as the first sender's draw.
+			if len(sender) <= len(sumBuf) {
+				bins = sumBuf[:len(sender)]
+			} else {
+				bins = make([]float64, len(sender))
+			}
+		}
+		permodel.AccumulateSNR(bins, sender)
 	}
-	bins := permodel.JointSNR(per)
 	scaleBins(bins, snrScale)
 	return rng.Float64() >= permodel.PER(rate, payload, bins)
 }

@@ -41,10 +41,11 @@ func qfunc(x float64) float64 {
 }
 
 // Distance spectra of the 802.11 convolutional code (K=7, 133/171) and its
-// punctured variants: c_d is the total information-bit weight of all paths
-// at Hamming distance d from the all-zero path, starting at dFree. These are
-// the standard published values used in 802.11 performance analyses.
-var spectra = map[modem.CodeRate]struct {
+// punctured variants, indexed by code rate: c_d is the total
+// information-bit weight of all paths at Hamming distance d from the
+// all-zero path, starting at dFree. These are the standard published
+// values used in 802.11 performance analyses.
+var spectra = [...]struct {
 	dFree int
 	cd    []float64
 }{
@@ -53,29 +54,20 @@ var spectra = map[modem.CodeRate]struct {
 	modem.Rate34: {5, []float64{42, 201, 1492, 10469, 62935, 379644}},
 }
 
-// pairwiseError returns the probability that the Viterbi decoder prefers a
-// path at Hamming distance d when the hard-decision channel has crossover
-// probability p.
-func pairwiseError(d int, p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 0.5 {
-		return 0.5
-	}
-	var sum float64
-	if d%2 == 1 {
-		for k := (d + 1) / 2; k <= d; k++ {
-			sum += binom(d, k) * math.Pow(p, float64(k)) * math.Pow(1-p, float64(d-k))
+// maxDist is the largest Hamming distance any spectrum reaches (rate 1/2:
+// dFree 10 plus ten more terms).
+const maxDist = 20
+
+// binomTable[n][k] is C(n, k) for n, k <= maxDist, built once by binom so
+// every coefficient is the float64 binom returns.
+var binomTable = func() (t [maxDist + 1][maxDist + 1]float64) {
+	for n := range t {
+		for k := range t[n] {
+			t[n][k] = binom(n, k)
 		}
-		return sum
 	}
-	for k := d/2 + 1; k <= d; k++ {
-		sum += binom(d, k) * math.Pow(p, float64(k)) * math.Pow(1-p, float64(d-k))
-	}
-	sum += 0.5 * binom(d, d/2) * math.Pow(p, float64(d/2)) * math.Pow(1-p, float64(d/2))
-	return sum
-}
+	return t
+}()
 
 func binom(n, k int) float64 {
 	if k < 0 || k > n {
@@ -90,17 +82,48 @@ func binom(n, k int) float64 {
 
 // CodedBitErrorBound returns the union-bound post-Viterbi bit error
 // probability for crossover probability p at the given code rate.
+//
+// Each distance-d term is the probability that the Viterbi decoder prefers
+// a path at Hamming distance d over a hard-decision channel with crossover
+// p: the sum over k > d/2 of C(d,k) p^k (1-p)^(d-k), plus half the k = d/2
+// term for even d. The powers are taken once per call with math.Pow and
+// shared by every term, so each term is the same float64 product, in the
+// same order, as evaluating it on its own.
 func CodedBitErrorBound(p float64, code modem.CodeRate) float64 {
-	s, ok := spectra[code]
-	if !ok {
+	if code < 0 || int(code) >= len(spectra) {
 		panic("permodel: unknown code rate")
+	}
+	if p <= 0 {
+		return 0
+	}
+	if p >= 0.5 {
+		return 0.5
+	}
+	s := &spectra[code]
+	maxD := s.dFree + len(s.cd) - 1
+	// pk[k] = p^k and qj[j] = (1-p)^j for every exponent a term reads:
+	// k from ceil(dFree/2) up, j = d-k up to maxD/2.
+	var pk, qj [maxDist + 1]float64
+	for k := (s.dFree + 1) / 2; k <= maxD; k++ {
+		pk[k] = math.Pow(p, float64(k))
+	}
+	for j := 0; j <= maxD/2; j++ {
+		qj[j] = math.Pow(1-p, float64(j))
 	}
 	var pb float64
 	for i, c := range s.cd {
 		if c == 0 {
 			continue
 		}
-		pb += c * pairwiseError(s.dFree+i, p)
+		d := s.dFree + i
+		var sum float64
+		for k := d/2 + 1; k <= d; k++ {
+			sum += binomTable[d][k] * pk[k] * qj[d-k]
+		}
+		if d%2 == 0 {
+			sum += 0.5 * binomTable[d][d/2] * pk[d/2] * qj[d/2]
+		}
+		pb += c * sum
 	}
 	if pb > 0.5 {
 		pb = 0.5
@@ -147,18 +170,26 @@ func FlatPER(cfg *modem.Config, rate modem.Rate, payloadBytes int, snrDB float64
 // JointSNR combines per-subcarrier SNRs of concurrent synchronized senders:
 // with orthogonal space-time combining the post-combiner SNR per bin is the
 // sum of the senders' individual SNRs (power gain + diversity; paper §8.2).
+// netsim's delivery draws apply the same sum one sender at a time through
+// AccumulateSNR.
 func JointSNR(perSender [][]float64) []float64 {
 	if len(perSender) == 0 {
 		return nil
 	}
-	n := len(perSender[0])
-	out := make([]float64, n)
+	out := make([]float64, len(perSender[0]))
 	for _, s := range perSender {
-		for i, v := range s {
-			out[i] += v
-		}
+		AccumulateSNR(out, s)
 	}
 	return out
+}
+
+// AccumulateSNR adds one sender's per-subcarrier SNRs into a joint sum
+// that starts at zero: JointSNR one sender at a time, for callers that
+// draw senders in turn and keep no per-sender slices.
+func AccumulateSNR(sum, sender []float64) {
+	for i, v := range sender {
+		sum[i] += v
+	}
 }
 
 // SubcarrierSNRs draws the per-data-bin linear SNRs of one link realization:

@@ -1,6 +1,7 @@
 package permodel
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -63,6 +64,153 @@ func TestCodedBERImprovesOnUncoded(t *testing.T) {
 		t.Fatalf("rate 1/2 (%g) should beat rate 3/4 (%g)", c12, c34)
 	}
 }
+
+// The union bound as written before its binomials and powers were tabled:
+// one pairwiseError call per distance term, each recomputing its own
+// binomials and powers, over the spectra map. CodedBitErrorBound and PER
+// must reproduce it bit for bit.
+var refSpectra = map[modem.CodeRate]struct {
+	dFree int
+	cd    []float64
+}{
+	modem.Rate12: {10, []float64{36, 0, 211, 0, 1404, 0, 11633, 0, 77433, 0, 502690}},
+	modem.Rate23: {6, []float64{3, 70, 285, 1276, 6160, 27128, 117019}},
+	modem.Rate34: {5, []float64{42, 201, 1492, 10469, 62935, 379644}},
+}
+
+func refPairwiseError(d int, p float64) float64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 0.5 {
+		return 0.5
+	}
+	var sum float64
+	if d%2 == 1 {
+		for k := (d + 1) / 2; k <= d; k++ {
+			sum += binom(d, k) * math.Pow(p, float64(k)) * math.Pow(1-p, float64(d-k))
+		}
+		return sum
+	}
+	for k := d/2 + 1; k <= d; k++ {
+		sum += binom(d, k) * math.Pow(p, float64(k)) * math.Pow(1-p, float64(d-k))
+	}
+	sum += 0.5 * binom(d, d/2) * math.Pow(p, float64(d/2)) * math.Pow(1-p, float64(d/2))
+	return sum
+}
+
+func refCodedBitErrorBound(p float64, code modem.CodeRate) float64 {
+	s, ok := refSpectra[code]
+	if !ok {
+		panic("permodel: unknown code rate")
+	}
+	var pb float64
+	for i, c := range s.cd {
+		if c == 0 {
+			continue
+		}
+		pb += c * refPairwiseError(s.dFree+i, p)
+	}
+	if pb > 0.5 {
+		pb = 0.5
+	}
+	return pb
+}
+
+func refPER(rate modem.Rate, payloadBytes int, perBinSNR []float64) float64 {
+	if len(perBinSNR) == 0 {
+		return 1
+	}
+	var p float64
+	for _, s := range perBinSNR {
+		p += UncodedBER(rate.Mod, s)
+	}
+	p /= float64(len(perBinSNR))
+	pb := refCodedBitErrorBound(p, rate.Code)
+	bits := float64((payloadBytes + 4) * 8)
+	per := 1 - math.Pow(1-pb, bits)
+	if per < 0 {
+		per = 0
+	}
+	if per > 1 {
+		per = 1
+	}
+	return per
+}
+
+func TestCodedBitErrorBoundMatchesReference(t *testing.T) {
+	const draws = 100000
+	lo, hi := math.Log(1e-30), math.Log(0.5)
+	special := []float64{0, -1, 0.5, 0.7, 1, 5e-324, math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	for _, code := range []modem.CodeRate{modem.Rate12, modem.Rate23, modem.Rate34} {
+		check := func(p float64) {
+			got, want := CodedBitErrorBound(p, code), refCodedBitErrorBound(p, code)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("code %v, p=%v (%#x): got %v (%#x), reference %v (%#x)",
+					code, p, math.Float64bits(p), got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		for _, p := range special {
+			check(p)
+		}
+		for i := 0; i < draws; i++ {
+			check(math.Exp(lo + rng.Float64()*(hi-lo)))
+		}
+	}
+	if !math.IsNaN(CodedBitErrorBound(math.NaN(), modem.Rate12)) {
+		t.Fatal("NaN crossover probability must give NaN")
+	}
+}
+
+func TestPERMatchesReference(t *testing.T) {
+	// Bin vectors of 1..48 bins with per-bin SNRs log-uniform over
+	// -10..35 dB span crossover probabilities from coin flips to exact
+	// zeros (Erfc underflow), at every standard rate.
+	const draws = 100000
+	rates := modem.StandardRates()
+	rng := rand.New(rand.NewSource(2))
+	bins := make([]float64, 48)
+	for i := 0; i < draws; i++ {
+		rate := rates[i%len(rates)]
+		payload := []int{40, 1460}[rng.Intn(2)]
+		v := bins[:1+rng.Intn(len(bins))]
+		for j := range v {
+			v[j] = dsp.FromDB(-10 + 45*rng.Float64())
+		}
+		got, want := PER(rate, payload, v), refPER(rate, payload, v)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v, %d bytes, bins %v: got %v, reference %v", rate, payload, v, got, want)
+		}
+	}
+	for _, rate := range rates {
+		if got, want := PER(rate, 1460, nil), refPER(rate, 1460, nil); got != want {
+			t.Fatalf("%v, no bins: got %v, reference %v", rate, got, want)
+		}
+	}
+}
+
+// BenchmarkPER prices one 48-bin delivery draw at each standard rate: the
+// permodel lookup behind every netsim packet.
+func BenchmarkPER(b *testing.B) {
+	cfg := modem.Profile80211()
+	bins := make([]float64, cfg.NumData())
+	for i := range bins {
+		bins[i] = dsp.FromDB(14 + 6*math.Sin(float64(i)/5))
+	}
+	for _, rate := range modem.StandardRates() {
+		b.Run(fmt.Sprintf("mbps=%.0f", rate.BitRate(cfg)/1e6), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			for b.Loop() {
+				sink += PER(rate, 1460, bins)
+			}
+			perSink = sink
+		})
+	}
+}
+
+var perSink float64
 
 func TestPERMonotoneInSNRProperty(t *testing.T) {
 	cfg := modem.Profile80211()

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -85,12 +87,30 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxSpecBytes caps a POST /jobs body. Specs, inline scenarios included,
+// are a few kilobytes; anything near the cap is not a spec.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "job spec larger than %d bytes", tooBig.Limit)
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading job spec: %v", err)
+		return
+	}
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+		return
+	}
+	if len(bytes.TrimSpace(body[dec.InputOffset():])) > 0 {
+		writeError(w, http.StatusBadRequest, "bad job spec: trailing data after the JSON document")
 		return
 	}
 	job, err := s.Submit(spec)

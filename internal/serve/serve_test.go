@@ -527,6 +527,42 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	}
 }
 
+func TestHTTPSubmitRejectsOversizedBody(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxRunning: 1, runFn: fakeRun(nil, nil)})
+	body := `{"experiment":"fig12","quick":true,"pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, _ := postJob(t, ts, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST of a %d-byte body = %d, want 413", len(body), resp.StatusCode)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs created by an oversized body", n)
+	}
+	// A spec padded with whitespace to just under the cap is still a spec.
+	spec := `{"experiment":"fig12","quick":true}`
+	if resp, _ := postJob(t, ts, spec+strings.Repeat(" ", maxSpecBytes-len(spec))); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST of a body at the cap = %d, want 202", resp.StatusCode)
+	}
+}
+
+func TestHTTPSubmitRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxRunning: 1, runFn: fakeRun(nil, nil)})
+	for _, body := range []string{
+		`{"experiment":"fig12","quick":true}garbage`,
+		`{"experiment":"fig12","quick":true}}`,
+		`{"experiment":"fig12","quick":true} {"experiment":"fig13"}`,
+	} {
+		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs created by specs with trailing data", n)
+	}
+	if resp, _ := postJob(t, ts, "{\"experiment\":\"fig12\",\"quick\":true}\n\t "); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST with trailing whitespace = %d, want 202", resp.StatusCode)
+	}
+}
+
 func TestHTTPCancelAndStream(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)

@@ -129,27 +129,45 @@ func (t *Testbed) LinkAtSNR(snrDB, distM float64) Link {
 }
 
 // DrawChannel samples a fresh multipath realization for this link.
+// AppendSubcarrierSNRs draws the same realization without allocating.
 func (l Link) DrawChannel(rng *rand.Rand) *channel.Multipath {
-	k := 0.0
-	if l.LOS {
-		k = l.parent.KFactorDB
-	}
-	return channel.NewIndoor(rng, l.parent.Cfg.SampleRateHz, l.parent.DelaySpreadNs, k)
+	return channel.NewIndoor(rng, l.parent.Cfg.SampleRateHz, l.parent.DelaySpreadNs, l.kFactorDB())
 }
 
-// DrawSubcarrierSNRs samples per-data-subcarrier linear SNRs for one packet
-// on this link (block fading: fresh multipath per packet).
-func (l Link) DrawSubcarrierSNRs(rng *rand.Rand) []float64 {
-	cfg := l.parent.Cfg
-	h := l.DrawChannel(rng).FreqResponse(cfg.NFFT)
-	lin := math.Pow(10, l.SNRdB/10)
-	bins := cfg.DataBins()
-	out := make([]float64, len(bins))
-	for i, k := range bins {
-		v := h[cfg.Bin(k)]
-		out[i] = lin * (real(v)*real(v) + imag(v)*imag(v))
+// kFactorDB is the Rician K-factor of this link's multipath: the
+// environment's for line-of-sight links, 0 (Rayleigh) otherwise.
+func (l Link) kFactorDB() float64 {
+	if l.LOS {
+		return l.parent.KFactorDB
 	}
-	return out
+	return 0
+}
+
+// maxStackNFFT is the largest FFT whose scratch AppendSubcarrierSNRs keeps
+// on its stack; it covers both shipped profiles (64 and 128 points).
+const maxStackNFFT = 128
+
+// AppendSubcarrierSNRs samples the per-data-subcarrier linear SNRs of one
+// packet on this link (block fading: fresh multipath per packet), appends
+// them to dst in data-bin order, and returns the extended slice. The draw
+// is DrawChannel(rng).FreqResponse(NFFT) shaped by the link's average SNR,
+// bit for bit, but allocates nothing when dst has room.
+func (l Link) AppendSubcarrierSNRs(dst []float64, rng *rand.Rand) []float64 {
+	cfg := l.parent.Cfg
+	var buf [maxStackNFFT]complex128
+	var h []complex128
+	if cfg.NFFT <= len(buf) {
+		h = buf[:cfg.NFFT]
+	} else {
+		h = make([]complex128, cfg.NFFT)
+	}
+	channel.IndoorResponse(rng, h, cfg.SampleRateHz, l.parent.DelaySpreadNs, l.kFactorDB())
+	lin := math.Pow(10, l.SNRdB/10)
+	for _, k := range cfg.DataBins() {
+		v := h[cfg.Bin(k)]
+		dst = append(dst, lin*(real(v)*real(v)+imag(v)*imag(v)))
+	}
+	return dst
 }
 
 // PropDelaySamples returns the line-of-flight delay of this link in samples.

@@ -62,7 +62,7 @@ func TestDrawSubcarrierSNRsStatistics(t *testing.T) {
 	var mean float64
 	const draws = 300
 	for i := 0; i < draws; i++ {
-		bins := link.DrawSubcarrierSNRs(rng)
+		bins := link.AppendSubcarrierSNRs(nil, rng)
 		mean += dsp.Mean(bins) / draws
 	}
 	// Average linear SNR across fading should match the link budget (10 dB
@@ -71,7 +71,7 @@ func TestDrawSubcarrierSNRsStatistics(t *testing.T) {
 		t.Fatalf("mean per-bin SNR %.2f, want ~10", mean)
 	}
 	// And individual draws must be frequency selective (not all equal).
-	bins := link.DrawSubcarrierSNRs(rng)
+	bins := link.AppendSubcarrierSNRs(nil, rng)
 	if dsp.StdDev(bins) < 0.5 {
 		t.Fatalf("no frequency selectivity: std %.3f", dsp.StdDev(bins))
 	}
