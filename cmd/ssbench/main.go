@@ -37,7 +37,6 @@ var (
 	cells    = flag.String("cells", "1,2,3", "comma-separated cell counts for cellsweep's capacity-vs-cell-count table")
 	csRanges = flag.String("cs", "20,30,45", "comma-separated carrier-sense ranges (meters) for cellsweep's capacity-vs-CS-range table")
 	window   = flag.Float64("window", 0, "fixed-time-window saturation mode for cell/cellsweep: drain unbounded backlogs for this many virtual seconds (0 = drain fixed per-client backlogs)")
-	legacy   = flag.Bool("legacy", false, "run cell/cellsweep/crosstraffic* with their pre-model interference behavior (cellsweep keeps its binary CaptureDB gate; cell and the crosstraffic variants historically modeled no interference at all)")
 	scenFile = flag.String("scenario", "", "path to a declarative scenario spec (JSON); with no experiment argument, runs the generic \"scenario\" experiment over it")
 	cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
@@ -73,7 +72,6 @@ func params() experiments.Params {
 			Cells:     counts,
 			CSRanges:  ranges,
 			WindowSec: *window,
-			Legacy:    *legacy,
 		},
 	}
 }
@@ -169,7 +167,7 @@ func startProfiles() func() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ssbench [-seed N] [-quick] [-parallel=false] [-workers N] [-cells N,N,...] [-cs M,M,...] [-window SEC] [-legacy] [-cpuprofile FILE] [-memprofile FILE] <%s|all>\n       ssbench -scenario spec.json\n       ssbench -list\n",
+	fmt.Fprintf(os.Stderr, "usage: ssbench [-seed N] [-quick] [-parallel=false] [-workers N] [-cells N,N,...] [-cs M,M,...] [-window SEC] [-cpuprofile FILE] [-memprofile FILE] <%s|all>\n       ssbench -scenario spec.json\n       ssbench -list\n",
 		strings.Join(experiments.Names(), "|"))
 }
 

@@ -155,7 +155,7 @@ func TestWindowModeAndCSRangeSweepDeterministicAcrossWorkerCounts(t *testing.T) 
 
 func TestCellSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	o := CellSweepOptions{Seed: 11, Placements: 3, Cells: 2, APsPerCell: 2,
-		ClientsPer: []int{1, 4}, Packets: 20, Payload: 1460, CSRangeM: 30, CaptureDB: 10}
+		ClientsPer: []int{1, 4}, Packets: 20, Payload: 1460, CSRangeM: 30}
 	o.Workers = 1
 	want := fmt.Sprintf("%#v", RunCellSweep(o))
 	wantC := fmt.Sprintf("%#v", RunCellCountSweep(o, []int{1, 3}, 2))

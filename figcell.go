@@ -27,13 +27,6 @@ type CellOptions struct {
 	APs        int // M APs serving it
 	Packets    int // downlink packets per client
 	Payload    int
-	// Legacy disables the rate-aware interference model: no geometry is
-	// wired into the cell, so collisions destroy every frame uncondition-
-	// ally (the pre-model behavior). The default (false) runs the cell
-	// with netsim.RateAware engaged — colliding downlinks may capture at
-	// their own rate's decode threshold and surviving frames pay the
-	// effective-SNR degradation.
-	Legacy bool
 	// WindowSec switches to fixed-time-window saturation mode: unbounded
 	// backlogs drained for this many virtual seconds (Packets ignored), so
 	// one starved client no longer gates the elapsed time. 0 keeps the
@@ -66,7 +59,7 @@ type CellExpResult struct {
 	MeanCollisionRate float64
 	// MeanCaptureRate is captures per acquisition averaged over the joint
 	// runs: colliding frames the rate-aware model let survive at their own
-	// rate's decode threshold. 0 under Legacy.
+	// rate's decode threshold.
 	MeanCaptureRate float64
 	// RateCorruption aggregates the interference model's per-rate outcomes
 	// over every joint run (index = SampleRate rate index).
@@ -77,19 +70,16 @@ type CellExpResult struct {
 // over the floor, drops every client in usable-but-not-saturated range of
 // its nearest AP (as in Fig. 17's motivation), and drains each client's
 // backlog once with per-client best-single-AP service and once with
-// SourceSync joint transmissions. Unless o.Legacy is set, the cell runs
-// with the rate-aware interference model: colliding downlinks may capture
-// at their own rate's decode threshold and surviving frames pay the
-// effective-SNR degradation in their delivery draws.
+// SourceSync joint transmissions. The cell runs with the rate-aware
+// interference model: colliding downlinks may capture at their own rate's
+// decode threshold and surviving frames pay the effective-SNR degradation
+// in their delivery draws.
 func RunCell(o CellOptions) CellExpResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
-	var model netsim.InterferenceModel
-	if !o.Legacy {
-		model = netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
-	}
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 
 	type plRes struct {
 		singleBps, jointBps        float64
@@ -102,20 +92,18 @@ func RunCell(o CellOptions) CellExpResult {
 		for c := range apPos {
 			apPos[c] = aps
 		}
+		// One collision domain (CSRangeM 0), but with geometry wired so
+		// the interference model prices every collision.
 		cell := lasthop.Cell{
 			Mac:              m,
 			PayloadBytes:     o.Payload,
 			Links:            links,
 			PacketsPerClient: o.Packets,
 			WindowSec:        o.WindowSec,
-		}
-		if !o.Legacy {
-			// One collision domain still (CSRangeM 0), but with geometry
-			// wired so the interference model prices every collision.
-			cell.APPos = apPos
-			cell.ClientPos = clientPos
-			cell.Env = env
-			cell.Model = model
+			APPos:            apPos,
+			ClientPos:        clientPos,
+			Env:              env,
+			Model:            model,
 		}
 		single := cell.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
 		joint := cell.RunJoint(rand.New(rand.NewSource(rng.Int63())))         //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
@@ -210,10 +198,6 @@ type CrossTrafficOptions struct {
 	// standard rate table (instead of the fixed RateMbps), so rate
 	// adaptation reacts to contention and interference-degraded loss.
 	AdaptCross bool
-	// Legacy disables the rate-aware interference model; collisions then
-	// destroy every frame and hidden terminals never interfere (the
-	// pre-model behavior).
-	Legacy bool
 	// CSRangeM is the carrier-sense range between cross-flow transmitters
 	// (meters). 0 keeps the classic single collision domain; positive
 	// values enable spatial reuse — and hidden terminals — between cross
@@ -301,16 +285,13 @@ func RunCrossTraffic(o CrossTrafficOptions) CrossTrafficResult {
 	}
 	m := mac.Default(cfg)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
-	var model netsim.InterferenceModel
-	if !o.Legacy {
-		// The cross flows' rate table: the standard rates under AdaptCross,
-		// the single fixed rate otherwise.
-		rates := []modem.Rate{rate}
-		if o.AdaptCross {
-			rates = modem.StandardRates()
-		}
-		model = netsim.NewRateAware(cfg, rates, o.Payload)
+	// The cross flows' rate table: the standard rates under AdaptCross, the
+	// single fixed rate otherwise.
+	rates := []modem.Rate{rate}
+	if o.AdaptCross {
+		rates = modem.StandardRates()
 	}
+	model := netsim.NewRateAware(cfg, rates, o.Payload)
 
 	type tpRes struct {
 		spAlone, spLoaded, ssAlone, ssLoaded float64

@@ -29,16 +29,6 @@ type CellSweepOptions struct {
 	Packets    int   // downlink packets per client
 	Payload    int
 	CSRangeM   float64 // carrier-sense range between transmitters (meters)
-	// CaptureDB is the SINR threshold of the legacy binary interference
-	// model: it gates physical-layer capture within collisions and decode
-	// against hidden-terminal interference from out-of-range cells. 0
-	// disables both. Used only under Legacy.
-	CaptureDB float64
-	// Legacy runs the sweep on the historical binary CaptureDB gate
-	// instead of the rate-aware effective-SNR model (the default): under
-	// rate-aware, every interfered downlink is corrupted or degraded at
-	// its own rate's decode threshold.
-	Legacy bool
 	// WindowSec switches every run to fixed-time-window saturation mode:
 	// unbounded backlogs drained for this many virtual seconds (Packets
 	// ignored), so one starved boundary client no longer gates a run's
@@ -53,29 +43,22 @@ type CellSweepOptions struct {
 	Monitor *engine.Monitor
 }
 
-// model returns the interference model the sweep runs: nil (the binary
-// CaptureDB gate) under Legacy, otherwise rate-aware decode thresholds
-// over the SampleRate rate table. Models are read-only after construction,
-// so one instance is shared across all worker goroutines.
+// model returns the interference model the sweep runs: rate-aware decode
+// thresholds over the SampleRate rate table, so every interfered downlink
+// is corrupted or degraded at its own rate's decode threshold. Models are
+// read-only after construction, so one instance is shared across all
+// worker goroutines.
 func (o CellSweepOptions) model(cfg *modem.Config) netsim.InterferenceModel {
-	if o.Legacy {
-		return nil
-	}
 	return netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 }
 
 // DefaultCellSweepOptions returns the parameters used by ssbench: two
 // cells, two APs each, clients swept 1..8 per cell, 30 m carrier sense.
-// The default sweep runs the rate-aware interference model (each downlink
-// gated at its own rate's decode threshold); the 6 dB CaptureDB only
-// applies under Legacy, where it approximates the robust rates' decode
-// margin so hidden-terminal corruption bites at cell boundaries without
-// drowning the reuse the sweep exists to measure.
 func DefaultCellSweepOptions() CellSweepOptions {
 	return CellSweepOptions{
 		Seed: 11, Placements: 10, Cells: 2, APsPerCell: 2,
 		ClientsPer: []int{1, 2, 4, 6, 8}, Packets: 60, Payload: 1460,
-		CSRangeM: 30, CaptureDB: 6,
+		CSRangeM: 30,
 	}
 }
 
@@ -168,7 +151,6 @@ func buildMultiCell(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o CellSw
 		ClientPos:        make([]testbed.Point, 0, nClients),
 		PacketsPerClient: o.Packets,
 		CSRangeM:         o.CSRangeM,
-		CaptureDB:        o.CaptureDB,
 		Model:            model,
 		Env:              env,
 		WindowSec:        o.WindowSec,

@@ -178,7 +178,7 @@ func buildMetro(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o MetroOptio
 // whole city Placements times, drains each layout once under each serving
 // mode, and reduces medians in placement order. The interference model is
 // rate-aware throughout — the metro question is precisely how interference
-// scales with density, so there is no legacy mode.
+// scales with density.
 func RunMetro(o MetroOptions) MetroResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)

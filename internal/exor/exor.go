@@ -13,10 +13,10 @@
 // runs can share the medium with cross-traffic flows (RunWithCross). Cross
 // flows carry their endpoints' testbed positions; with Sim.CSRangeM set
 // they contend only within carrier-sense range of each other (and, with
-// CaptureDB set, can corrupt each other as hidden terminals when their
-// concurrent frames overlap at a receiver), while the routed flow — whose
-// transmitter moves hop by hop — stays unplaced and contends with
-// everyone.
+// an interference Model set, can corrupt each other as hidden terminals
+// when their concurrent frames overlap at a receiver), while the routed
+// flow — whose transmitter moves hop by hop — stays unplaced and contends
+// with everyone.
 package exor
 
 import (
@@ -120,12 +120,10 @@ type Sim struct {
 	// transmitter moves hop by hop, so it stays unplaced and contends with
 	// everyone.
 	CSRangeM float64
-	// CaptureDB is the SINR threshold of the legacy binary interference
-	// model; 0 disables capture. Ignored when Model is set.
-	CaptureDB float64
 	// Model selects the netsim interference model settling interfered
 	// frames (e.g. netsim.NewRateAware over the cross flows' rate table);
-	// nil falls back to the binary CaptureDB gate.
+	// nil models no interference: collisions destroy every frame and
+	// hidden terminals never interfere.
 	Model netsim.InterferenceModel
 	// AdaptCross gives every cross flow a SampleRate controller over the
 	// standard rate table instead of the simulation's fixed Rate, so rate
@@ -178,7 +176,6 @@ func (s *Sim) RunWithCross(rng *rand.Rand, scheme Scheme, nPackets int, cross []
 	}
 	sim := netsim.New(s.Mac, rng)
 	sim.CSRangeM = s.CSRangeM
-	sim.CaptureDB = s.CaptureDB
 	sim.Model = s.Model
 	sim.Env = s.Topo.Env
 

@@ -63,7 +63,7 @@ func IsName(name string) bool {
 var ErrCanceled = errors.New("experiment run canceled")
 
 // Options carries the experiment-specific knobs — the sweep shape and
-// interference-model era that only some experiments read — as a typed
+// saturation mode that only some experiments read — as a typed
 // sub-struct, so Params' generic fields (seed, size, parallelism) stay
 // separate from per-experiment configuration. The ssbench flags and the
 // ssserve wire format both map into it; the zero value means "the
@@ -76,8 +76,6 @@ type Options struct {
 	// WindowSec switches cell/cellsweep/metro to fixed-time-window
 	// saturation mode (ssbench -window); 0 keeps backlog-drain mode.
 	WindowSec float64
-	// Legacy selects the pre-model interference behavior (ssbench -legacy).
-	Legacy bool
 }
 
 // Params configures one Run. The zero value is not runnable as-is for
@@ -371,17 +369,6 @@ func (r *runner) fig18(mbps int) {
 	r.println("paper: ExOR 1.26-1.4x over single path; SourceSync 1.35-1.45x over ExOR; 1.7-2x overall")
 }
 
-// modelName labels the interference pricing Params.Legacy selects. The
-// legacy behavior differs per experiment — cellsweep keeps its binary
-// CaptureDB gate, while cell and the crosstraffic variants historically
-// ran with no interference model — so the label stays generic.
-func (r *runner) modelName() string {
-	if r.p.Options.Legacy {
-		return "legacy"
-	}
-	return "rate-aware"
-}
-
 // printCorruption renders the interference model's per-rate outcome table:
 // one row per SampleRate rate index that saw interference, with the mean
 // decode margin of its interfered attempts.
@@ -419,7 +406,6 @@ func (r *runner) cell() {
 	o.Monitor = r.p.Monitor
 	o.Placements = r.shrink(o.Placements)
 	o.Packets = r.shrink(o.Packets)
-	o.Legacy = r.p.Options.Legacy
 	o.WindowSec = r.p.Options.WindowSec
 	r.cellBody(o, sourcesync.RunCell(o))
 }
@@ -429,11 +415,7 @@ func (r *runner) cell() {
 // pins a spec mirroring the cell defaults byte-identical to `ssbench cell`
 // (examples/cell.json).
 func (r *runner) cellBody(o sourcesync.CellOptions, res sourcesync.CellExpResult) {
-	model := "rate-aware"
-	if o.Legacy {
-		model = "legacy"
-	}
-	r.printf("clients=%d APs=%d packets/client=%d model=%s", o.Clients, o.APs, o.Packets, model)
+	r.printf("clients=%d APs=%d packets/client=%d model=rate-aware", o.Clients, o.APs, o.Packets)
 	if o.WindowSec > 0 {
 		r.printf(" window=%.2fs", o.WindowSec)
 	}
@@ -456,10 +438,9 @@ func (r *runner) cellsweep() {
 	o.Monitor = r.p.Monitor
 	o.Placements = r.shrink(o.Placements)
 	o.Packets = r.shrink(o.Packets)
-	o.Legacy = r.p.Options.Legacy
 	o.WindowSec = r.p.Options.WindowSec
 	res := sourcesync.RunCellSweep(o)
-	r.printf("cells=%d aps/cell=%d packets/client=%d cs-range=%.0fm model=%s", o.Cells, o.APsPerCell, o.Packets, o.CSRangeM, r.modelName())
+	r.printf("cells=%d aps/cell=%d packets/client=%d cs-range=%.0fm model=rate-aware", o.Cells, o.APsPerCell, o.Packets, o.CSRangeM)
 	if o.WindowSec > 0 {
 		r.printf(" window=%.2fs", o.WindowSec)
 	}
@@ -572,13 +553,12 @@ func (r *runner) runCrossTraffic(o sourcesync.CrossTrafficOptions) {
 	o.Topologies = r.shrink(o.Topologies)
 	o.Packets = r.shrink(o.Packets)
 	o.CrossPackets = r.shrink(o.CrossPackets)
-	o.Legacy = r.p.Options.Legacy
 	res := sourcesync.RunCrossTraffic(o)
 	rateLabel := fmt.Sprintf("%d Mbps", o.RateMbps)
 	if o.AdaptCross {
 		rateLabel = "SampleRate-adapted"
 	}
-	r.printf("%d cross flows x %d packets, %s, model=%s", o.CrossFlows, o.CrossPackets, rateLabel, r.modelName())
+	r.printf("%d cross flows x %d packets, %s, model=rate-aware", o.CrossFlows, o.CrossPackets, rateLabel)
 	if o.CSRangeM > 0 {
 		r.printf(", cs-range=%.0fm width-x%.1f", o.CSRangeM, o.WidthScale)
 	}

@@ -16,12 +16,12 @@ import (
 // fields set (positions, Env, CSRangeM) the clients may span several
 // carrier-sense neighborhoods — e.g. multiple cells of a building — whose
 // downlinks reuse the medium concurrently, each neighborhood advancing at
-// its own pace on netsim's event clock. With an interference model
-// configured (Model, or the legacy CaptureDB gate), concurrent
-// out-of-range downlinks can also corrupt each other at the receivers
-// (hidden terminals) — those losses surface as HiddenLosses — and, under
-// the rate-aware model, degrade each other's delivery draws (surfaced as
-// Degraded and the per-rate RateCorruption stats).
+// its own pace on netsim's event clock. With an interference Model set,
+// concurrent out-of-range downlinks can also corrupt each other at the
+// receivers (hidden terminals) — those losses surface as HiddenLosses —
+// and, under the rate-aware model, degrade each other's delivery draws
+// (surfaced as Degraded and the per-rate RateCorruption stats). A nil
+// Model models no interference.
 type Cell struct {
 	Mac          mac.Params
 	PayloadBytes int
@@ -42,20 +42,18 @@ type Cell struct {
 	// CSRangeM is the carrier-sense range between transmitters (meters);
 	// <= 0 keeps every flow in one collision domain.
 	CSRangeM float64
-	// CaptureDB is the SINR threshold of the legacy binary interference
-	// model; 0 disables capture. Ignored when Model is set.
-	CaptureDB float64
 	// Model selects the netsim interference model settling interfered
 	// downlinks (e.g. netsim.NewRateAware over the SampleRate rate table);
-	// nil falls back to the binary CaptureDB gate.
+	// nil models no interference: collisions destroy every frame and
+	// hidden terminals never interfere.
 	Model netsim.InterferenceModel
-	// Env prices interference for the capture model.
+	// Env prices interference for the interference model.
 	Env *testbed.Testbed
 	// InterferenceRangeM bounds each settled frame's interference scan to
 	// transmitters near the receiver (netsim.Sim.InterferenceRangeM).
-	// <= 0 scans every transmission on the air — exact, but O(all flows)
-	// per settle; city-scale deployments set it to the radius beyond which
-	// interference is below noise.
+	// <= 0 is infinite range: every flow is a candidate interferer of
+	// every other, n² cached entries; city-scale deployments set it to the
+	// radius beyond which interference is below noise.
 	InterferenceRangeM float64
 
 	// WindowSec switches the run to fixed-time-window saturation mode:
@@ -223,7 +221,6 @@ func (c Cell) RunJoint(rng *rand.Rand) CellResult {
 func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 	sim := netsim.New(c.Mac, rng)
 	sim.CSRangeM = c.CSRangeM
-	sim.CaptureDB = c.CaptureDB
 	sim.Model = c.Model
 	sim.Env = c.Env
 	sim.InterferenceRangeM = c.InterferenceRangeM

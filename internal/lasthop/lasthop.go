@@ -11,10 +11,12 @@
 //     RunSingleAP / RunBestSingleAP / RunJoint per serving mode.
 //   - Cell — N clients with backlogged downlinks contending as DCF
 //     stations. With its spatial fields set (AP and client positions, a
-//     carrier-sense range, an optional capture threshold) the clients may
+//     carrier-sense range, an optional interference model) the clients may
 //     span several cells of a building, and downlinks out of carrier-sense
 //     range of each other reuse the medium concurrently — the geometry the
-//     cellsweep experiment sweeps.
+//     cellsweep experiment sweeps. A nil model means no interference is
+//     modeled; callers wanting the binary capture gate pass
+//     netsim.LegacyThreshold.
 package lasthop
 
 import (

@@ -64,7 +64,7 @@ func BenchmarkHiddenTerminalPair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, env := benchSim(int64(3 + i))
 		s.CSRangeM = 50
-		s.CaptureDB = 10
+		s.Model = LegacyThreshold{CaptureDB: 10}
 		s.Env = env
 		s.AddFlow(placedFlow("a", 50, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 58, Y: 0}, 25))
 		s.AddFlow(placedFlow("b", 50, 1e-3, testbed.Point{X: 60, Y: 0}, testbed.Point{X: 2, Y: 0}, 25))
@@ -164,18 +164,19 @@ var deliverSink int
 func BenchmarkStepScaling(b *testing.B) {
 	cfg := modem.Profile80211()
 	rateAware := NewRateAware(cfg, modem.StandardRates(), 1460)
+	legacy := LegacyThreshold{CaptureDB: 10}
 	cases := []struct {
 		name    string
 		flows   int
 		packets int
 		model   InterferenceModel
 	}{
-		{"flows=100", 100, 4, nil},
-		{"flows=1000", 1000, 4, nil},
-		{"flows=10000", 10000, 4, nil},
+		{"flows=100", 100, 4, legacy},
+		{"flows=1000", 1000, 4, legacy},
+		{"flows=10000", 10000, 4, legacy},
 		// Two packets per flow keep the largest city inside CI's time
 		// budget while still running ~10x more events than the 10k tier.
-		{"flows=100000", 100000, 2, nil},
+		{"flows=100000", 100000, 2, legacy},
 		{"flows=10000/model=rateaware", 10000, 4, rateAware},
 	}
 	for _, tc := range cases {
@@ -189,7 +190,6 @@ func BenchmarkStepScaling(b *testing.B) {
 				s, env := benchSim(int64(5 + i))
 				s.CSRangeM = 45
 				s.InterferenceRangeM = 150
-				s.CaptureDB = 10
 				s.Model = tc.model
 				s.Env = env
 				for c := 0; c < cells; c++ {

@@ -6,14 +6,20 @@ package netsim_test
 // identical to the pre-refactor scheduler. This harness pins that: ~30
 // randomized mixed topologies — spatial cells, Poisson/on-off traffic with
 // deadlines and churn, waypoint-style mobility epochs with Reindex,
-// mid-run AddFlow, bounded and unbounded interference, all three
-// interference models — are each fingerprinted (every counter, every
-// clock value in exact hex-float form, plus one post-run RNG draw that
-// pins the total randomness consumed) and diffed against
-// testdata/differential_head.txt, which was generated by the pre-SoA
-// scheduler at HEAD. Regenerate with -update ONLY when a deliberate,
-// documented behavior change moves the simulation (same contract as the
-// experiment goldens).
+// mid-run AddFlow, bounded and unbounded interference range, no model,
+// the legacy gate and the rate-aware model — are each fingerprinted
+// (every counter, every clock value in exact hex-float form, plus one
+// post-run RNG draw that pins the total randomness consumed) and diffed
+// against testdata/differential_head.txt, which was generated by the
+// pre-SoA scheduler at HEAD. Regenerate with -update ONLY when a
+// deliberate, documented behavior change moves the simulation (same
+// contract as the experiment goldens).
+//
+// Every trial is stepped by hand with CheckMemos after each Step, so a
+// geometry memo that outlives its topology generation fails the trial at
+// the step it went stale. TestBoundedInterferenceMatchesUnbounded reuses
+// the same trials to pin a floor-covering interference range as an
+// access-path change only.
 
 import (
 	"flag"
@@ -50,7 +56,7 @@ type diffTrial struct {
 	cs       float64
 	capture  float64
 	ixRange  float64
-	model    int // 0 = nil (CaptureDB gate), 1 = LegacyThreshold, 2 = RateAware
+	model    int // trial % 3: 0 and 1 run LegacyThreshold, 2 runs RateAware
 	window   float64
 	mobility float64 // epoch period; 0 = static
 	addAt    float64 // mid-run AddFlow instant; 0 = none
@@ -112,9 +118,9 @@ func buildTrial(trial int) diffTrial {
 	t.model = trial % 3
 	switch rng.Intn(3) {
 	case 0:
-		t.ixRange = 0 // unbounded scan
+		t.ixRange = 0 // unbounded: every flow is a candidate
 	case 1:
-		t.ixRange = 1000 // bounded path covering the whole floor
+		t.ixRange = 1000 // bounded, but covering the whole floor
 	default:
 		t.ixRange = 150 + rng.Float64()*100 // genuinely bounding horizon
 	}
@@ -135,18 +141,18 @@ func buildTrial(trial int) diffTrial {
 
 // runDifferential drains one scenario and fingerprints everything the run
 // produced, with clock values in exact hex-float form and a final RNG
-// draw pinning total randomness consumption.
-func runDifferential(trial int) string {
-	t := buildTrial(trial)
+// draw pinning total randomness consumption. It steps the simulator by
+// hand — the same loop Run and RunUntil drive — and checks the geometry
+// memos after every step, failing with the first stale one.
+func runDifferential(trial int, t diffTrial) (string, error) {
 	cfg := modem.Profile80211()
 	rng := rand.New(rand.NewSource(int64(100 + trial)))
 	s := netsim.New(mac.Default(cfg), rng)
 	s.CSRangeM = t.cs
-	s.CaptureDB = t.capture
 	s.InterferenceRangeM = t.ixRange
 	s.Env = testbed.Default(cfg)
 	switch t.model {
-	case 1:
+	case 0, 1:
 		s.Model = netsim.LegacyThreshold{CaptureDB: t.capture}
 	case 2:
 		s.Model = netsim.NewRateAware(cfg, modem.StandardRates(), 1460)
@@ -217,10 +223,13 @@ func runDifferential(trial int) string {
 		s.ScheduleAt(t.addAt, func() { addFlow(late) })
 	}
 
-	if t.window > 0 {
-		s.RunUntil(t.window)
-	} else {
-		s.Run()
+	for steps := 0; t.window == 0 || s.Now() < t.window; steps++ {
+		if !s.Step() {
+			break
+		}
+		if err := netsim.CheckMemos(s); err != nil {
+			return "", fmt.Errorf("trial %d, step %d (t=%.6fs): %v", trial, steps+1, s.Now(), err)
+		}
 	}
 
 	var b strings.Builder
@@ -242,7 +251,7 @@ func runDifferential(trial int) string {
 	// One draw past the end pins the exact number of RNG values the run
 	// consumed — any scheduler change that adds or drops a draw moves it.
 	fmt.Fprintf(&b, "  rng=%d\n", rng.Int63())
-	return b.String()
+	return b.String(), nil
 }
 
 const differentialTrials = 30
@@ -251,7 +260,15 @@ func TestDifferentialHeadEquivalence(t *testing.T) {
 	path := filepath.Join("testdata", "differential_head.txt")
 	var b strings.Builder
 	for trial := 0; trial < differentialTrials; trial++ {
-		b.WriteString(runDifferential(trial))
+		fp, err := runDifferential(trial, buildTrial(trial))
+		if err != nil {
+			t.Error(err) // keep going: a stale memo's reach shows in which trials fail
+			continue
+		}
+		b.WriteString(fp)
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	got := b.String()
 	if *updateDifferential {
@@ -278,8 +295,9 @@ func TestDifferentialHeadEquivalence(t *testing.T) {
 		}
 		t.Fatalf("scheduler diverged from the pre-SoA fingerprints (extra output beyond line %d)", len(wantLines))
 	}
-	// The harness itself must exercise both scan paths and all models —
-	// guard against a refactor of buildTrial silently narrowing coverage.
+	// The harness itself must exercise bounded and unbounded ranges and
+	// all models — guard against a refactor of buildTrial silently
+	// narrowing coverage.
 	var models, bounded, unbounded, mobile, churn int
 	for trial := 0; trial < differentialTrials; trial++ {
 		tr := buildTrial(trial)
@@ -299,6 +317,40 @@ func TestDifferentialHeadEquivalence(t *testing.T) {
 	if models != 7 || bounded == 0 || unbounded == 0 || mobile == 0 || churn == 0 {
 		t.Fatalf("harness coverage narrowed: models=%b bounded=%d unbounded=%d mobile=%d churn=%d",
 			models, bounded, unbounded, mobile, churn)
+	}
+}
+
+// TestBoundedInterferenceMatchesUnbounded pins the interference range as
+// an access-path change only. A range covering the whole floor (~340 m
+// diagonally plus the 20 m client offset) bounds nothing, so the grid
+// query must visit exactly the transmissions the every-flow candidate
+// list visits: each trial drawn unbounded (range 0) or at 1000 m is rerun
+// at the other value and must fingerprint identically.
+func TestBoundedInterferenceMatchesUnbounded(t *testing.T) {
+	checked := 0
+	for trial := 0; trial < differentialTrials; trial++ {
+		tr := buildTrial(trial)
+		if tr.ixRange != 0 && tr.ixRange != 1000 {
+			continue
+		}
+		other := buildTrial(trial) // fresh on-off arrival state: the processes are stateful
+		other.ixRange = 1000 - tr.ixRange
+		fp, err := runDifferential(trial, tr)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		switch ofp, err := runDifferential(trial, other); {
+		case err != nil:
+			t.Error(err)
+		case ofp != fp:
+			t.Errorf("trial %d: interference range %g and %g diverged:\n%g:\n%s\n%g:\n%s",
+				trial, tr.ixRange, other.ixRange, tr.ixRange, fp, other.ixRange, ofp)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no trial drawn at range 0 or 1000: the range cross-check compared nothing")
 	}
 }
 

@@ -26,7 +26,7 @@ func TestHiddenTerminalCorruptsFrames(t *testing.T) {
 	m := mac.Default(cfg)
 	s := New(m, rand.New(rand.NewSource(51)))
 	s.CSRangeM = 50
-	s.CaptureDB = 10
+	s.Model = LegacyThreshold{CaptureDB: 10}
 	s.Env = testbed.Default(cfg)
 	a := s.AddFlow(placedFlow("a", 30, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 58, Y: 0}, 25))
 	b := s.AddFlow(placedFlow("b", 30, 1e-3, testbed.Point{X: 60, Y: 0}, testbed.Point{X: 2, Y: 0}, 25))
@@ -53,7 +53,7 @@ func TestHiddenTerminalCorruptsFrames(t *testing.T) {
 }
 
 func TestHiddenTerminalsOffWithoutCaptureModel(t *testing.T) {
-	// With CaptureDB unset the interference model is off: the same hidden
+	// With Model unset the interference model is off: the same hidden
 	// geometry delivers everything (lossless draws, no in-range collisions).
 	cfg := modem.Profile80211()
 	m := mac.Default(cfg)
@@ -64,7 +64,7 @@ func TestHiddenTerminalsOffWithoutCaptureModel(t *testing.T) {
 	b := s.AddFlow(placedFlow("b", 30, 1e-3, testbed.Point{X: 60, Y: 0}, testbed.Point{X: 2, Y: 0}, 25))
 	s.Run()
 	if a.HiddenLosses != 0 || b.HiddenLosses != 0 || s.HiddenCorruptions != 0 {
-		t.Fatalf("interference modeled with CaptureDB=0: a=%d b=%d", a.HiddenLosses, b.HiddenLosses)
+		t.Fatalf("interference modeled with no Model: a=%d b=%d", a.HiddenLosses, b.HiddenLosses)
 	}
 	if a.Delivered != 30 || b.Delivered != 30 {
 		t.Fatalf("lossless flows delivered %d/%d of 30/30", a.Delivered, b.Delivered)

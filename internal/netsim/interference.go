@@ -70,9 +70,8 @@ type InterferenceModel interface {
 // dB, for both capture within collisions and decode against
 // hidden-terminal interference, independent of the frame's rate. A frame
 // whose SINR clears the threshold decodes with its normal, undegraded
-// delivery draw; below it the frame is destroyed. This is the model a Sim
-// without an explicit Interference assignment runs (over Sim.CaptureDB),
-// preserving the pre-refactor behavior bit for bit.
+// delivery draw; below it the frame is destroyed. A Sim runs it only when
+// Sim.Model is set to it explicitly; a nil Model models no interference.
 type LegacyThreshold struct {
 	// CaptureDB is the SINR threshold in dB.
 	CaptureDB float64

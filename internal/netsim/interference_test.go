@@ -11,10 +11,9 @@ import (
 )
 
 // The tests in this file pin the pluggable interference layer's contract:
-// per-rate decode thresholds rise monotonically with rate, the rate-aware
-// model degrades surviving draws where the legacy gate never does, and a
-// Sim without an explicit Model reproduces the binary CaptureDB gate
-// exactly.
+// per-rate decode thresholds rise monotonically with rate, and the
+// rate-aware model degrades surviving draws where the legacy gate never
+// does.
 
 func TestDecodeThresholdMonotoneAcrossRates(t *testing.T) {
 	// StandardRates is ordered slowest to fastest; a faster rate needs at
@@ -121,28 +120,6 @@ func hiddenPair(seed int64, packets int) (*Sim, *Flow, *Flow) {
 	a := s.AddFlow(placedFlow("a", packets, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 58, Y: 0}, 25))
 	b := s.AddFlow(placedFlow("b", packets, 1e-3, testbed.Point{X: 60, Y: 0}, testbed.Point{X: 2, Y: 0}, 25))
 	return s, a, b
-}
-
-func TestNilModelMatchesExplicitLegacyThreshold(t *testing.T) {
-	// The compatibility contract: a Sim with Model nil runs LegacyThreshold
-	// over CaptureDB, so selecting the model explicitly must reproduce the
-	// implicit run draw for draw.
-	run := func(explicit bool) (float64, int, int, int, int) {
-		s, a, b := hiddenPair(61, 30)
-		if explicit {
-			s.Model = LegacyThreshold{CaptureDB: 10}
-		} else {
-			s.CaptureDB = 10
-		}
-		s.Run()
-		return s.Now(), a.Delivered, b.Delivered, a.HiddenLosses, b.HiddenLosses
-	}
-	in, ia, ib, iha, ihb := run(false)
-	en, ea, eb, eha, ehb := run(true)
-	if in != en || ia != ea || ib != eb || iha != eha || ihb != ehb {
-		t.Fatalf("explicit LegacyThreshold diverged from implicit CaptureDB gate:\nimplicit now=%v a=%d b=%d hidden=%d/%d\nexplicit now=%v a=%d b=%d hidden=%d/%d",
-			in, ia, ib, iha, ihb, en, ea, eb, eha, ehb)
-	}
 }
 
 func TestRateAwareDegradationVersusLegacyGate(t *testing.T) {

@@ -56,19 +56,18 @@
 //     interference the frame saw at its receiver, from transmitters in
 //     range or not (interference power comes from the testbed's median
 //     path loss, so no randomness is consumed) — and hands it to the
-//     pluggable InterferenceModel (Sim.Model; nil means LegacyThreshold
-//     over Sim.CaptureDB). In-range overlaps are colliders: a collision
-//     destroys every frame in the group unless the model rules the frame
-//     captured (its effective SINR clears the model's decode threshold —
-//     one fixed threshold for LegacyThreshold, the frame's own rate's
-//     decode floor for RateAware). Out-of-range overlaps are hidden
-//     terminals: a frame the model corrupts is lost even though its own
-//     neighborhood was clean, and a frame that survives carries the
-//     model's delivery-draw degradation (RateAware scales the draw's
-//     subcarrier SNRs down to the effective SNR; LegacyThreshold never
-//     degrades). Interference is additive only while air intervals
-//     actually coincide — successive far-cell frames are not a doubled
-//     interferer. With no model configured (Model nil, CaptureDB 0),
+//     pluggable InterferenceModel (Sim.Model). In-range overlaps are
+//     colliders: a collision destroys every frame in the group unless the
+//     model rules the frame captured (its effective SINR clears the
+//     model's decode threshold — one fixed threshold for LegacyThreshold,
+//     the frame's own rate's decode floor for RateAware). Out-of-range
+//     overlaps are hidden terminals: a frame the model corrupts is lost
+//     even though its own neighborhood was clean, and a frame that
+//     survives carries the model's delivery-draw degradation (RateAware
+//     scales the draw's subcarrier SNRs down to the effective SNR;
+//     LegacyThreshold never degrades). Interference is additive only
+//     while air intervals actually coincide — successive far-cell frames
+//     are not a doubled interferer. With no model configured (Model nil),
 //     hidden terminals are not modeled and frames fail only by collision
 //     or by their own delivery draw.
 //  4. A transmission occupies its neighborhood for DIFS + backoff + frame
@@ -84,9 +83,12 @@
 // draw-for-draw and bit-for-bit identical to the historical round-based
 // scheduler — the determinism contract the fig17/fig18 experiments pin).
 //
-// Interference pricing scans every transmission on the air regardless of
-// distance by default; Sim.InterferenceRangeM bounds that scan through the
-// spatial index for city-scale floors where far interferers are noise.
+// A settle walks one memoized candidate list per flow: the flows whose
+// transmissions can overlap the frame, each carrying its pair price. With
+// Sim.InterferenceRangeM <= 0 (the default) every registered flow is a
+// candidate — infinite range, n² 16-byte entries per sim, which is at most
+// 40 flows (about 25 KB) in every shipped experiment; city-scale floors
+// set a range, and the candidates come from two spatial-index queries.
 //
 // Retries re-enter contention (as in real DCF) rather than holding the
 // medium. Scenario packages (internal/lasthop, internal/exor) define flows
@@ -268,19 +270,12 @@ type Sim struct {
 	// always contend with everyone. Set it before the first Step: it also
 	// sizes the spatial index's buckets.
 	CSRangeM float64
-	// CaptureDB is the SINR threshold of the LegacyThreshold interference
-	// model: a colliding frame whose SINR at its own receiver is at least
-	// this many dB is received as if it were alone (physical-layer
-	// capture), and a frame overlapped by out-of-range transmitters
-	// (hidden terminals) is corrupted when its SINR falls below it. With
-	// Model unset, 0 disables interference entirely — every collision
-	// destroys all frames and hidden terminals never interfere. Requires
-	// Env and per-flow Radio info. Ignored when Model is set.
-	CaptureDB float64
 	// Model selects the pluggable interference model that settles
 	// interfered frames (capture within collisions, decode against hidden
-	// terminals, delivery-draw degradation). Nil runs LegacyThreshold over
-	// CaptureDB — the historical binary gate, bit-for-bit.
+	// terminals, delivery-draw degradation). It requires Env and per-flow
+	// Radio info. Nil means no interference model: every collision
+	// destroys all frames and hidden terminals never interfere. A caller
+	// that wants the historical binary gate sets LegacyThreshold.
 	Model InterferenceModel
 	// Env supplies the median path loss used to price interference
 	// (deterministic — the interference model consumes no randomness).
@@ -288,10 +283,12 @@ type Sim struct {
 	// InterferenceRangeM bounds the interference scan when a frame is
 	// settled: only transmitters within this range of the frame's receiver
 	// (or within CSRangeM of its transmitter — colliders always count) are
-	// priced. <= 0, the default, scans every transmission on the air
-	// regardless of distance — the historical behavior, bit-for-bit. City-
-	// scale scenarios set it to the radius beyond which interference is
-	// below noise, turning each settle into an O(nearby) index query; it
+	// priced. <= 0, the default, means infinite range: every registered
+	// flow is a candidate of every other, which costs n² 16-byte cache
+	// entries — fine for the small sims of every shipped experiment (at
+	// most 40 flows, about 25 KB), too much for a city. City-scale
+	// scenarios set it to the radius beyond which interference is below
+	// noise, turning each candidate list into an O(nearby) index query; it
 	// should comfortably exceed CSRangeM plus the longest serving link.
 	// Set it before the first Step and leave it fixed for the run.
 	InterferenceRangeM float64
@@ -335,7 +332,7 @@ type Sim struct {
 	mark       []uint32   // last markGen that visited the flow (scratch)
 	starterIdx []int32    // the flow's slot in the current starter set (scratch)
 	curTx      []*tx      // in-flight transmission; nil while contending or idle
-	flowPast   [][]pastTx // finished air intervals, kept while they can still interfere (bounded mode)
+	flowPast   [][]pastTx // finished air intervals, kept while they can still interfere
 
 	// Spatial index over transmitter positions (nil when CSRangeM <= 0 or
 	// nothing is placed); unplaced flows contend with everyone and ride
@@ -355,28 +352,21 @@ type Sim struct {
 	// were built against: mobility installs fresh Radio values (see
 	// Reindex), so a pointer mismatch detects stale geometry exactly.
 	topoGen  uint32
-	nbGen    []uint32                // generation nbList was built at
-	nbRadio  []*Radio                // the flow's Radio when nbList was built
-	nbList   [][]int32               // cached carrier-sense neighborhood (grid hits ascending, then unplaced)
-	ixGen    []uint32                // generation ixCands was built at
-	ixRadio  []*Radio                // the flow's Radio when ixCands was built
-	ixCands  [][]ixCand              // cached interferer candidates with per-pair prices
-	sigGen   []uint32                // generation sigPow was computed at
-	sigRadio []*Radio                // the flow's Radio when sigPow was computed
-	sigPow   []float64               // 10^(SNRdB/10) of the serving link
-	allFlows []int32                 // shared everyone-contends list for the no-grid path
-	pairPow  map[radioPair]pairPrice // per-pair pricing memo for the unbounded scan, cleared on Reindex
+	nbGen    []uint32   // generation nbList was built at
+	nbRadio  []*Radio   // the flow's Radio when nbList was built
+	nbList   [][]int32  // cached carrier-sense neighborhood (grid hits ascending, then unplaced)
+	ixGen    []uint32   // generation ixCands was built at
+	ixRadio  []*Radio   // the flow's Radio when ixCands was built
+	ixCands  [][]ixCand // cached interferer candidates with per-pair prices
+	sigGen   []uint32   // generation sigPow was computed at
+	sigRadio []*Radio   // the flow's Radio when sigPow was computed
+	sigPow   []float64  // 10^(SNRdB/10) of the serving link
+	allFlows []int32    // shared everyone-contends list for the no-grid path
 
 	// Admission queue: flows that need a fresh look at the top of the next
 	// Step (new frame, retry counter, carrier-sense state), processed in
 	// registration order so RNG consumption is deterministic.
 	admitQ []int32
-
-	// Live and recently finished transmissions, maintained only in the
-	// unbounded-interference mode where settles scan them linearly; the
-	// bounded mode keeps past intervals per flow instead.
-	active []*tx
-	past   []pastTx
 
 	// Scratch buffers reused across Steps (the hot loop). nbufA and nbufB
 	// serve the grid queries inside cache rebuilds (a rebuild holds both
@@ -395,7 +385,7 @@ type Sim struct {
 }
 
 // ixCand is one memoized interferer candidate of a flow: a flow the
-// bounded settle scan can reach, priced once per topology generation
+// settle scan can reach, priced once per topology generation
 // against its current Radio. pow is the candidate transmitter's median
 // interference power at the owning flow's receiver (linear; 0 when the
 // pair is not priced), inCS its carrier-sense relation to the owning
@@ -412,21 +402,6 @@ type ixCand struct {
 	fi   int32
 	inCS bool
 	pow  float64
-}
-
-// radioPair keys the unbounded-mode pricing memo: interference is a pure
-// function of (interferer geometry, receiver geometry) between Reindex
-// calls, and mobility installs fresh *Radio values, so pointer identity
-// is value identity.
-type radioPair struct {
-	from, at *Radio
-}
-
-// pairPrice is one memoized pair pricing: the interferer's median power
-// at the receiver (linear) and the carrier-sense relation.
-type pairPrice struct {
-	pow  float64
-	inCS bool
 }
 
 // New returns a simulator over the given MAC timing, drawing all randomness
@@ -568,15 +543,6 @@ func NoInterference() Interference {
 	return Interference{SNRScale: 1, SINRdB: math.Inf(1)}
 }
 
-// model returns the interference model in force: the pluggable Model when
-// set, otherwise the historical binary gate over CaptureDB.
-func (s *Sim) model() InterferenceModel {
-	if s.Model != nil {
-		return s.Model
-	}
-	return LegacyThreshold{CaptureDB: s.CaptureDB}
-}
-
 // effectiveSINRdB prices f's frame against the given interference history:
 // the serving link's SNR over the worst *simultaneous* interference power
 // the frame saw at its receiver, plus noise, in dB. Interferers are
@@ -706,13 +672,8 @@ func partitionEdges(e []edge) int {
 // f's receptions (capture within collisions, corruption by hidden
 // terminals, delivery-draw degradation).
 func (s *Sim) interferenceModeled(f *Flow) bool {
-	return (s.Model != nil || s.CaptureDB > 0) && s.Env != nil && f.Radio != nil
+	return s.Model != nil && s.Env != nil && f.Radio != nil
 }
-
-// boundedInterference reports whether settles go through the spatial index
-// (per-flow past intervals) instead of the historical linear scan over
-// every live and recent transmission.
-func (s *Sim) boundedInterference() bool { return s.InterferenceRangeM > 0 }
 
 // pushEvent adds one event to the pending min-heap (4-ary).
 func (s *Sim) pushEvent(e event) {
@@ -793,7 +754,6 @@ func (s *Sim) Reindex() {
 	s.indexed = 0
 	s.unplaced = s.unplaced[:0]
 	s.topoGen++
-	clear(s.pairPow)
 	s.ensureIndex()
 }
 
@@ -1045,9 +1005,6 @@ func (s *Sim) Step() bool {
 			if r.ft > s.maxFT {
 				s.maxFT = r.ft
 			}
-			if !s.boundedInterference() {
-				s.active = append(s.active, r)
-			}
 			s.pushEvent(event{t: r.airEnd, kind: evAirEnd, seq: r.seq, r: r})
 			starters = append(starters, r)
 		}
@@ -1084,24 +1041,18 @@ func (s *Sim) retire(r *tx) {
 	i := f.idx
 	s.curTx[i] = nil
 	s.flags[i] &^= fWaiting
-	if s.boundedInterference() {
-		// Keep the interval on the flow's slot, pruned against the oldest
-		// instant a still-unresolved frame could have started (an
-		// unresolved frame's airtime ends after now and spans at most the
-		// longest frame seen).
-		cutoff := s.now - s.maxFT
-		kept := s.flowPast[i][:0]
-		for _, p := range s.flowPast[i] {
-			if p.airEnd > cutoff {
-				kept = append(kept, p)
-			}
+	// Keep the interval on the flow's slot, pruned against the oldest
+	// instant a still-unresolved frame could have started (an unresolved
+	// frame's airtime ends after now and spans at most the longest frame
+	// seen).
+	cutoff := s.now - s.maxFT
+	kept := s.flowPast[i][:0]
+	for _, p := range s.flowPast[i] {
+		if p.airEnd > cutoff {
+			kept = append(kept, p)
 		}
-		s.flowPast[i] = append(kept, pastTx{radio: f.Radio, start: r.start, airEnd: r.airEnd})
-	} else {
-		s.past = append(s.past, pastTx{radio: f.Radio, start: r.start, airEnd: r.airEnd})
-		s.removeActive(r)
-		s.prunePast()
 	}
+	s.flowPast[i] = append(kept, pastTx{radio: f.Radio, start: r.start, airEnd: r.airEnd})
 	s.enqueueAdmit(f)
 	s.txFree = append(s.txFree, r)
 
@@ -1126,17 +1077,6 @@ func (s *Sim) retire(r *tx) {
 		s.flags[gi] = fl | fWaiting
 		s.idleSince[gi] = s.now
 		s.pushStart(g)
-	}
-}
-
-// removeActive takes one retired transmission out of the live list,
-// preserving creation order (the settle scan's deterministic order).
-func (s *Sim) removeActive(r *tx) {
-	for i, g := range s.active {
-		if g == r {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -1236,14 +1176,15 @@ func (s *Sim) resolve(r *tx) {
 	f := r.f
 	f.Attempts++
 
-	// Gather the transmissions whose frames overlapped r's. Each
-	// contributes its median interference power over the clipped overlap
-	// interval. The decode decision below is invariant to accumulation
-	// order (collider counts and interval maxima commute, and the sweep in
-	// worstSimultaneous sorts by a total key), so the bounded mode is free
-	// to gather through the memoized candidate lists. The per-pair prices
-	// themselves are memoized — geometry is static between Reindex calls —
-	// so a steady-state settle does no path-loss arithmetic and allocates
+	// Gather the transmissions whose frames overlapped r's from f's
+	// memoized candidate list: every flow that can reach f (all of them
+	// under an unbounded InterferenceRangeM), each carrying its pair price.
+	// Each overlap contributes its median interference power over the
+	// clipped overlap interval. The decode decision below is invariant to
+	// accumulation order (collider counts and interval maxima commute, and
+	// the sweep in worstSimultaneous sorts by a total key), so the list's
+	// order is free. Geometry is static between Reindex calls, so a
+	// steady-state settle does no path-loss arithmetic and allocates
 	// nothing.
 	interf := s.interf[:0]
 	nColliders := 0
@@ -1275,79 +1216,28 @@ func (s *Sim) resolve(r *tx) {
 		}
 		interf = append(interf, g)
 	}
-	// scanDirect prices one interval from its own radio, bypassing the
-	// memos: the fallback for intervals sent under a geometry the caches
-	// no longer describe (a past transmission from before a Reindex).
-	scanDirect := func(radio *Radio, start, airEnd float64, resolved bool) {
-		if airEnd <= r.start || start >= r.airEnd {
-			return
-		}
-		pow := 0.0
-		if radio != nil && priced {
-			d := testbed.Dist(radio.TxPos, f.Radio.RxPos)
-			pow = math.Pow(10, s.Env.MeanSNRdB(d)/10)
-		}
-		scan(radio, start, airEnd, resolved, pow, s.inRange(f, radio))
+	cands := s.ixCands[f.idx]
+	if s.ixGen[f.idx] != s.topoGen || s.ixRadio[f.idx] != f.Radio {
+		cands = s.buildIxCands(f)
 	}
-	switch {
-	case !s.boundedInterference():
-		// Unbounded: the historical linear scan over every live and recent
-		// transmission, with pair pricing through the per-pair memo.
-		for _, g := range s.active {
-			if g == r || g.airEnd <= r.start || g.start >= r.airEnd {
-				continue
-			}
-			pow, inCS := s.pricePair(f, g.f.Radio, priced)
-			scan(g.f.Radio, g.start, g.airEnd, g.resolved, pow, inCS)
+	for k := range cands {
+		c := &cands[k]
+		gi := c.fi
+		// The cached price was computed against the candidate's Radio at
+		// build time, which within a topology generation is its current
+		// Radio (the Reindex contract), so a live transmission always takes
+		// the cached price. Past intervals recorded under a superseded
+		// radio (from before a mobility epoch) are priced directly.
+		cr := s.Flows[gi].Radio
+		if a := s.curTx[gi]; a != nil && a != r {
+			scan(cr, a.start, a.airEnd, a.resolved, c.pow, c.inCS)
 		}
-		for _, p := range s.past {
-			if p.airEnd <= r.start || p.start >= r.airEnd {
-				continue
+		for _, p := range s.flowPast[gi] {
+			pow, inCS := c.pow, c.inCS
+			if p.radio != cr {
+				pow, inCS = s.priceInterferer(f, p.radio, priced)
 			}
-			pow, inCS := s.pricePair(f, p.radio, priced)
 			scan(p.radio, p.start, p.airEnd, true, pow, inCS)
-		}
-	case s.grid == nil || f.Radio == nil:
-		// Bounded mode without an index to query (or an unplaced frame):
-		// every flow is a candidate, as the historical visit did.
-		for _, g := range s.Flows {
-			gi := g.idx
-			if a := s.curTx[gi]; a != nil && a != r {
-				scanDirect(g.Radio, a.start, a.airEnd, a.resolved)
-			}
-			for _, p := range s.flowPast[gi] {
-				scanDirect(p.radio, p.start, p.airEnd, true)
-			}
-		}
-	default:
-		// Bounded: the memoized candidate list — the flows the two
-		// neighborhood queries (carrier-sense range around the transmitter,
-		// interference range around the receiver) plus the unplaced list
-		// can reach, each carrying its pair price. Intervals sent under a
-		// different Radio than the cached one fall back to direct pricing.
-		cands := s.ixCands[f.idx]
-		if s.ixGen[f.idx] != s.topoGen || s.ixRadio[f.idx] != f.Radio {
-			cands = s.buildIxCands(f)
-		}
-		for k := range cands {
-			c := &cands[k]
-			gi := c.fi
-			// The cached price was computed against the candidate's Radio at
-			// build time, which within a topology generation is its current
-			// Radio (the Reindex contract), so a live transmission always
-			// takes the cached price and only past intervals recorded under
-			// a superseded radio fall back to direct pricing.
-			cr := s.Flows[gi].Radio
-			if a := s.curTx[gi]; a != nil && a != r {
-				scan(cr, a.start, a.airEnd, a.resolved, c.pow, c.inCS)
-			}
-			for _, p := range s.flowPast[gi] {
-				if p.radio == cr {
-					scan(cr, p.start, p.airEnd, true, c.pow, c.inCS)
-				} else {
-					scanDirect(p.radio, p.start, p.airEnd, true)
-				}
-			}
 		}
 	}
 	s.interf = interf
@@ -1362,7 +1252,7 @@ func (s *Sim) resolve(r *tx) {
 	ix := NoInterference()
 	settle := func(collision bool) bool {
 		sinr := s.effectiveSINRdB(f, interf)
-		v := s.model().Settle(Reception{
+		v := s.Model.Settle(Reception{
 			SINRdB:       sinr,
 			ServingSNRdB: f.Radio.SNRdB,
 			RateIdx:      f.rateIdx,
@@ -1430,97 +1320,69 @@ func (s *Sim) resolve(r *tx) {
 	}
 }
 
-// buildIxCands rebuilds f's memoized interferer-candidate list: the flows
-// the bounded settle scan can reach — two neighborhood queries, carrier-
-// sense range around f's transmitter (every possible collider) and
-// interference range around its receiver (every interferer loud enough to
-// price) — plus the unplaced flows, first occurrence kept, exactly the
-// set the historical per-settle queries visited. Each candidate is priced
-// once against its current Radio; the list is valid until the topology
-// generation advances or f's Radio is swapped. Consumes no randomness.
+// buildIxCands rebuilds f's memoized interferer-candidate list. With a
+// spatial index, a placed f and a finite InterferenceRangeM, the
+// candidates are what two neighborhood queries reach — carrier-sense range
+// around f's transmitter (every possible collider) and interference range
+// around its receiver (every interferer loud enough to price) — plus the
+// unplaced flows, first occurrence kept. Otherwise every registered flow
+// is a candidate (infinite range). Each candidate is priced once against
+// its current Radio; the list is valid until the topology generation
+// advances or f's Radio is swapped. Consumes no randomness.
 func (s *Sim) buildIxCands(f *Flow) []ixCand {
 	i := f.idx
 	s.markGen++
 	m := s.markGen
 	priced := s.interferenceModeled(f)
-	// Both queries run before the list is assembled so it can be sized in
-	// one exact allocation: at city scale these lists are the largest
-	// structure in the sim, and append-doubling 100k of them both churns
-	// twice the memory and leaves ~2x capacity stranded.
-	csNb := s.grid.Near(f.Radio.TxPos, s.CSRangeM, s.nbufA[:0])
-	ixNb := s.grid.Near(f.Radio.RxPos, s.InterferenceRangeM, s.nbufB[:0])
 	out := s.ixCands[i][:0]
-	if need := len(csNb) + len(ixNb) + len(s.unplaced); cap(out) < need {
-		out = make([]ixCand, 0, need)
-	}
 	add := func(ids []int32) {
 		for _, gi := range ids {
 			if s.mark[gi] == m {
 				continue
 			}
 			s.mark[gi] = m
-			g := s.Flows[gi]
-			c := ixCand{fi: gi, inCS: s.inRange(f, g.Radio)}
-			if g.Radio != nil && priced {
-				d := testbed.Dist(g.Radio.TxPos, f.Radio.RxPos)
-				c.pow = math.Pow(10, s.Env.MeanSNRdB(d)/10)
-			}
-			out = append(out, c)
+			pow, inCS := s.priceInterferer(f, s.Flows[gi].Radio, priced)
+			out = append(out, ixCand{fi: gi, inCS: inCS, pow: pow})
 		}
 	}
-	add(csNb)
-	add(ixNb)
-	add(s.unplaced)
-	s.nbufA, s.nbufB = csNb[:0], ixNb[:0]
+	if s.grid != nil && f.Radio != nil && s.InterferenceRangeM > 0 {
+		// Both queries run before the list is assembled so it can be sized
+		// in one exact allocation: at city scale these lists are the
+		// largest structure in the sim, and append-doubling 100k of them
+		// both churns twice the memory and leaves ~2x capacity stranded.
+		csNb := s.grid.Near(f.Radio.TxPos, s.CSRangeM, s.nbufA[:0])
+		ixNb := s.grid.Near(f.Radio.RxPos, s.InterferenceRangeM, s.nbufB[:0])
+		if need := len(csNb) + len(ixNb) + len(s.unplaced); cap(out) < need {
+			out = make([]ixCand, 0, need)
+		}
+		add(csNb)
+		add(ixNb)
+		add(s.unplaced)
+		s.nbufA, s.nbufB = csNb[:0], ixNb[:0]
+	} else {
+		all := s.allContenders()
+		if cap(out) < len(all) {
+			out = make([]ixCand, 0, len(all))
+		}
+		add(all)
+	}
 	s.ixCands[i] = out
 	s.ixRadio[i] = f.Radio
 	s.ixGen[i] = s.topoGen
 	return out
 }
 
-// pairPrice prices one interferer geometry against f's receiver through
-// the per-pair memo (the unbounded scan has no candidate lists to hang
-// prices on): the interferer's median power at f's receiver (linear) and
-// its carrier-sense relation to f. Pairs involving a nil radio are never
-// priced (unplaced flows defer to everyone: inCS true, no interference
-// term); unpriced flows only need the carrier-sense bit.
-func (s *Sim) pricePair(f *Flow, radio *Radio, priced bool) (pow float64, inCS bool) {
-	if radio == nil || f.Radio == nil || !priced {
-		return 0, s.inRange(f, radio)
+// priceInterferer prices one interferer geometry against f's receiver: the
+// interferer's median power at f's receiver (linear) and its carrier-sense
+// relation to f. Pairs involving a nil radio are never priced (unplaced
+// flows defer to everyone: inCS true, no interference term); unpriced
+// flows only need the carrier-sense bit.
+func (s *Sim) priceInterferer(f *Flow, radio *Radio, priced bool) (pow float64, inCS bool) {
+	if radio != nil && priced {
+		d := testbed.Dist(radio.TxPos, f.Radio.RxPos)
+		pow = math.Pow(10, s.Env.MeanSNRdB(d)/10)
 	}
-	k := radioPair{from: radio, at: f.Radio}
-	if p, ok := s.pairPow[k]; ok {
-		return p.pow, p.inCS
-	}
-	d := testbed.Dist(radio.TxPos, f.Radio.RxPos)
-	p := pairPrice{
-		pow:  math.Pow(10, s.Env.MeanSNRdB(d)/10),
-		inCS: s.inRange(f, radio),
-	}
-	if s.pairPow == nil {
-		s.pairPow = make(map[radioPair]pairPrice, 64)
-	}
-	s.pairPow[k] = p
-	return p.pow, p.inCS
-}
-
-// prunePast drops finished transmissions that can no longer overlap any
-// unresolved frame (future frames start at or after now, and past air
-// intervals end at or before it).
-func (s *Sim) prunePast() {
-	cutoff := math.Inf(1)
-	for _, r := range s.active {
-		if !r.resolved && r.start < cutoff {
-			cutoff = r.start
-		}
-	}
-	kept := s.past[:0]
-	for _, p := range s.past {
-		if p.airEnd > cutoff {
-			kept = append(kept, p)
-		}
-	}
-	s.past = kept
+	return pow, s.inRange(f, radio)
 }
 
 // failAttempt advances a flow past a failed attempt: unacked flows complete

@@ -97,13 +97,14 @@ func TestFrozenBackoffDeterministicForSeed(t *testing.T) {
 }
 
 // captureSim builds a two-flow sim with forced collisions (CW pinned to 0,
-// so both flows draw counter 0 every round) on the default testbed.
-func captureSim(seed int64, a, b *Flow, captureDB float64) *Sim {
+// so both flows draw counter 0 every round) on the default testbed, under
+// the given interference model (nil: none).
+func captureSim(seed int64, a, b *Flow, model InterferenceModel) *Sim {
 	cfg := modem.Profile80211()
 	m := mac.Default(cfg)
 	m.CWMin, m.CWMax = 0, 0
 	s := New(m, rand.New(rand.NewSource(seed)))
-	s.CaptureDB = captureDB
+	s.Model = model
 	s.Env = testbed.Default(cfg)
 	s.AddFlow(a)
 	s.AddFlow(b)
@@ -116,7 +117,7 @@ func TestCaptureStrongFrameSurvivesCollision(t *testing.T) {
 	// Flow b: receiver right next to a's transmitter — swamped, always dies.
 	a := placedFlow("strong", 20, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 2, Y: 0}, 30)
 	b := placedFlow("weak", 20, 1e-3, testbed.Point{X: 300, Y: 0}, testbed.Point{X: 8, Y: 0}, 20)
-	s := captureSim(21, a, b, 10)
+	s := captureSim(21, a, b, LegacyThreshold{CaptureDB: 10})
 	// a's interference: b's transmitter is ~298 m away — negligible. b's
 	// interference: a's transmitter is 8 m from b's receiver — overwhelming.
 	for i := 0; i < 20 && s.Step(); i++ {
@@ -142,7 +143,7 @@ func TestCaptureNearEqualFramesBothDie(t *testing.T) {
 	// the collision destroys both frames — classic behavior.
 	a := placedFlow("a", 5, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 5, Y: 0}, 20)
 	b := placedFlow("b", 5, 1e-3, testbed.Point{X: 10, Y: 0}, testbed.Point{X: 5, Y: 1}, 20)
-	s := captureSim(22, a, b, 10)
+	s := captureSim(22, a, b, LegacyThreshold{CaptureDB: 10})
 	for i := 0; i < 5 && s.Step(); i++ {
 	}
 	if a.Captures != 0 || b.Captures != 0 {
@@ -157,11 +158,11 @@ func TestCaptureNearEqualFramesBothDie(t *testing.T) {
 }
 
 func TestCaptureDisabledKeepsClassicCollisions(t *testing.T) {
-	// Same asymmetric geometry as the survival test, but CaptureDB=0: the
-	// strong frame must die with the weak one.
+	// Same asymmetric geometry as the survival test, but no interference
+	// model: the strong frame must die with the weak one.
 	a := placedFlow("strong", 5, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 2, Y: 0}, 30)
 	b := placedFlow("weak", 5, 1e-3, testbed.Point{X: 300, Y: 0}, testbed.Point{X: 8, Y: 0}, 20)
-	s := captureSim(23, a, b, 0)
+	s := captureSim(23, a, b, nil)
 	for i := 0; i < 5 && s.Step(); i++ {
 	}
 	if a.Captures != 0 || a.Delivered != 0 {

@@ -141,7 +141,10 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("scenario spec: %w", err)
 	}
-	if dec.More() {
+	// Anything but whitespace after the document is trailing data. dec.More
+	// would miss a stray '}' or ']', which it reads as the end of an
+	// enclosing value.
+	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
 		return nil, fmt.Errorf("scenario spec: trailing data after the JSON document")
 	}
 	if err := sp.Validate(); err != nil {

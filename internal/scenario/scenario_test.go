@@ -65,11 +65,16 @@ func TestParseRejectsUnknownFieldByName(t *testing.T) {
 }
 
 func TestParseRejectsTrailingData(t *testing.T) {
-	_, err := Parse([]byte(`{"version":1,"name":"t",
+	const doc = `{"version":1,"name":"t",
 		"topology":{"family":"cell","placements":2,"aps":2,"clients":4},
-		"traffic":{"model":"backlogged","packets":10,"payload_bytes":1460}} {"extra":1}`))
-	if err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("trailing data not rejected: %v", err)
+		"traffic":{"model":"backlogged","packets":10,"payload_bytes":1460}}`
+	if _, err := Parse([]byte(doc + " \n\t")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{` {"extra":1}`, `}`, ` ]`, `{}`, ` x`} {
+		if _, err := Parse([]byte(doc + tail)); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Errorf("tail %q: trailing data not rejected: %v", tail, err)
+		}
 	}
 }
 

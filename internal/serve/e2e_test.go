@@ -234,7 +234,7 @@ func TestE2EInlineScenarioMatchesGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxRunning: 2, CacheEntries: -1})
 
 	_, raw := scenario.Builtin("arrivals")
-	body, err := json.Marshal(Spec{Version: "v1", Experiment: "scenario",
+	body, err := json.Marshal(Spec{Version: "v2", Experiment: "scenario",
 		Quick: true, Scenario: json.RawMessage(raw)})
 	if err != nil {
 		t.Fatal(err)

@@ -239,10 +239,10 @@ type SpecDoc struct {
 // in sync by diffing against the struct's actual JSON keys.
 func specDoc() SpecDoc {
 	return SpecDoc{
-		Version:     "v1",
+		Version:     "v2",
 		Experiments: append(experiments.Names(), "all", "scenario"),
 		Fields: map[string]string{
-			"version":     `wire-format version: omit or "v1"`,
+			"version":     `wire-format version: omit or "v2"`,
 			"experiment":  "registered experiment name, or \"all\" (required)",
 			"seed":        "base random seed (default 1)",
 			"quick":       "run the shrunken ~10x-faster workloads",
@@ -250,16 +250,11 @@ func specDoc() SpecDoc {
 			"options":     "experiment-shaping knobs; see \"options\" below",
 			"scenario":    `inline declarative scenario spec; required by and exclusive to experiment "scenario"`,
 			"timeout_sec": "cap on run time; 0 = server default",
-			"cells":       "deprecated flat alias for options.cells",
-			"cs_ranges":   "deprecated flat alias for options.cs_ranges",
-			"window_sec":  "deprecated flat alias for options.window_sec",
-			"legacy":      "deprecated flat alias for options.legacy",
 		},
 		Options: map[string]string{
 			"cells":      "cellsweep's capacity-vs-cell-count sweep",
 			"cs_ranges":  "cellsweep's carrier-sense sweep (meters)",
 			"window_sec": "fixed-time-window saturation mode",
-			"legacy":     "pre-model interference behavior",
 		},
 	}
 }

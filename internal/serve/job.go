@@ -14,7 +14,7 @@ import (
 )
 
 // Options groups the experiment-shaping knobs (ssbench's -cells, -cs,
-// -window, -legacy) into one typed sub-object of the job spec. It mirrors
+// -window) into one typed sub-object of the job spec. It mirrors
 // experiments.Options field for field, so a spec's options translate into
 // Params without interpretation.
 type Options struct {
@@ -24,8 +24,6 @@ type Options struct {
 	CSRanges []float64 `json:"cs_ranges,omitempty"`
 	// WindowSec selects fixed-time-window saturation mode (ssbench -window).
 	WindowSec float64 `json:"window_sec,omitempty"`
-	// Legacy selects the pre-model interference behavior (ssbench -legacy).
-	Legacy bool `json:"legacy,omitempty"`
 }
 
 // Spec is the client-facing description of one experiment job, as posted
@@ -33,15 +31,15 @@ type Options struct {
 // default": seed nil is seed 1, empty sweep lists are the standard sweep
 // points, workers 0 is one engine worker per CPU.
 //
-// The wire format is versioned: "version" empty or "v1" selects this
-// format; anything else is rejected so a future v2 can change semantics
-// without silently misreading old clients. The experiment-shaping knobs
-// live in the "options" sub-object; the original flat spellings (cells,
-// cs_ranges, window_sec, legacy) remain accepted as aliases for
-// backward compatibility, but mixing the two forms in one spec is
-// rejected rather than guessed at.
+// The wire format is versioned: "version" empty or "v2" selects this
+// format; anything else is rejected so a future version can change
+// semantics without silently misreading old clients. The experiment-
+// shaping knobs live in the "options" sub-object. v2 dropped v1's flat
+// aliases (cells, cs_ranges, window_sec, legacy) and options.legacy: like
+// any unknown field they are rejected by name, and a "v1" spec is rejected
+// as an unsupported version.
 type Spec struct {
-	// Version selects the wire format: "" or "v1". Anything else is a 400.
+	// Version selects the wire format: "" or "v2". Anything else is a 400.
 	Version string `json:"version,omitempty"`
 	// Experiment is a registered experiment name or "all" (ssbench's
 	// argument). Case-insensitive.
@@ -57,7 +55,7 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// Options groups the experiment-shaping knobs. After normalize it is
 	// always non-nil with the default sweeps filled in; on the wire it may
-	// be omitted in favor of the flat aliases below.
+	// be omitted.
 	Options *Options `json:"options,omitempty"`
 	// Scenario is an inline declarative scenario spec (the same JSON
 	// ssbench -scenario reads from a file), required by — and only
@@ -67,26 +65,13 @@ type Spec struct {
 	// TimeoutSec caps this job's run time; 0 uses the server's default.
 	// A timed-out job is cooperatively canceled and reported failed.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-
-	// Flat aliases for Options, the pre-versioning wire spelling. Folded
-	// into Options by normalize; setting both forms at once is an error.
-	Cells     []int     `json:"cells,omitempty"`
-	CSRanges  []float64 `json:"cs_ranges,omitempty"`
-	WindowSec float64   `json:"window_sec,omitempty"`
-	Legacy    bool      `json:"legacy,omitempty"`
 }
 
-// flatOptionsSet reports whether any of the flat alias fields is set.
-func (sp Spec) flatOptionsSet() bool {
-	return len(sp.Cells) > 0 || len(sp.CSRanges) > 0 || sp.WindowSec != 0 || sp.Legacy
-}
-
-// normalize lower-cases the experiment, folds the flat option aliases
-// into the Options sub-object, fills defaults, and validates, returning
-// the canonical Spec every later stage (cache key, params) uses.
+// normalize lower-cases the experiment, fills defaults, and validates,
+// returning the canonical Spec every later stage (cache key, params) uses.
 func (sp Spec) normalize() (Spec, error) {
-	if sp.Version != "" && sp.Version != "v1" {
-		return sp, fmt.Errorf("unsupported spec version %q (this server speaks \"v1\"; omit the field or send \"v1\")", sp.Version)
+	if sp.Version != "" && sp.Version != "v2" {
+		return sp, fmt.Errorf("unsupported spec version %q (this server speaks \"v2\"; omit the field or send \"v2\")", sp.Version)
 	}
 	sp.Experiment = strings.ToLower(strings.TrimSpace(sp.Experiment))
 	if sp.Experiment == "" {
@@ -107,14 +92,9 @@ func (sp Spec) normalize() (Spec, error) {
 	if sp.TimeoutSec < 0 {
 		return sp, fmt.Errorf("timeout_sec %g < 0", sp.TimeoutSec)
 	}
-	switch {
-	case sp.Options != nil && sp.flatOptionsSet():
-		return sp, fmt.Errorf(`spec sets both the "options" object and a flat option field (cells, cs_ranges, window_sec, or legacy); use one form`)
-	case sp.Options == nil:
-		sp.Options = &Options{Cells: sp.Cells, CSRanges: sp.CSRanges,
-			WindowSec: sp.WindowSec, Legacy: sp.Legacy}
+	if sp.Options == nil {
+		sp.Options = &Options{}
 	}
-	sp.Cells, sp.CSRanges, sp.WindowSec, sp.Legacy = nil, nil, 0, false
 	d := experiments.DefaultParams()
 	if len(sp.Options.Cells) == 0 {
 		sp.Options.Cells = d.Options.Cells
@@ -180,7 +160,7 @@ func (sp Spec) params(m *engine.Monitor) experiments.Params {
 // worker count, so a seed-1 quick fig12 at 1 worker and at 8 workers are
 // the same cache entry (the e2e suite proves the contract holds).
 // TimeoutSec is absent too: it changes whether a job finishes, never what
-// a finished job printed — and Version likewise, since "" and "v1" name
+// a finished job printed — and Version likewise, since "" and "v2" name
 // the same format. The scenario bytes are included compacted, so
 // re-submitting the same spec with different whitespace still hits.
 func (sp Spec) Key() string {
@@ -192,8 +172,8 @@ func (sp Spec) Key() string {
 	if sp.Options != nil {
 		o = *sp.Options
 	}
-	return fmt.Sprintf("%s|seed=%d|quick=%t|cells=%v|cs=%v|window=%g|legacy=%t|scenario=%s",
-		sp.Experiment, seed, sp.Quick, o.Cells, o.CSRanges, o.WindowSec, o.Legacy, sp.Scenario)
+	return fmt.Sprintf("%s|seed=%d|quick=%t|cells=%v|cs=%v|window=%g|scenario=%s",
+		sp.Experiment, seed, sp.Quick, o.Cells, o.CSRanges, o.WindowSec, sp.Scenario)
 }
 
 // State is a job's lifecycle position. Terminal states are done, failed,

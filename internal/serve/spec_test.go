@@ -30,18 +30,17 @@ func TestNormalizeRejectionTable(t *testing.T) {
 		spec    Spec
 		wantSub string
 	}{
-		{"future version", Spec{Version: "v2", Experiment: "fig12"}, "v2"},
+		{"future version", Spec{Version: "v3", Experiment: "fig12"}, "v3"},
+		{"retired version", Spec{Version: "v1", Experiment: "fig12"}, "v1"},
 		{"garbage version", Spec{Version: "latest", Experiment: "fig12"}, "version"},
 		{"missing experiment", Spec{}, "missing an experiment"},
 		{"unknown experiment", Spec{Experiment: "nope"}, `"nope"`},
 		{"negative workers", Spec{Experiment: "fig12", Workers: -1}, "workers"},
 		{"negative timeout", Spec{Experiment: "fig12", TimeoutSec: -2}, "timeout_sec"},
-		{"options and flat alias", Spec{Experiment: "cellsweep",
-			Options: &Options{Cells: []int{2}}, Cells: []int{3}}, "both"},
 		{"bad option value", Spec{Experiment: "cellsweep",
 			Options: &Options{Cells: []int{0}}}, "cell count"},
-		{"bad flat alias value", Spec{Experiment: "cellsweep",
-			CSRanges: []float64{-1}}, "carrier-sense"},
+		{"bad carrier-sense range", Spec{Experiment: "cellsweep",
+			Options: &Options{CSRanges: []float64{-1}}}, "carrier-sense"},
 		{"scenario without spec", Spec{Experiment: "scenario"}, "requires an inline"},
 		{"scenario on other experiment", Spec{Experiment: "fig12",
 			Scenario: json.RawMessage(validScenarioJSON)}, `only accepted with experiment "scenario"`},
@@ -66,31 +65,6 @@ func TestNormalizeRejectionTable(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
-	}
-}
-
-// TestNormalizeFoldsFlatAliases pins the backward-compatible wire format:
-// a pre-versioning client's flat fields land in the canonical Options
-// sub-object, and both spellings produce the same cache key.
-func TestNormalizeFoldsFlatAliases(t *testing.T) {
-	flat, err := Spec{Experiment: "cellsweep", Cells: []int{2, 4},
-		CSRanges: []float64{25}, WindowSec: 1.5}.normalize()
-	if err != nil {
-		t.Fatalf("flat spelling rejected: %v", err)
-	}
-	structured, err := Spec{Version: "v1", Experiment: "cellsweep",
-		Options: &Options{Cells: []int{2, 4}, CSRanges: []float64{25}, WindowSec: 1.5}}.normalize()
-	if err != nil {
-		t.Fatalf("structured spelling rejected: %v", err)
-	}
-	if flat.Options == nil || !reflect.DeepEqual(flat.Options, structured.Options) {
-		t.Fatalf("flat aliases not folded: %+v vs %+v", flat.Options, structured.Options)
-	}
-	if flat.flatOptionsSet() {
-		t.Fatalf("flat fields survive normalization: %+v", flat)
-	}
-	if flat.Key() != structured.Key() {
-		t.Fatalf("same job, different cache keys:\n %s\n %s", flat.Key(), structured.Key())
 	}
 }
 
@@ -138,8 +112,15 @@ func TestSubmitHTTPRejectionsAre400(t *testing.T) {
 		wantSub string
 	}{
 		{"unknown spec field", `{"experiment":"fig12","cs_rangs":[20]}`, "cs_rangs"},
-		{"future version", `{"version":"v2","experiment":"fig12"}`, "v2"},
-		{"options/flat conflict", `{"experiment":"cellsweep","options":{"cells":[2]},"cells":[3]}`, "both"},
+		{"future version", `{"version":"v3","experiment":"fig12"}`, "v3"},
+		{"retired version", `{"version":"v1","experiment":"fig12"}`, "v1"},
+		// The v1 flat option aliases and options.legacy were removed in
+		// v2; each is now an unknown field, rejected by name.
+		{"removed alias cells", `{"experiment":"cellsweep","options":{"cells":[2]},"cells":[3]}`, `"cells"`},
+		{"removed alias cs_ranges", `{"experiment":"cellsweep","cs_ranges":[25]}`, `"cs_ranges"`},
+		{"removed alias window_sec", `{"experiment":"cell","window_sec":1.5}`, `"window_sec"`},
+		{"removed alias legacy", `{"experiment":"cell","legacy":true}`, `"legacy"`},
+		{"removed option legacy", `{"experiment":"cell","options":{"legacy":true}}`, `"legacy"`},
 		{"scenario typo", `{"experiment":"scenario","scenario":{"version":1,"name":"t",
 			"topology":{"family":"cell","placements":2,"aps":2,"clients":4,"cs_rangs":20},
 			"traffic":{"model":"poisson","payload_bytes":1460,"rate_pps":100,"window_sec":0.5}}}`, "cs_rangs"},
@@ -187,7 +168,7 @@ func TestSpecEndpointMatchesSpecStruct(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Version != "v1" {
+	if doc.Version != "v2" {
 		t.Errorf("doc version %q", doc.Version)
 	}
 
