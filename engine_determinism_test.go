@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"runtime"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // The engine's reproducibility contract: a figure's output is byte-identical
@@ -103,15 +105,46 @@ func TestFig14Fig15Fig16FingerprintDeterministicShort(t *testing.T) {
 	}
 }
 
+// backloggedCell is a two-AP backlogged cell spec — the shape of the cell
+// experiment, which RunScenario runs through the cell-family driver.
+func backloggedCell(placements, clients, packets int, windowSec float64) *scenario.Spec {
+	return &scenario.Spec{
+		Version: 1,
+		Name:    "cell",
+		Topology: scenario.Topology{
+			Family:     scenario.FamilyCell,
+			Placements: placements,
+			APs:        2,
+			Clients:    clients,
+		},
+		Traffic: scenario.Traffic{
+			Model:        scenario.ModelBacklogged,
+			Packets:      packets,
+			PayloadBytes: 1460,
+			WindowSec:    windowSec,
+		},
+	}
+}
+
+// runCellSpec runs a backlogged spec and renders its cell result.
+func runCellSpec(t *testing.T, sp *scenario.Spec, seed int64, workers int) string {
+	t.Helper()
+	out, err := RunScenario(sp, ScenarioRunOptions{Seed: seed, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%#v", *out.Cell)
+}
+
 func TestCellCrossTrafficDeterministicAcrossWorkerCounts(t *testing.T) {
-	oc := CellOptions{Seed: 9, Placements: 4, Clients: 8, APs: 2, Packets: 40, Payload: 1460}
+	sc := backloggedCell(4, 8, 40, 0)
 	ox := CrossTrafficOptions{Seed: 10, Topologies: 3, Packets: 40, CrossFlows: 2,
 		CrossPackets: 50, Payload: 1000, RateMbps: 12, Probes: 30}
-	oc.Workers, ox.Workers = 1, 1
-	wantC := fmt.Sprintf("%#v", RunCell(oc))
+	ox.Workers = 1
+	wantC := runCellSpec(t, sc, 9, 1)
 	wantX := fmt.Sprintf("%#v", RunCrossTraffic(ox))
-	oc.Workers, ox.Workers = 4, 4
-	if got := fmt.Sprintf("%#v", RunCell(oc)); got != wantC {
+	ox.Workers = 4
+	if got := runCellSpec(t, sc, 9, 4); got != wantC {
 		t.Fatalf("cell parallel output differs from serial")
 	}
 	if got := fmt.Sprintf("%#v", RunCrossTraffic(ox)); got != wantX {
@@ -139,16 +172,15 @@ func TestWindowModeAndCSRangeSweepDeterministicAcrossWorkerCounts(t *testing.T) 
 	// sweep, both under the default rate-aware model.
 	o := CellSweepOptions{Seed: 13, Placements: 3, Cells: 2, APsPerCell: 2,
 		ClientsPer: []int{2}, Packets: 20, Payload: 1460, CSRangeM: 30, WindowSec: 0.05}
-	oc := CellOptions{Seed: 14, Placements: 4, Clients: 4, APs: 2, Packets: 20,
-		Payload: 1460, WindowSec: 0.05}
-	o.Workers, oc.Workers = 1, 1
+	sc := backloggedCell(4, 4, 20, 0.05)
+	o.Workers = 1
 	want := fmt.Sprintf("%#v", RunCSRangeSweep(o, []float64{20, 40}, 2))
-	wantC := fmt.Sprintf("%#v", RunCell(oc))
-	o.Workers, oc.Workers = 4, 4
+	wantC := runCellSpec(t, sc, 14, 1)
+	o.Workers = 4
 	if got := fmt.Sprintf("%#v", RunCSRangeSweep(o, []float64{20, 40}, 2)); got != want {
 		t.Fatalf("CS-range sweep parallel output differs from serial:\n%s\nvs\n%s", got, want)
 	}
-	if got := fmt.Sprintf("%#v", RunCell(oc)); got != wantC {
+	if got := runCellSpec(t, sc, 14, 4); got != wantC {
 		t.Fatalf("window-mode cell parallel output differs from serial:\n%s\nvs\n%s", got, wantC)
 	}
 }

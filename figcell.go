@@ -14,139 +14,172 @@ import (
 	"repro/internal/testbed"
 )
 
-// ----------------------------------------------------------------- cell
+// ---------------------------------------------------------- cell family
+//
+// The cell family — the cell experiment (a builtin backlogged scenario
+// spec), cellsweep and metro — shares one driver: runCells lays out each
+// placement and drains it once per serving mode, and reduceCells turns a
+// sweep point's per-placement records into SweepStats.
 
-// CellOptions configures the multi-client WLAN cell experiment — §8.3
-// scaled beyond the paper's single client: N clients with backlogged
-// downlink traffic from M APs, all contending for one medium through
-// internal/netsim.
-type CellOptions struct {
-	Seed       int64
-	Placements int // random AP/client placements
-	Clients    int // N clients sharing the cell
-	APs        int // M APs serving it
-	Packets    int // downlink packets per client
-	Payload    int
-	// WindowSec switches to fixed-time-window saturation mode: unbounded
-	// backlogs drained for this many virtual seconds (Packets ignored), so
-	// one starved client no longer gates the elapsed time. 0 keeps the
-	// drain-the-backlog mode.
-	WindowSec float64
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
+// SweepStats are the per-point statistics shared by every cell-family
+// table (clients per cell, cell count, carrier-sense range, metro
+// density): medians and means across the placements at one swept value.
+type SweepStats struct {
+	SingleAggMbps float64 // median aggregate, best single AP per client
+	JointAggMbps  float64 // median aggregate, SourceSync joint service
+	MedianGain    float64 // per-placement joint/single, median
+	// CollisionRate is the fraction of medium acquisitions whose transmit
+	// groups collided, averaged over the joint runs.
+	CollisionRate float64
+	// HiddenRate is hidden-terminal corruptions per medium acquisition,
+	// averaged over the joint runs: concurrent out-of-range downlinks
+	// corrupting each other at the receivers.
+	HiddenRate float64
+	// CaptureRate is captures per acquisition averaged over the joint
+	// runs: colliding downlinks the interference model let survive.
+	CaptureRate float64
+	// RateCorruption aggregates the interference model's per-rate outcomes
+	// over every joint run at this sweep point (index = SampleRate rate
+	// index): interfered / corrupted / degraded counts and summed decode
+	// margins.
+	RateCorruption []netsim.RateCorruption
+	// MeanUtilization is busy time over elapsed time in the joint runs;
+	// values above 1 mean several cells carried frames concurrently
+	// (spatial reuse at work). With the event-driven per-neighborhood
+	// clock it approaches the cell count under saturation, minus what
+	// hidden terminals and DCF overhead take.
+	MeanUtilization float64
 }
 
-// DefaultCellOptions returns the parameters used by ssbench: an 8-client,
-// 2-AP cell under the rate-aware interference model.
-func DefaultCellOptions() CellOptions {
-	return CellOptions{Seed: 9, Placements: 20, Clients: 8, APs: 2, Packets: 120, Payload: 1460}
-}
-
-// CellExpResult carries the aggregate-throughput CDFs of the two serving
-// modes and contention diagnostics.
+// CellExpResult is the cell experiment's outcome: the aggregate-throughput
+// CDFs of the two serving modes, plus the shared statistics over the same
+// placements.
 type CellExpResult struct {
 	SingleAggMbps []float64 // sorted, one per placement (best single AP per client)
 	JointAggMbps  []float64 // same placements, every client served jointly
-	MedianGain    float64
-	// MeanCollisionRate is the fraction of medium acquisitions that ended
-	// in a collision, averaged over the joint runs — the contention the
-	// single-flow experiments cannot exhibit.
-	MeanCollisionRate float64
-	// MeanCaptureRate is captures per acquisition averaged over the joint
-	// runs: colliding frames the rate-aware model let survive at their own
-	// rate's decode threshold.
-	MeanCaptureRate float64
-	// RateCorruption aggregates the interference model's per-rate outcomes
-	// over every joint run (index = SampleRate rate index).
-	RateCorruption []netsim.RateCorruption
+	Stats         SweepStats
 }
 
-// RunCell simulates the multi-client cell: each placement spreads the APs
-// over the floor, drops every client in usable-but-not-saturated range of
-// its nearest AP (as in Fig. 17's motivation), and drains each client's
-// backlog once with per-client best-single-AP service and once with
-// SourceSync joint transmissions. The cell runs with the rate-aware
-// interference model: colliding downlinks may capture at their own rate's
-// decode threshold and surviving frames pay the effective-SNR degradation
-// in their delivery draws.
-func RunCell(o CellOptions) CellExpResult {
-	cfg := Profile80211()
-	env := testbed.Mesh(cfg)
-	m := mac.Default(cfg)
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
-	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
+// cellRecord is one placement's joint-vs-single comparison.
+type cellRecord struct {
+	singleBps, jointBps       float64
+	collisionRate, hiddenRate float64
+	captureRate               float64
+	utiliz                    float64
+	corruption                []netsim.RateCorruption
+}
 
-	type plRes struct {
-		singleBps, jointBps        float64
-		collisionRate, captureRate float64
-		corruption                 []netsim.RateCorruption
-	}
-	rows := engine.Map(ec, 0, o.Placements, func(pl int, rng *rand.Rand) plRes {
-		aps, clientPos, links := placeCell(rng, env, o.APs, o.Clients)
-		apPos := make([][]testbed.Point, o.Clients)
-		for c := range apPos {
-			apPos[c] = aps
-		}
-		// One collision domain (CSRangeM 0), but with geometry wired so
-		// the interference model prices every collision.
-		cell := lasthop.Cell{
-			Mac:              m,
-			PayloadBytes:     o.Payload,
-			Links:            links,
-			PacketsPerClient: o.Packets,
-			WindowSec:        o.WindowSec,
-			APPos:            apPos,
-			ClientPos:        clientPos,
-			Env:              env,
-			Model:            model,
-		}
+// runCells runs points x placements trials on one engine grid. Each trial
+// lays its cell out with place, then drains it once with per-client
+// best-single-AP service and once with SourceSync joint transmissions,
+// each on a child RNG drawn from the trial stream in that order. Records
+// come back as rows[point][placement].
+func runCells(ec engine.Config, points, placements int, place func(pt int, rng *rand.Rand) lasthop.Cell) [][]cellRecord {
+	return engine.Grid(ec, points, placements, func(pt, _ int, rng *rand.Rand) cellRecord {
+		cell := place(pt, rng)
 		single := cell.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
 		joint := cell.RunJoint(rand.New(rand.NewSource(rng.Int63())))         //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		r := plRes{singleBps: single.AggregateBps, jointBps: joint.AggregateBps,
-			corruption: joint.RateCorruption}
+		r := cellRecord{
+			singleBps:  single.AggregateBps,
+			jointBps:   joint.AggregateBps,
+			utiliz:     joint.Utilization,
+			corruption: joint.RateCorruption,
+		}
 		if joint.Acquisitions > 0 {
 			r.collisionRate = float64(joint.Collisions) / float64(joint.Acquisitions)
+			r.hiddenRate = float64(joint.HiddenLosses) / float64(joint.Acquisitions)
 			r.captureRate = float64(joint.Captures) / float64(joint.Acquisitions)
 		}
 		return r
 	})
+}
 
-	var res CellExpResult
-	var gains []float64
-	var crSum, capSum float64
+// reduceCells folds one sweep point's placements (in placement order, so
+// float accumulation is deterministic) into means and medians.
+func reduceCells(rows []cellRecord) SweepStats {
+	var singles, joints, gains []float64
+	var s SweepStats
 	for _, r := range rows {
-		res.SingleAggMbps = append(res.SingleAggMbps, r.singleBps/1e6)
-		res.JointAggMbps = append(res.JointAggMbps, r.jointBps/1e6)
+		singles = append(singles, r.singleBps/1e6)
+		joints = append(joints, r.jointBps/1e6)
 		if r.singleBps > 0 {
 			gains = append(gains, r.jointBps/r.singleBps)
 		}
-		crSum += r.collisionRate
-		capSum += r.captureRate
-		res.RateCorruption = netsim.MergeRateCorruption(res.RateCorruption, r.corruption)
+		s.CollisionRate += r.collisionRate
+		s.HiddenRate += r.hiddenRate
+		s.CaptureRate += r.captureRate
+		s.MeanUtilization += r.utiliz
+		s.RateCorruption = netsim.MergeRateCorruption(s.RateCorruption, r.corruption)
+	}
+	if n := len(rows); n > 0 {
+		s.CollisionRate /= float64(n)
+		s.HiddenRate /= float64(n)
+		s.CaptureRate /= float64(n)
+		s.MeanUtilization /= float64(n)
+	}
+	s.SingleAggMbps = dsp.Median(singles)
+	s.JointAggMbps = dsp.Median(joints)
+	s.MedianGain = dsp.Median(gains)
+	return s
+}
+
+// sweepStats reduces every point of a sweep, in swept-value order.
+func sweepStats(rows [][]cellRecord) []SweepStats {
+	out := make([]SweepStats, len(rows))
+	for pt := range rows {
+		out[pt] = reduceCells(rows[pt])
+	}
+	return out
+}
+
+// cellCDF is the cell experiment's view of one point's records: the
+// sorted per-placement aggregates beside the shared statistics.
+func cellCDF(rows []cellRecord) CellExpResult {
+	res := CellExpResult{Stats: reduceCells(rows)}
+	for _, r := range rows {
+		res.SingleAggMbps = append(res.SingleAggMbps, r.singleBps/1e6)
+		res.JointAggMbps = append(res.JointAggMbps, r.jointBps/1e6)
 	}
 	sortFloats(res.SingleAggMbps)
 	sortFloats(res.JointAggMbps)
-	res.MedianGain = dsp.Median(gains)
-	if len(rows) > 0 {
-		res.MeanCollisionRate = crSum / float64(len(rows))
-		res.MeanCaptureRate = capSum / float64(len(rows))
-	}
 	return res
 }
 
-// placeCell draws one cell placement — the draw sequence RunCell has
-// always used, shared with the scenario executor (figscenario.go) so a
-// spec describing the same cell reproduces it draw for draw: the APs
-// spread over the floor (each at least a quarter floor-width from the
-// others; bounded rejection sampling fails loudly if the floor cannot
-// hold them), then each client 8-25 m from its nearest AP — links with
-// rate headroom, the regime where sender diversity pays — with one
-// shadowed link drawn from every AP.
+// apSite accepts an AP position within 10 m of its cell center and at
+// least 4 m from the cell's APs already placed.
+func apSite(center testbed.Point, placed []testbed.Point) func(testbed.Point) bool {
+	return func(p testbed.Point) bool {
+		if testbed.Dist(p, center) > 10 {
+			return false
+		}
+		for _, q := range placed {
+			if testbed.Dist(p, q) < 4 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// clientSite accepts a client position 8-25 m from the nearest of aps —
+// links with rate headroom, the regime where sender diversity pays.
+func clientSite(aps []testbed.Point) func(testbed.Point) bool {
+	return func(p testbed.Point) bool {
+		nearest := testbed.Dist(p, aps[0])
+		for _, q := range aps[1:] {
+			if d := testbed.Dist(p, q); d < nearest {
+				nearest = d
+			}
+		}
+		return nearest >= 8 && nearest <= 25
+	}
+}
+
+// placeCell draws one single-cell placement, the draw sequence the cell
+// experiment has always used: the APs spread over the floor (each at
+// least a quarter floor-width from the others; bounded rejection sampling
+// fails loudly if the floor cannot hold them), then each client at a
+// clientSite of them, with one shadowed link drawn from every AP.
 func placeCell(rng *rand.Rand, env *testbed.Testbed, nAPs, nClients int) (aps, clientPos []testbed.Point, links [][]testbed.Link) {
 	aps = make([]testbed.Point, nAPs)
 	for a := range aps {
@@ -162,15 +195,7 @@ func placeCell(rng *rand.Rand, env *testbed.Testbed, nAPs, nClients int) (aps, c
 	links = make([][]testbed.Link, nClients)
 	clientPos = make([]testbed.Point, nClients)
 	for c := range links {
-		pos := env.RandomPointWhere(rng, 100000, func(p testbed.Point) bool {
-			nearest := testbed.Dist(p, aps[0])
-			for _, q := range aps[1:] {
-				if d := testbed.Dist(p, q); d < nearest {
-					nearest = d
-				}
-			}
-			return nearest >= 8 && nearest <= 25
-		})
+		pos := env.RandomPointWhere(rng, 100000, clientSite(aps))
 		links[c] = make([]testbed.Link, nAPs)
 		for a := range aps {
 			links[c][a] = env.NewLink(rng, aps[a], pos)
@@ -178,6 +203,55 @@ func placeCell(rng *rand.Rand, env *testbed.Testbed, nAPs, nClients int) (aps, c
 		clientPos[c] = pos
 	}
 	return aps, clientPos, links
+}
+
+// placeCells lays one multi-cell placement onto a copy of base, cell by
+// cell in centers order: nAPs APs at apSites of the cell, then clientsPer
+// clients at clientSites of its APs, each with one shadowed link drawn
+// from every AP of its own cell (base.Env prices them). propose draws a
+// point accepted by accept near center; h is the half-width of the square
+// a cell-local proposer samples (10 m for APs, 35 m for clients). Client
+// rows are cell-major, so runs reduce deterministically.
+func placeCells(rng *rand.Rand, base lasthop.Cell, centers []testbed.Point, nAPs, clientsPer int,
+	propose func(rng *rand.Rand, center testbed.Point, h float64, accept func(testbed.Point) bool) testbed.Point) lasthop.Cell {
+	cell := base
+	n := len(centers) * clientsPer
+	cell.Links = make([][]testbed.Link, 0, n)
+	cell.APPos = make([][]testbed.Point, 0, n)
+	cell.ClientPos = make([]testbed.Point, 0, n)
+	for _, center := range centers {
+		aps := make([]testbed.Point, nAPs)
+		for a := range aps {
+			aps[a] = propose(rng, center, 10, apSite(center, aps[:a]))
+		}
+		for k := 0; k < clientsPer; k++ {
+			pos := propose(rng, center, 35, clientSite(aps))
+			links := make([]testbed.Link, nAPs)
+			for a := range aps {
+				links[a] = cell.Env.NewLink(rng, aps[a], pos)
+			}
+			cell.Links = append(cell.Links, links)
+			cell.APPos = append(cell.APPos, aps)
+			cell.ClientPos = append(cell.ClientPos, pos)
+		}
+	}
+	return cell
+}
+
+// cellPitch is the distance between adjacent cell centers at a given
+// carrier-sense range. Two constraints set it: APs sit up to 10 m from
+// their center, so cross-cell AP pairs are pitch-20 apart and must clear
+// carrier sense (the 2x term); and clients roam up to 35 m from their
+// center (25 m from an AP that is itself 10 m out), so a client's distance
+// to a foreign cell's AP bottoms out at pitch-45 — the CS+45 term keeps
+// even that worst-case receiver a full carrier-sense range from the hidden
+// transmitters next door, bounding (not eliminating) hidden-terminal
+// corruption at cell boundaries.
+func cellPitch(csRangeM float64) float64 {
+	if csRangeM <= 0 {
+		return 60
+	}
+	return math.Max(2*csRangeM, csRangeM+45)
 }
 
 // ---------------------------------------------------------- crosstraffic

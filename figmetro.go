@@ -62,42 +62,14 @@ func DefaultMetroOptions() MetroOptions {
 	}
 }
 
-// Cells returns the total cell count of the city grid.
-func (o MetroOptions) Cells() int { return o.CellsX * o.CellsY }
-
-// MetroPoint is one density point of the capacity map: the shared sweep
-// statistics at a fixed per-cell client count.
-type MetroPoint struct {
-	ClientsPerCell int
-	Clients        int // total concurrent downlink flows (Cells * ClientsPerCell)
-	SweepStats
-}
-
-// MetroResult is the capacity-by-density map.
-type MetroResult struct {
-	Points []MetroPoint
-}
-
-// metroSpacing is the cell pitch of the city grid, sized like cellsweep's
-// single-row spacing: adjacent-cell APs clear carrier sense and worst-case
-// clients sit a full carrier-sense range from next-door transmitters.
-func (o MetroOptions) metroSpacing() float64 {
-	if o.CSRangeM <= 0 {
-		return 60
-	}
-	if 2*o.CSRangeM > o.CSRangeM+45 {
-		return 2 * o.CSRangeM
-	}
-	return o.CSRangeM + 45
-}
-
 // metroPoint draws a point uniformly in the square of half-width h around
-// center, rejected until accept holds. Sampling is local to the cell —
-// rejection over the whole city floor would burn thousands of draws per
-// client — so layout cost stays O(clients), not O(clients * floor area).
-func metroPoint(rng *rand.Rand, center testbed.Point, h float64, attempts int, accept func(testbed.Point) bool) testbed.Point {
+// center, rejected until accept holds (the last draw is kept if 100000
+// draws all fail). Sampling is local to the cell — rejection over the
+// whole city floor would burn thousands of draws per client — so layout
+// cost stays O(clients), not O(clients * floor area).
+func metroPoint(rng *rand.Rand, center testbed.Point, h float64, accept func(testbed.Point) bool) testbed.Point {
 	var p testbed.Point
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < 100000; i++ {
 		p = testbed.Point{
 			X: center.X + (rng.Float64()*2-1)*h,
 			Y: center.Y + (rng.Float64()*2-1)*h,
@@ -109,112 +81,40 @@ func metroPoint(rng *rand.Rand, center testbed.Point, h float64, attempts int, a
 	return p
 }
 
-// buildMetro lays one city out: cell centers on a CellsX x CellsY grid,
-// APs within 10 m of their center (spread at least 4 m apart), clients
-// 8-25 m from the nearest AP of their own cell — the same per-cell
-// geometry as cellsweep, tiled in two dimensions. Client flows are ordered
-// cell-major (row-major over the grid), so runs reduce deterministically.
-func buildMetro(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o MetroOptions, model netsim.InterferenceModel, clientsPer int) lasthop.Cell {
-	spacing := o.metroSpacing()
-	nClients := o.Cells() * clientsPer
-	cell := lasthop.Cell{
-		Mac:                m,
+// RunMetro traces the joint-vs-best-single-AP capacity map against per-cell
+// client density across the city grid: every density point re-places the
+// whole city Placements times — cells tiled row-major at the cellPitch,
+// each placed with metroPoint — drains each layout once under each serving
+// mode, and reduces medians in placement order. The interference model is
+// rate-aware throughout — the metro question is precisely how interference
+// scales with density. It returns one SweepStats per ClientsPer value.
+func RunMetro(o MetroOptions) []SweepStats {
+	cfg := Profile80211()
+	pitch := cellPitch(o.CSRangeM)
+	env := testbed.Mesh(cfg)
+	env.Width = float64(o.CellsX) * pitch
+	env.Height = float64(o.CellsY) * pitch
+	centers := make([]testbed.Point, 0, o.CellsX*o.CellsY)
+	for cy := 0; cy < o.CellsY; cy++ {
+		for cx := 0; cx < o.CellsX; cx++ {
+			centers = append(centers, testbed.Point{
+				X: pitch/2 + float64(cx)*pitch,
+				Y: pitch/2 + float64(cy)*pitch,
+			})
+		}
+	}
+	base := lasthop.Cell{
+		Mac:                mac.Default(cfg),
 		PayloadBytes:       o.Payload,
-		Links:              make([][]testbed.Link, 0, nClients),
-		APPos:              make([][]testbed.Point, 0, nClients),
-		ClientPos:          make([]testbed.Point, 0, nClients),
 		PacketsPerClient:   o.Packets,
 		CSRangeM:           o.CSRangeM,
-		Model:              model,
+		Model:              netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload),
 		Env:                env,
 		InterferenceRangeM: o.InterferenceRangeM,
 		WindowSec:          o.WindowSec,
 	}
-	for cy := 0; cy < o.CellsY; cy++ {
-		for cx := 0; cx < o.CellsX; cx++ {
-			center := testbed.Point{
-				X: spacing/2 + float64(cx)*spacing,
-				Y: spacing/2 + float64(cy)*spacing,
-			}
-			aps := make([]testbed.Point, o.APsPerCell)
-			for a := range aps {
-				aps[a] = metroPoint(rng, center, 10, 100000, func(p testbed.Point) bool {
-					if testbed.Dist(p, center) > 10 {
-						return false
-					}
-					for _, q := range aps[:a] {
-						if testbed.Dist(p, q) < 4 {
-							return false
-						}
-					}
-					return true
-				})
-			}
-			for k := 0; k < clientsPer; k++ {
-				pos := metroPoint(rng, center, 35, 100000, func(p testbed.Point) bool {
-					nearest := testbed.Dist(p, aps[0])
-					for _, q := range aps[1:] {
-						if d := testbed.Dist(p, q); d < nearest {
-							nearest = d
-						}
-					}
-					return nearest >= 8 && nearest <= 25
-				})
-				links := make([]testbed.Link, o.APsPerCell)
-				for a := range aps {
-					links[a] = env.NewLink(rng, aps[a], pos)
-				}
-				cell.Links = append(cell.Links, links)
-				cell.APPos = append(cell.APPos, aps)
-				cell.ClientPos = append(cell.ClientPos, pos)
-			}
-		}
-	}
-	return cell
-}
-
-// RunMetro traces the joint-vs-best-single-AP capacity map against per-cell
-// client density across the city grid: every density point re-places the
-// whole city Placements times, drains each layout once under each serving
-// mode, and reduces medians in placement order. The interference model is
-// rate-aware throughout — the metro question is precisely how interference
-// scales with density.
-func RunMetro(o MetroOptions) MetroResult {
-	cfg := Profile80211()
-	env := testbed.Mesh(cfg)
-	spacing := o.metroSpacing()
-	env.Width = float64(o.CellsX) * spacing
-	env.Height = float64(o.CellsY) * spacing
-	m := mac.Default(cfg)
-	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
-
-	rows := engine.Grid(ec, len(o.ClientsPer), o.Placements, func(pt, pl int, rng *rand.Rand) sweepPlacement {
-		cell := buildMetro(rng, env, m, o, model, o.ClientsPer[pt])
-		single := cell.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		joint := cell.RunJoint(rand.New(rand.NewSource(rng.Int63())))         //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		r := sweepPlacement{
-			singleBps:  single.AggregateBps,
-			jointBps:   joint.AggregateBps,
-			utiliz:     joint.Utilization,
-			corruption: joint.RateCorruption,
-		}
-		if joint.Acquisitions > 0 {
-			r.collisionRate = float64(joint.Collisions) / float64(joint.Acquisitions)
-			r.hiddenRate = float64(joint.HiddenLosses) / float64(joint.Acquisitions)
-			r.captureRate = float64(joint.Captures) / float64(joint.Acquisitions)
-		}
-		return r
-	})
-
-	res := MetroResult{Points: make([]MetroPoint, len(o.ClientsPer))}
-	for pt := range o.ClientsPer {
-		mp, agg := reducePlacements(rows[pt])
-		res.Points[pt] = MetroPoint{
-			ClientsPerCell: o.ClientsPer[pt],
-			Clients:        o.Cells() * o.ClientsPer[pt],
-			SweepStats:     newSweepStats(mp, agg),
-		}
-	}
-	return res
+	return sweepStats(runCells(ec, len(o.ClientsPer), o.Placements, func(pt int, rng *rand.Rand) lasthop.Cell {
+		return placeCells(rng, base, centers, o.APsPerCell, o.ClientsPer[pt], metroPoint)
+	}))
 }

@@ -18,12 +18,11 @@ import (
 //
 // This file executes declarative scenario specs (internal/scenario): it
 // maps a parsed spec onto the same lasthop/netsim machinery the
-// registered experiments use. The backlogged degenerate case routes
-// through RunCell itself — placement draws and all — which is what makes
-// a spec mirroring ssbench's cell defaults reproduce that experiment
-// byte-identically (examples/cell.json is pinned to it). Arrival-driven
-// specs run fixed windows with netsim's traffic layer attached; mobility
-// specs additionally drift every client at each waypoint epoch.
+// registered experiments use. Backlogged specs — the builtin cell
+// experiment among them — run on the cell family's driver (runCells), one
+// saturation run per serving mode per placement. Arrival-driven specs run
+// fixed windows with netsim's traffic layer attached; mobility specs
+// additionally drift every client at each waypoint epoch.
 
 // ScenarioRunOptions carries the run-level knobs every experiment shares;
 // the scenario itself supplies everything else.
@@ -89,11 +88,9 @@ type ScenarioMobilityResult struct {
 // ScenarioOutcome is RunScenario's result; exactly one branch is set,
 // matching the spec's shape.
 type ScenarioOutcome struct {
-	// Cell is set for backlogged cell-family specs, which run the cell
-	// experiment's own code path; CellOpts echoes the options it ran with
-	// (after -quick shrinking), for rendering.
-	Cell     *CellExpResult
-	CellOpts CellOptions
+	// Cell is set for backlogged specs (traffic.model "backlogged"), the
+	// cell experiment among them.
+	Cell *CellExpResult
 	// Arrivals is set for arrival-driven specs without mobility.
 	Arrivals *ScenarioArrivalsResult
 	// Mobility is set when the spec drifts its clients.
@@ -106,21 +103,7 @@ func RunScenario(sp *scenario.Spec, ro ScenarioRunOptions) (*ScenarioOutcome, er
 		return nil, err
 	}
 	if sp.Traffic.Model == scenario.ModelBacklogged {
-		// The degenerate case is the registered cell experiment; running
-		// its exact code keeps the spec layer honest.
-		o := CellOptions{
-			Seed:       ro.Seed,
-			Placements: ro.shrink(sp.Topology.Placements),
-			Clients:    sp.Topology.Clients,
-			APs:        sp.Topology.APs,
-			Packets:    ro.shrink(sp.Traffic.Packets),
-			Payload:    sp.Traffic.PayloadBytes,
-			WindowSec:  sp.Traffic.WindowSec,
-			Workers:    ro.Workers,
-			Monitor:    ro.Monitor,
-		}
-		res := RunCell(o)
-		return &ScenarioOutcome{Cell: &res, CellOpts: o}, nil
+		return &ScenarioOutcome{Cell: runScenarioCell(sp, ro)}, nil
 	}
 	if sp.Mobility != nil {
 		return &ScenarioOutcome{Mobility: runScenarioMobility(sp, ro)}, nil
@@ -168,13 +151,14 @@ type scenTopo struct {
 	clients []scenClient
 }
 
-// buildScenarioTopology draws one placement. The cell family reuses the
-// cell experiment's exact placement code (shadowed links drawn per
-// AP-client pair). The multicell family lays cells in a row along +X,
-// spaced at 1.5x the carrier-sense range, with the same per-cell geometry
-// as the metro grid (APs within 10 m of the center, clients 8-25 m from
-// their nearest own-cell AP); its links come from the mean path-loss
-// profile — no shadowing draw — so a mobility epoch can re-derive them
+// buildScenarioTopology draws one placement. The cell family is the cell
+// experiment's placement (placeCell: shadowed links drawn per AP-client
+// pair). The multicell family lays cells in a row along +X, spaced at 1.5x
+// the carrier-sense range; it draws every cell's APs (apSite, sampled by
+// metroPoint in a 10 m half-width square) before any client, then each
+// cell's clients (clientSite of their own cell's APs, sampled in a 36 m
+// half-width square). Its links come from the mean path-loss profile — no
+// shadowing draw — so a mobility epoch can re-derive them
 // deterministically as clients move.
 func buildScenarioTopology(rng *rand.Rand, env *testbed.Testbed, sp *scenario.Spec) *scenTopo {
 	t := &scenTopo{}
@@ -191,17 +175,7 @@ func buildScenarioTopology(rng *rand.Rand, env *testbed.Testbed, sp *scenario.Sp
 		center := testbed.Point{X: spacing/2 + float64(ci)*spacing}
 		aps := make([]testbed.Point, sp.Topology.APs)
 		for a := range aps {
-			aps[a] = metroPoint(rng, center, 10, 100000, func(p testbed.Point) bool {
-				if testbed.Dist(p, center) > 10 {
-					return false
-				}
-				for _, q := range aps[:a] {
-					if testbed.Dist(p, q) < 4 {
-						return false
-					}
-				}
-				return true
-			})
+			aps[a] = metroPoint(rng, center, 10, apSite(center, aps[:a]))
 		}
 		t.cellAPs = append(t.cellAPs, aps)
 	}
@@ -209,15 +183,7 @@ func buildScenarioTopology(rng *rand.Rand, env *testbed.Testbed, sp *scenario.Sp
 		center := testbed.Point{X: spacing/2 + float64(ci)*spacing}
 		aps := t.cellAPs[ci]
 		for c := 0; c < sp.Topology.Clients; c++ {
-			pos := metroPoint(rng, center, 36, 100000, func(p testbed.Point) bool {
-				nearest := math.Inf(1)
-				for _, q := range aps {
-					if d := testbed.Dist(p, q); d < nearest {
-						nearest = d
-					}
-				}
-				return nearest >= 8 && nearest <= 25
-			})
+			pos := metroPoint(rng, center, 36, clientSite(aps))
 			t.clients = append(t.clients, scenClient{
 				pos: pos, cell: ci, links: meanLinks(env, aps, pos),
 			})
@@ -253,9 +219,10 @@ func (t *scenTopo) bestCell(p testbed.Point) int {
 
 // instantiate builds a fresh lasthop.Cell for one scheme run, with its
 // own copies of the position/link rows (a mobility run mutates them, and
-// both schemes must start from the same placement), the spec's traffic
-// attached, and — under mobility — the per-epoch drift wired up. The
-// returned counter accumulates serving-cell handoffs.
+// both schemes must start from the same placement), the spec's arrival
+// traffic attached (a backlogged spec leaves Traffic nil for the caller
+// to size the backlog), and — under mobility — the per-epoch drift wired
+// up. The returned counter accumulates serving-cell handoffs.
 func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Params,
 	model netsim.InterferenceModel, ratePps float64) (lasthop.Cell, *int) {
 	n := len(t.clients)
@@ -280,9 +247,11 @@ func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Pa
 		Model:              model,
 		Env:                env,
 		WindowSec:          sp.Traffic.WindowSec,
-		Traffic: func(client int) netsim.TrafficConfig {
+	}
+	if sp.Traffic.Model != scenario.ModelBacklogged {
+		cell.Traffic = func(client int) netsim.TrafficConfig {
 			return scenarioTraffic(sp, ratePps, client)
-		},
+		}
 	}
 	handoffs := new(int)
 	if sp.Mobility != nil {
@@ -303,6 +272,27 @@ func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Pa
 		}
 	}
 	return cell, handoffs
+}
+
+// runScenarioCell runs a backlogged spec, the cell experiment's only code
+// path: one engine grid point of placements, each instantiated with every
+// client's (-quick shrunk) backlog and drained under both serving modes
+// by runCells. The topology's carrier-sense and interference ranges apply
+// as in every other spec.
+func runScenarioCell(sp *scenario.Spec, ro ScenarioRunOptions) *CellExpResult {
+	cfg := Profile80211()
+	env := testbed.Mesh(cfg)
+	m := mac.Default(cfg)
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), sp.Traffic.PayloadBytes)
+	packets := ro.shrink(sp.Traffic.Packets)
+	ec := engine.Config{Seed: ro.Seed, Workers: ro.Workers, Monitor: ro.Monitor}
+	rows := runCells(ec, 1, ro.shrink(sp.Topology.Placements), func(_ int, rng *rand.Rand) lasthop.Cell {
+		cell, _ := buildScenarioTopology(rng, env, sp).instantiate(sp, env, m, model, 0)
+		cell.PacketsPerClient = packets
+		return cell
+	})
+	res := cellCDF(rows[0])
+	return &res
 }
 
 // runScenarioScheme runs one serving scheme over an instantiated cell.

@@ -125,7 +125,10 @@ func PointRNG(seed int64, point int) *rand.Rand {
 // handed out through an atomic counter, so long trials do not serialize
 // behind a fixed pre-partition. A non-nil Monitor sees every scheduled
 // trial in Total and every completed one in Done, and its Cancel stops
-// further pickups (already-started trials finish).
+// further pickups (already-started trials finish). A trial that panics
+// stops further pickups too: once the pool drains, the first panic value
+// is re-raised on the calling goroutine, as the serial path raises it, so
+// a caller's recover sees it instead of the process dying in a worker.
 func run(workers, n int, m *Monitor, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -150,12 +153,18 @@ func run(workers, n int, m *Monitor, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var failure atomic.Pointer[any] // the first trial panic's value
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					failure.CompareAndSwap(nil, &p)
+				}
+			}()
 			for {
-				if m != nil && m.Canceled() {
+				if failure.Load() != nil || (m != nil && m.Canceled()) {
 					return
 				}
 				i := int(next.Add(1)) - 1
@@ -170,6 +179,9 @@ func run(workers, n int, m *Monitor, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if p := failure.Load(); p != nil {
+		panic(*p)
+	}
 }
 
 // Map runs n trials of one operating point and returns their results in

@@ -104,10 +104,19 @@ func TestMonitorCancelStopsScheduling(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		m := &Monitor{}
 		ran := make([]atomic.Bool, 200)
+		// Trials after 3 wait until trial 3 has canceled, so the other
+		// workers cannot drain every trial while trial 3's worker sits
+		// descheduled before its Cancel. Trials are handed out in index
+		// order, so trial 3 is already running when any later one waits.
+		canceled := make(chan struct{})
 		Map(Config{Seed: 5, Workers: workers, Monitor: m}, 0, len(ran), func(trial int, rng *rand.Rand) int {
 			ran[trial].Store(true)
 			if trial == 3 {
 				m.Cancel()
+				close(canceled)
+			}
+			if trial > 3 {
+				<-canceled
 			}
 			return trial
 		})
@@ -128,6 +137,28 @@ func TestMonitorCancelStopsScheduling(t *testing.T) {
 		if done, total := m.Progress(); total != 200 || done < 1 || done > int64(count) {
 			t.Fatalf("workers=%d: progress %d/%d after cancel (%d ran)", workers, done, total, count)
 		}
+	}
+}
+
+func TestTrialPanicSurfacesOnCaller(t *testing.T) {
+	// A panicking trial must not kill the process from inside a worker
+	// goroutine: the pool stops and the caller sees the trial's own panic
+	// value, on the serial path and the parallel one alike.
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if p := recover(); p != "trial 7 failed" {
+					t.Errorf("workers=%d: recovered %v, want the trial's panic value", workers, p)
+				}
+			}()
+			Map(Config{Seed: 5, Workers: workers}, 0, 100, func(trial int, _ *rand.Rand) int {
+				if trial == 7 {
+					panic("trial 7 failed")
+				}
+				return trial
+			})
+			t.Errorf("workers=%d: Map returned after a trial panicked", workers)
+		}()
 	}
 }
 

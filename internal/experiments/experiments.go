@@ -73,8 +73,10 @@ type Options struct {
 	Cells []int
 	// CSRanges is cellsweep's carrier-sense sweep in meters (ssbench -cs).
 	CSRanges []float64
-	// WindowSec switches cell/cellsweep/metro to fixed-time-window
-	// saturation mode (ssbench -window); 0 keeps backlog-drain mode.
+	// WindowSec switches cell, cellsweep, metro and every backlogged
+	// scenario spec to fixed-time-window saturation mode (ssbench
+	// -window), overriding a spec's traffic.window_sec; 0 keeps each
+	// run's own mode.
 	WindowSec float64
 }
 
@@ -190,8 +192,6 @@ func Run(w io.Writer, name string, p Params) error {
 	case "fig18":
 		r.fig18(6)
 		r.fig18(12)
-	case "cell":
-		r.cell()
 	case "cellsweep":
 		r.cellsweep()
 	case "metro":
@@ -206,7 +206,7 @@ func Run(w io.Writer, name string, p Params) error {
 		r.detdelay()
 	case "ablations":
 		r.ablations()
-	case "arrivals", "mobility":
+	case "cell", "arrivals", "mobility":
 		sp, _ := scenario.Builtin(name)
 		if err := r.scenario(sp); err != nil {
 			return err
@@ -398,26 +398,14 @@ func (r *runner) printCorruption(rc []netsim.RateCorruption) {
 	}
 }
 
-func (r *runner) cell() {
-	r.header("Cell — multi-client WLAN aggregate throughput: best single AP vs SourceSync")
-	o := sourcesync.DefaultCellOptions()
-	o.Seed = r.p.Seed + 8
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
-	o.Placements = r.shrink(o.Placements)
-	o.Packets = r.shrink(o.Packets)
-	o.WindowSec = r.p.Options.WindowSec
-	r.cellBody(o, sourcesync.RunCell(o))
-}
-
-// cellBody renders a cell-experiment result table; shared between the
-// registered cell experiment and backlogged scenario specs, which is what
-// pins a spec mirroring the cell defaults byte-identical to `ssbench cell`
-// (examples/cell.json).
-func (r *runner) cellBody(o sourcesync.CellOptions, res sourcesync.CellExpResult) {
-	r.printf("clients=%d APs=%d packets/client=%d model=rate-aware", o.Clients, o.APs, o.Packets)
-	if o.WindowSec > 0 {
-		r.printf(" window=%.2fs", o.WindowSec)
+// cellBody renders a backlogged spec's result: the cell experiment's
+// aggregate-throughput CDF table (the cell experiment is the builtin
+// backlogged spec examples/cell.json).
+func (r *runner) cellBody(sp *scenario.Spec, res *sourcesync.CellExpResult) {
+	r.printf("clients=%d APs=%d packets/client=%d model=rate-aware",
+		sp.Topology.Clients, sp.Topology.APs, r.shrink(sp.Traffic.Packets))
+	if sp.Traffic.WindowSec > 0 {
+		r.printf(" window=%.2fs", sp.Traffic.WindowSec)
 	}
 	r.println()
 	r.printf("%10s %14s %14s\n", "fraction", "single(Mbps)", "joint(Mbps)")
@@ -426,8 +414,8 @@ func (r *runner) cellBody(o sourcesync.CellOptions, res sourcesync.CellExpResult
 		r.printf("%10.3f %14.2f %14.2f\n", float64(i+1)/float64(n), res.SingleAggMbps[i], res.JointAggMbps[i])
 	}
 	r.printf("median aggregate gain: %.2fx; per acquisition: collisions %.3f, captures %.3f\n",
-		res.MedianGain, res.MeanCollisionRate, res.MeanCaptureRate)
-	r.printCorruption(res.RateCorruption)
+		res.Stats.MedianGain, res.Stats.CollisionRate, res.Stats.CaptureRate)
+	r.printCorruption(res.Stats.RateCorruption)
 }
 
 func (r *runner) cellsweep() {
@@ -439,63 +427,45 @@ func (r *runner) cellsweep() {
 	o.Placements = r.shrink(o.Placements)
 	o.Packets = r.shrink(o.Packets)
 	o.WindowSec = r.p.Options.WindowSec
-	res := sourcesync.RunCellSweep(o)
+	stats := sourcesync.RunCellSweep(o)
 	r.printf("cells=%d aps/cell=%d packets/client=%d cs-range=%.0fm model=rate-aware", o.Cells, o.APsPerCell, o.Packets, o.CSRangeM)
 	if o.WindowSec > 0 {
 		r.printf(" window=%.2fs", o.WindowSec)
 	}
 	r.println()
-	rows := make([]sweepRow, len(res.Points))
-	for i, p := range res.Points {
-		rows[i] = sweepRow{fmt.Sprintf("%d", p.ClientsPerCell), p.SweepStats}
-	}
-	r.printSweepTable("clients", rows)
+	r.printSweepTable("clients", stats, func(i int) string { return fmt.Sprintf("%d", o.ClientsPer[i]) })
 	r.println("utilization above 1 = cells beyond carrier-sense range carrying frames concurrently")
-	if last := len(res.Points) - 1; last >= 0 {
-		r.printCorruption(res.Points[last].RateCorruption)
+	if last := len(stats) - 1; last >= 0 {
+		r.printCorruption(stats[last].RateCorruption)
 	}
 	if r.canceled() {
 		return
 	}
 
 	clientsPer := r.shrink(4)
-	pts := sourcesync.RunCellCountSweep(o, r.p.Options.Cells, clientsPer)
+	counts := r.p.Options.Cells
+	stats = sourcesync.RunCellCountSweep(o, counts, clientsPer)
 	r.printf("\ncapacity vs cell count (clients/cell=%d):\n", clientsPer)
-	rows = make([]sweepRow, len(pts))
-	for i, p := range pts {
-		rows[i] = sweepRow{fmt.Sprintf("%d", p.Cells), p.SweepStats}
-	}
-	r.printSweepTable("cells", rows)
+	r.printSweepTable("cells", stats, func(i int) string { return fmt.Sprintf("%d", counts[i]) })
 	r.println("capacity should scale near-linearly with cell count (AirSync-style spatial reuse)")
 	if r.canceled() {
 		return
 	}
 
-	csPts := sourcesync.RunCSRangeSweep(o, r.p.Options.CSRanges, clientsPer)
+	ranges := r.p.Options.CSRanges
+	stats = sourcesync.RunCSRangeSweep(o, ranges, clientsPer)
 	r.printf("\ncapacity vs carrier-sense range (cells=%d clients/cell=%d):\n", o.Cells, clientsPer)
-	rows = make([]sweepRow, len(csPts))
-	for i, p := range csPts {
-		rows[i] = sweepRow{fmt.Sprintf("%.0f", p.CSRangeM), p.SweepStats}
-	}
-	r.printSweepTable("cs(m)", rows)
+	r.printSweepTable("cs(m)", stats, func(i int) string { return fmt.Sprintf("%.0f", ranges[i]) })
 	r.println("shorter carrier sense = denser reuse but more hidden terminals; the model prices the tradeoff")
 }
 
-// sweepRow is one rendered cellsweep table row: the swept value plus the
-// shared statistics.
-type sweepRow struct {
-	key   string
-	stats sourcesync.SweepStats
-}
-
-// printSweepTable renders one of cellsweep's three tables: the swept
-// column under keyHeader, then the shared statistics columns.
-func (r *runner) printSweepTable(keyHeader string, rows []sweepRow) {
+// printSweepTable renders one cell-family sweep table: row i's swept value
+// key(i) under keyHeader, then the shared statistics columns.
+func (r *runner) printSweepTable(keyHeader string, stats []sourcesync.SweepStats, key func(i int) string) {
 	r.printf("%10s %14s %14s %8s %8s %8s %8s %8s\n", keyHeader, "single(Mbps)", "joint(Mbps)", "gain", "collis", "hidden", "capture", "util")
-	for _, row := range rows {
-		s := row.stats
+	for i, s := range stats {
 		r.printf("%10s %14.2f %14.2f %7.2fx %8.3f %8.3f %8.3f %8.2f\n",
-			row.key, s.SingleAggMbps, s.JointAggMbps, s.MedianGain, s.CollisionRate, s.HiddenRate, s.CaptureRate, s.MeanUtilization)
+			key(i), s.SingleAggMbps, s.JointAggMbps, s.MedianGain, s.CollisionRate, s.HiddenRate, s.CaptureRate, s.MeanUtilization)
 	}
 }
 
@@ -514,21 +484,20 @@ func (r *runner) metro() {
 		o.Placements = 2
 	}
 	o.Packets = r.shrink(o.Packets)
-	res := sourcesync.RunMetro(o)
+	stats := sourcesync.RunMetro(o)
 	r.printf("cells=%dx%d aps/cell=%d packets/client=%d cs-range=%.0fm ix-range=%.0fm model=rate-aware",
 		o.CellsX, o.CellsY, o.APsPerCell, o.Packets, o.CSRangeM, o.InterferenceRangeM)
 	if o.WindowSec > 0 {
 		r.printf(" window=%.2fs", o.WindowSec)
 	}
 	r.println()
-	rows := make([]sweepRow, len(res.Points))
-	for i, p := range res.Points {
-		rows[i] = sweepRow{fmt.Sprintf("%d (%d)", p.ClientsPerCell, p.Clients), p.SweepStats}
-	}
-	r.printSweepTable("cl (flows)", rows)
+	r.printSweepTable("cl (flows)", stats, func(i int) string {
+		n := o.ClientsPer[i]
+		return fmt.Sprintf("%d (%d)", n, o.CellsX*o.CellsY*n)
+	})
 	r.println("capacity should grow with density until interference bites; joint service holds its gain city-wide")
-	if last := len(res.Points) - 1; last >= 0 {
-		r.printCorruption(res.Points[last].RateCorruption)
+	if last := len(stats) - 1; last >= 0 {
+		r.printCorruption(stats[last].RateCorruption)
 	}
 }
 
@@ -628,8 +597,15 @@ func (r *runner) ablations() {
 
 // scenario runs and renders one declarative scenario spec — the generic
 // path behind `ssbench -scenario`, ssserve inline specs, and the
-// registered data-driven experiments (arrivals, mobility).
+// registered data-driven experiments (cell, arrivals, mobility). A
+// positive Options.WindowSec overrides a backlogged spec's
+// traffic.window_sec, as it sets the coded saturation runners' window.
 func (r *runner) scenario(sp *scenario.Spec) error {
+	if w := r.p.Options.WindowSec; w > 0 && sp.Traffic.Model == scenario.ModelBacklogged {
+		windowed := *sp
+		windowed.Traffic.WindowSec = w
+		sp = &windowed
+	}
 	out, err := sourcesync.RunScenario(sp, sourcesync.ScenarioRunOptions{
 		Seed:    r.p.Seed + sp.SeedOffset,
 		Workers: r.p.Workers,
@@ -642,7 +618,7 @@ func (r *runner) scenario(sp *scenario.Spec) error {
 	r.header(sp.DisplayTitle())
 	switch {
 	case out.Cell != nil:
-		r.cellBody(out.CellOpts, *out.Cell)
+		r.cellBody(sp, out.Cell)
 	case out.Mobility != nil:
 		r.mobilityBody(sp, out.Mobility)
 	case out.Arrivals != nil:

@@ -506,9 +506,6 @@ func (s *Sim) inRange(f *Flow, r *Radio) bool {
 	return testbed.Dist(f.Radio.TxPos, r.TxPos) <= s.CSRangeM
 }
 
-// contends reports whether two flows share a carrier-sense neighborhood.
-func (s *Sim) contends(f, g *Flow) bool { return s.inRange(f, g.Radio) }
-
 // startTime returns when flow i's countdown expires: the moment its
 // neighborhood went idle, plus DIFS, plus its remaining backoff slots. The
 // expression is shared by the start-event push and the start processing so
@@ -1102,8 +1099,15 @@ func (s *Sim) countGroups(starters []*tx) {
 	if len(starters) == 0 {
 		return
 	}
-	if len(starters) == 1 { // the common case: one flow acquired its neighborhood
+	if s.grid == nil || len(starters) == 1 {
+		// One flow acquired its neighborhood (the common case), or there
+		// is no grid — no carrier-sense range, or no placed flow — and
+		// every starter senses every other: one group, which collided if
+		// more than one flow started.
 		s.Acquisitions++
+		if len(starters) > 1 {
+			s.CollisionRounds++
+		}
 		return
 	}
 	grouped := s.grouped[:0]
@@ -1111,38 +1115,14 @@ func (s *Sim) countGroups(starters []*tx) {
 		grouped = append(grouped, false)
 	}
 	group := s.group[:0]
-	if s.grid != nil {
-		// Component walk over grid neighborhoods: each starter's flow is
-		// stamped with its slot, and neighbors resolve through the index
-		// instead of a pairwise scan over every starter.
-		s.markGen++
-		for i, r := range starters {
-			fi := r.f.idx
-			s.mark[fi] = s.markGen
-			s.starterIdx[fi] = int32(i)
-		}
-		for i := range starters {
-			if grouped[i] {
-				continue
-			}
-			group = append(group[:0], i)
-			grouped[i] = true
-			for k := 0; k < len(group); k++ {
-				for _, gi := range s.nearby(starters[group[k]].f) {
-					if s.mark[gi] != s.markGen || grouped[s.starterIdx[gi]] {
-						continue
-					}
-					grouped[s.starterIdx[gi]] = true
-					group = append(group, int(s.starterIdx[gi]))
-				}
-			}
-			s.Acquisitions++
-			if len(group) > 1 {
-				s.CollisionRounds++
-			}
-		}
-		s.grouped, s.group = grouped, group
-		return
+	// Component walk over grid neighborhoods: each starter's flow is
+	// stamped with its slot, and neighbors resolve through the index
+	// instead of a pairwise scan over every starter.
+	s.markGen++
+	for i, r := range starters {
+		fi := r.f.idx
+		s.mark[fi] = s.markGen
+		s.starterIdx[fi] = int32(i)
 	}
 	for i := range starters {
 		if grouped[i] {
@@ -1151,11 +1131,12 @@ func (s *Sim) countGroups(starters []*tx) {
 		group = append(group[:0], i)
 		grouped[i] = true
 		for k := 0; k < len(group); k++ {
-			for j := range starters {
-				if !grouped[j] && s.contends(starters[j].f, starters[group[k]].f) {
-					grouped[j] = true
-					group = append(group, j)
+			for _, gi := range s.nearby(starters[group[k]].f) {
+				if s.mark[gi] != s.markGen || grouped[s.starterIdx[gi]] {
+					continue
 				}
+				grouped[s.starterIdx[gi]] = true
+				group = append(group, int(s.starterIdx[gi]))
 			}
 		}
 		s.Acquisitions++

@@ -62,7 +62,8 @@ type Topology struct {
 	Placements int `json:"placements"`
 	// Cells is the number of cells for the multicell family.
 	Cells int `json:"cells,omitempty"`
-	// APs is the number of APs per cell.
+	// APs is the number of APs per cell, at most 8: a cell's APs transmit
+	// jointly, and the joint codes cover at most 8 senders.
 	APs int `json:"aps"`
 	// Clients is the number of clients per cell.
 	Clients int `json:"clients"`
@@ -130,6 +131,12 @@ const (
 	SchemeSingle = "single"
 	SchemeJoint  = "joint"
 )
+
+// maxAPs caps topology.aps: a cell's APs serve its clients jointly, and
+// the simulator's space-time block codes (internal/stbc) cover 1 to 8
+// senders. A test pins it to that package; this one stays free of
+// simulator imports.
+const maxAPs = 8
 
 // Parse strictly decodes one spec document: unknown fields, trailing
 // data, a missing or unsupported version, and invalid field values are
@@ -255,8 +262,9 @@ func (t *Topology) validate() error {
 	if t.Placements < 1 {
 		return bad(`"topology.placements" must be >= 1`)
 	}
-	if t.APs < 1 {
-		return bad(`"topology.aps" must be >= 1`)
+	if t.APs < 1 || t.APs > maxAPs {
+		return bad(`"topology.aps" %d must be between 1 and %d (joint transmission codes cover at most %d senders)`,
+			t.APs, maxAPs, maxAPs)
 	}
 	if t.Clients < 1 {
 		return bad(`"topology.clients" must be >= 1`)
@@ -363,12 +371,12 @@ func (sp *Spec) DisplayTitle() string {
 	return fmt.Sprintf("Scenario %s", sp.Name)
 }
 
-//go:embed builtin/arrivals.json builtin/mobility.json
+//go:embed builtin/cell.json builtin/arrivals.json builtin/mobility.json
 var builtinFS embed.FS
 
 // BuiltinNames lists the registered data-driven scenarios, in experiment
 // registration order.
-func BuiltinNames() []string { return []string{"arrivals", "mobility"} }
+func BuiltinNames() []string { return []string{"cell", "arrivals", "mobility"} }
 
 // Builtin returns the named registered scenario, parsed and validated,
 // plus its raw JSON document (the bytes mirrored under examples/). It

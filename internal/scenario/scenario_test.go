@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/stbc"
 )
 
 // validArrivals returns a minimal valid poisson spec tests mutate.
@@ -94,6 +96,7 @@ func TestValidateErrorTable(t *testing.T) {
 		{"missing family", func(s *Spec) { s.Topology.Family = "" }, `"topology.family"`},
 		{"no placements", func(s *Spec) { s.Topology.Placements = 0 }, `"topology.placements"`},
 		{"no aps", func(s *Spec) { s.Topology.APs = 0 }, `"topology.aps"`},
+		{"too many aps", func(s *Spec) { s.Topology.APs = 9 }, `"topology.aps"`},
 		{"no clients", func(s *Spec) { s.Topology.Clients = 0 }, `"topology.clients"`},
 		{"cells without multicell", func(s *Spec) { s.Topology.Cells = 3 }, `"topology.cells"`},
 		{"multicell without cells", func(s *Spec) {
@@ -212,6 +215,18 @@ func TestBuiltinsParseAndMirrorExamples(t *testing.T) {
 		if string(example) != string(raw) {
 			t.Errorf("examples/%s.json differs from the embedded builtin; copy one over the other", name)
 		}
+	}
+}
+
+func TestMaxAPsMatchesJointCodes(t *testing.T) {
+	// topology.aps is capped where the joint transmission codes end: every
+	// AP count a spec accepts must have a code, and the first one it
+	// rejects must not.
+	if _, err := stbc.ForSenders(maxAPs); err != nil {
+		t.Fatalf("the cap admits %d APs, but the joint codes stop short: %v", maxAPs, err)
+	}
+	if _, err := stbc.ForSenders(maxAPs + 1); err == nil {
+		t.Fatalf("the joint codes cover %d senders; raise the cap to match", maxAPs+1)
 	}
 }
 

@@ -254,7 +254,7 @@ func specDoc() SpecDoc {
 		Options: map[string]string{
 			"cells":      "cellsweep's capacity-vs-cell-count sweep",
 			"cs_ranges":  "cellsweep's carrier-sense sweep (meters)",
-			"window_sec": "fixed-time-window saturation mode",
+			"window_sec": "fixed-time-window saturation mode (cell, cellsweep, metro, backlogged scenario specs)",
 		},
 	}
 }

@@ -22,7 +22,8 @@ type Options struct {
 	Cells []int `json:"cells,omitempty"`
 	// CSRanges is cellsweep's carrier-sense sweep in meters (ssbench -cs).
 	CSRanges []float64 `json:"cs_ranges,omitempty"`
-	// WindowSec selects fixed-time-window saturation mode (ssbench -window).
+	// WindowSec selects fixed-time-window saturation mode (ssbench -window)
+	// for cell, cellsweep, metro and backlogged scenario specs.
 	WindowSec float64 `json:"window_sec,omitempty"`
 }
 

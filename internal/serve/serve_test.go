@@ -298,6 +298,33 @@ func TestRunPanicBecomesFailed(t *testing.T) {
 	}
 }
 
+func TestUnplaceableSpecFailsJobNotServer(t *testing.T) {
+	// Eight APs cannot keep a quarter floor-width apart on the cell
+	// family's floor, so placement panics inside an engine worker. The
+	// engine re-raises the panic on the job's render goroutine: the job
+	// settles failed with the testbed's message, and the daemon keeps
+	// answering.
+	_, ts := newTestServer(t, Config{MaxRunning: 1, CacheEntries: -1})
+	resp, st := postJob(t, ts, `{"experiment":"scenario","workers":4,"scenario":{"version":1,"name":"crowded",
+		"topology":{"family":"cell","placements":4,"aps":8,"clients":2},
+		"traffic":{"model":"backlogged","packets":10,"payload_bytes":1460}}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST = %d, want 202", resp.StatusCode)
+	}
+	final := awaitJob(t, ts, st.ID, false)
+	if final.State != StateFailed || !strings.Contains(final.Error, "testbed: no point") {
+		t.Fatalf("job settled %s (%q), want failed with the placement panic", final.State, final.Error)
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz after the failed job: %v", err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz after the failed job = %d", hr.StatusCode)
+	}
+}
+
 func TestOutputCacheIgnoresWorkersAndTimeout(t *testing.T) {
 	var calls int32
 	s := New(Config{MaxRunning: 1, runFn: fakeRun(nil, &calls)})
