@@ -234,7 +234,7 @@ func (s *Sim) RunWithCross(rng *rand.Rand, scheme Scheme, nPackets int, cross []
 // rate adaptation reacting to contention and interference-degraded loss —
 // otherwise every frame goes at the simulation's fixed Rate.
 func (s *Sim) crossFlow(cf CrossFlow) *netsim.Flow {
-	link := s.Topo.Links[cf.From][cf.To]
+	links := s.Topo.Links[cf.From][cf.To : cf.To+1]
 	remaining := cf.Packets
 	f := &netsim.Flow{
 		Name:  "cross",
@@ -242,7 +242,7 @@ func (s *Sim) crossFlow(cf CrossFlow) *netsim.Flow {
 		Radio: &netsim.Radio{
 			TxPos: s.Topo.Positions[cf.From],
 			RxPos: s.Topo.Positions[cf.To],
-			SNRdB: link.SNRdB,
+			SNRdB: links[0].SNRdB,
 		},
 		HasTraffic: func() bool { return remaining > 0 },
 		Done:       func(_ int, _ bool, _ float64) { remaining-- },
@@ -251,7 +251,7 @@ func (s *Sim) crossFlow(cf CrossFlow) *netsim.Flow {
 		ft := s.Mac.FrameDuration(s.Rate, s.Payload)
 		f.FrameTime = func(int) float64 { return ft }
 		f.Deliver = func(rng *rand.Rand, _ int, ix netsim.Interference) bool {
-			return netsim.LinkDeliverScaled(rng, link, s.Rate, s.Payload, ix.SNRScale)
+			return netsim.DrawDelivery(rng, links, s.Rate, s.Payload, ix.SNRScale)
 		}
 		return f
 	}
@@ -267,7 +267,7 @@ func (s *Sim) crossFlow(cf CrossFlow) *netsim.Flow {
 	}
 	f.FrameTime = func(i int) float64 { return ft[i] }
 	f.Deliver = func(rng *rand.Rand, i int, ix netsim.Interference) bool {
-		return netsim.LinkDeliverScaled(rng, link, sr.Rate(i), s.Payload, ix.SNRScale)
+		return netsim.DrawDelivery(rng, links, sr.Rate(i), s.Payload, ix.SNRScale)
 	}
 	f.Done = func(i int, delivered bool, air float64) {
 		remaining--

@@ -175,10 +175,10 @@ func (c Cell) RunBestSingleAP(rng *rand.Rand) CellResult {
 	ft := frameTimes(c.Mac, c.PayloadBytes, false, 0, 0)
 	return c.run(rng, func(client int) clientPlan {
 		best := c.bestAP(client)
-		link := c.Links[client][best]
+		links := c.Links[client][best : best+1]
 		return clientPlan{
 			attempt: func(rng *rand.Rand, idx int, sr *samplerate.SampleRate, ix netsim.Interference) bool {
-				return netsim.LinkDeliverScaled(rng, link, sr.Rate(idx), c.PayloadBytes, ix.SNRScale)
+				return netsim.DrawDelivery(rng, links, sr.Rate(idx), c.PayloadBytes, ix.SNRScale)
 			},
 			ft:    ft,
 			radio: c.radioFor(client, best),
@@ -207,7 +207,7 @@ func (c Cell) RunJoint(rng *rand.Rand) CellResult {
 		}
 		return clientPlan{
 			attempt: func(rng *rand.Rand, idx int, sr *samplerate.SampleRate, ix netsim.Interference) bool {
-				return netsim.JointLinkDeliverScaled(rng, links, sr.Rate(idx), c.PayloadBytes, ix.SNRScale)
+				return netsim.DrawDelivery(rng, links, sr.Rate(idx), c.PayloadBytes, ix.SNRScale)
 			},
 			ft:    ft,
 			radio: c.radioFor(client, c.bestAP(client)),

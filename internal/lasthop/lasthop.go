@@ -15,8 +15,7 @@
 //     span several cells of a building, and downlinks out of carrier-sense
 //     range of each other reuse the medium concurrently — the geometry the
 //     cellsweep experiment sweeps. A nil model means no interference is
-//     modeled; callers wanting the binary capture gate pass
-//     netsim.LegacyThreshold.
+//     modeled.
 package lasthop
 
 import (
@@ -65,11 +64,11 @@ func frameTimes(m mac.Params, payload int, joint bool, numCo, dataCP int) []floa
 
 // RunSingleAP simulates the downlink using only the AP at index ap.
 func (c Config) RunSingleAP(rng *rand.Rand, ap int) Result {
-	link := c.APLinks[ap]
+	links := c.APLinks[ap : ap+1]
 	ft := frameTimes(c.Mac, c.PayloadBytes, false, 0, 0)
 	sr := samplerate.New(ft)
 	return c.run(rng, sr, ft, func(rng *rand.Rand, rate modem.Rate) bool {
-		return netsim.LinkDeliver(rng, link, rate, c.PayloadBytes)
+		return netsim.DrawDelivery(rng, links, rate, c.PayloadBytes, 1)
 	})
 }
 
@@ -96,7 +95,7 @@ func (c Config) RunJoint(rng *rand.Rand) Result {
 	ft := frameTimes(c.Mac, c.PayloadBytes, true, numCo, dataCP)
 	sr := samplerate.New(ft)
 	return c.run(rng, sr, ft, func(rng *rand.Rand, rate modem.Rate) bool {
-		return netsim.JointLinkDeliver(rng, c.APLinks, rate, c.PayloadBytes)
+		return netsim.DrawDelivery(rng, c.APLinks, rate, c.PayloadBytes, 1)
 	})
 }
 

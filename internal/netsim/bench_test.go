@@ -110,37 +110,33 @@ func BenchmarkInterferenceRateAware(b *testing.B) {
 }
 
 // BenchmarkLinkDeliver and BenchmarkJointLinkDeliver time one delivery
-// draw — a fresh multipath realization per sender, the per-subcarrier SNR
-// combine, and the PER lookup — the cost every rate-aware settle and every
+// draw (DrawDelivery) with one link and with two — a fresh multipath
+// realization per sender, the per-subcarrier SNR combine, and the
+// certified PER verdict — the cost every rate-aware settle and every
 // lasthop/exor packet pays. Links are NLOS (Rayleigh) on the 802.11
-// profile; the joint draw is a two-sender SourceSync group. Both report
+// profile; the joint draw is a two-sender SourceSync group. One warm-up
+// draw before the timed loop builds permodel's certificate tables, so a
+// single-iteration run times a draw, not that one-time build. Both report
 // allocs/op: CI requires the joint draw's, and
 // TestDeliveryDrawsAllocateNothing holds both at 0.
 func BenchmarkLinkDeliver(b *testing.B) {
-	cfg := modem.Profile80211()
-	link := testbed.Default(cfg).LinkAtSNR(15, 20)
-	rate := modem.StandardRates()[4]
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	delivered := 0
-	for b.Loop() {
-		if LinkDeliverScaled(rng, link, rate, 1460, 0.8) {
-			delivered++
-		}
-	}
-	deliverSink = delivered
+	env := testbed.Default(modem.Profile80211())
+	benchDelivery(b, []testbed.Link{env.LinkAtSNR(15, 20)})
 }
 
 func BenchmarkJointLinkDeliver(b *testing.B) {
-	cfg := modem.Profile80211()
-	env := testbed.Default(cfg)
-	links := []testbed.Link{env.LinkAtSNR(15, 20), env.LinkAtSNR(12, 25)}
+	env := testbed.Default(modem.Profile80211())
+	benchDelivery(b, []testbed.Link{env.LinkAtSNR(15, 20), env.LinkAtSNR(12, 25)})
+}
+
+func benchDelivery(b *testing.B, links []testbed.Link) {
 	rate := modem.StandardRates()[4]
 	rng := rand.New(rand.NewSource(1))
+	DrawDelivery(rng, links, rate, 1460, 0.8)
 	b.ReportAllocs()
 	delivered := 0
 	for b.Loop() {
-		if JointLinkDeliverScaled(rng, links, rate, 1460, 0.8) {
+		if DrawDelivery(rng, links, rate, 1460, 0.8) {
 			delivered++
 		}
 	}

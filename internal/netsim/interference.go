@@ -66,30 +66,6 @@ type InterferenceModel interface {
 	Settle(rx Reception) Verdict
 }
 
-// LegacyThreshold is the historical binary gate: one SINR threshold, in
-// dB, for both capture within collisions and decode against
-// hidden-terminal interference, independent of the frame's rate. A frame
-// whose SINR clears the threshold decodes with its normal, undegraded
-// delivery draw; below it the frame is destroyed. A Sim runs it only when
-// Sim.Model is set to it explicitly; a nil Model models no interference.
-type LegacyThreshold struct {
-	// CaptureDB is the SINR threshold in dB.
-	CaptureDB float64
-}
-
-// Name implements InterferenceModel.
-func (m LegacyThreshold) Name() string { return "legacy-threshold" }
-
-// Settle implements InterferenceModel: survive iff the SINR clears the
-// single threshold; never degrade the draw.
-func (m LegacyThreshold) Settle(rx Reception) Verdict {
-	return Verdict{
-		Survives: rx.SINRdB >= m.CaptureDB,
-		SNRScale: 1,
-		MarginDB: rx.SINRdB - m.CaptureDB,
-	}
-}
-
 // RateAware prices partial overlap per rate: a frame is corrupted outright
 // only when its effective SINR falls below its *own rate's* decode
 // threshold (robust rates ride out interference that destroys fast ones),

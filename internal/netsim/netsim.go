@@ -59,15 +59,14 @@
 //     pluggable InterferenceModel (Sim.Model). In-range overlaps are
 //     colliders: a collision destroys every frame in the group unless the
 //     model rules the frame captured (its effective SINR clears the
-//     model's decode threshold — one fixed threshold for LegacyThreshold,
-//     the frame's own rate's decode floor for RateAware). Out-of-range
-//     overlaps are hidden terminals: a frame the model corrupts is lost
-//     even though its own neighborhood was clean, and a frame that
-//     survives carries the model's delivery-draw degradation (RateAware
-//     scales the draw's subcarrier SNRs down to the effective SNR;
-//     LegacyThreshold never degrades). Interference is additive only
-//     while air intervals actually coincide — successive far-cell frames
-//     are not a doubled interferer. With no model configured (Model nil),
+//     model's decode threshold — for RateAware, the frame's own rate's
+//     decode floor). Out-of-range overlaps are hidden terminals: a frame
+//     the model corrupts is lost even though its own neighborhood was
+//     clean, and a frame that survives carries the model's delivery-draw
+//     degradation (RateAware scales the draw's subcarrier SNRs down to the
+//     effective SNR). Interference is additive only while air intervals
+//     actually coincide — successive far-cell frames are not a doubled
+//     interferer. With no model configured (Model nil),
 //     hidden terminals are not modeled and frames fail only by collision
 //     or by their own delivery draw.
 //  4. A transmission occupies its neighborhood for DIFS + backoff + frame
@@ -147,8 +146,8 @@ type Flow struct {
 	// Deliver draws one reception attempt at rate index r. ix carries the
 	// interference context of the attempt: a scenario prices partial
 	// overlap by scaling its per-subcarrier SNR draws by ix.SNRScale
-	// (LinkDeliverScaled / JointLinkDeliverScaled); ignoring ix reproduces
-	// the historical threshold-only behavior.
+	// (DrawDelivery's snrScale); ignoring ix reproduces the historical
+	// threshold-only behavior.
 	Deliver func(rng *rand.Rand, r int, ix Interference) bool
 	// Done is called when the head-of-line frame completes — delivered, or
 	// dropped after the retry limit (acked flows) or its single attempt
@@ -274,8 +273,7 @@ type Sim struct {
 	// interfered frames (capture within collisions, decode against hidden
 	// terminals, delivery-draw degradation). It requires Env and per-flow
 	// Radio info. Nil means no interference model: every collision
-	// destroys all frames and hidden terminals never interfere. A caller
-	// that wants the historical binary gate sets LegacyThreshold.
+	// destroys all frames and hidden terminals never interfere.
 	Model InterferenceModel
 	// Env supplies the median path loss used to price interference
 	// (deterministic — the interference model consumes no randomness).
@@ -528,7 +526,7 @@ type interferer struct {
 // simultaneous transmissions its decode nevertheless survived.
 type Interference struct {
 	// SNRScale is the linear factor (<= 1) to apply to the serving link's
-	// per-subcarrier SNRs; 1 for a clean (or legacy-model) reception.
+	// per-subcarrier SNRs; 1 for a clean (or undegraded) reception.
 	SNRScale float64
 	// SINRdB is the frame's effective SNR in dB; +Inf when nothing
 	// overlapped the frame in the air.

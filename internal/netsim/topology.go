@@ -47,21 +47,27 @@ func (t *Topology) N() int { return len(t.Positions) }
 
 // Deliver draws one reception of a single-sender transmission i -> j.
 func (t *Topology) Deliver(rng *rand.Rand, i, j int, rate modem.Rate, payload int) bool {
-	return LinkDeliver(rng, t.Links[i][j], rate, payload)
+	return DrawDelivery(rng, t.Links[i][j:j+1], rate, payload, 1)
 }
+
+// maxJointSenders is how many senders DeliverJoint gathers on its stack:
+// SourceSync's space-time codes cover at most 8 (stbc.ForSenders). Larger
+// groups still work, through a heap slice.
+const maxJointSenders = 8
 
 // DeliverJoint draws one reception at node `to` of a joint transmission by
 // the sender group: the receiver sees the summed per-subcarrier SNR of all
 // senders (power + frequency diversity, §5).
 func (t *Topology) DeliverJoint(rng *rand.Rand, senders []int, to int, rate modem.Rate, payload int) bool {
-	if len(senders) == 1 {
-		return t.Deliver(rng, senders[0], to, rate, payload)
+	var buf [maxJointSenders]testbed.Link
+	links := buf[:0]
+	if len(senders) > len(buf) {
+		links = make([]testbed.Link, 0, len(senders))
 	}
-	links := make([]testbed.Link, len(senders))
-	for i, u := range senders {
-		links[i] = t.Links[u][to]
+	for _, u := range senders {
+		links = append(links, t.Links[u][to])
 	}
-	return JointLinkDeliver(rng, links, rate, payload)
+	return DrawDelivery(rng, links, rate, payload, 1)
 }
 
 // DeliveryProb estimates the delivery probability of link i->j at the given
@@ -80,61 +86,36 @@ func (t *Topology) DeliveryProb(rng *rand.Rand, i, j int, rate modem.Rate, paylo
 	return float64(ok) / float64(probes)
 }
 
-// LinkDeliver draws one reception over a single link at the given rate.
-func LinkDeliver(rng *rand.Rand, link testbed.Link, rate modem.Rate, payload int) bool {
-	return LinkDeliverScaled(rng, link, rate, payload, 1)
-}
-
 // maxStackBins is how many data subcarriers a delivery draw keeps on its
 // stack; it covers both shipped profiles (48 and 16 data bins, NFFT <=
 // 128). Larger configurations still work, through a heap slice.
 const maxStackBins = 128
 
-// LinkDeliverScaled draws one reception over a single link with the
-// per-subcarrier SNRs scaled by snrScale — the effective-SNR degradation
-// an interference model charges a partially overlapped frame
-// (Interference.SNRScale). A scale of 1 is exactly LinkDeliver: the same
-// randomness is consumed either way, so degrading a draw never perturbs
-// the deterministic stream.
-func LinkDeliverScaled(rng *rand.Rand, link testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	var buf [maxStackBins]float64
-	bins := link.AppendSubcarrierSNRs(buf[:0], rng)
-	scaleBins(bins, snrScale)
-	per := permodel.PER(rate, payload, bins)
-	return rng.Float64() >= per
-}
-
-// JointLinkDeliver draws one reception of a joint transmission arriving
-// over several links at once (one per sender in the group).
-func JointLinkDeliver(rng *rand.Rand, links []testbed.Link, rate modem.Rate, payload int) bool {
-	return JointLinkDeliverScaled(rng, links, rate, payload, 1)
-}
-
-// JointLinkDeliverScaled is JointLinkDeliver with the post-combiner
-// per-subcarrier SNRs scaled by snrScale (interference degrades the summed
-// signal and the individual ones identically — the interferer is additive
-// noise at the one receiver).
+// DrawDelivery draws one reception of a transmission arriving over the
+// given links at once, one per sender: a single link is a one-sender
+// draw, and no links never deliver. Each sender gets a fresh multipath
+// realization; the receiver sees the per-subcarrier sum of the senders'
+// SNRs (SourceSync's joint transmission) scaled by snrScale, the
+// effective-SNR degradation an interference model charges a partially
+// overlapped frame (Interference.SNRScale; 1 means undegraded). One
+// uniform u then decides it: delivered iff u >= PER (permodel.Delivered).
 //
-// Each sender's SNRs are added into the joint sum as soon as they are
-// drawn (permodel.AccumulateSNR, in permodel.JointSNR's order), so the
-// draw keeps one sender's bins and the sum, both on the stack.
-func JointLinkDeliverScaled(rng *rand.Rand, links []testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
+// The first sender is drawn straight into the sum, which equals adding it
+// to zero; each later sender is added right after its draw, so only one
+// sender's bins and the sum are kept, both on the stack. The RNG is
+// consumed by the senders' realizations in turn, then u.
+func DrawDelivery(rng *rand.Rand, links []testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
 	var sumBuf, drawBuf [maxStackBins]float64
 	var bins []float64
 	for i, l := range links {
-		sender := l.AppendSubcarrierSNRs(drawBuf[:0], rng)
 		if i == 0 {
-			// A zeroed sum as long as the first sender's draw.
-			if len(sender) <= len(sumBuf) {
-				bins = sumBuf[:len(sender)]
-			} else {
-				bins = make([]float64, len(sender))
-			}
+			bins = l.AppendSubcarrierSNRs(sumBuf[:0], rng)
+			continue
 		}
-		permodel.AccumulateSNR(bins, sender)
+		permodel.AccumulateSNR(bins, l.AppendSubcarrierSNRs(drawBuf[:0], rng))
 	}
 	scaleBins(bins, snrScale)
-	return rng.Float64() >= permodel.PER(rate, payload, bins)
+	return permodel.Delivered(rate, payload, bins, rng.Float64())
 }
 
 // scaleBins multiplies every bin by scale, skipping the multiply at the

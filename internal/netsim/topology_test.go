@@ -6,36 +6,71 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/channel"
+	"repro/internal/dsp"
 	"repro/internal/modem"
 	"repro/internal/permodel"
 	"repro/internal/testbed"
 )
 
-// The delivery draws must stay the composition they replaced: a freshly
+// The delivery draw must stay the composition it replaced: a freshly
 // allocated multipath channel and frequency response per sender, the
-// senders combined by permodel.JointSNR, the sum scaled (scaleBins), then
-// PER. The helpers below are that composition, kept only as the
-// reference.
+// senders' SNRs summed from zero, the sum scaled (scaleBins), then one
+// uniform against the exact PER. The helpers below are that composition,
+// kept only as the reference.
 
-// refSNRs is one sender's per-data-bin SNRs, the way they were drawn.
-func refSNRs(rng *rand.Rand, cfg *modem.Config, link testbed.Link) []float64 {
-	return permodel.SubcarrierSNRs(cfg, link.DrawChannel(rng).FreqResponse(cfg.NFFT), link.SNRdB)
-}
-
-func refLinkDeliverScaled(rng *rand.Rand, cfg *modem.Config, link testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	bins := refSNRs(rng, cfg, link)
-	scaleBins(bins, snrScale)
-	return rng.Float64() >= permodel.PER(rate, payload, bins)
-}
-
-func refJointLinkDeliverScaled(rng *rand.Rand, cfg *modem.Config, links []testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	per := make([][]float64, len(links))
-	for i, l := range links {
-		per[i] = refSNRs(rng, cfg, l)
+// refChannel samples a fresh multipath realization for a link: the
+// environment's delay spread, and its K-factor on line-of-sight links
+// (Rayleigh otherwise).
+func refChannel(rng *rand.Rand, env *testbed.Testbed, link testbed.Link) *channel.Multipath {
+	k := 0.0
+	if link.LOS {
+		k = env.KFactorDB
 	}
-	bins := permodel.JointSNR(per)
+	return channel.NewIndoor(rng, env.Cfg.SampleRateHz, env.DelaySpreadNs, k)
+}
+
+// refSNRs is one sender's per-data-bin SNRs, the way they were drawn: the
+// link's average SNR shaped by the realization's frequency response.
+func refSNRs(rng *rand.Rand, env *testbed.Testbed, link testbed.Link) []float64 {
+	cfg := env.Cfg
+	h := refChannel(rng, env, link).FreqResponse(cfg.NFFT)
+	lin := dsp.FromDB(link.SNRdB)
+	var out []float64
+	for _, k := range cfg.DataBins() {
+		v := h[cfg.Bin(k)]
+		out = append(out, lin*(real(v)*real(v)+imag(v)*imag(v)))
+	}
+	return out
+}
+
+func refDeliver(rng *rand.Rand, env *testbed.Testbed, links []testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
+	var bins []float64
+	for i, l := range links {
+		sender := refSNRs(rng, env, l)
+		if i == 0 {
+			bins = make([]float64, len(sender))
+		}
+		for j, v := range sender {
+			bins[j] += v
+		}
+	}
 	scaleBins(bins, snrScale)
 	return rng.Float64() >= permodel.PER(rate, payload, bins)
+}
+
+// receiverTopology is a topology whose last node hears every link: node i
+// reaches node len(links) over links[i].
+func receiverTopology(links []testbed.Link) *Topology {
+	n := len(links) + 1
+	t := &Topology{Links: make([][]testbed.Link, n)}
+	for i := range t.Links {
+		t.Links[i] = make([]testbed.Link, n)
+	}
+	for i, l := range links {
+		t.Links[i][n-1] = l
+	}
+	return t
 }
 
 // drawLinks places n links with average SNRs across the PER waterfall,
@@ -60,7 +95,7 @@ func TestSubcarrierSNRsMatchReference(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			link := drawLinks(setup, env, 1)[0]
 			got := link.AppendSubcarrierSNRs(nil, fast)
-			want := refSNRs(ref, cfg, link)
+			want := refSNRs(ref, env, link)
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d bins, reference %d", cfg.Name, len(got), len(want))
 			}
@@ -85,25 +120,36 @@ func TestDeliveryDrawsMatchReference(t *testing.T) {
 				name := fmt.Sprintf("%s/scale=%g/senders=%d", cfg.Name, scale, senders)
 				setup := rand.New(rand.NewSource(int64(senders) + 1))
 				fast, ref := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+				group := make([]int, senders)
+				for i := range group {
+					group[i] = i
+				}
 				delivered := 0
 				for i := 0; i < 400; i++ {
 					links := drawLinks(setup, env, senders)
 					rate := rates[setup.Intn(len(rates))]
 					payload := []int{40, 1460}[setup.Intn(2)]
-					got := JointLinkDeliverScaled(fast, links, rate, payload, scale)
-					want := refJointLinkDeliverScaled(ref, cfg, links, rate, payload, scale)
+					got := DrawDelivery(fast, links, rate, payload, scale)
+					want := refDeliver(ref, env, links, rate, payload, scale)
 					if got != want {
-						t.Fatalf("%s draw %d: joint verdict %v, reference %v", name, i, got, want)
-					}
-					if senders == 1 {
-						got = LinkDeliverScaled(fast, links[0], rate, payload, scale)
-						want = refLinkDeliverScaled(ref, cfg, links[0], rate, payload, scale)
-						if got != want {
-							t.Fatalf("%s draw %d: single verdict %v, reference %v", name, i, got, want)
-						}
+						t.Fatalf("%s draw %d: verdict %v, reference %v", name, i, got, want)
 					}
 					if got {
 						delivered++
+					}
+					// The topology's draws are the same draw, undegraded.
+					topo := receiverTopology(links)
+					got = topo.DeliverJoint(fast, group, senders, rate, payload)
+					want = refDeliver(ref, env, links, rate, payload, 1)
+					if got != want {
+						t.Fatalf("%s draw %d: DeliverJoint verdict %v, reference %v", name, i, got, want)
+					}
+					if senders == 1 {
+						got = topo.Deliver(fast, 0, 1, rate, payload)
+						want = refDeliver(ref, env, links, rate, payload, 1)
+						if got != want {
+							t.Fatalf("%s draw %d: Deliver verdict %v, reference %v", name, i, got, want)
+						}
 					}
 					if a, b := fast.Int63(), ref.Int63(); a != b {
 						t.Fatalf("%s draw %d: RNG positions diverged", name, i)
@@ -125,11 +171,20 @@ func TestDeliveryDrawsAllocateNothing(t *testing.T) {
 	links := []testbed.Link{env.LinkAtSNR(15, 3), env.LinkAtSNR(12, 20)}
 	rate := modem.StandardRates()[4]
 	for _, scale := range []float64{1, 0.3} {
-		if n := testing.AllocsPerRun(200, func() { LinkDeliverScaled(rng, links[1], rate, 1460, scale) }); n != 0 {
-			t.Errorf("LinkDeliverScaled (scale %g): %v allocs per draw, want 0", scale, n)
+		if n := testing.AllocsPerRun(200, func() { DrawDelivery(rng, links[1:], rate, 1460, scale) }); n != 0 {
+			t.Errorf("DrawDelivery, one link (scale %g): %v allocs per draw, want 0", scale, n)
 		}
-		if n := testing.AllocsPerRun(200, func() { JointLinkDeliverScaled(rng, links, rate, 1460, scale) }); n != 0 {
-			t.Errorf("JointLinkDeliverScaled (scale %g): %v allocs per draw, want 0", scale, n)
+		if n := testing.AllocsPerRun(200, func() { DrawDelivery(rng, links, rate, 1460, scale) }); n != 0 {
+			t.Errorf("DrawDelivery, two links (scale %g): %v allocs per draw, want 0", scale, n)
+		}
+	}
+	topo := receiverTopology(links)
+	if n := testing.AllocsPerRun(200, func() { topo.Deliver(rng, 1, 2, rate, 1460) }); n != 0 {
+		t.Errorf("Topology.Deliver: %v allocs per draw, want 0", n)
+	}
+	for _, group := range [][]int{{0}, {0, 1}} {
+		if n := testing.AllocsPerRun(200, func() { topo.DeliverJoint(rng, group, 2, rate, 1460) }); n != 0 {
+			t.Errorf("Topology.DeliverJoint, %d senders: %v allocs per draw, want 0", len(group), n)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestJointModelMatchesWaveformPHY(t *testing.T) {
 		for i := range bins {
 			bins[i] = lin
 		}
-		return PER(rate, payload, JointSNR([][]float64{bins, bins}))
+		return PER(rate, payload, jointSNR([][]float64{bins, bins}))
 	}
 	lo, hi := -5.0, 30.0
 	for i := 0; i < 40; i++ {
@@ -121,7 +121,7 @@ func TestJointModelPowerGainConsistent(t *testing.T) {
 			for j := range bins {
 				bins[j] = lin
 			}
-			if PER(rate, 200, JointSNR([][]float64{bins, bins})) > 0.5 {
+			if PER(rate, 200, jointSNR([][]float64{bins, bins})) > 0.5 {
 				lo = mid
 			} else {
 				hi = mid

@@ -6,6 +6,15 @@
 // hard-decision demapping, driven by per-subcarrier SNRs. The model is
 // validated against the in-repo waveform PHY (see tests and the calibration
 // bench), which is the honest link back to first principles.
+//
+// A simulated packet needs only the bit u >= PER for its uniform u.
+// Delivered returns exactly that bit, but decides most draws from a
+// bracket on PER read from per-modulation BER and per-code-rate coded-BER
+// tables, running the exact PER (48 Erfc calls and the union bound) only
+// when u falls inside the bracket. PER stays the reference and the
+// fallback. The only package-level state is read-only: the binomial
+// table built at init, and the bracket's tables, built once on the first
+// Delivered call.
 package permodel
 
 import (
@@ -167,40 +176,13 @@ func FlatPER(cfg *modem.Config, rate modem.Rate, payloadBytes int, snrDB float64
 	return PER(rate, payloadBytes, bins)
 }
 
-// JointSNR combines per-subcarrier SNRs of concurrent synchronized senders:
-// with orthogonal space-time combining the post-combiner SNR per bin is the
-// sum of the senders' individual SNRs (power gain + diversity; paper §8.2).
-// netsim's delivery draws apply the same sum one sender at a time through
-// AccumulateSNR.
-func JointSNR(perSender [][]float64) []float64 {
-	if len(perSender) == 0 {
-		return nil
-	}
-	out := make([]float64, len(perSender[0]))
-	for _, s := range perSender {
-		AccumulateSNR(out, s)
-	}
-	return out
-}
-
-// AccumulateSNR adds one sender's per-subcarrier SNRs into a joint sum
-// that starts at zero: JointSNR one sender at a time, for callers that
-// draw senders in turn and keep no per-sender slices.
+// AccumulateSNR adds one sender's per-subcarrier SNRs into a joint sum.
+// With orthogonal space-time combining the post-combiner SNR per bin is
+// the sum of the concurrent synchronized senders' individual SNRs (power
+// gain + diversity; paper §8.2), so a joint delivery draw adds each sender
+// in turn and keeps no per-sender slices.
 func AccumulateSNR(sum, sender []float64) {
 	for i, v := range sender {
 		sum[i] += v
 	}
-}
-
-// SubcarrierSNRs draws the per-data-bin linear SNRs of one link realization:
-// the link's average SNR shaped by a multipath frequency response.
-func SubcarrierSNRs(cfg *modem.Config, freqResp []complex128, avgSNRdB float64) []float64 {
-	lin := dsp.FromDB(avgSNRdB)
-	bins := cfg.DataBins()
-	out := make([]float64, len(bins))
-	for i, k := range bins {
-		h := freqResp[cfg.Bin(k)]
-		out[i] = lin * (real(h)*real(h) + imag(h)*imag(h))
-	}
-	return out
 }

@@ -255,10 +255,39 @@ func TestRateThresholdsOrdered(t *testing.T) {
 	}
 }
 
+// jointSNR combines per-subcarrier SNRs of concurrent synchronized
+// senders the way the delivery draws do: starting from zero, each sender
+// added in turn by AccumulateSNR. The tests use it as the reference
+// composition of a joint draw.
+func jointSNR(perSender [][]float64) []float64 {
+	if len(perSender) == 0 {
+		return nil
+	}
+	out := make([]float64, len(perSender[0]))
+	for _, s := range perSender {
+		AccumulateSNR(out, s)
+	}
+	return out
+}
+
+// subcarrierSNRs is the per-data-bin linear SNRs of one link realization:
+// the link's average SNR shaped by a multipath frequency response, the
+// way testbed.Link.AppendSubcarrierSNRs draws them.
+func subcarrierSNRs(cfg *modem.Config, freqResp []complex128, avgSNRdB float64) []float64 {
+	lin := dsp.FromDB(avgSNRdB)
+	bins := cfg.DataBins()
+	out := make([]float64, len(bins))
+	for i, k := range bins {
+		h := freqResp[cfg.Bin(k)]
+		out[i] = lin * (real(h)*real(h) + imag(h)*imag(h))
+	}
+	return out
+}
+
 func TestJointSNRSumsPower(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	got := JointSNR([][]float64{a, b})
+	got := jointSNR([][]float64{a, b})
 	want := []float64{5, 7, 9}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -278,10 +307,10 @@ func TestJointPERBeatsSinglePER(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		h1 := channel.NewIndoor(rng, cfg.SampleRateHz, 60, 0).FreqResponse(cfg.NFFT)
 		h2 := channel.NewIndoor(rng, cfg.SampleRateHz, 60, 0).FreqResponse(cfg.NFFT)
-		s1 := SubcarrierSNRs(cfg, h1, 8)
-		s2 := SubcarrierSNRs(cfg, h2, 8)
+		s1 := subcarrierSNRs(cfg, h1, 8)
+		s2 := subcarrierSNRs(cfg, h2, 8)
 		single += PER(rate, 1000, s1) / draws
-		joint += PER(rate, 1000, JointSNR([][]float64{s1, s2})) / draws
+		joint += PER(rate, 1000, jointSNR([][]float64{s1, s2})) / draws
 	}
 	if joint >= single {
 		t.Fatalf("joint PER %g not better than single %g", joint, single)
@@ -291,7 +320,7 @@ func TestJointPERBeatsSinglePER(t *testing.T) {
 func TestSubcarrierSNRsShapedByChannel(t *testing.T) {
 	cfg := modem.Profile80211()
 	flat := channel.Flat().FreqResponse(cfg.NFFT)
-	s := SubcarrierSNRs(cfg, flat, 10)
+	s := subcarrierSNRs(cfg, flat, 10)
 	for _, v := range s {
 		if math.Abs(v-10) > 1e-9 {
 			t.Fatalf("flat channel SNR %g, want 10 linear", v)

@@ -128,12 +128,6 @@ func (t *Testbed) LinkAtSNR(snrDB, distM float64) Link {
 	return Link{SNRdB: snrDB, DistM: distM, LOS: distM <= t.LOSThresholdM, parent: t}
 }
 
-// DrawChannel samples a fresh multipath realization for this link.
-// AppendSubcarrierSNRs draws the same realization without allocating.
-func (l Link) DrawChannel(rng *rand.Rand) *channel.Multipath {
-	return channel.NewIndoor(rng, l.parent.Cfg.SampleRateHz, l.parent.DelaySpreadNs, l.kFactorDB())
-}
-
 // kFactorDB is the Rician K-factor of this link's multipath: the
 // environment's for line-of-sight links, 0 (Rayleigh) otherwise.
 func (l Link) kFactorDB() float64 {
@@ -150,8 +144,10 @@ const maxStackNFFT = 128
 // AppendSubcarrierSNRs samples the per-data-subcarrier linear SNRs of one
 // packet on this link (block fading: fresh multipath per packet), appends
 // them to dst in data-bin order, and returns the extended slice. The draw
-// is DrawChannel(rng).FreqResponse(NFFT) shaped by the link's average SNR,
-// bit for bit, but allocates nothing when dst has room.
+// is the frequency response of channel.NewIndoor's realization at the
+// environment's delay spread and the link's K-factor, shaped by the
+// link's average SNR, bit for bit, but allocates nothing when dst has
+// room.
 func (l Link) AppendSubcarrierSNRs(dst []float64, rng *rand.Rand) []float64 {
 	cfg := l.parent.Cfg
 	var buf [maxStackNFFT]complex128
