@@ -12,10 +12,10 @@ import (
 	"repro/internal/sls"
 )
 
-// Every trial-based runner in this file takes a workers argument with the
-// engine's convention: 0 uses one worker per CPU, 1 runs serially. Outputs
-// are identical at every worker count. RunOverheadTable is closed-form and
-// has no trials to parallelize.
+// Every trial-based runner in this file takes the run context (seed,
+// workers, monitor) first, like every other experiment runner. Outputs are
+// identical at every worker count. RunOverheadTable is closed-form and has
+// no trials to parallelize.
 
 // ------------------------------------------------------- §4.4 overhead
 
@@ -62,14 +62,13 @@ type DetDelayPoint struct {
 
 // RunDetDelay measures the coarse packet-detection delay (detector firing
 // instant minus true first sample) across SNRs on the WiGLAN profile.
-func RunDetDelay(seed int64, snrs []float64, trials, workers int) []DetDelayPoint {
+func RunDetDelay(ec engine.Config, snrs []float64, trials int) []DetDelayPoint {
 	cfg := ProfileWiGLAN()
 	p := modem.FrameParams{
 		Cfg: cfg, Rate: modem.Rate{Mod: modem.BPSK, Code: modem.Rate12},
 		CP: cfg.CPLen, PayloadLen: 20, ScramblerSeed: 0x5d,
 	}
 	nsPerSample := 1e9 / cfg.SampleRateHz
-	ec := engine.Config{Seed: seed, Workers: workers}
 
 	type detTrial struct {
 		delayNs float64
@@ -130,9 +129,8 @@ type SlopeWindowResult struct {
 // narrower than the coherence bandwidth (§4.2a): over heavier multipath the
 // windowed estimator's error on delay differences stays lower than the
 // whole-band fit, which suffers unwrap errors across deep fades.
-func RunAblationSlopeWindow(seed int64, draws, workers int) SlopeWindowResult {
+func RunAblationSlopeWindow(ec engine.Config, draws int) SlopeWindowResult {
 	cfg := ProfileWiGLAN()
-	ec := engine.Config{Seed: seed, Workers: workers}
 	type sqErr struct{ w, b float64 }
 	rows := engine.Map(ec, 0, draws, func(i int, rng *rand.Rand) sqErr {
 		m := channel.NewIndoor(rng, cfg.SampleRateHz, 60, 0) // heavy NLOS multipath
@@ -190,12 +188,11 @@ type NaiveCombiningResult struct {
 // trial streams, so each phase point compares STBC against naive on the
 // identical channel realization and payload — the comparison isolates the
 // combining scheme, not the fading luck.
-func RunAblationNaiveCombining(seed int64, frames, workers int) NaiveCombiningResult {
+func RunAblationNaiveCombining(ec engine.Config, frames int) NaiveCombiningResult {
 	cfg := ProfileWiGLAN()
 	res := NaiveCombiningResult{Frames: frames}
 	res.STBCWorstSNRdB = math.Inf(1)
 	res.NaiveWorstSNRdB = math.Inf(1)
-	ec := engine.Config{Seed: seed, Workers: workers}
 
 	type frameRes struct {
 		snrDB  float64
@@ -203,7 +200,7 @@ func RunAblationNaiveCombining(seed int64, frames, workers int) NaiveCombiningRe
 		failed bool
 	}
 	grid := engine.Grid(ec, frames, 2, func(f, mode int, _ *rand.Rand) frameRes {
-		rng := engine.PointRNG(seed, f)
+		rng := engine.PointRNG(ec.Seed, f)
 		sim := fig13Sim(rng, cfg, cfg.CPLen, 25, false)
 		if mode == 1 {
 			sim.P.Combining = phy.CombineNaive
@@ -257,10 +254,9 @@ type PilotSharingResult struct {
 // RunAblationPilotSharing measures decoding quality with and without the
 // paper's shared-pilot per-sender phase tracking when the two senders carry
 // different residual frequency offsets.
-func RunAblationPilotSharing(seed int64, frames, workers int) PilotSharingResult {
+func RunAblationPilotSharing(ec engine.Config, frames int) PilotSharingResult {
 	cfg := ProfileWiGLAN()
 	res := PilotSharingResult{Frames: frames}
-	ec := engine.Config{Seed: seed, Workers: workers}
 
 	type frameRes struct {
 		sharedEVM, naiveEVM float64
@@ -325,9 +321,8 @@ type MultiRxLPResult struct {
 // RunAblationMultiRxLP quantifies §4.6: with several receivers, choosing
 // wait times via the min-max LP lowers the worst-case misalignment (and
 // hence the CP increase) relative to aligning at a single receiver.
-func RunAblationMultiRxLP(seed int64, configs, receivers, workers int) MultiRxLPResult {
+func RunAblationMultiRxLP(ec engine.Config, configs, receivers int) MultiRxLPResult {
 	res := MultiRxLPResult{Configurations: configs, ReceiversPerConf: receivers}
-	ec := engine.Config{Seed: seed, Workers: workers}
 
 	type cfgRes struct {
 		lpMax, worst float64

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/dsp"
+	"repro/internal/engine"
 	"repro/internal/modem"
 	"repro/internal/permodel"
 	"repro/internal/phy"
@@ -22,11 +23,10 @@ import (
 // --------------------------------------------------------------- figures
 
 func BenchmarkFig12SyncError(b *testing.B) {
-	o := Fig12Options{Seed: 1, SNRsdB: []float64{6, 12, 25}, Trials: 6, Reps: 30}
+	o := Fig12Options{SNRsdB: []float64{6, 12, 25}, Trials: 6, Reps: 30}
 	var last []Fig12Point
 	for i := 0; i < b.N; i++ {
-		o.Seed = int64(1 + i)
-		last = RunFig12(o)
+		last = RunFig12(engine.Config{Seed: int64(1 + i)}, o)
 	}
 	var worstP95 float64
 	for _, p := range last {
@@ -45,15 +45,14 @@ func BenchmarkEngineFig12Parallel(b *testing.B) {
 	// workload. Output is identical in both modes; only wall clock differs.
 	// The serial baseline is measured once per process (the harness calls
 	// this function repeatedly while ramping b.N).
-	o := Fig12Options{Seed: 1, SNRsdB: []float64{6, 12, 25}, Trials: 8, Reps: 30}
+	o := Fig12Options{SNRsdB: []float64{6, 12, 25}, Trials: 8, Reps: 30}
 	engineFig12SerialOnce.Do(func() {
-		serial := o
-		serial.Workers = 1
-		RunFig12(serial) // warm process-wide caches before timing anything
+		serial := engine.Config{Seed: 1, Workers: 1}
+		RunFig12(serial, o) // warm process-wide caches before timing anything
 		const serialRuns = 3
 		start := time.Now() //sslint:allow detwallclock measures benchmark wall clock; experiment output is unaffected
 		for i := 0; i < serialRuns; i++ {
-			RunFig12(serial)
+			RunFig12(serial, o)
 		}
 		engineFig12SerialSec = time.Since(start).Seconds() / serialRuns //sslint:allow detwallclock measures benchmark wall clock; experiment output is unaffected
 		// Warm the parallel path too: at -benchtime 1x the timed loop below
@@ -61,26 +60,23 @@ func BenchmarkEngineFig12Parallel(b *testing.B) {
 		// first-use scheduling costs land inside that single timed run —
 		// the recorded "speedup" dipped below 1.0 on an 8-way box purely
 		// from startup overhead the serial baseline never paid.
-		par := o
-		par.Workers = 0
-		RunFig12(par)
+		RunFig12(engine.Config{Seed: 1}, o)
 	})
 
-	o.Workers = 0 // GOMAXPROCS
+	par := engine.Config{Seed: 1} // Workers 0: GOMAXPROCS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunFig12(o)
+		RunFig12(par, o)
 	}
 	parallelSec := b.Elapsed().Seconds() / float64(b.N)
 	b.ReportMetric(engineFig12SerialSec/parallelSec, "speedup-x")
 }
 
 func BenchmarkFig13CPSweep(b *testing.B) {
-	o := Fig13Options{Seed: 2, CPsNs: []float64{117, 469}, FramesPerCP: 3, SNRdB: 25}
+	o := Fig13Options{CPsNs: []float64{117, 469}, FramesPerCP: 3, SNRdB: 25}
 	var pts []Fig13Point
 	for i := 0; i < b.N; i++ {
-		o.Seed = int64(2 + i)
-		pts = RunFig13(o)
+		pts = RunFig13(engine.Config{Seed: int64(2 + i)}, o)
 	}
 	// SourceSync at 117 ns vs baseline at 117 ns: the gap is the paper's
 	// headline (baseline needs ~469 ns to catch up).
@@ -92,7 +88,7 @@ func BenchmarkFig13CPSweep(b *testing.B) {
 func BenchmarkFig14DelaySpread(b *testing.B) {
 	var pts []Fig14Point
 	for i := 0; i < b.N; i++ {
-		pts = RunFig14(Fig14Options{Seed: int64(3 + i), Draws: 150, Taps: 70})
+		pts = RunFig14(engine.Config{Seed: int64(3 + i)}, Fig14Options{Draws: 150, Taps: 70})
 	}
 	b.ReportMetric(float64(SignificantTaps(pts, 0.01)), "significant-taps")
 }
@@ -100,7 +96,7 @@ func BenchmarkFig14DelaySpread(b *testing.B) {
 func BenchmarkFig15PowerGain(b *testing.B) {
 	var rows []Fig15Row
 	for i := 0; i < b.N; i++ {
-		rows = RunFig15(Fig15Options{Seed: int64(4 + i), Placements: 12, Frames: 1})
+		rows = RunFig15(engine.Config{Seed: int64(4 + i)}, Fig15Options{Placements: 12, Frames: 1})
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.GainDB, "gain-dB-"+r.Regime)
@@ -110,7 +106,7 @@ func BenchmarkFig15PowerGain(b *testing.B) {
 func BenchmarkFig16SubcarrierSNR(b *testing.B) {
 	var series []Fig16Series
 	for i := 0; i < b.N; i++ {
-		series = RunFig16(Fig15Options{Seed: int64(5 + i), Placements: 12, Frames: 1})
+		series = RunFig16(engine.Config{Seed: int64(5 + i)}, Fig15Options{Placements: 12, Frames: 1})
 	}
 	for _, s := range series {
 		flattening := (s.Flatness.Sender1+s.Flatness.Sender2)/2 - s.Flatness.Joint
@@ -121,7 +117,7 @@ func BenchmarkFig16SubcarrierSNR(b *testing.B) {
 func BenchmarkFig17LastHop(b *testing.B) {
 	var res Fig17Result
 	for i := 0; i < b.N; i++ {
-		res = RunFig17(Fig17Options{Seed: int64(6 + i), Placements: 16, Packets: 250, Payload: 1460})
+		res = RunFig17(engine.Config{Seed: int64(6 + i)}, Fig17Options{Placements: 16, Packets: 250, Payload: 1460})
 	}
 	b.ReportMetric(res.MedianGain, "median-gain-x")
 }
@@ -138,8 +134,8 @@ func benchFig18(b *testing.B, mbps int) {
 	b.Helper()
 	var res Fig18Result
 	for i := 0; i < b.N; i++ {
-		res = RunFig18(Fig18Options{
-			Seed: int64(7 + i), Topologies: 10, Packets: 100,
+		res = RunFig18(engine.Config{Seed: int64(7 + i)}, Fig18Options{
+			Topologies: 10, Packets: 100,
 			Payload: 1000, RateMbps: mbps, Probes: 40,
 		})
 	}
@@ -160,7 +156,7 @@ func BenchmarkTabOverhead(b *testing.B) {
 func BenchmarkDetDelayPremise(b *testing.B) {
 	var pts []DetDelayPoint
 	for i := 0; i < b.N; i++ {
-		pts = RunDetDelay(int64(8+i), []float64{4, 25}, 20, 0)
+		pts = RunDetDelay(engine.Config{Seed: int64(8 + i)}, []float64{4, 25}, 20)
 	}
 	b.ReportMetric(pts[0].StdNs, "det-delay-std-ns-4dB")
 	b.ReportMetric(pts[1].StdNs, "det-delay-std-ns-25dB")
@@ -171,7 +167,7 @@ func BenchmarkDetDelayPremise(b *testing.B) {
 func BenchmarkAblationSlopeWindow(b *testing.B) {
 	var res SlopeWindowResult
 	for i := 0; i < b.N; i++ {
-		res = RunAblationSlopeWindow(int64(9+i), 100, 0)
+		res = RunAblationSlopeWindow(engine.Config{Seed: int64(9 + i)}, 100)
 	}
 	b.ReportMetric(res.WindowedRMS, "windowed-rms-samples")
 	b.ReportMetric(res.WholeBandRMS, "wholeband-rms-samples")
@@ -180,7 +176,7 @@ func BenchmarkAblationSlopeWindow(b *testing.B) {
 func BenchmarkAblationNaiveCombining(b *testing.B) {
 	var res NaiveCombiningResult
 	for i := 0; i < b.N; i++ {
-		res = RunAblationNaiveCombining(int64(10+i), 8, 0)
+		res = RunAblationNaiveCombining(engine.Config{Seed: int64(10 + i)}, 8)
 	}
 	b.ReportMetric(res.STBCWorstSNRdB, "stbc-worst-dB")
 	b.ReportMetric(res.NaiveWorstSNRdB, "naive-worst-dB")
@@ -190,7 +186,7 @@ func BenchmarkAblationNaiveCombining(b *testing.B) {
 func BenchmarkAblationPilotSharing(b *testing.B) {
 	var res PilotSharingResult
 	for i := 0; i < b.N; i++ {
-		res = RunAblationPilotSharing(int64(11+i), 3, 0)
+		res = RunAblationPilotSharing(engine.Config{Seed: int64(11 + i)}, 3)
 	}
 	b.ReportMetric(res.SharedPilotsEVM, "shared-evm")
 	b.ReportMetric(res.NaiveTrackEVM, "naive-evm")
@@ -215,7 +211,7 @@ func BenchmarkAblationSoftDecision(b *testing.B) {
 func BenchmarkAblationMultiRxLP(b *testing.B) {
 	var res MultiRxLPResult
 	for i := 0; i < b.N; i++ {
-		res = RunAblationMultiRxLP(int64(12+i), 50, 3, 0)
+		res = RunAblationMultiRxLP(engine.Config{Seed: int64(12 + i)}, 50, 3)
 	}
 	b.ReportMetric(res.LPMaxMisalign, "lp-maxmis-samples")
 	b.ReportMetric(res.FirstRxMisalign, "firstrx-maxmis-samples")

@@ -31,8 +31,7 @@ import (
 var (
 	seed     = flag.Int64("seed", 1, "base random seed")
 	quick    = flag.Bool("quick", false, "run shrunken workloads (~10x faster)")
-	parallel = flag.Bool("parallel", true, "fan trials out across all CPUs (results are identical either way)")
-	nworkers = flag.Int("workers", 0, "worker count when -parallel (0 = GOMAXPROCS)")
+	workers  = flag.Int("workers", 0, "worker count: 0 = GOMAXPROCS, 1 = serial (results are identical either way)")
 	list     = flag.Bool("list", false, "print the registered experiment names, one per line, and exit (CI loops over this)")
 	cells    = flag.String("cells", "1,2,3", "comma-separated cell counts for cellsweep's capacity-vs-cell-count table")
 	csRanges = flag.String("cs", "20,30,45", "comma-separated carrier-sense ranges (meters) for cellsweep's capacity-vs-CS-range table")
@@ -41,15 +40,6 @@ var (
 	cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
 )
-
-// workers translates the flags into the engine's convention: 1 worker when
-// -parallel=false, otherwise -workers (0 meaning one worker per CPU).
-func workers() int {
-	if !*parallel {
-		return 1
-	}
-	return *nworkers
-}
 
 // params assembles the experiments.Params the flags select, validating the
 // comma-separated sweep flags up front.
@@ -67,7 +57,7 @@ func params() experiments.Params {
 	return experiments.Params{
 		Seed:    *seed,
 		Quick:   *quick,
-		Workers: workers(),
+		Workers: *workers,
 		Options: experiments.Options{
 			Cells:     counts,
 			CSRanges:  ranges,
@@ -104,7 +94,7 @@ func main() {
 			start := time.Now() //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
 			run("scenario", p)
 			fmt.Fprintf(os.Stderr, "\ntotal wall clock: %.2fs (%d workers)\n",
-				time.Since(start).Seconds(), engine.WorkerCount(workers())) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
+				time.Since(start).Seconds(), engine.WorkerCount(*workers)) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
 			return
 		}
 	}
@@ -119,7 +109,7 @@ func main() {
 	// Timing goes to stderr so stdout stays byte-identical across runs
 	// (the tables are diffed to check worker-count determinism).
 	fmt.Fprintf(os.Stderr, "\ntotal wall clock: %.2fs (%d workers)\n",
-		time.Since(start).Seconds(), engine.WorkerCount(workers())) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
+		time.Since(start).Seconds(), engine.WorkerCount(*workers)) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
 }
 
 // startProfiles begins whatever profiling -cpuprofile/-memprofile request
@@ -167,7 +157,7 @@ func startProfiles() func() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ssbench [-seed N] [-quick] [-parallel=false] [-workers N] [-cells N,N,...] [-cs M,M,...] [-window SEC] [-cpuprofile FILE] [-memprofile FILE] <%s|all>\n       ssbench -scenario spec.json\n       ssbench -list\n",
+	fmt.Fprintf(os.Stderr, "usage: ssbench [-seed N] [-quick] [-workers N] [-cells N,N,...] [-cs M,M,...] [-window SEC] [-cpuprofile FILE] [-memprofile FILE] <%s|all>\n       ssbench -scenario spec.json\n       ssbench -list\n",
 		strings.Join(experiments.Names(), "|"))
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -31,11 +32,9 @@ func TestFig12DeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	base := Fig12Options{Seed: 1, SNRsdB: []float64{6, 12, 25}, Trials: 10, Reps: 30}
+	o := Fig12Options{SNRsdB: []float64{6, 12, 25}, Trials: 10, Reps: 30}
 	render := func(workers int) string {
-		o := base
-		o.Workers = workers
-		return fmt.Sprintf("%#v", RunFig12(o))
+		return fmt.Sprintf("%#v", RunFig12(engine.Config{Seed: 1, Workers: workers}, o))
 	}
 	serial := render(1)
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
@@ -49,11 +48,9 @@ func TestFig13DeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	base := Fig13Options{Seed: 2, CPsNs: []float64{0, 156, 469}, FramesPerCP: 3, SNRdB: 25}
+	o := Fig13Options{CPsNs: []float64{0, 156, 469}, FramesPerCP: 3, SNRdB: 25}
 	render := func(workers int) string {
-		o := base
-		o.Workers = workers
-		return fmt.Sprintf("%#v", RunFig13(o))
+		return fmt.Sprintf("%#v", RunFig13(engine.Config{Seed: 2, Workers: workers}, o))
 	}
 	serial := render(1)
 	if got := render(4); got != serial {
@@ -65,12 +62,11 @@ func TestFig14Fig15Fig16DeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	o14 := Fig14Options{Seed: 3, Draws: 40, Taps: 30}
-	o15 := Fig15Options{Seed: 4, Placements: 8, Frames: 2}
+	o14 := Fig14Options{Draws: 40, Taps: 30}
+	o15 := Fig15Options{Placements: 8, Frames: 2}
 	render := func(workers int) string {
-		a, b := o14, o15
-		a.Workers, b.Workers = workers, workers
-		return fmt.Sprintf("%#v|%#v|%#v", RunFig14(a), RunFig15(b), RunFig16(b))
+		a, b := engine.Config{Seed: 3, Workers: workers}, engine.Config{Seed: 4, Workers: workers}
+		return fmt.Sprintf("%#v|%#v|%#v", RunFig14(a, o14), RunFig15(b, o15), RunFig16(b, o15))
 	}
 	serial := render(1)
 	if got := render(4); got != serial {
@@ -79,11 +75,9 @@ func TestFig14Fig15Fig16DeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestFig13FingerprintDeterministicShort(t *testing.T) {
-	base := Fig13Options{Seed: 2, CPsNs: []float64{0, 469}, FramesPerCP: 1, SNRdB: 25}
+	o := Fig13Options{CPsNs: []float64{0, 469}, FramesPerCP: 1, SNRdB: 25}
 	render := func(workers int) uint64 {
-		o := base
-		o.Workers = workers
-		return fingerprint(RunFig13(o))
+		return fingerprint(RunFig13(engine.Config{Seed: 2, Workers: workers}, o))
 	}
 	serial := render(1)
 	if got := render(4); got != serial {
@@ -92,12 +86,11 @@ func TestFig13FingerprintDeterministicShort(t *testing.T) {
 }
 
 func TestFig14Fig15Fig16FingerprintDeterministicShort(t *testing.T) {
-	o14 := Fig14Options{Seed: 3, Draws: 6, Taps: 10}
-	o15 := Fig15Options{Seed: 4, Placements: 2, Frames: 1}
+	o14 := Fig14Options{Draws: 6, Taps: 10}
+	o15 := Fig15Options{Placements: 2, Frames: 1}
 	render := func(workers int) uint64 {
-		a, b := o14, o15
-		a.Workers, b.Workers = workers, workers
-		return fingerprint([]any{RunFig14(a), RunFig15(b), RunFig16(b)})
+		a, b := engine.Config{Seed: 3, Workers: workers}, engine.Config{Seed: 4, Workers: workers}
+		return fingerprint([]any{RunFig14(a, o14), RunFig15(b, o15), RunFig16(b, o15)})
 	}
 	serial := render(1)
 	if got := render(4); got != serial {
@@ -129,7 +122,7 @@ func backloggedCell(placements, clients, packets int, windowSec float64) *scenar
 // runCellSpec runs a backlogged spec and renders its cell result.
 func runCellSpec(t *testing.T, sp *scenario.Spec, seed int64, workers int) string {
 	t.Helper()
-	out, err := RunScenario(sp, ScenarioRunOptions{Seed: seed, Workers: workers})
+	out, err := RunScenario(engine.Config{Seed: seed, Workers: workers}, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +131,14 @@ func runCellSpec(t *testing.T, sp *scenario.Spec, seed int64, workers int) strin
 
 func TestCellCrossTrafficDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := backloggedCell(4, 8, 40, 0)
-	ox := CrossTrafficOptions{Seed: 10, Topologies: 3, Packets: 40, CrossFlows: 2,
+	ox := CrossTrafficOptions{Topologies: 3, Packets: 40, CrossFlows: 2,
 		CrossPackets: 50, Payload: 1000, RateMbps: 12, Probes: 30}
-	ox.Workers = 1
 	wantC := runCellSpec(t, sc, 9, 1)
-	wantX := fmt.Sprintf("%#v", RunCrossTraffic(ox))
-	ox.Workers = 4
+	wantX := fmt.Sprintf("%#v", RunCrossTraffic(engine.Config{Seed: 10, Workers: 1}, ox))
 	if got := runCellSpec(t, sc, 9, 4); got != wantC {
 		t.Fatalf("cell parallel output differs from serial")
 	}
-	if got := fmt.Sprintf("%#v", RunCrossTraffic(ox)); got != wantX {
+	if got := fmt.Sprintf("%#v", RunCrossTraffic(engine.Config{Seed: 10, Workers: 4}, ox)); got != wantX {
 		t.Fatalf("crosstraffic parallel output differs from serial")
 	}
 }
@@ -159,10 +150,8 @@ func TestSpatialCrossTrafficDeterministicAcrossWorkerCounts(t *testing.T) {
 	// count.
 	o := SpatialCrossTrafficOptions()
 	o.Topologies, o.Packets, o.CrossPackets, o.Probes = 3, 40, 50, 30
-	o.Workers = 1
-	want := fmt.Sprintf("%#v", RunCrossTraffic(o))
-	o.Workers = 4
-	if got := fmt.Sprintf("%#v", RunCrossTraffic(o)); got != want {
+	want := fmt.Sprintf("%#v", RunCrossTraffic(engine.Config{Seed: 12, Workers: 1}, o))
+	if got := fmt.Sprintf("%#v", RunCrossTraffic(engine.Config{Seed: 12, Workers: 4}, o)); got != want {
 		t.Fatalf("crosstraffic-spatial parallel output differs from serial:\n%s\nvs\n%s", got, want)
 	}
 }
@@ -170,14 +159,12 @@ func TestSpatialCrossTrafficDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestWindowModeAndCSRangeSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	// Fixed-time-window saturation (RunUntil) plus the carrier-sense-range
 	// sweep, both under the default rate-aware model.
-	o := CellSweepOptions{Seed: 13, Placements: 3, Cells: 2, APsPerCell: 2,
+	o := CellSweepOptions{Placements: 3, Cells: 2, APsPerCell: 2,
 		ClientsPer: []int{2}, Packets: 20, Payload: 1460, CSRangeM: 30, WindowSec: 0.05}
 	sc := backloggedCell(4, 4, 20, 0.05)
-	o.Workers = 1
-	want := fmt.Sprintf("%#v", RunCSRangeSweep(o, []float64{20, 40}, 2))
+	want := fmt.Sprintf("%#v", RunCSRangeSweep(engine.Config{Seed: 13, Workers: 1}, o, []float64{20, 40}, 2))
 	wantC := runCellSpec(t, sc, 14, 1)
-	o.Workers = 4
-	if got := fmt.Sprintf("%#v", RunCSRangeSweep(o, []float64{20, 40}, 2)); got != want {
+	if got := fmt.Sprintf("%#v", RunCSRangeSweep(engine.Config{Seed: 13, Workers: 4}, o, []float64{20, 40}, 2)); got != want {
 		t.Fatalf("CS-range sweep parallel output differs from serial:\n%s\nvs\n%s", got, want)
 	}
 	if got := runCellSpec(t, sc, 14, 4); got != wantC {
@@ -186,31 +173,28 @@ func TestWindowModeAndCSRangeSweepDeterministicAcrossWorkerCounts(t *testing.T) 
 }
 
 func TestCellSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	o := CellSweepOptions{Seed: 11, Placements: 3, Cells: 2, APsPerCell: 2,
+	o := CellSweepOptions{Placements: 3, Cells: 2, APsPerCell: 2,
 		ClientsPer: []int{1, 4}, Packets: 20, Payload: 1460, CSRangeM: 30}
-	o.Workers = 1
-	want := fmt.Sprintf("%#v", RunCellSweep(o))
-	wantC := fmt.Sprintf("%#v", RunCellCountSweep(o, []int{1, 3}, 2))
-	o.Workers = 4
-	if got := fmt.Sprintf("%#v", RunCellSweep(o)); got != want {
+	serial, par := engine.Config{Seed: 11, Workers: 1}, engine.Config{Seed: 11, Workers: 4}
+	want := fmt.Sprintf("%#v", RunCellSweep(serial, o))
+	wantC := fmt.Sprintf("%#v", RunCellCountSweep(serial, o, []int{1, 3}, 2))
+	if got := fmt.Sprintf("%#v", RunCellSweep(par, o)); got != want {
 		t.Fatalf("cellsweep parallel output differs from serial:\n%s\nvs\n%s", got, want)
 	}
-	if got := fmt.Sprintf("%#v", RunCellCountSweep(o, []int{1, 3}, 2)); got != wantC {
+	if got := fmt.Sprintf("%#v", RunCellCountSweep(par, o, []int{1, 3}, 2)); got != wantC {
 		t.Fatalf("cell-count sweep parallel output differs from serial:\n%s\nvs\n%s", got, wantC)
 	}
 }
 
 func TestFig17Fig18DeterministicAcrossWorkerCounts(t *testing.T) {
-	o17 := Fig17Options{Seed: 5, Placements: 8, Packets: 100, Payload: 1460}
-	o18 := Fig18Options{Seed: 6, Topologies: 5, Packets: 60, Payload: 1000, RateMbps: 12, Probes: 30}
-	o17.Workers, o18.Workers = 1, 1
-	want17 := fmt.Sprintf("%#v", RunFig17(o17))
-	want18 := fmt.Sprintf("%#v", RunFig18(o18))
-	o17.Workers, o18.Workers = 0, 0
-	if got := fmt.Sprintf("%#v", RunFig17(o17)); got != want17 {
+	o17 := Fig17Options{Placements: 8, Packets: 100, Payload: 1460}
+	o18 := Fig18Options{Topologies: 5, Packets: 60, Payload: 1000, RateMbps: 12, Probes: 30}
+	want17 := fmt.Sprintf("%#v", RunFig17(engine.Config{Seed: 5, Workers: 1}, o17))
+	want18 := fmt.Sprintf("%#v", RunFig18(engine.Config{Seed: 6, Workers: 1}, o18))
+	if got := fmt.Sprintf("%#v", RunFig17(engine.Config{Seed: 5}, o17)); got != want17 {
 		t.Fatalf("Fig17 parallel output differs from serial")
 	}
-	if got := fmt.Sprintf("%#v", RunFig18(o18)); got != want18 {
+	if got := fmt.Sprintf("%#v", RunFig18(engine.Config{Seed: 6}, o18)); got != want18 {
 		t.Fatalf("Fig18 parallel output differs from serial")
 	}
 }
@@ -220,13 +204,11 @@ func TestMetroDeterministicAcrossWorkerCounts(t *testing.T) {
 	// interference scans — the full indexed-scheduler pipeline (spatial
 	// hash, event heap, per-flow interference pruning) must reduce
 	// byte-identically at any worker count.
-	o := MetroOptions{Seed: 17, Placements: 2, CellsX: 3, CellsY: 3, APsPerCell: 2,
+	o := MetroOptions{Placements: 2, CellsX: 3, CellsY: 3, APsPerCell: 2,
 		ClientsPer: []int{2, 4}, Packets: 10, Payload: 1460,
 		CSRangeM: 45, InterferenceRangeM: 150}
-	o.Workers = 1
-	want := fmt.Sprintf("%#v", RunMetro(o))
-	o.Workers = 4
-	if got := fmt.Sprintf("%#v", RunMetro(o)); got != want {
+	want := fmt.Sprintf("%#v", RunMetro(engine.Config{Seed: 17, Workers: 1}, o))
+	if got := fmt.Sprintf("%#v", RunMetro(engine.Config{Seed: 17, Workers: 4}, o)); got != want {
 		t.Fatalf("metro parallel output differs from serial:\n%s\nvs\n%s", got, want)
 	}
 }

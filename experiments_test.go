@@ -3,6 +3,8 @@ package sourcesync
 import (
 	"math"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // The experiment smoke tests run shrunken versions of every figure's
@@ -14,8 +16,8 @@ func TestFig12ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	o := Fig12Options{Seed: 1, SNRsdB: []float64{6, 25}, Trials: 8, Reps: 30}
-	pts := RunFig12(o)
+	o := Fig12Options{SNRsdB: []float64{6, 25}, Trials: 8, Reps: 30}
+	pts := RunFig12(engine.Config{Seed: 1}, o)
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -39,8 +41,8 @@ func TestFig13ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	o := Fig13Options{Seed: 2, CPsNs: []float64{39, 234, 625}, FramesPerCP: 3, SNRdB: 25}
-	pts := RunFig13(o)
+	o := Fig13Options{CPsNs: []float64{39, 234, 625}, FramesPerCP: 3, SNRdB: 25}
+	pts := RunFig13(engine.Config{Seed: 2}, o)
 	// SourceSync at a moderate CP (234 ns = 30 samples, just past the
 	// channel's delay spread) should already be near its plateau; the
 	// baseline needs far more. At the largest CP both should be close.
@@ -62,7 +64,7 @@ func TestFig13ShapeSmall(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	pts := RunFig14(Fig14Options{Seed: 3, Draws: 120, Taps: 70})
+	pts := RunFig14(engine.Config{Seed: 3}, Fig14Options{Draws: 120, Taps: 70})
 	if len(pts) != 70 {
 		t.Fatalf("%d taps", len(pts))
 	}
@@ -81,8 +83,9 @@ func TestFig15Fig16Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	o := Fig15Options{Seed: 4, Placements: 12, Frames: 1}
-	rows := RunFig15(o)
+	ec := engine.Config{Seed: 4}
+	o := Fig15Options{Placements: 12, Frames: 1}
+	rows := RunFig15(ec, o)
 	if len(rows) == 0 {
 		t.Fatal("no regimes measured")
 	}
@@ -91,7 +94,7 @@ func TestFig15Fig16Shape(t *testing.T) {
 			t.Fatalf("%s regime gain %.2f dB, want ~2-3", r.Regime, r.GainDB)
 		}
 	}
-	series := RunFig16(o)
+	series := RunFig16(ec, o)
 	if len(series) == 0 {
 		t.Fatal("no Fig16 series")
 	}
@@ -106,8 +109,8 @@ func TestFig15Fig16Shape(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	o := Fig17Options{Seed: 5, Placements: 14, Packets: 200, Payload: 1460}
-	res := RunFig17(o)
+	o := Fig17Options{Placements: 14, Packets: 200, Payload: 1460}
+	res := RunFig17(engine.Config{Seed: 5}, o)
 	if len(res.SingleMbps) != 14 || len(res.JointMbps) != 14 {
 		t.Fatalf("CDF lengths %d %d", len(res.SingleMbps), len(res.JointMbps))
 	}
@@ -118,8 +121,8 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestFig18Shape(t *testing.T) {
-	o := Fig18Options{Seed: 6, Topologies: 8, Packets: 80, Payload: 1000, RateMbps: 6, Probes: 40}
-	res := RunFig18(o)
+	o := Fig18Options{Topologies: 8, Packets: 80, Payload: 1000, RateMbps: 6, Probes: 40}
+	res := RunFig18(engine.Config{Seed: 6}, o)
 	// Paper at 6 Mbps: ExOR 1.26-1.4x over single path; SourceSync
 	// 1.35-1.45x over ExOR. Accept generous bands.
 	if res.GainExOROverSP < 1.0 {
@@ -150,7 +153,7 @@ func TestOverheadTable(t *testing.T) {
 }
 
 func TestDetDelayPremise(t *testing.T) {
-	pts := RunDetDelay(1, []float64{4, 25}, 25, 0)
+	pts := RunDetDelay(engine.Config{Seed: 1}, []float64{4, 25}, 25)
 	low, high := pts[0], pts[1]
 	if low.Detected < 15 || high.Detected < 23 {
 		t.Fatalf("detections: low %d high %d", low.Detected, high.Detected)
@@ -166,7 +169,7 @@ func TestDetDelayPremise(t *testing.T) {
 }
 
 func TestAblationSlopeWindow(t *testing.T) {
-	res := RunAblationSlopeWindow(1, 150, 0)
+	res := RunAblationSlopeWindow(engine.Config{Seed: 1}, 150)
 	// The whole-band fit's unwrap errors are rare events; a run where no
 	// draw hits one leaves both RMS values at machine epsilon and the
 	// comparison below would be noise. Require a real signal.
@@ -183,7 +186,7 @@ func TestAblationNaiveCombining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	res := RunAblationNaiveCombining(9, 8, 0)
+	res := RunAblationNaiveCombining(engine.Config{Seed: 9}, 8)
 	if math.IsInf(res.STBCWorstSNRdB, 1) {
 		t.Fatal("no STBC frames measured")
 	}
@@ -201,7 +204,7 @@ func TestAblationPilotSharing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	res := RunAblationPilotSharing(10, 4, 0)
+	res := RunAblationPilotSharing(engine.Config{Seed: 10}, 4)
 	if res.SharedPilotsEVM <= 0 || res.NaiveTrackEVM <= 0 {
 		t.Fatalf("EVMs %.4f %.4f", res.SharedPilotsEVM, res.NaiveTrackEVM)
 	}
@@ -212,7 +215,7 @@ func TestAblationPilotSharing(t *testing.T) {
 }
 
 func TestAblationMultiRxLP(t *testing.T) {
-	res := RunAblationMultiRxLP(11, 60, 3, 0)
+	res := RunAblationMultiRxLP(engine.Config{Seed: 11}, 60, 3)
 	if res.LPMaxMisalign <= 0 {
 		t.Fatal("LP produced zero misalignment on random configs")
 	}

@@ -17,23 +17,14 @@ import (
 // repetition-averaged ground truth, and the experiment reports percentiles
 // of their difference versus SNR.
 type Fig12Options struct {
-	Seed   int64
 	SNRsdB []float64 // per-sender SNR operating points
 	Trials int       // frames per SNR point
 	Reps   int       // training repetitions per calibration frame
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultFig12Options returns the parameters used by ssbench.
 func DefaultFig12Options() Fig12Options {
 	return Fig12Options{
-		Seed:   1,
 		SNRsdB: []float64{4, 6, 9, 12, 15, 18, 22, 25},
 		Trials: 30,
 		Reps:   60,
@@ -57,12 +48,11 @@ type fig12Trial struct {
 
 // RunFig12 regenerates Figure 12: 95th-percentile synchronization error
 // versus SNR on the WiGLAN-like profile. Trials fan out across the engine's
-// worker pool; each draws its RNG from (Seed, SNR index, trial index), so
-// the output is identical at every worker count.
-func RunFig12(o Fig12Options) []Fig12Point {
+// worker pool; each draws its RNG from (ec.Seed, SNR index, trial index),
+// so the output is identical at every worker count.
+func RunFig12(ec engine.Config, o Fig12Options) []Fig12Point {
 	cfg := ProfileWiGLAN()
 	nsToSample := cfg.SampleRateHz / 1e9
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 
 	grid := engine.Grid(ec, len(o.SNRsdB), o.Trials, func(pt, trial int, rng *rand.Rand) fig12Trial {
 		sim := fig12Sim(rng, cfg, o.SNRsdB[pt])

@@ -17,23 +17,15 @@ import (
 // uncompensated baseline; the achieved composite SNR (from data-symbol EVM)
 // is reported per CP.
 type Fig13Options struct {
-	Seed        int64
 	CPsNs       []float64
 	FramesPerCP int
 	SNRdB       float64
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultFig13Options returns the parameters used by ssbench.
 func DefaultFig13Options() Fig13Options {
 	cps := []float64{0, 39, 78, 117, 156, 234, 312, 391, 469, 547, 625, 703, 781}
-	return Fig13Options{Seed: 2, CPsNs: cps, FramesPerCP: 6, SNRdB: 25}
+	return Fig13Options{CPsNs: cps, FramesPerCP: 6, SNRdB: 25}
 }
 
 // Fig13Point is the achieved SNR at one CP value.
@@ -57,9 +49,8 @@ type fig13Trial struct {
 // Each CP point runs 2*FramesPerCP trials on the engine — the first
 // FramesPerCP with SourceSync's compensation, the rest with the baseline —
 // so both arms parallelize together and remain deterministic.
-func RunFig13(o Fig13Options) []Fig13Point {
+func RunFig13(ec engine.Config, o Fig13Options) []Fig13Point {
 	cfg := ProfileWiGLAN()
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 	cpSamples := make([]int, len(o.CPsNs))
 	for i, cpNs := range o.CPsNs {
 		cpSamples[i] = int(cpNs * 1e-9 * cfg.SampleRateHz)

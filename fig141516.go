@@ -17,20 +17,12 @@ import (
 
 // Fig14Options configures the delay-spread measurement.
 type Fig14Options struct {
-	Seed  int64
 	Draws int // channel realizations averaged
 	Taps  int // number of tap indices reported
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultFig14Options returns the parameters used by ssbench.
-func DefaultFig14Options() Fig14Options { return Fig14Options{Seed: 3, Draws: 200, Taps: 70} }
+func DefaultFig14Options() Fig14Options { return Fig14Options{Draws: 200, Taps: 70} }
 
 // Fig14Point is the average power of one channel tap.
 type Fig14Point struct {
@@ -41,9 +33,8 @@ type Fig14Point struct {
 // RunFig14 regenerates Figure 14: the time-domain power-delay profile of a
 // single sender's channel on the WiGLAN profile. The paper's channel shows
 // ~15 significant taps (117 ns at 128 MHz).
-func RunFig14(o Fig14Options) []Fig14Point {
+func RunFig14(ec engine.Config, o Fig14Options) []Fig14Point {
 	cfg := ProfileWiGLAN()
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 	draws := engine.Map(ec, 0, o.Draws, func(d int, rng *rand.Rand) []float64 {
 		m := channel.NewIndoor(rng, cfg.SampleRateHz, 45, 3)
 		tap := make([]float64, o.Taps)
@@ -91,20 +82,12 @@ func SignificantTaps(points []Fig14Point, fraction float64) int {
 
 // Fig15Options configures the power/diversity gain measurement (§8.2).
 type Fig15Options struct {
-	Seed       int64
 	Placements int // random transmitter-pair placements
 	Frames     int // joint frames per placement
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultFig15Options returns the parameters used by ssbench.
-func DefaultFig15Options() Fig15Options { return Fig15Options{Seed: 4, Placements: 36, Frames: 2} }
+func DefaultFig15Options() Fig15Options { return Fig15Options{Placements: 36, Frames: 2} }
 
 // Fig15Row aggregates one SNR regime.
 type Fig15Row struct {
@@ -127,8 +110,8 @@ type fig15Sample struct {
 
 // RunFig15 regenerates Figure 15: average SNR per regime for a single
 // sender versus joint SourceSync transmission (expected: 2-3 dB gain).
-func RunFig15(o Fig15Options) []Fig15Row {
-	samples := fig15Measure(o)
+func RunFig15(ec engine.Config, o Fig15Options) []Fig15Row {
+	samples := fig15Measure(ec, o)
 	rows := map[testbed.Regime]*Fig15Row{}
 	counts := map[testbed.Regime]int{}
 	var singleLin, jointLin map[testbed.Regime]float64
@@ -179,9 +162,9 @@ type Fig16Series struct {
 // averaging across placements would wash the fades out). The sample whose
 // individual profiles are the most frequency-selective represents each
 // regime.
-func RunFig16(o Fig15Options) []Fig16Series {
+func RunFig16(ec engine.Config, o Fig15Options) []Fig16Series {
 	cfg := ProfileWiGLAN()
-	samples := fig15Measure(o)
+	samples := fig15Measure(ec, o)
 	best := map[testbed.Regime]*fig15Sample{}
 	bestSel := map[testbed.Regime]float64{}
 	toSeries := func(m map[int]float64) ([]int, []float64) {
@@ -234,9 +217,8 @@ func RunFig16(o Fig15Options) []Fig16Series {
 // fig15Measure runs the underlying placements for Figs. 15 and 16: a grid
 // of placements x frames on the engine. The per-placement SNR draw comes
 // from the placement's PointRNG so every frame of a placement agrees on it.
-func fig15Measure(o Fig15Options) []fig15Sample {
+func fig15Measure(ec engine.Config, o Fig15Options) []fig15Sample {
 	cfg := ProfileWiGLAN()
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 	type frameRes struct {
 		s  fig15Sample
 		ok bool
@@ -251,7 +233,7 @@ func fig15Measure(o Fig15Options) []fig15Sample {
 	snr1 := make([]float64, o.Placements)
 	snr2 := make([]float64, o.Placements)
 	for pl := 0; pl < o.Placements; pl++ {
-		prng := engine.PointRNG(o.Seed, pl)
+		prng := engine.PointRNG(ec.Seed, pl)
 		base := -14 + 24*float64(pl)/float64(o.Placements)
 		snr1[pl] = base + prng.Float64()*2 - 1
 		snr2[pl] = base + prng.Float64()*2 - 1

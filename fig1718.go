@@ -19,22 +19,14 @@ import (
 
 // Fig17Options configures the last-hop diversity experiment (§8.3).
 type Fig17Options struct {
-	Seed       int64
 	Placements int // random AP/AP/client placements
 	Packets    int // downlink packets per run
 	Payload    int
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultFig17Options returns the parameters used by ssbench.
 func DefaultFig17Options() Fig17Options {
-	return Fig17Options{Seed: 5, Placements: 40, Packets: 400, Payload: 1460}
+	return Fig17Options{Placements: 40, Packets: 400, Payload: 1460}
 }
 
 // Fig17Result carries the two throughput CDFs and their median gain.
@@ -46,11 +38,10 @@ type Fig17Result struct {
 
 // RunFig17 regenerates Figure 17: CDFs of client throughput using the best
 // single AP versus both APs jointly with SourceSync (paper: median 1.57x).
-func RunFig17(o Fig17Options) Fig17Result {
+func RunFig17(ec engine.Config, o Fig17Options) Fig17Result {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 
 	type plRes struct{ singleBps, jointBps float64 }
 	rows := engine.Map(ec, 0, o.Placements, func(pl int, rng *rand.Rand) plRes {
@@ -105,33 +96,19 @@ func nearbyPoint(rng *rand.Rand, env *testbed.Testbed, ref testbed.Point, minDis
 
 // Fig18Options configures the opportunistic routing experiment (§8.4).
 type Fig18Options struct {
-	Seed       int64
 	Topologies int
 	Packets    int
 	Payload    int
 	RateMbps   int // 6 or 12, per the paper
 	Probes     int // measurement-phase probes per link
-	// SpanScale stretches the mesh so links sit near the chosen rate's
-	// waterfall (the paper picked topologies with lossy links at each
-	// rate). Zero selects a per-rate default: the more robust 6 Mbps rate
-	// needs a wider mesh to see the same loss rates.
-	SpanScale float64
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultFig18Options returns the parameters used by ssbench.
 func DefaultFig18Options(rateMbps int) Fig18Options {
-	o := Fig18Options{
-		Seed: 6, Topologies: 20, Packets: 150, Payload: 1000,
+	return Fig18Options{
+		Topologies: 20, Packets: 150, Payload: 1000,
 		RateMbps: rateMbps, Probes: 60,
 	}
-	return o
 }
 
 // Fig18Result carries the three throughput CDFs and median gains.
@@ -148,24 +125,21 @@ type Fig18Result struct {
 
 // RunFig18 regenerates Figure 18 at one bit rate: CDFs of throughput for
 // single-path routing, ExOR, and ExOR+SourceSync over random 5-node
-// topologies (source, three relays, destination).
-func RunFig18(o Fig18Options) Fig18Result {
+// topologies (source, three relays, destination). The mesh is stretched
+// so links sit near the chosen rate's waterfall (the paper picked
+// topologies with lossy links at each rate): the more robust rates up to
+// 6 Mbps need an 18% wider floor to see the same loss rates.
+func RunFig18(ec engine.Config, o Fig18Options) Fig18Result {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
-	scale := o.SpanScale
-	if scale == 0 {
-		scale = 1.0
-		if o.RateMbps <= 6 {
-			scale = 1.18
-		}
+	if o.RateMbps <= 6 {
+		env.Width *= 1.18
 	}
-	env.Width *= scale
 	rate, err := modem.RateByMbps(o.RateMbps)
 	if err != nil {
 		panic(err)
 	}
 	m := mac.Default(cfg)
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 
 	type tpRes struct{ spBps, exBps, ssBps float64 }
 	rows := engine.Map(ec, 0, o.Topologies, func(tp int, rng *rand.Rand) tpRes {

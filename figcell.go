@@ -260,7 +260,6 @@ func cellPitch(csRangeM float64) float64 {
 // §8.4 topology's routed flow sharing its collision domain with contending
 // single-hop flows between relays.
 type CrossTrafficOptions struct {
-	Seed         int64
 	Topologies   int
 	Packets      int // routed packets per run
 	CrossFlows   int // contending single-hop flows
@@ -283,13 +282,6 @@ type CrossTrafficOptions struct {
 	// pairs a stretched floor with a finite CSRangeM so relay-to-relay
 	// cross flows land in different cells.
 	WidthScale float64
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultCrossTrafficOptions returns the parameters used by ssbench:
@@ -297,7 +289,7 @@ type CrossTrafficOptions struct {
 // interference.
 func DefaultCrossTrafficOptions() CrossTrafficOptions {
 	return CrossTrafficOptions{
-		Seed: 10, Topologies: 20, Packets: 120, CrossFlows: 2,
+		Topologies: 20, Packets: 120, CrossFlows: 2,
 		CrossPackets: 150, Payload: 1000, RateMbps: 12, Probes: 60,
 		AdaptCross: true,
 	}
@@ -313,7 +305,6 @@ func DefaultCrossTrafficOptions() CrossTrafficOptions {
 // leans on the shorter carrier sense for its spatial structure.
 func SpatialCrossTrafficOptions() CrossTrafficOptions {
 	o := DefaultCrossTrafficOptions()
-	o.Seed = 12
 	o.CSRangeM = 20
 	o.WidthScale = 1.2
 	return o
@@ -347,7 +338,7 @@ type CrossTrafficResult struct {
 // spatial-mesh variant) the relays are spread across a stretched floor, so
 // cross flows in different cells reuse the medium concurrently and corrupt
 // each other as hidden terminals.
-func RunCrossTraffic(o CrossTrafficOptions) CrossTrafficResult {
+func RunCrossTraffic(ec engine.Config, o CrossTrafficOptions) CrossTrafficResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	if o.WidthScale > 1 {
@@ -358,7 +349,6 @@ func RunCrossTraffic(o CrossTrafficOptions) CrossTrafficResult {
 		panic(err)
 	}
 	m := mac.Default(cfg)
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 	// The cross flows' rate table: the standard rates under AdaptCross, the
 	// single fixed rate otherwise.
 	rates := []modem.Rate{rate}

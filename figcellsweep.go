@@ -19,7 +19,6 @@ import (
 // backlogged clients, with N swept to trace saturation throughput versus
 // offered population for joint (SourceSync) and best-single-AP service.
 type CellSweepOptions struct {
-	Seed       int64
 	Placements int   // random AP/client placements per sweep point
 	Cells      int   // spatially separated cells (>= 1)
 	APsPerCell int   // M APs serving each cell
@@ -32,20 +31,13 @@ type CellSweepOptions struct {
 	// ignored), so one starved boundary client no longer gates a run's
 	// elapsed time. 0 keeps the drain-the-backlog mode.
 	WindowSec float64
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultCellSweepOptions returns the parameters used by ssbench: two
 // cells, two APs each, clients swept 1..8 per cell, 30 m carrier sense.
 func DefaultCellSweepOptions() CellSweepOptions {
 	return CellSweepOptions{
-		Seed: 11, Placements: 10, Cells: 2, APsPerCell: 2,
+		Placements: 10, Cells: 2, APsPerCell: 2,
 		ClientsPer: []int{1, 2, 4, 6, 8}, Packets: 60, Payload: 1460,
 		CSRangeM: 30,
 	}
@@ -58,7 +50,7 @@ func DefaultCellSweepOptions() CellSweepOptions {
 // over the whole floor. One rate-aware interference model (read-only
 // after construction, so every worker shares it) corrupts or degrades
 // each interfered downlink at its own rate's decode threshold.
-func runSweep(o CellSweepOptions, points int, at func(pt int) (cells int, cs float64, clientsPer int)) []SweepStats {
+func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) (cells int, cs float64, clientsPer int)) []SweepStats {
 	cfg := Profile80211()
 	base := lasthop.Cell{
 		Mac:              mac.Default(cfg),
@@ -67,7 +59,6 @@ func runSweep(o CellSweepOptions, points int, at func(pt int) (cells int, cs flo
 		Model:            netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload),
 		WindowSec:        o.WindowSec,
 	}
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 	return sweepStats(runCells(ec, points, o.Placements, func(pt int, rng *rand.Rand) lasthop.Cell {
 		cells, cs, clientsPer := at(pt)
 		pitch := cellPitch(cs)
@@ -95,8 +86,8 @@ func runSweep(o CellSweepOptions, points int, at func(pt int) (cells int, cs flo
 // service and once with SourceSync joint transmissions on one shared
 // spatial-reuse simulator, and reduces medians in placement order. It
 // returns one SweepStats per ClientsPer value.
-func RunCellSweep(o CellSweepOptions) []SweepStats {
-	return runSweep(o, len(o.ClientsPer), func(pt int) (int, float64, int) {
+func RunCellSweep(ec engine.Config, o CellSweepOptions) []SweepStats {
+	return runSweep(ec, o, len(o.ClientsPer), func(pt int) (int, float64, int) {
 		return o.Cells, o.CSRangeM, o.ClientsPer[pt]
 	})
 }
@@ -108,8 +99,8 @@ func RunCellSweep(o CellSweepOptions) []SweepStats {
 // Each point widens the floor to hold its cells and re-places APs and
 // clients Placements times; MeanUtilization approaches the cell count
 // under saturation. It returns one SweepStats per cell count.
-func RunCellCountSweep(o CellSweepOptions, cellCounts []int, clientsPer int) []SweepStats {
-	return runSweep(o, len(cellCounts), func(pt int) (int, float64, int) {
+func RunCellCountSweep(ec engine.Config, o CellSweepOptions, cellCounts []int, clientsPer int) []SweepStats {
+	return runSweep(ec, o, len(cellCounts), func(pt int) (int, float64, int) {
 		return cellCounts[pt], o.CSRangeM, clientsPer
 	})
 }
@@ -123,8 +114,8 @@ func RunCellCountSweep(o CellSweepOptions, cellCounts []int, clientsPer int) []S
 // serializes them. The interference model prices that tradeoff: the
 // HiddenRate and per-rate corruption columns quantify what denser reuse
 // costs. It returns one SweepStats per carrier-sense range.
-func RunCSRangeSweep(o CellSweepOptions, csRanges []float64, clientsPer int) []SweepStats {
-	return runSweep(o, len(csRanges), func(pt int) (int, float64, int) {
+func RunCSRangeSweep(ec engine.Config, o CellSweepOptions, csRanges []float64, clientsPer int) []SweepStats {
+	return runSweep(ec, o, len(csRanges), func(pt int) (int, float64, int) {
 		return o.Cells, csRanges[pt], clientsPer
 	})
 }

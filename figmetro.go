@@ -23,7 +23,6 @@ import (
 // gestures at: does joint service keep its edge when hundreds of cells and
 // thousands of clients share the air?
 type MetroOptions struct {
-	Seed       int64
 	Placements int // random city layouts per density point
 	CellsX     int // cells per city row
 	CellsY     int // cells per city column (CellsX*CellsY cells total)
@@ -41,13 +40,6 @@ type MetroOptions struct {
 	// (unbounded backlogs drained for this many virtual seconds). 0 drains
 	// the fixed per-client backlogs.
 	WindowSec float64
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Monitor optionally observes the run (trial progress) and lets the
-	// caller cancel it cooperatively; a canceled run's output must be
-	// discarded. Nil is free. See engine.Monitor.
-	Monitor *engine.Monitor
 }
 
 // DefaultMetroOptions returns the parameters used by ssbench: a 10x10-cell
@@ -56,7 +48,7 @@ type MetroOptions struct {
 // 45 m carrier sense and a 150 m interference horizon.
 func DefaultMetroOptions() MetroOptions {
 	return MetroOptions{
-		Seed: 17, Placements: 3, CellsX: 10, CellsY: 10, APsPerCell: 2,
+		Placements: 3, CellsX: 10, CellsY: 10, APsPerCell: 2,
 		ClientsPer: []int{4, 8, 12}, Packets: 20, Payload: 1460,
 		CSRangeM: 45, InterferenceRangeM: 150,
 	}
@@ -88,7 +80,7 @@ func metroPoint(rng *rand.Rand, center testbed.Point, h float64, accept func(tes
 // mode, and reduces medians in placement order. The interference model is
 // rate-aware throughout — the metro question is precisely how interference
 // scales with density. It returns one SweepStats per ClientsPer value.
-func RunMetro(o MetroOptions) []SweepStats {
+func RunMetro(ec engine.Config, o MetroOptions) []SweepStats {
 	cfg := Profile80211()
 	pitch := cellPitch(o.CSRangeM)
 	env := testbed.Mesh(cfg)
@@ -113,7 +105,6 @@ func RunMetro(o MetroOptions) []SweepStats {
 		InterferenceRangeM: o.InterferenceRangeM,
 		WindowSec:          o.WindowSec,
 	}
-	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 	return sweepStats(runCells(ec, len(o.ClientsPer), o.Placements, func(pt int, rng *rand.Rand) lasthop.Cell {
 		return placeCells(rng, base, centers, o.APsPerCell, o.ClientsPer[pt], metroPoint)
 	}))

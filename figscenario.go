@@ -24,31 +24,6 @@ import (
 // fixed windows with netsim's traffic layer attached; mobility specs
 // additionally drift every client at each waypoint epoch.
 
-// ScenarioRunOptions carries the run-level knobs every experiment shares;
-// the scenario itself supplies everything else.
-type ScenarioRunOptions struct {
-	// Seed is the fully derived seed (base seed + the spec's seed offset).
-	Seed int64
-	// Workers bounds the engine's parallelism: 0 uses one worker per CPU,
-	// 1 runs serially. Results are identical either way.
-	Workers int
-	// Quick shrinks placements (and backlogs) exactly as ssbench -quick
-	// shrinks the registered experiments.
-	Quick bool
-	// Monitor optionally observes the run and cancels it cooperatively.
-	Monitor *engine.Monitor
-}
-
-// shrink applies ssbench's -quick rule (internal/experiments uses the
-// same one, so a spec and its equivalent registered experiment shrink
-// identically).
-func (ro ScenarioRunOptions) shrink(n int) int {
-	if ro.Quick && n > 4 {
-		return n / 4
-	}
-	return n
-}
-
 // ScenarioSchemeStats is one serving scheme's aggregate outcome over a
 // scenario's placements.
 type ScenarioSchemeStats struct {
@@ -97,18 +72,21 @@ type ScenarioOutcome struct {
 	Mobility *ScenarioMobilityResult
 }
 
-// RunScenario executes one validated scenario spec.
-func RunScenario(sp *scenario.Spec, ro ScenarioRunOptions) (*ScenarioOutcome, error) {
+// RunScenario executes one validated scenario spec exactly as given: its
+// placement and packet counts are the run's, with no -quick rule of its
+// own. ec.Seed is the fully derived seed (base seed + the spec's seed
+// offset).
+func RunScenario(ec engine.Config, sp *scenario.Spec) (*ScenarioOutcome, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
 	if sp.Traffic.Model == scenario.ModelBacklogged {
-		return &ScenarioOutcome{Cell: runScenarioCell(sp, ro)}, nil
+		return &ScenarioOutcome{Cell: runScenarioCell(ec, sp)}, nil
 	}
 	if sp.Mobility != nil {
-		return &ScenarioOutcome{Mobility: runScenarioMobility(sp, ro)}, nil
+		return &ScenarioOutcome{Mobility: runScenarioMobility(ec, sp)}, nil
 	}
-	return &ScenarioOutcome{Arrivals: runScenarioArrivals(sp, ro)}, nil
+	return &ScenarioOutcome{Arrivals: runScenarioArrivals(ec, sp)}, nil
 }
 
 // scenarioTraffic builds client i's arrival config at the given rate: a
@@ -276,19 +254,17 @@ func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Pa
 
 // runScenarioCell runs a backlogged spec, the cell experiment's only code
 // path: one engine grid point of placements, each instantiated with every
-// client's (-quick shrunk) backlog and drained under both serving modes
-// by runCells. The topology's carrier-sense and interference ranges apply
-// as in every other spec.
-func runScenarioCell(sp *scenario.Spec, ro ScenarioRunOptions) *CellExpResult {
+// client's backlog and drained under both serving modes by runCells. The
+// topology's carrier-sense and interference ranges apply as in every
+// other spec.
+func runScenarioCell(ec engine.Config, sp *scenario.Spec) *CellExpResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
 	model := netsim.NewRateAware(cfg, modem.StandardRates(), sp.Traffic.PayloadBytes)
-	packets := ro.shrink(sp.Traffic.Packets)
-	ec := engine.Config{Seed: ro.Seed, Workers: ro.Workers, Monitor: ro.Monitor}
-	rows := runCells(ec, 1, ro.shrink(sp.Topology.Placements), func(_ int, rng *rand.Rand) lasthop.Cell {
+	rows := runCells(ec, 1, sp.Topology.Placements, func(_ int, rng *rand.Rand) lasthop.Cell {
 		cell, _ := buildScenarioTopology(rng, env, sp).instantiate(sp, env, m, model, 0)
-		cell.PacketsPerClient = packets
+		cell.PacketsPerClient = sp.Traffic.Packets
 		return cell
 	})
 	res := cellCDF(rows[0])
@@ -336,8 +312,16 @@ func runScenarioTrial(sp *scenario.Spec, env *testbed.Testbed, m mac.Params,
 }
 
 // reduceScenarioTrials folds one load point's trials into per-scheme
-// stats and the joint/single gain.
-func reduceScenarioTrials(schemes []string, trials []scenTrial, ratePps float64) ScenarioLoadPoint {
+// stats and the joint/single gain. A canceled run returns the trials it
+// never started as zero values, with no per-scheme entries; they are
+// skipped (the canceled run's output is discarded anyway).
+func reduceScenarioTrials(schemes []string, all []scenTrial, ratePps float64) ScenarioLoadPoint {
+	var trials []scenTrial
+	for _, tr := range all {
+		if len(tr.goodputBps) == len(schemes) {
+			trials = append(trials, tr)
+		}
+	}
 	pt := ScenarioLoadPoint{RatePps: ratePps}
 	single, joint := -1, -1
 	for si, scheme := range schemes {
@@ -373,7 +357,7 @@ func reduceScenarioTrials(schemes []string, trials []scenTrial, ratePps float64)
 // runScenarioArrivals sweeps the offered load: one engine grid over
 // (rate, placement), every trial running each scheme over the same drawn
 // topology.
-func runScenarioArrivals(sp *scenario.Spec, ro ScenarioRunOptions) *ScenarioArrivalsResult {
+func runScenarioArrivals(ec engine.Config, sp *scenario.Spec) *ScenarioArrivalsResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
@@ -383,9 +367,7 @@ func runScenarioArrivals(sp *scenario.Spec, ro ScenarioRunOptions) *ScenarioArri
 	if len(rates) == 0 {
 		rates = []float64{sp.Traffic.RatePps}
 	}
-	placements := ro.shrink(sp.Topology.Placements)
-	ec := engine.Config{Seed: ro.Seed, Workers: ro.Workers, Monitor: ro.Monitor}
-	grid := engine.Grid(ec, len(rates), placements, func(pt, pl int, rng *rand.Rand) scenTrial {
+	grid := engine.Grid(ec, len(rates), sp.Topology.Placements, func(pt, pl int, rng *rand.Rand) scenTrial {
 		return runScenarioTrial(sp, env, m, model, schemes, rates[pt], rng)
 	})
 	res := &ScenarioArrivalsResult{}
@@ -397,15 +379,13 @@ func runScenarioArrivals(sp *scenario.Spec, ro ScenarioRunOptions) *ScenarioArri
 
 // runScenarioMobility runs the drifting-clients scenario: one engine map
 // over placements at the spec's single rate.
-func runScenarioMobility(sp *scenario.Spec, ro ScenarioRunOptions) *ScenarioMobilityResult {
+func runScenarioMobility(ec engine.Config, sp *scenario.Spec) *ScenarioMobilityResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
 	model := netsim.NewRateAware(cfg, modem.StandardRates(), sp.Traffic.PayloadBytes)
 	schemes := sp.SchemeList()
-	placements := ro.shrink(sp.Topology.Placements)
-	ec := engine.Config{Seed: ro.Seed, Workers: ro.Workers, Monitor: ro.Monitor}
-	trials := engine.Map(ec, 0, placements, func(pl int, rng *rand.Rand) scenTrial {
+	trials := engine.Map(ec, 0, sp.Topology.Placements, func(pl int, rng *rand.Rand) scenTrial {
 		return runScenarioTrial(sp, env, m, model, schemes, sp.Traffic.RatePps, rng)
 	})
 	pt := reduceScenarioTrials(schemes, trials, sp.Traffic.RatePps)

@@ -34,7 +34,9 @@ import (
 	"sync/atomic"
 )
 
-// Config selects the base seed and the degree of parallelism for a run.
+// Config is a run's context: the base seed, the degree of parallelism and
+// an optional Monitor. Every experiment runner in the root package takes
+// one as its first argument.
 type Config struct {
 	Seed    int64
 	Workers int // <= 0: GOMAXPROCS, 1: serial, n: exactly n workers

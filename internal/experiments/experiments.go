@@ -245,6 +245,15 @@ func (r *runner) canceled() bool {
 	return r.p.Monitor != nil && r.p.Monitor.Canceled()
 }
 
+// ec is the run context of an experiment whose seed sits offset above the
+// base seed: every runner gets the job's worker count and Monitor from
+// here, so none can be wired without them.
+func (r *runner) ec(offset int64) engine.Config {
+	return engine.Config{Seed: r.p.Seed + offset, Workers: r.p.Workers, Monitor: r.p.Monitor}
+}
+
+// shrink is the -quick rule, the only copy of it: the coded experiments
+// and the scenario specs shrink their workload sizes through it.
 func (r *runner) shrink(n int) int {
 	if r.p.Quick && n > 4 {
 		return n / 4
@@ -259,12 +268,9 @@ func (r *runner) header(title string) {
 func (r *runner) fig12() {
 	r.header("Figure 12 — 95th percentile synchronization error vs SNR (WiGLAN profile)")
 	o := sourcesync.DefaultFig12Options()
-	o.Seed = r.p.Seed
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.Trials = r.shrink(o.Trials)
 	r.printf("%8s %12s %12s %8s %8s\n", "SNR(dB)", "p50(ns)", "p95(ns)", "usable", "dropped")
-	for _, p := range sourcesync.RunFig12(o) {
+	for _, p := range sourcesync.RunFig12(r.ec(0), o) {
 		r.printf("%8.1f %12.2f %12.2f %8d %8d\n", p.SNRdB, p.P50Ns, p.P95Ns, p.Usable, p.Dropped)
 	}
 	r.println("paper: <= 20 ns across the operational SNR range")
@@ -273,12 +279,9 @@ func (r *runner) fig12() {
 func (r *runner) fig13() {
 	r.header("Figure 13 — composite SNR vs cyclic prefix: SourceSync vs unsynchronized baseline")
 	o := sourcesync.DefaultFig13Options()
-	o.Seed = r.p.Seed + 1
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.FramesPerCP = r.shrink(o.FramesPerCP * 2)
 	r.printf("%10s %10s %14s %14s\n", "CP(ns)", "CP(smp)", "SourceSync(dB)", "Baseline(dB)")
-	for _, p := range sourcesync.RunFig13(o) {
+	for _, p := range sourcesync.RunFig13(r.ec(1), o) {
 		r.printf("%10.0f %10d %14.2f %14.2f\n", p.CPNs, p.CPSamples, p.SourceSyncSNR, p.BaselineSNR)
 	}
 	r.println("paper: SourceSync reaches ~95% of peak SNR at 117 ns; baseline needs ~469 ns")
@@ -286,11 +289,7 @@ func (r *runner) fig13() {
 
 func (r *runner) fig14() {
 	r.header("Figure 14 — delay spread of a single sender (|h|^2 vs tap index)")
-	o := sourcesync.DefaultFig14Options()
-	o.Seed = r.p.Seed + 2
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
-	pts := sourcesync.RunFig14(o)
+	pts := sourcesync.RunFig14(r.ec(2), sourcesync.DefaultFig14Options())
 	r.printf("%6s %10s\n", "tap", "|h|^2")
 	for _, p := range pts {
 		if p.TapIdx%2 == 0 { // thin the printout
@@ -303,12 +302,9 @@ func (r *runner) fig14() {
 func (r *runner) fig15() {
 	r.header("Figure 15 — power gains: average SNR, single sender vs SourceSync")
 	o := sourcesync.DefaultFig15Options()
-	o.Seed = r.p.Seed + 3
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.Placements = r.shrink(o.Placements)
 	r.printf("%8s %14s %14s %10s %6s\n", "regime", "single(dB)", "SourceSync(dB)", "gain(dB)", "n")
-	for _, res := range sourcesync.RunFig15(o) {
+	for _, res := range sourcesync.RunFig15(r.ec(3), o) {
 		r.printf("%8s %14.2f %14.2f %10.2f %6d\n", res.Regime, res.SingleSNRdB, res.JointSNRdB, res.GainDB, res.Measurements)
 	}
 	r.println("paper: 2-3 dB gain in every regime")
@@ -317,11 +313,8 @@ func (r *runner) fig15() {
 func (r *runner) fig16() {
 	r.header("Figure 16 — per-subcarrier SNR profiles (frequency diversity)")
 	o := sourcesync.DefaultFig15Options()
-	o.Seed = r.p.Seed + 4
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.Placements = r.shrink(o.Placements)
-	for _, s := range sourcesync.RunFig16(o) {
+	for _, s := range sourcesync.RunFig16(r.ec(4), o) {
 		r.printf("\n[%s SNR regime]\n%10s %10s %10s %10s\n", s.Regime, "f(MHz)", "snd1(dB)", "snd2(dB)", "joint(dB)")
 		for i := range s.FreqMHz {
 			r.printf("%10.1f %10.2f %10.2f %10.2f\n", s.FreqMHz[i], s.Sender1[i], s.Sender2[i], s.Joint[i])
@@ -335,12 +328,9 @@ func (r *runner) fig16() {
 func (r *runner) fig17() {
 	r.header("Figure 17 — last-hop throughput CDF: best single AP vs SourceSync (2 APs)")
 	o := sourcesync.DefaultFig17Options()
-	o.Seed = r.p.Seed + 5
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.Placements = r.shrink(o.Placements)
 	o.Packets = r.shrink(o.Packets)
-	res := sourcesync.RunFig17(o)
+	res := sourcesync.RunFig17(r.ec(5), o)
 	r.printf("%10s %14s %14s\n", "fraction", "single(Mbps)", "joint(Mbps)")
 	n := len(res.SingleMbps)
 	for i := 0; i < n; i++ {
@@ -352,12 +342,9 @@ func (r *runner) fig17() {
 func (r *runner) fig18(mbps int) {
 	r.header(fmt.Sprintf("Figure 18 — opportunistic routing throughput CDF at %d Mbps", mbps))
 	o := sourcesync.DefaultFig18Options(mbps)
-	o.Seed = r.p.Seed + 6
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.Topologies = r.shrink(o.Topologies)
 	o.Packets = r.shrink(o.Packets)
-	res := sourcesync.RunFig18(o)
+	res := sourcesync.RunFig18(r.ec(6), o)
 	r.printf("%10s %14s %12s %18s\n", "fraction", "single(Mbps)", "ExOR(Mbps)", "ExOR+SrcSync(Mbps)")
 	n := len(res.SinglePathMbps)
 	for i := 0; i < n; i++ {
@@ -403,7 +390,7 @@ func (r *runner) printCorruption(rc []netsim.RateCorruption) {
 // backlogged spec examples/cell.json).
 func (r *runner) cellBody(sp *scenario.Spec, res *sourcesync.CellExpResult) {
 	r.printf("clients=%d APs=%d packets/client=%d model=rate-aware",
-		sp.Topology.Clients, sp.Topology.APs, r.shrink(sp.Traffic.Packets))
+		sp.Topology.Clients, sp.Topology.APs, sp.Traffic.Packets)
 	if sp.Traffic.WindowSec > 0 {
 		r.printf(" window=%.2fs", sp.Traffic.WindowSec)
 	}
@@ -420,14 +407,12 @@ func (r *runner) cellBody(sp *scenario.Spec, res *sourcesync.CellExpResult) {
 
 func (r *runner) cellsweep() {
 	r.header("Cellsweep — saturation throughput vs clients per cell (multi-cell spatial reuse)")
+	ec := r.ec(10)
 	o := sourcesync.DefaultCellSweepOptions()
-	o.Seed = r.p.Seed + 10
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.Placements = r.shrink(o.Placements)
 	o.Packets = r.shrink(o.Packets)
 	o.WindowSec = r.p.Options.WindowSec
-	stats := sourcesync.RunCellSweep(o)
+	stats := sourcesync.RunCellSweep(ec, o)
 	r.printf("cells=%d aps/cell=%d packets/client=%d cs-range=%.0fm model=rate-aware", o.Cells, o.APsPerCell, o.Packets, o.CSRangeM)
 	if o.WindowSec > 0 {
 		r.printf(" window=%.2fs", o.WindowSec)
@@ -444,7 +429,7 @@ func (r *runner) cellsweep() {
 
 	clientsPer := r.shrink(4)
 	counts := r.p.Options.Cells
-	stats = sourcesync.RunCellCountSweep(o, counts, clientsPer)
+	stats = sourcesync.RunCellCountSweep(ec, o, counts, clientsPer)
 	r.printf("\ncapacity vs cell count (clients/cell=%d):\n", clientsPer)
 	r.printSweepTable("cells", stats, func(i int) string { return fmt.Sprintf("%d", counts[i]) })
 	r.println("capacity should scale near-linearly with cell count (AirSync-style spatial reuse)")
@@ -453,7 +438,7 @@ func (r *runner) cellsweep() {
 	}
 
 	ranges := r.p.Options.CSRanges
-	stats = sourcesync.RunCSRangeSweep(o, ranges, clientsPer)
+	stats = sourcesync.RunCSRangeSweep(ec, o, ranges, clientsPer)
 	r.printf("\ncapacity vs carrier-sense range (cells=%d clients/cell=%d):\n", o.Cells, clientsPer)
 	r.printSweepTable("cs(m)", stats, func(i int) string { return fmt.Sprintf("%.0f", ranges[i]) })
 	r.println("shorter carrier sense = denser reuse but more hidden terminals; the model prices the tradeoff")
@@ -472,9 +457,6 @@ func (r *runner) printSweepTable(keyHeader string, stats []sourcesync.SweepStats
 func (r *runner) metro() {
 	r.header("Metro — city-scale capacity map by client density: best single AP vs SourceSync")
 	o := sourcesync.DefaultMetroOptions()
-	o.Seed = r.p.Seed + 16
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
 	o.WindowSec = r.p.Options.WindowSec
 	if r.p.Quick {
 		// A quick city: 16 cells and light density, or the metro grid
@@ -484,7 +466,7 @@ func (r *runner) metro() {
 		o.Placements = 2
 	}
 	o.Packets = r.shrink(o.Packets)
-	stats := sourcesync.RunMetro(o)
+	stats := sourcesync.RunMetro(r.ec(16), o)
 	r.printf("cells=%dx%d aps/cell=%d packets/client=%d cs-range=%.0fm ix-range=%.0fm model=rate-aware",
 		o.CellsX, o.CellsY, o.APsPerCell, o.Packets, o.CSRangeM, o.InterferenceRangeM)
 	if o.WindowSec > 0 {
@@ -503,26 +485,20 @@ func (r *runner) metro() {
 
 func (r *runner) crosstraffic() {
 	r.header("Cross-traffic — routed mesh flow contending with relay-to-relay flows")
-	o := sourcesync.DefaultCrossTrafficOptions()
-	o.Seed = r.p.Seed + 9
-	r.runCrossTraffic(o)
+	r.runCrossTraffic(r.ec(9), sourcesync.DefaultCrossTrafficOptions())
 }
 
 func (r *runner) crosstrafficSpatial() {
 	r.header("Cross-traffic (spatial mesh) — cross flows in separate cells: reuse + hidden terminals on the routing side")
-	o := sourcesync.SpatialCrossTrafficOptions()
-	o.Seed = r.p.Seed + 11
-	r.runCrossTraffic(o)
+	r.runCrossTraffic(r.ec(11), sourcesync.SpatialCrossTrafficOptions())
 }
 
 // runCrossTraffic shrinks, runs, and prints one cross-traffic variant.
-func (r *runner) runCrossTraffic(o sourcesync.CrossTrafficOptions) {
-	o.Workers = r.p.Workers
-	o.Monitor = r.p.Monitor
+func (r *runner) runCrossTraffic(ec engine.Config, o sourcesync.CrossTrafficOptions) {
 	o.Topologies = r.shrink(o.Topologies)
 	o.Packets = r.shrink(o.Packets)
 	o.CrossPackets = r.shrink(o.CrossPackets)
-	res := sourcesync.RunCrossTraffic(o)
+	res := sourcesync.RunCrossTraffic(ec, o)
 	rateLabel := fmt.Sprintf("%d Mbps", o.RateMbps)
 	if o.AdaptCross {
 		rateLabel = "SampleRate-adapted"
@@ -556,7 +532,7 @@ func (r *runner) overhead() {
 
 func (r *runner) detdelay() {
 	r.header("Premise (§4.2a) — packet detection delay vs SNR")
-	pts := sourcesync.RunDetDelay(r.p.Seed+7, []float64{2, 4, 6, 9, 12, 18, 25}, r.shrink(60), r.p.Workers)
+	pts := sourcesync.RunDetDelay(r.ec(7), []float64{2, 4, 6, 9, 12, 18, 25}, r.shrink(60))
 	r.printf("%8s %10s %10s %10s %6s %6s\n", "SNR(dB)", "mean(ns)", "std(ns)", "p95(ns)", "det", "miss")
 	for _, p := range pts {
 		r.printf("%8.1f %10.1f %10.1f %10.1f %6d %6d\n", p.SNRdB, p.MeanNs, p.StdNs, p.P95Ns, p.Detected, p.Missed)
@@ -566,7 +542,7 @@ func (r *runner) detdelay() {
 
 func (r *runner) ablations() {
 	r.header("Ablation — phase-slope window (3 MHz vs whole band)")
-	sw := sourcesync.RunAblationSlopeWindow(r.p.Seed+8, r.shrink(200), r.p.Workers)
+	sw := sourcesync.RunAblationSlopeWindow(r.ec(8), r.shrink(200))
 	r.printf("windowed RMS %.3f samples, whole-band RMS %.3f samples over %d draws\n",
 		sw.WindowedRMS, sw.WholeBandRMS, sw.Draws)
 	if r.canceled() {
@@ -574,7 +550,7 @@ func (r *runner) ablations() {
 	}
 
 	r.header("Ablation — Smart Combiner (STBC) vs naive identical transmission")
-	nc := sourcesync.RunAblationNaiveCombining(r.p.Seed+9, r.shrink(12), r.p.Workers)
+	nc := sourcesync.RunAblationNaiveCombining(r.ec(9), r.shrink(12))
 	r.printf("worst-case effective SNR: STBC %.1f dB, naive %.1f dB (naive total failures: %d)\n",
 		nc.STBCWorstSNRdB, nc.NaiveWorstSNRdB, nc.NaiveFailures)
 	if r.canceled() {
@@ -582,7 +558,7 @@ func (r *runner) ablations() {
 	}
 
 	r.header("Ablation — shared pilots vs single phase track")
-	ps := sourcesync.RunAblationPilotSharing(r.p.Seed+10, r.shrink(6), r.p.Workers)
+	ps := sourcesync.RunAblationPilotSharing(r.ec(10), r.shrink(6))
 	r.printf("EVM with shared pilots %.4f, with naive tracking %.4f\n",
 		ps.SharedPilotsEVM, ps.NaiveTrackEVM)
 	if r.canceled() {
@@ -590,28 +566,27 @@ func (r *runner) ablations() {
 	}
 
 	r.header("Ablation — multi-receiver LP vs aligning at one receiver")
-	lp := sourcesync.RunAblationMultiRxLP(r.p.Seed+11, r.shrink(100), 3, r.p.Workers)
+	lp := sourcesync.RunAblationMultiRxLP(r.ec(11), r.shrink(100), 3)
 	r.printf("mean worst-case misalignment: LP %.2f samples, first-rx alignment %.2f samples\n",
 		lp.LPMaxMisalign, lp.FirstRxMisalign)
 }
 
 // scenario runs and renders one declarative scenario spec — the generic
 // path behind `ssbench -scenario`, ssserve inline specs, and the
-// registered data-driven experiments (cell, arrivals, mobility). A
-// positive Options.WindowSec overrides a backlogged spec's
-// traffic.window_sec, as it sets the coded saturation runners' window.
-func (r *runner) scenario(sp *scenario.Spec) error {
+// registered data-driven experiments (cell, arrivals, mobility). The spec
+// runs as a copy that -quick shrinks (placements and backlogs, exactly as
+// it shrinks the coded experiments) and a positive Options.WindowSec
+// overrides (a backlogged spec's traffic.window_sec, as it sets the coded
+// saturation runners' window); the header and body render that copy.
+func (r *runner) scenario(spec *scenario.Spec) error {
+	run := *spec
+	sp := &run
+	sp.Topology.Placements = r.shrink(sp.Topology.Placements)
+	sp.Traffic.Packets = r.shrink(sp.Traffic.Packets)
 	if w := r.p.Options.WindowSec; w > 0 && sp.Traffic.Model == scenario.ModelBacklogged {
-		windowed := *sp
-		windowed.Traffic.WindowSec = w
-		sp = &windowed
+		sp.Traffic.WindowSec = w
 	}
-	out, err := sourcesync.RunScenario(sp, sourcesync.ScenarioRunOptions{
-		Seed:    r.p.Seed + sp.SeedOffset,
-		Workers: r.p.Workers,
-		Quick:   r.p.Quick,
-		Monitor: r.p.Monitor,
-	})
+	out, err := sourcesync.RunScenario(r.ec(sp.SeedOffset), sp)
 	if err != nil {
 		return err
 	}
@@ -655,7 +630,7 @@ func (r *runner) scenarioConfig(sp *scenario.Spec) string {
 			fmt.Fprintf(&b, " leave-after=%.2fs", c.LeaveAfterSec)
 		}
 	}
-	fmt.Fprintf(&b, " placements=%d model=rate-aware", r.shrink(sp.Topology.Placements))
+	fmt.Fprintf(&b, " placements=%d model=rate-aware", sp.Topology.Placements)
 	return b.String()
 }
 

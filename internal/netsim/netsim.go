@@ -291,10 +291,6 @@ type Sim struct {
 	// Set it before the first Step and leave it fixed for the run.
 	InterferenceRangeM float64
 
-	// MaxSteps bounds Run as a safety net against scenarios whose flows
-	// never drain; 0 means a generous default.
-	MaxSteps int
-
 	now  float64 // virtual time, seconds
 	busy float64 // time the medium carried frames (airtime, ACKs)
 
@@ -1396,25 +1392,16 @@ func (s *Sim) finishFrame(f *Flow, delivered bool) {
 	}
 }
 
-// Run steps the simulator until every flow is drained. The MaxSteps guard
-// exists to catch scenario bugs (a flow whose backlog never drains); when
-// it trips, Run panics rather than let an experiment publish tables from a
-// silently truncated run. One frame attempt spans up to three events
-// (start, frame-air end, occupancy end), so the default is sized well
-// above any real workload.
-func (s *Sim) Run() {
-	max := s.MaxSteps
-	if max == 0 {
-		max = 1 << 26
-	}
-	for i := 0; i < max; i++ {
-		if !s.Step() {
-			return
-		}
-	}
-	panic(fmt.Sprintf("netsim: %d flows still backlogged after %d scheduler events — a flow's backlog never drains",
-		len(s.Flows), max))
-}
+// maxSteps bounds a run's scheduler events, a safety net against scenario
+// bugs (a flow whose backlog never drains, events that do not advance the
+// clock): when it trips, the run panics rather than let an experiment
+// publish tables from a silently truncated run. One frame attempt spans up
+// to three events (start, frame-air end, occupancy end), so the cap sits
+// well above any real workload.
+const maxSteps = 1 << 26
+
+// Run steps the simulator until every flow is drained.
+func (s *Sim) Run() { s.RunUntil(math.Inf(1)) }
 
 // RunUntil steps the simulator until the virtual clock reaches the
 // deadline (in seconds) or every flow drains, whichever comes first — the
@@ -1424,15 +1411,11 @@ func (s *Sim) Run() {
 // by at most the final event's span; callers measure throughput over the
 // actual Now().
 func (s *Sim) RunUntil(deadline float64) {
-	max := s.MaxSteps
-	if max == 0 {
-		max = 1 << 26
-	}
-	for i := 0; i < max; i++ {
+	for i := 0; i < maxSteps; i++ {
 		if s.now >= deadline || !s.Step() {
 			return
 		}
 	}
-	panic(fmt.Sprintf("netsim: clock at %.6fs of %.6fs after %d scheduler events — events are not advancing the clock",
-		s.now, deadline, max))
+	panic(fmt.Sprintf("netsim: %d flows, clock at %.6fs of %.6fs after %d scheduler events — a backlog never drains or events are not advancing the clock",
+		len(s.Flows), s.now, deadline, maxSteps))
 }

@@ -27,8 +27,10 @@
 //
 // This package is the public face: experiment runners that regenerate every
 // figure and table in the paper's evaluation (§8), plus re-exports of the
-// pieces examples need. Each experiment takes an options struct with a
-// deterministic seed and returns typed results; the cmd/ssbench binary and
+// pieces examples need. Each experiment takes a run context (RunConfig:
+// the deterministic seed, the worker count and an optional progress and
+// cancellation Monitor) and an options struct that holds only the
+// workload's shape, and returns typed results; the cmd/ssbench binary and
 // the repository-root benchmarks print them.
 //
 // # Parallel experiment engine
@@ -42,13 +44,14 @@
 // output is byte-identical at every worker count — including the serial
 // Workers: 1 path.
 //
-// Each options struct carries a Workers field (0 = one worker per CPU,
-// 1 = serial); cmd/ssbench exposes it as -parallel (default on) and
-// -workers, and reports per-experiment wall clock so speedups are visible.
+// The run context's Workers field (0 = one worker per CPU, 1 = serial) is
+// cmd/ssbench's -workers flag; ssbench reports per-experiment wall clock so
+// speedups are visible.
 package sourcesync
 
 import (
 	"repro/internal/channel"
+	"repro/internal/engine"
 	"repro/internal/mac"
 	"repro/internal/modem"
 	"repro/internal/phy"
@@ -57,6 +60,11 @@ import (
 
 // Re-exported configuration entry points, so example programs and library
 // consumers need only this package for common tasks.
+
+// RunConfig is the run context every experiment runner takes first: base
+// seed, worker count and optional Monitor (re-export of engine.Config, so
+// code outside this module can call the runners).
+type RunConfig = engine.Config
 
 // Config is the OFDM PHY profile (re-export of modem.Config).
 type Config = modem.Config
