@@ -86,7 +86,7 @@ func RunDetDelay(ec engine.Config, snrs []float64, trials int) []DetDelayPoint {
 		buf := make([]complex128, lead+len(faded)+400)
 		copy(buf[lead:], faded)
 		channel.AddAWGN(rng, buf, noise)
-		det := modem.DetectPacket(cfg, buf, 0, modem.DetectorOptions{})
+		det := modem.DetectPacket(cfg, buf, 0)
 		if !det.Detected || det.CoarseIdx < lead-2*cfg.NFFT {
 			return detTrial{}
 		}

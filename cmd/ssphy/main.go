@@ -12,11 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"os"
-	"slices"
 
 	"repro/internal/channel"
 	"repro/internal/dsp"
@@ -129,15 +127,9 @@ func main() {
 	fmt.Printf("  decode: ok=%v payload-match=%v\n", res.OK, res.OK && string(res.Payload) == string(pay))
 }
 
-func avgDB(m map[int]float64) float64 {
-	var lin float64
-	// Sorted-key sum: float addition in randomized map order would make
-	// the printed averages drift run to run at full precision.
-	for _, k := range slices.Sorted(maps.Keys(m)) {
-		lin += m[k]
-	}
-	if len(m) == 0 {
+func avgDB(snr []float64) float64 {
+	if len(snr) == 0 {
 		return math.Inf(-1)
 	}
-	return dsp.DB(lin / float64(len(m)))
+	return dsp.DB(dsp.Mean(snr))
 }

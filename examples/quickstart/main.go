@@ -13,9 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"maps"
 	"math/rand"
-	"slices"
 
 	sourcesync "repro"
 	"repro/internal/channel"
@@ -84,16 +82,8 @@ func main() {
 		modem.StandardRates()[res.Header.RateIdx])
 	fmt.Printf("misalignment estimate (fed back in ACK): %+.3f samples\n", res.MisalignEst[0])
 
-	lead := res.SenderSNR(0)
-	joint := res.CompositeSNR()
-	var leadLin, jointLin float64
-	// Sorted-key sums keep the printed gain byte-identical run to run.
-	for _, k := range slices.Sorted(maps.Keys(lead)) {
-		leadLin += lead[k]
-		jointLin += joint[k]
-	}
-	leadLin /= float64(len(lead))
-	jointLin /= float64(len(joint))
+	leadLin := dsp.Mean(res.SenderSNR(0))
+	jointLin := dsp.Mean(res.CompositeSNR())
 	fmt.Printf("lead-alone SNR %.1f dB -> joint SNR %.1f dB (gain %.1f dB)\n",
 		dsp.DB(leadLin), dsp.DB(jointLin), dsp.DB(jointLin)-dsp.DB(leadLin))
 

@@ -3,7 +3,6 @@ package sourcesync
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/channel"
 	"repro/internal/dsp"
@@ -103,9 +102,9 @@ type fig15Sample struct {
 	regime    testbed.Regime
 	singleDB  float64
 	jointDB   float64
-	perBin1   map[int]float64
-	perBin2   map[int]float64
-	perBinSum map[int]float64
+	perBin1   []float64 // linear SNR per subcarrier, cfg.UsedBins() order
+	perBin2   []float64
+	perBinSum []float64
 }
 
 // RunFig15 regenerates Figure 15: average SNR per regime for a single
@@ -167,23 +166,9 @@ func RunFig16(ec engine.Config, o Fig15Options) []Fig16Series {
 	samples := fig15Measure(ec, o)
 	best := map[testbed.Regime]*fig15Sample{}
 	bestSel := map[testbed.Regime]float64{}
-	toSeries := func(m map[int]float64) ([]int, []float64) {
-		ks := make([]int, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Ints(ks)
-		vals := make([]float64, len(ks))
-		for i, k := range ks {
-			vals[i] = dsp.DB(m[k])
-		}
-		return ks, vals
-	}
 	for i := range samples {
 		s := &samples[i]
-		_, v1 := toSeries(s.perBin1)
-		_, v2 := toSeries(s.perBin2)
-		sel := dsp.StdDev(v1) + dsp.StdDev(v2)
+		sel := dsp.StdDev(perBinDB(s.perBin1)) + dsp.StdDev(perBinDB(s.perBin2))
 		if sel > bestSel[s.regime] {
 			bestSel[s.regime] = sel
 			best[s.regime] = s
@@ -196,11 +181,9 @@ func RunFig16(ec engine.Config, o Fig15Options) []Fig16Series {
 		if s == nil {
 			continue
 		}
-		ks, v1 := toSeries(s.perBin1)
-		_, v2 := toSeries(s.perBin2)
-		_, vj := toSeries(s.perBinSum)
+		v1, v2, vj := perBinDB(s.perBin1), perBinDB(s.perBin2), perBinDB(s.perBinSum)
 		ser := Fig16Series{Regime: reg.String()}
-		for _, k := range ks {
+		for _, k := range cfg.UsedBins() {
 			ser.FreqMHz = append(ser.FreqMHz, float64(k)*spacing)
 		}
 		ser.Sender1 = v1
@@ -210,6 +193,15 @@ func RunFig16(ec engine.Config, o Fig15Options) []Fig16Series {
 		ser.Flatness.Sender2 = dsp.StdDev(v2)
 		ser.Flatness.Joint = dsp.StdDev(vj)
 		out = append(out, ser)
+	}
+	return out
+}
+
+// perBinDB converts a per-subcarrier linear SNR profile to dB.
+func perBinDB(lin []float64) []float64 {
+	out := make([]float64, len(lin))
+	for i, v := range lin {
+		out[i] = dsp.DB(v)
 	}
 	return out
 }
@@ -301,21 +293,7 @@ func fig15Frame(rng *rand.Rand, cfg *Config, snr1, snr2 float64) (fig15Sample, b
 	s1 := res.SenderSNR(0)
 	s2 := res.SenderSNR(1)
 	j := res.CompositeSNR()
-	// Sum in sorted bin order: ranging over the map directly would add the
-	// floats in randomized iteration order and perturb the last ulp from
-	// run to run, breaking the byte-identical-output guarantee.
-	avg := func(m map[int]float64) float64 {
-		ks := make([]int, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Ints(ks)
-		var lin float64
-		for _, k := range ks {
-			lin += m[k]
-		}
-		return dsp.DB(lin / float64(len(m)))
-	}
+	avg := func(snr []float64) float64 { return dsp.DB(dsp.Mean(snr)) }
 	single := dsp.DB((dsp.FromDB(avg(s1)) + dsp.FromDB(avg(s2))) / 2)
 	return fig15Sample{
 		regime:    testbed.ClassifyRegime(single),

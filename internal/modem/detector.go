@@ -27,25 +27,17 @@ type DetectResult struct {
 	CoarseCFO float64 // CFO estimate from STS periodicity, cycles/sample
 }
 
-// DetectorOptions tunes acquisition. Zero values select defaults.
-type DetectorOptions struct {
-	EnergyRatio float64 // coarse threshold on after/before energy (default 2)
-	MinAutoCorr float64 // STS periodicity confirmation (default 0.35)
-}
-
-func (o *DetectorOptions) defaults() {
-	if o.EnergyRatio == 0 {
-		o.EnergyRatio = 2
-	}
-	if o.MinAutoCorr == 0 {
-		o.MinAutoCorr = 0.35
-	}
-}
+// Detector thresholds.
+const (
+	detEnergyRatio = 2    // coarse threshold on after/before energy
+	detMinAutoCorr = 0.35 // STS periodicity confirmation
+)
 
 // DetectPacket searches x (starting at from) for a preamble. It returns the
-// coarse detection instant and the fine preamble-start estimate.
-func DetectPacket(cfg *Config, x []complex128, from int, opts DetectorOptions) DetectResult {
-	opts.defaults()
+// coarse detection instant and the fine preamble-start estimate. The fine
+// estimate is negative when the stream begins after the preamble's first
+// sample.
+func DetectPacket(cfg *Config, x []complex128, from int) DetectResult {
 	period := cfg.STSPeriod()
 	w := 2 * period
 	if from < 0 {
@@ -65,11 +57,11 @@ func DetectPacket(cfg *Config, x []complex128, from int, opts DetectorOptions) D
 	coarse := -1
 	confirm := -1
 	for d := 0; d < len(ratios); d++ {
-		if ratios[d] < opts.EnergyRatio {
+		if ratios[d] < detEnergyRatio {
 			continue
 		}
 		for j := d; j <= d+3*w && j < len(auto); j++ {
-			if auto[j] >= opts.MinAutoCorr {
+			if auto[j] >= detMinAutoCorr {
 				confirm = j
 				break
 			}

@@ -170,7 +170,7 @@ func TestDetectorAccuracy(t *testing.T) {
 		noisy := addAWGN(r, wave, snr)
 		before := 321
 		x := padded(r, noisy, before, 300, -snr)
-		det := DetectPacket(cfg, x, 0, DetectorOptions{})
+		det := DetectPacket(cfg, x, 0)
 		if !det.Detected {
 			t.Fatalf("snr %.0f: packet not detected", snr)
 		}
@@ -190,7 +190,7 @@ func TestDetectorNoFalsePositiveOnNoise(t *testing.T) {
 	for i := range noise {
 		noise[i] = complex(r.NormFloat64(), r.NormFloat64())
 	}
-	det := DetectPacket(cfg, noise, 0, DetectorOptions{})
+	det := DetectPacket(cfg, noise, 0)
 	if det.Detected {
 		t.Fatalf("false positive at %d", det.FineIdx)
 	}
@@ -211,7 +211,7 @@ func TestDetectionDelayGrowsAtLowSNR(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			noisy := addAWGN(r, wave, snr)
 			x := padded(r, noisy, 200, 200, -snr)
-			det := DetectPacket(cfg, x, 0, DetectorOptions{})
+			det := DetectPacket(cfg, x, 0)
 			if det.Detected {
 				delays = append(delays, float64(det.CoarseIdx-200))
 			}
@@ -241,7 +241,7 @@ func TestMeasureSubcarrierSNR(t *testing.T) {
 		noisy := addAWGN(r, wave, want)
 		x := padded(r, noisy, 100, 100, -want)
 		snr := MeasureSubcarrierSNR(cfg, x, 100)
-		est = append(est, AverageSNRdB(snr))
+		est = append(est, dsp.DB(dsp.Mean(snr)))
 	}
 	avg := dsp.Mean(est)
 	if math.Abs(avg-want) > 1.5 {

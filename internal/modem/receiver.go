@@ -1,19 +1,13 @@
 package modem
 
-import (
-	"errors"
-	"maps"
-	"slices"
+import "errors"
 
-	"repro/internal/dsp"
-)
-
-// Receiver decodes single-sender frames from a baseband sample stream. The
-// SourceSync joint receiver (internal/phy) reuses its building blocks but
-// runs its own joint channel estimation.
+// Receiver decodes single-sender frames from a baseband sample stream. It
+// starts from the same acquisition (Acquire) as the SourceSync joint
+// receiver in internal/phy, which then runs its own joint channel
+// estimation.
 type Receiver struct {
 	Cfg *Config
-	Det DetectorOptions
 	// FFTBackoff shifts every FFT window this many samples early (into the
 	// cyclic prefix) to protect against late timing estimates at the cost
 	// of CP budget. Typical: 2-4 samples.
@@ -25,87 +19,64 @@ type Receiver struct {
 
 // RxDiag carries per-frame receiver diagnostics used by experiments.
 type RxDiag struct {
-	Detect    DetectResult
-	CFO       float64      // estimated carrier offset, cycles/sample
-	H         []complex128 // channel estimate by FFT bin
-	EVM       float64      // rms error vector magnitude over data symbols
-	SymPhases []float64    // tracked common phase per data symbol
+	Detect DetectResult
+	CFO    float64      // estimated carrier offset, cycles/sample
+	H      []complex128 // channel estimate by FFT bin
+	EVM    float64      // rms error vector magnitude over data symbols
 }
 
-// ErrNoPacket is returned when no preamble is found in the stream.
+// ErrNoPacket is returned when no preamble is found in the stream, or when
+// the stream does not hold the whole of the frame the caller needs.
 var ErrNoPacket = errors.New("modem: no packet detected")
 
-// Receive locates, equalizes and decodes one frame with parameters p from
-// stream x starting at index from. It returns the recovered payload, whether
-// the CRC passed and diagnostics. A detection failure returns ErrNoPacket.
-func (r *Receiver) Receive(p FrameParams, x []complex128, from int) (payload []byte, ok bool, diag RxDiag, err error) {
-	cfg := r.Cfg
-	det := DetectPacket(cfg, x, from, r.Det)
-	diag.Detect = det
-	if !det.Detected {
-		return nil, false, diag, ErrNoPacket
-	}
-	start := det.FineIdx
+// Acquisition is one detected frame after the receive front end.
+type Acquisition struct {
+	Detect DetectResult
+	CFO    float64      // carrier offset removed from Buf, cycles/sample
+	Buf    []complex128 // private copy of the stream; Buf[0] is the preamble's first sample
+	H      []complex128 // channel estimate from the two LTS symbols, by FFT bin
+}
 
-	// CFO estimation and correction over a private copy of the frame span.
-	span := p.AirtimeSamples() + cfg.NFFT
-	if start < 0 || start+span > len(x) {
-		if start+span > len(x) {
-			span = len(x) - start
-		}
-		if span <= cfg.PreambleLen() {
-			return nil, false, diag, ErrNoPacket
-		}
+// Acquire runs the receive front end on stream x from index from: it
+// detects a preamble, rejects one that starts before the stream or leaves
+// fewer than need samples from its first sample to the end of the stream,
+// copies the stream from the preamble on, removes the carrier offset in
+// two stages and estimates the channel from the two LTS symbols with the
+// FFT windows backoff samples early. The returned Detect is set whenever a
+// detection ran; any failure is ErrNoPacket.
+func Acquire(cfg *Config, x []complex128, from, backoff, need int) (Acquisition, error) {
+	a := Acquisition{Detect: DetectPacket(cfg, x, from)}
+	start := a.Detect.FineIdx
+	lts1 := cfg.LTSOffset() - backoff
+	if !a.Detect.Detected || start < 0 || start+need > len(x) || lts1 < 0 || start+lts1+2*cfg.NFFT > len(x) {
+		return a, ErrNoPacket
 	}
-	buf := append([]complex128(nil), x[start:start+span]...)
+	a.Buf = append([]complex128(nil), x[start:]...)
 	// Two-stage CFO correction: the STS-based coarse estimate has wide
 	// range but low precision; the LTS-based estimate is precise but
 	// aliases beyond +-1/(2*NFFT), so it refines the residual only.
-	CorrectCFO(buf, det.CoarseCFO, 0)
-	residual := EstimateCFO(cfg, buf, 0)
-	CorrectCFO(buf, residual, 0)
-	diag.CFO = det.CoarseCFO + residual
+	CorrectCFO(a.Buf, a.Detect.CoarseCFO, 0)
+	residual := EstimateCFO(cfg, a.Buf, 0)
+	CorrectCFO(a.Buf, residual, 0)
+	a.CFO = a.Detect.CoarseCFO + residual
+	a.H = cfg.EstimateChannelLTS(a.Buf[lts1:lts1+cfg.NFFT], a.Buf[lts1+cfg.NFFT:lts1+2*cfg.NFFT])
+	return a, nil
+}
 
-	// Channel estimation from the two LTS repetitions, with FFT backoff.
-	lts1 := cfg.LTSOffset() - r.FFTBackoff
-	if lts1 < 0 || lts1+2*cfg.NFFT > len(buf) {
-		return nil, false, diag, ErrNoPacket
+// Receive locates, equalizes and decodes one frame with parameters p from
+// stream x starting at index from. It returns the recovered payload, whether
+// the CRC passed and diagnostics. A detection failure, or a stream that
+// ends before the frame's last FFT window, returns ErrNoPacket.
+func (r *Receiver) Receive(p FrameParams, x []complex128, from int) (payload []byte, ok bool, diag RxDiag, err error) {
+	acq, err := Acquire(r.Cfg, x, from, r.FFTBackoff, p.AirtimeSamples()-r.FFTBackoff)
+	diag.Detect = acq.Detect
+	if err != nil {
+		return nil, false, diag, err
 	}
-	h := cfg.EstimateChannelLTS(buf[lts1:lts1+cfg.NFFT], buf[lts1+cfg.NFFT:lts1+2*cfg.NFFT])
-	diag.H = h
-
-	// Data symbols.
-	nsym := p.NumDataSymbols()
-	symLen := p.CP + cfg.NFFT
-	syms := make([][]complex128, 0, nsym)
-	var evmAcc float64
-	var evmN int
-	for s := 0; s < nsym; s++ {
-		symStart := cfg.PreambleLen() + s*symLen + p.CP - r.FFTBackoff
-		if symStart < 0 || symStart+cfg.NFFT > len(buf) {
-			return nil, false, diag, ErrNoPacket
-		}
-		bins := cfg.SymbolBins(buf[symStart:])
-		// The backoff shifts every window equally, including the LTS used
-		// for H, so no extra phase ramp correction is needed here.
-		phase, _ := cfg.PilotPhase(bins, h, s)
-		diag.SymPhases = append(diag.SymPhases, phase)
-		eq := cfg.EqualizeData(bins, h, phase)
-		syms = append(syms, eq)
-		for _, v := range eq {
-			// Distance to the nearest constellation point of this rate.
-			bits := p.Rate.Mod.Demap(v, nil)
-			ideal := p.Rate.Mod.Map(bits)
-			d := v - ideal
-			evmAcc += real(d)*real(d) + imag(d)*imag(d)
-			evmN++
-		}
-	}
-	if evmN > 0 {
-		evmAcc /= float64(evmN)
-	}
-	diag.EVM = evmAcc
-
+	diag.CFO = acq.CFO
+	diag.H = acq.H
+	syms := p.EqualizeSymbols(acq.Buf, acq.H, r.FFTBackoff)
+	diag.EVM = p.Rate.Mod.EVM(syms)
 	if r.SoftDecision {
 		payload, ok = p.DecodeSymbolsToPayloadSoft(syms, diag.EVM)
 	} else {
@@ -114,11 +85,49 @@ func (r *Receiver) Receive(p FrameParams, x []complex128, from int) (payload []b
 	return payload, ok, diag, nil
 }
 
+// EqualizeSymbols FFTs the data symbols of a preamble-aligned,
+// CFO-corrected buffer with every window backoff samples early, removes
+// each symbol's pilot-tracked common phase and divides out channel h. It
+// returns the equalized data points per symbol. The backoff shifts every
+// window equally, including the LTS windows h came from, so no extra phase
+// ramp correction is needed.
+func (p FrameParams) EqualizeSymbols(buf, h []complex128, backoff int) [][]complex128 {
+	cfg := p.Cfg
+	nsym := p.NumDataSymbols()
+	symLen := p.CP + cfg.NFFT
+	syms := make([][]complex128, 0, nsym)
+	for s := 0; s < nsym; s++ {
+		w := cfg.PreambleLen() + s*symLen + p.CP - backoff
+		bins := cfg.SymbolBins(buf[w:])
+		phase, _ := cfg.PilotPhase(bins, h, s)
+		syms = append(syms, cfg.EqualizeData(bins, h, phase))
+	}
+	return syms
+}
+
+// EVM returns the mean squared distance of equalized points from their
+// nearest constellation points of m.
+func (m Modulation) EVM(syms [][]complex128) float64 {
+	var acc float64
+	var n int
+	for _, sym := range syms {
+		for _, v := range sym {
+			d := v - m.Map(m.Demap(v, nil))
+			acc += real(d)*real(d) + imag(d)*imag(d)
+			n++
+		}
+	}
+	if n > 0 {
+		acc /= float64(n)
+	}
+	return acc
+}
+
 // MeasureSubcarrierSNR estimates per-used-bin SNR (linear) by comparing
 // equalized LTS bins against their known values: signal power over error
 // power, computed from the two LTS repetitions' difference (noise) and mean
-// (signal+channel). Returns a map from signed subcarrier index to SNR.
-func MeasureSubcarrierSNR(cfg *Config, x []complex128, preambleStart int) map[int]float64 {
+// (signal+channel). Entry i is subcarrier cfg.UsedBins()[i].
+func MeasureSubcarrierSNR(cfg *Config, x []complex128, preambleStart int) []float64 {
 	lts1 := preambleStart + cfg.LTSOffset()
 	if lts1 < 0 || lts1+2*cfg.NFFT > len(x) {
 		return nil
@@ -130,40 +139,24 @@ func MeasureSubcarrierSNR(cfg *Config, x []complex128, preambleStart int) map[in
 	// (from the difference of the two LTS repetitions); a per-bin noise
 	// estimate would make the SNR ratio heavy-tailed.
 	var noise float64
-	sig := make(map[int]float64, len(used))
-	for _, k := range used {
+	out := make([]float64, len(used))
+	for i, k := range used {
 		b := cfg.Bin(k)
 		sum := b1[b] + b2[b]
 		diff := b1[b] - b2[b]
-		sig[k] = (real(sum)*real(sum) + imag(sum)*imag(sum)) / 4
+		out[i] = (real(sum)*real(sum) + imag(sum)*imag(sum)) / 4
 		noise += (real(diff)*real(diff) + imag(diff)*imag(diff)) / 2
 	}
 	noise /= float64(len(used))
 	if noise <= 0 {
 		noise = 1e-12
 	}
-	out := make(map[int]float64, len(used))
-	for _, k := range used {
-		s := sig[k] - noise/2 // remove the noise bias from the signal term
+	for i, sig := range out {
+		s := sig - noise/2 // remove the noise bias from the signal term
 		if s < 0 {
 			s = 0
 		}
-		out[k] = s / noise
+		out[i] = s / noise
 	}
 	return out
-}
-
-// AverageSNRdB reduces a per-subcarrier SNR map to its average in dB. Bins
-// are summed in sorted key order: float addition is not associative, so
-// summing in randomized map order would leak run-to-run ULP noise into
-// every SNR average downstream.
-func AverageSNRdB(snr map[int]float64) float64 {
-	if len(snr) == 0 {
-		return dsp.DB(0)
-	}
-	var lin float64
-	for _, k := range slices.Sorted(maps.Keys(snr)) {
-		lin += snr[k]
-	}
-	return dsp.DB(lin / float64(len(snr)))
 }

@@ -1,9 +1,7 @@
 package phy
 
 import (
-	"maps"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/modem"
@@ -21,8 +19,8 @@ func TestJointReceiverRejectsCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Smash the header region (after the preamble, before SIFS).
-	hdrStart := sim.Margin + sim.P.Cfg.PreambleLen() + int(sim.LeadToRx.Delay)
-	hdrEnd := sim.Margin + sim.P.HeaderEnd() + int(sim.LeadToRx.Delay)
+	hdrStart := simMargin + sim.P.Cfg.PreambleLen() + int(sim.LeadToRx.Delay)
+	hdrEnd := simMargin + sim.P.HeaderEnd() + int(sim.LeadToRx.Delay)
 	for i := hdrStart; i < hdrEnd; i++ {
 		run.RxWave[i] += complex(rng.NormFloat64(), rng.NormFloat64())
 	}
@@ -41,7 +39,7 @@ func TestJointReceiverTruncatedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := run.RxWave[:sim.Margin+sim.P.DataStart()]
+	cut := run.RxWave[:simMargin+sim.P.DataStart()]
 	rx := &JointReceiver{Cfg: sim.P.Cfg, FFTBackoff: 3}
 	if _, err := rx.Receive(cut, 0); err == nil {
 		t.Fatal("truncated joint frame must error")
@@ -93,9 +91,9 @@ func TestJointFourSenders(t *testing.T) {
 	lead := res.SenderSNR(0)
 	comp := res.CompositeSNR()
 	var l, c float64
-	for _, k := range slices.Sorted(maps.Keys(lead)) {
-		l += lead[k]
-		c += comp[k]
+	for i := range lead {
+		l += lead[i]
+		c += comp[i]
 	}
 	if ratio := c / l; ratio < 2.5 || ratio > 6 {
 		t.Fatalf("composite/lead power ratio %.2f, want ~4", ratio)

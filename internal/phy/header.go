@@ -86,3 +86,17 @@ func headerFrameParams(cfg *modem.Config) modem.FrameParams {
 		ScramblerSeed: 0x5d,
 	}
 }
+
+// decodeHeader decodes the sync header symbols of an acquired frame. Any
+// failure, a CRC miss or a malformed header, is ErrHeaderFailed.
+func decodeHeader(hp modem.FrameParams, acq modem.Acquisition, backoff int) (SyncHeader, error) {
+	b, ok := hp.DecodeSymbolsToPayload(hp.EqualizeSymbols(acq.Buf, acq.H, backoff))
+	if !ok {
+		return SyncHeader{}, ErrHeaderFailed
+	}
+	hdr, err := ParseSyncHeader(b)
+	if err != nil {
+		return SyncHeader{}, ErrHeaderFailed
+	}
+	return hdr, nil
+}

@@ -22,45 +22,37 @@ import (
 // while still averaging measurement noise well below the effect size.
 const CalibrationReps = 100
 
-// calSymbolLen returns the length of one calibration symbol.
-func (p JointFrameParams) calSymbolLen() int { return p.DataCP + p.Cfg.NFFT }
-
 // CalibrationLen returns the total frame length when the data region is
 // replaced by the calibration tail.
 func (p JointFrameParams) CalibrationLen(reps int) int {
-	return p.DataStart() + 2*reps*p.calSymbolLen()
+	return p.DataStart() + 2*reps*p.ceSymbolLen()
 }
 
 // BuildLeadCalibration renders the lead's waveform for a calibration frame:
-// sync header, silence, then an LTS symbol in every even tail slot.
+// the data frame's lead prefix, then an LTS symbol in every even tail slot.
 func (p JointFrameParams) BuildLeadCalibration(reps int) []complex128 {
-	hp := headerFrameParams(p.Cfg)
-	wave := modem.BuildFrame(hp, p.Header().Bytes())
-	wave = append(wave, make([]complex128, p.DataStart()-len(wave))...)
-	ce := ceSymbolWave(p.Cfg, p.DataCP)
-	sl := p.calSymbolLen()
-	for r := 0; r < reps; r++ {
-		wave = append(wave, ce...)
-		wave = append(wave, make([]complex128, sl)...)
-	}
-	return wave
+	return p.appendCalibrationTail(p.leadPrefix(), reps, 0)
 }
 
 // BuildCoCalibration renders co-sender i's calibration waveform (sample 0 =
-// global reference): CE slot, silence, then an LTS symbol in every odd tail
-// slot.
+// global reference): the data frame's co-sender prefix, then an LTS symbol
+// in every odd tail slot.
 func (p JointFrameParams) BuildCoCalibration(i, reps int) []complex128 {
 	if i != 0 || p.NumCo != 1 {
 		panic("phy: calibration frames support exactly one co-sender")
 	}
+	return p.appendCalibrationTail(p.coPrefix(i), reps, 1)
+}
+
+// appendCalibrationTail appends reps [lead LTS, co LTS] symbol pairs to
+// wave, sending only the symbol in position slot of each pair (0 = lead,
+// 1 = co-sender) and silence in the other.
+func (p JointFrameParams) appendCalibrationTail(wave []complex128, reps, slot int) []complex128 {
 	ce := ceSymbolWave(p.Cfg, p.DataCP)
-	wave := append([]complex128{}, ce...)
-	wave = append(wave, ce...)
-	wave = append(wave, make([]complex128, p.DataStart()-p.GlobalRef()-len(wave))...)
-	sl := p.calSymbolLen()
+	tail := len(wave)
+	wave = append(wave, make([]complex128, 2*reps*len(ce))...)
 	for r := 0; r < reps; r++ {
-		wave = append(wave, make([]complex128, sl)...)
-		wave = append(wave, ce...)
+		copy(wave[tail+(2*r+slot)*len(ce):], ce)
 	}
 	return wave
 }
@@ -84,27 +76,20 @@ type CalibrationResult struct {
 // or decoded.
 var errNoCalibration = errors.New("phy: calibration frame not decodable")
 
-// ReceiveCalibration processes a calibration frame: it decodes the header,
-// forms the single-shot misalignment estimate exactly as Receive does, then
-// measures the per-repetition series over the tail.
+// ReceiveCalibration processes a calibration frame with known parameters
+// p: it acquires the frame, forms the single-shot misalignment estimate
+// from the header LTS and the CE slot exactly as Receive does, then
+// measures the per-repetition series over the tail. It does not decode the
+// sync header.
 func (r *JointReceiver) ReceiveCalibration(p JointFrameParams, x []complex128, from, reps int) (*CalibrationResult, error) {
 	cfg := r.Cfg
-	det := modem.DetectPacket(cfg, x, from, r.Det)
-	if !det.Detected {
+	acq, err := modem.Acquire(cfg, x, from, r.FFTBackoff, p.CalibrationLen(reps)+cfg.NFFT)
+	if err != nil {
 		return nil, errNoCalibration
 	}
-	start := det.FineIdx
-	if start < 0 || start+p.CalibrationLen(reps)+cfg.NFFT > len(x) {
-		return nil, errNoCalibration
-	}
-	buf := append([]complex128(nil), x[start:]...)
-	modem.CorrectCFO(buf, det.CoarseCFO, 0)
-	residual := modem.EstimateCFO(cfg, buf, 0)
-	modem.CorrectCFO(buf, residual, 0)
+	buf, hLead := acq.Buf, acq.H
 
 	// Single-shot path: lead channel from header LTS, co channel from CE.
-	lts1 := cfg.LTSOffset() - r.FFTBackoff
-	hLead := cfg.EstimateChannelLTS(buf[lts1:lts1+cfg.NFFT], buf[lts1+cfg.NFFT:lts1+2*cfg.NFFT])
 	slot := p.CESlot(0)
 	ceLen := p.ceSymbolLen()
 	w1 := slot + p.DataCP - r.FFTBackoff
@@ -126,10 +111,9 @@ func (r *JointReceiver) ReceiveCalibration(p JointFrameParams, x []complex128, f
 	}
 
 	// Repetition series: single-symbol channel estimates per slot.
-	sl := p.calSymbolLen()
 	for rep := 0; rep < reps; rep++ {
-		leadSym := p.DataStart() + (2*rep)*sl + p.DataCP - r.FFTBackoff
-		coSym := p.DataStart() + (2*rep+1)*sl + p.DataCP - r.FFTBackoff
+		leadSym := p.DataStart() + (2*rep)*ceLen + p.DataCP - r.FFTBackoff
+		coSym := p.DataStart() + (2*rep+1)*ceLen + p.DataCP - r.FFTBackoff
 		hL := r.singleSymbolChannel(buf[leadSym:])
 		hC := r.singleSymbolChannel(buf[coSym:])
 		res.Series = append(res.Series, sls.Misalignment(cfg, hL, hC))

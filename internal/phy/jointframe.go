@@ -207,20 +207,39 @@ func (p JointFrameParams) encodeDataSymbols(payload []byte) [][]complex128 {
 	return out
 }
 
+// leadPrefix renders the lead's transmission up to the data region:
+// preamble + sync header symbols, then silence through SIFS and the
+// co-sender CE slots. Sample 0 is the start of the preamble.
+func (p JointFrameParams) leadPrefix() []complex128 {
+	wave := modem.BuildFrame(headerFrameParams(p.Cfg), p.Header().Bytes())
+	silence := p.DataStart() - len(wave)
+	if silence < 0 {
+		panic("phy: header longer than data start")
+	}
+	return append(wave, make([]complex128, silence)...)
+}
+
+// coPrefix renders co-sender i's transmission up to the data region.
+// Sample 0 is the frame's global time reference; leading zeros cover the
+// CE slots of earlier co-senders, then come its own two CE symbols and
+// silence through the later slots.
+func (p JointFrameParams) coPrefix(i int) []complex128 {
+	if i < 0 || i >= p.NumCo {
+		panic("phy: co-sender index out of range")
+	}
+	wave := make([]complex128, i*2*p.ceSymbolLen())
+	ce := ceSymbolWave(p.Cfg, p.DataCP)
+	wave = append(wave, ce...)
+	wave = append(wave, ce...)
+	return append(wave, make([]complex128, p.DataStart()-p.GlobalRef()-len(wave))...)
+}
+
 // BuildLeadWaveform renders the lead sender's complete transmission:
 // preamble + sync header symbols, silence through SIFS and the co-sender CE
 // slots, then its share of the data symbols. Sample 0 of the returned
 // waveform is the start of the preamble.
 func (p JointFrameParams) BuildLeadWaveform(payload []byte) []complex128 {
-	hp := headerFrameParams(p.Cfg)
-	wave := modem.BuildFrame(hp, p.Header().Bytes())
-	silence := p.DataStart() - len(wave)
-	if silence < 0 {
-		panic("phy: header longer than data start")
-	}
-	wave = append(wave, make([]complex128, silence)...)
-	data := p.encodeDataSymbols(payload)[0]
-	return append(wave, data...)
+	return append(p.leadPrefix(), p.encodeDataSymbols(payload)[0]...)
 }
 
 // BuildCoWaveform renders co-sender i's transmission (role i+1 in the
@@ -229,15 +248,5 @@ func (p JointFrameParams) BuildLeadWaveform(payload []byte) []complex128 {
 // starts emitting it exactly at its (compensated) global reference time.
 // Leading zeros cover the CE slots of earlier co-senders.
 func (p JointFrameParams) BuildCoWaveform(i int, payload []byte) []complex128 {
-	if i < 0 || i >= p.NumCo {
-		panic("phy: co-sender index out of range")
-	}
-	wave := make([]complex128, i*2*p.ceSymbolLen())
-	ce := ceSymbolWave(p.Cfg, p.DataCP)
-	wave = append(wave, ce...)
-	wave = append(wave, ce...)
-	gap := p.DataStart() - p.GlobalRef() - len(wave)
-	wave = append(wave, make([]complex128, gap)...)
-	data := p.encodeDataSymbols(payload)[i+1]
-	return append(wave, data...)
+	return append(p.coPrefix(i), p.encodeDataSymbols(payload)[i+1]...)
 }

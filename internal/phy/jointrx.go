@@ -29,34 +29,39 @@ type JointRxResult struct {
 	// NoiseBinPower is the per-FFT-bin noise power estimated from the SIFS
 	// silence gap.
 	NoiseBinPower float64
-	// SenderBinPower[j][k] is |H_j|^2 on signed subcarrier k for sender j
-	// (0 = lead).
-	SenderBinPower []map[int]float64
+	// SenderBinPower[j][i] is |H_j|^2 on subcarrier Cfg.UsedBins()[i] for
+	// sender j (0 = lead); nil for a co-sender whose CE slot was silent.
+	SenderBinPower [][]float64
 	// EVM is the mean squared error vector magnitude over equalized data
 	// constellation points; 1/EVM is an effective post-combining SNR.
 	EVM float64
 }
 
 // CompositeSNR returns the per-subcarrier SNR (linear) the joint
-// transmission delivers: sum of sender channel powers over noise.
-func (r *JointRxResult) CompositeSNR() map[int]float64 {
-	out := map[int]float64{}
+// transmission delivers: sum of sender channel powers over noise, in
+// Cfg.UsedBins() order.
+func (r *JointRxResult) CompositeSNR() []float64 {
+	var out []float64
 	for _, sp := range r.SenderBinPower {
-		for k, v := range sp {
-			out[k] += v
+		if out == nil && sp != nil {
+			out = make([]float64, len(sp))
+		}
+		for i, v := range sp {
+			out[i] += v
 		}
 	}
-	for k := range out {
-		out[k] /= r.NoiseBinPower
+	for i := range out {
+		out[i] /= r.NoiseBinPower
 	}
 	return out
 }
 
-// SenderSNR returns sender j's per-subcarrier SNR (linear).
-func (r *JointRxResult) SenderSNR(j int) map[int]float64 {
-	out := map[int]float64{}
-	for k, v := range r.SenderBinPower[j] {
-		out[k] = v / r.NoiseBinPower
+// SenderSNR returns sender j's per-subcarrier SNR (linear) in
+// Cfg.UsedBins() order; empty for a silent co-sender.
+func (r *JointRxResult) SenderSNR(j int) []float64 {
+	out := make([]float64, len(r.SenderBinPower[j]))
+	for i, v := range r.SenderBinPower[j] {
+		out[i] = v / r.NoiseBinPower
 	}
 	return out
 }
@@ -64,11 +69,7 @@ func (r *JointRxResult) SenderSNR(j int) map[int]float64 {
 // JointReceiver decodes SourceSync joint frames.
 type JointReceiver struct {
 	Cfg        *modem.Config
-	Det        modem.DetectorOptions
 	FFTBackoff int // samples of deliberate early FFT-window placement
-	// CEActivityFactor is the energy ratio over the noise floor above which
-	// a CE slot counts as an active co-sender (default 3).
-	CEActivityFactor float64
 	// NaivePhaseTracking disables per-sender pilot sharing (ablation of
 	// paper §5): a single common phase trajectory, fed by every symbol's
 	// pilots regardless of owner, is applied to all senders' channels.
@@ -76,6 +77,10 @@ type JointReceiver struct {
 	// degrades decoding — the failure the shared-pilot design prevents.
 	NaivePhaseTracking bool
 }
+
+// ceActivityFactor is the energy ratio over the noise floor above which a
+// CE slot counts as an active co-sender.
+const ceActivityFactor = 3
 
 // ErrHeaderFailed is returned when the sync header cannot be decoded.
 var ErrHeaderFailed = errors.New("phy: sync header decode failed")
@@ -85,39 +90,17 @@ var ErrHeaderFailed = errors.New("phy: sync header decode failed")
 // number of co-senders) from the sync header; params are not needed.
 func (r *JointReceiver) Receive(x []complex128, from int) (*JointRxResult, error) {
 	cfg := r.Cfg
-	if r.CEActivityFactor == 0 {
-		r.CEActivityFactor = 3
-	}
-	det := modem.DetectPacket(cfg, x, from, r.Det)
-	if !det.Detected {
-		return nil, modem.ErrNoPacket
-	}
-	res := &JointRxResult{Detect: det}
-	start := det.FineIdx
-	if start < 0 {
-		return nil, modem.ErrNoPacket
-	}
-
-	// Decode the sync header with the plain single-sender pipeline.
+	// Acquisition corrects the lead's residual CFO globally; co-sender
+	// residuals are handled by per-sender pilot tracking.
 	hp := headerFrameParams(cfg)
-	hdrSpan := hp.AirtimeSamples() + cfg.NFFT
-	if start+hdrSpan > len(x) {
-		return nil, modem.ErrNoPacket
-	}
-	buf := append([]complex128(nil), x[start:]...)
-	// Correct the lead's residual CFO globally; co-sender residuals are
-	// handled by per-sender pilot tracking.
-	modem.CorrectCFO(buf, det.CoarseCFO, 0)
-	residual := modem.EstimateCFO(cfg, buf, 0)
-	modem.CorrectCFO(buf, residual, 0)
-
-	hdrBytes, hdrOK := r.decodeHeaderSymbols(hp, buf)
-	if !hdrOK {
-		return res, ErrHeaderFailed
-	}
-	hdr, err := ParseSyncHeader(hdrBytes)
+	acq, err := modem.Acquire(cfg, x, from, r.FFTBackoff, hp.AirtimeSamples()+cfg.NFFT)
 	if err != nil {
-		return res, ErrHeaderFailed
+		return nil, err
+	}
+	res := &JointRxResult{Detect: acq.Detect}
+	hdr, err := decodeHeader(hp, acq, r.FFTBackoff)
+	if err != nil {
+		return res, err
 	}
 	res.Header = hdr
 
@@ -129,20 +112,17 @@ func (r *JointReceiver) Receive(x []complex128, from int) (*JointRxResult, error
 		Seed:       hdr.Seed,
 		NumCo:      int(hdr.NumCo),
 	}
+	buf := acq.Buf
 	if p.TotalLen()+cfg.NFFT > len(buf) {
 		return res, errors.New("phy: stream truncated mid frame")
 	}
 
-	// Noise floor from the SIFS silence gap (leave guard samples on both
-	// sides for channel tails and early co-senders).
+	// Noise floor from the SIFS silence gap.
 	res.NoiseBinPower = r.noiseFromGap(p, buf)
 
 	// Lead channel from the header preamble's LTS.
-	lts1 := cfg.LTSOffset() - r.FFTBackoff
-	hLead := cfg.EstimateChannelLTS(buf[lts1:lts1+cfg.NFFT], buf[lts1+cfg.NFFT:lts1+2*cfg.NFFT])
-
 	est := jce.NewEstimator(cfg, p.Senders())
-	est.SetChannel(0, hLead)
+	est.SetChannel(0, acq.H)
 
 	// Co-sender channels from their CE slots, with activity detection.
 	res.ActiveCo = make([]bool, p.NumCo)
@@ -153,7 +133,7 @@ func (r *JointReceiver) Receive(x []complex128, from int) (*JointRxResult, error
 		slotPower := dsp.MeanPower(buf[slot : slot+2*ceLen])
 		// Convert the per-bin noise estimate back to per-sample power.
 		noiseSample := res.NoiseBinPower / float64(cfg.NFFT)
-		if slotPower < r.CEActivityFactor*noiseSample {
+		if slotPower < ceActivityFactor*noiseSample {
 			est.MarkAbsent(i + 1)
 			continue
 		}
@@ -161,20 +141,22 @@ func (r *JointReceiver) Receive(x []complex128, from int) (*JointRxResult, error
 		w1 := slot + p.DataCP - r.FFTBackoff
 		w2 := slot + ceLen + p.DataCP - r.FFTBackoff
 		est.EstimateFromCE(i+1, buf[w1:w1+cfg.NFFT], buf[w2:w2+cfg.NFFT])
-		res.MisalignEst[i] = sls.Misalignment(cfg, hLead, est.Channel(i+1))
+		res.MisalignEst[i] = sls.Misalignment(cfg, acq.H, est.Channel(i+1))
 	}
 
 	// Collect per-sender channel powers for the SNR diagnostics.
-	res.SenderBinPower = make([]map[int]float64, p.Senders())
-	for j := 0; j < p.Senders(); j++ {
-		m := map[int]float64{}
-		if h := est.Channel(j); h != nil {
-			for _, k := range cfg.UsedBins() {
-				v := h[cfg.Bin(k)]
-				m[k] = real(v)*real(v) + imag(v)*imag(v)
-			}
+	used := cfg.UsedBins()
+	res.SenderBinPower = make([][]float64, p.Senders())
+	for j := range res.SenderBinPower {
+		h := est.Channel(j)
+		if h == nil {
+			continue
 		}
-		res.SenderBinPower[j] = m
+		pw := make([]float64, len(used))
+		for i, k := range used {
+			pw[i] = sqAbs(h[cfg.Bin(k)])
+		}
+		res.SenderBinPower[j] = pw
 	}
 
 	// Data symbols: FFT, pilot tracking, space-time decoding.
@@ -185,27 +167,6 @@ func (r *JointReceiver) Receive(x []complex128, from int) (*JointRxResult, error
 	return res, nil
 }
 
-// decodeHeaderSymbols runs the single-sender pipeline over the header's data
-// symbols of an already CFO-corrected, preamble-aligned buffer.
-func (r *JointReceiver) decodeHeaderSymbols(hp modem.FrameParams, buf []complex128) ([]byte, bool) {
-	cfg := r.Cfg
-	lts1 := cfg.LTSOffset() - r.FFTBackoff
-	if lts1 < 0 {
-		return nil, false
-	}
-	h := cfg.EstimateChannelLTS(buf[lts1:lts1+cfg.NFFT], buf[lts1+cfg.NFFT:lts1+2*cfg.NFFT])
-	nsym := hp.NumDataSymbols()
-	symLen := hp.CP + cfg.NFFT
-	syms := make([][]complex128, 0, nsym)
-	for s := 0; s < nsym; s++ {
-		w := cfg.PreambleLen() + s*symLen + hp.CP - r.FFTBackoff
-		bins := cfg.SymbolBins(buf[w:])
-		phase, _ := cfg.PilotPhase(bins, h, s)
-		syms = append(syms, cfg.EqualizeData(bins, h, phase))
-	}
-	return hp.DecodeSymbolsToPayload(syms)
-}
-
 // noiseFromGap estimates per-FFT-bin noise power from the SIFS silence.
 func (r *JointReceiver) noiseFromGap(p JointFrameParams, buf []complex128) float64 {
 	cfg := p.Cfg
@@ -213,7 +174,6 @@ func (r *JointReceiver) noiseFromGap(p JointFrameParams, buf []complex128) float
 	gapEnd := p.GlobalRef() - 8           // guard against early co-senders
 	if gapEnd-gapStart < cfg.NFFT {
 		gapStart = p.HeaderEnd()
-		gapEnd = p.GlobalRef()
 	}
 	win := buf[gapStart : gapStart+cfg.NFFT]
 	bins := dsp.FFT(win)
@@ -223,7 +183,6 @@ func (r *JointReceiver) noiseFromGap(p JointFrameParams, buf []complex128) float
 		v := bins[cfg.Bin(k)]
 		acc += real(v)*real(v) + imag(v)*imag(v)
 	}
-	_ = gapEnd
 	return acc / float64(len(used))
 }
 
@@ -313,24 +272,8 @@ func (r *JointReceiver) decodeData(p JointFrameParams, buf []complex128, est *jc
 		}
 	}
 
-	// EVM against nearest constellation points.
-	var evmAcc float64
-	var evmN int
-	for s := range eq {
-		for _, v := range eq[s] {
-			bits := p.Rate.Mod.Demap(v, nil)
-			ideal := p.Rate.Mod.Map(bits)
-			d := v - ideal
-			evmAcc += real(d)*real(d) + imag(d)*imag(d)
-			evmN++
-		}
-	}
-	if evmN > 0 {
-		evmAcc /= float64(evmN)
-	}
-
 	payload, ok = p.dataParams().DecodeSymbolsToPayload(eq)
-	return payload, ok, evmAcc
+	return payload, ok, p.Rate.Mod.EVM(eq)
 }
 
 // cosSin returns (cos t, sin t) for building a unit rotation.

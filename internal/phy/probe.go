@@ -62,8 +62,10 @@ type ProbeSimConfig struct {
 	NoiseProber             float64 // noise power at the prober's receiver
 	NoiseResponder          float64
 	Rng                     *rand.Rand
-	Backoff                 int // FFT backoff both nodes use
 }
+
+// probeBackoff is the FFT backoff both nodes of a probe exchange use.
+const probeBackoff = 3
 
 // ProbeResult is the outcome of one exchange.
 type ProbeResult struct {
@@ -78,9 +80,6 @@ type ProbeResult struct {
 // Run simulates the full exchange on waveforms.
 func (c *ProbeSimConfig) Run() (*ProbeResult, error) {
 	cfg := c.Cfg
-	if c.Backoff == 0 {
-		c.Backoff = 3
-	}
 	probeFP := modem.FrameParams{
 		Cfg: cfg, Rate: modem.Rate{Mod: modem.BPSK, Code: modem.Rate12},
 		CP: cfg.CPLen, PayloadLen: 16, ScramblerSeed: 0x2a,
@@ -101,7 +100,7 @@ func (c *ProbeSimConfig) Run() (*ProbeResult, error) {
 		Phase: c.Rng.Float64() * 2 * math.Pi,
 		Path:  c.Forward.Path,
 	})
-	rxB := &modem.Receiver{Cfg: cfg, FFTBackoff: c.Backoff}
+	rxB := &modem.Receiver{Cfg: cfg, FFTBackoff: probeBackoff}
 	_, okB, diagB, err := rxB.Receive(probeFP, atResponder, 0)
 	if err != nil || !okB {
 		return nil, errors.New("phy: responder missed the probe")
@@ -110,8 +109,8 @@ func (c *ProbeSimConfig) Run() (*ProbeResult, error) {
 	// "detection instant" is when the probe's frame is fully processed; the
 	// useful quantity for Eq. 2 is the offset between true arrival and its
 	// local time base, which the slope method supplies.
-	arrivalAtB := arrivalFromDiag(cfg, atResponder, diagB, c.Backoff)
-	detB := arrivalAtB - float64(diagB.Detect.FineIdx-c.Backoff) // slope refinement vs raw fine index
+	arrivalAtB := slopeArrival(cfg, diagB.Detect, diagB.H, probeBackoff)
+	detB := arrivalAtB - float64(diagB.Detect.FineIdx-probeBackoff) // slope refinement vs raw fine index
 
 	// --- Responder replies after its turnaround + deliberate wait. ---
 	turnWait := c.ResponderTurnaround + c.ResponderWait
@@ -130,7 +129,7 @@ func (c *ProbeSimConfig) Run() (*ProbeResult, error) {
 		Phase: c.Rng.Float64() * 2 * math.Pi,
 		Path:  c.Reverse.Path,
 	})
-	rxA := &modem.Receiver{Cfg: cfg, FFTBackoff: c.Backoff}
+	rxA := &modem.Receiver{Cfg: cfg, FFTBackoff: probeBackoff}
 	payload, okA, diagA, err := rxA.Receive(respFP, atProber, int(txStart)+probeFP.AirtimeSamples())
 	if err != nil || !okA {
 		return nil, errors.New("phy: prober missed the response")
@@ -139,7 +138,7 @@ func (c *ProbeSimConfig) Run() (*ProbeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	arrivalAtA := arrivalFromDiag(cfg, atProber, diagA, c.Backoff)
+	arrivalAtA := slopeArrival(cfg, diagA.Detect, diagA.H, probeBackoff)
 
 	// --- Eq. 2. The prober measures the interval from the END of its probe
 	// transmission to the (slope-refined) arrival of the response; that
@@ -157,12 +156,4 @@ func (c *ProbeSimConfig) Run() (*ProbeResult, error) {
 		TrueOneWay:      c.Forward.Delay,
 		ResponderDetect: report.DetectRx,
 	}, nil
-}
-
-// arrivalFromDiag refines a receiver diagnostic into a fractional arrival
-// time: the detector's fine index plus the phase-slope offset of the
-// channel estimate (the SLS measurement, §4.2a).
-func arrivalFromDiag(cfg *modem.Config, x []complex128, diag modem.RxDiag, backoff int) float64 {
-	delta := sls.EstimateDelay(cfg, diag.H)
-	return float64(diag.Detect.FineIdx-backoff) + delta
 }

@@ -48,6 +48,10 @@ type LeadSim struct {
 	Phase    float64
 }
 
+// simMargin is the noise-only lead-in, in samples, before the lead's frame
+// in every simulated stream.
+const simMargin = 600
+
 // JointSimConfig wires a complete joint transmission: the lead, its links to
 // every co-sender (over which the sync header is actually detected), and
 // everyone's links to the receiver.
@@ -59,14 +63,13 @@ type JointSimConfig struct {
 	CoToRx   []Link
 	Co       []CoSenderSim
 	NoiseRx  float64 // noise power at the receiver
-	Margin   int     // noise-only samples before the lead frame (default 600)
 	Rng      *rand.Rand
 }
 
 // SimRun is the outcome of one simulated joint transmission.
 type SimRun struct {
-	// RxWave is the receiver's baseband stream (frame starts Margin samples
-	// in, plus the lead->rx propagation delay).
+	// RxWave is the receiver's baseband stream (the frame starts 600
+	// noise-only samples in, plus the lead->rx propagation delay).
 	RxWave []complex128
 	// CoJoined[i] reports whether co-sender i detected and decoded the sync
 	// header and therefore transmitted.
@@ -90,17 +93,39 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 	if len(c.Co) != c.P.NumCo || len(c.LeadToCo) != c.P.NumCo || len(c.CoToRx) != c.P.NumCo {
 		return nil, fmt.Errorf("phy: sim has %d co-senders but frame declares %d", len(c.Co), c.P.NumCo)
 	}
-	if c.Margin == 0 {
-		c.Margin = 600
-	}
-	cfg := c.P.Cfg
-	leadStart := float64(c.Margin)
-	leadWave := c.P.BuildLeadWaveform(payload)
+	data := c.P.encodeDataSymbols(payload)
+	lead := append(c.P.leadPrefix(), data[0]...)
+	return c.exchange(lead, c.P.TotalLen(), func(i int) []complex128 {
+		return append(c.P.coPrefix(i), data[i+1]...)
+	}), nil
+}
 
+// RunCalibration simulates one calibration frame (paper §8.1.1) through the
+// same distributed exchange as Run: the co-sender really detects the
+// header and schedules itself; the frame's data region carries alternating
+// lead/co training symbols for the ground-truth estimator. Exactly one
+// co-sender is supported.
+func (c *JointSimConfig) RunCalibration(reps int) (*SimRun, error) {
+	if c.P.NumCo != 1 || len(c.Co) != 1 {
+		return nil, fmt.Errorf("phy: calibration needs exactly one co-sender")
+	}
+	return c.exchange(c.P.BuildLeadCalibration(reps), c.P.CalibrationLen(reps), func(i int) []complex128 {
+		return c.P.BuildCoCalibration(i, reps)
+	}), nil
+}
+
+// exchange runs one distributed joint transmission. The lead emits
+// leadWave; each co-sender receives the sync header over its own link,
+// schedules its slot (paper §4.3) or abstains, and emits coWave(i) from its
+// estimated global reference. The receiver's stream covers frameLen
+// samples of frame plus guard on both sides.
+func (c *JointSimConfig) exchange(leadWave []complex128, frameLen int, coWave func(i int) []complex128) *SimRun {
+	cfg := c.P.Cfg
+	leadStart := float64(simMargin)
 	run := &SimRun{
-		CoJoined:        make([]bool, c.P.NumCo),
-		TrueMisalign:    make([]float64, c.P.NumCo),
-		CoArrivalEstErr: make([]float64, c.P.NumCo),
+		CoJoined:        make([]bool, len(c.Co)),
+		TrueMisalign:    make([]float64, len(c.Co)),
+		CoArrivalEstErr: make([]float64, len(c.Co)),
 	}
 
 	// The lead's implied global-reference emission instant.
@@ -124,7 +149,7 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 		// Its local stream contains only the header portion of the lead's
 		// waveform (everything it needs before turning around).
 		hdrWave := leadWave[:headerSamples]
-		coWindow := c.Margin + headerSamples + int(link.Delay) + 4*cfg.NFFT
+		coWindow := simMargin + headerSamples + int(link.Delay) + 4*cfg.NFFT
 		coRx := channel.Mix(c.Rng, coWindow, 0, co.NoisePower, channel.Emission{
 			Wave:  hdrWave,
 			Start: leadStart + link.Delay,
@@ -166,9 +191,8 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 			continue
 		}
 
-		coWave := c.P.BuildCoWaveform(i, payload)
 		emissions = append(emissions, channel.Emission{
-			Wave:  coWave,
+			Wave:  coWave(i),
 			Start: txStart + c.CoToRx[i].Delay,
 			Gain:  c.CoToRx[i].Gain,
 			CFO:   co.ResidCFO,
@@ -179,9 +203,9 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 		run.TrueMisalign[i] = (txStart + c.CoToRx[i].Delay) - (leadGlobalRef + c.LeadToRx.Delay)
 	}
 
-	total := c.Margin + c.P.TotalLen() + int(c.LeadToRx.Delay) + 8*cfg.NFFT
+	total := simMargin + frameLen + int(c.LeadToRx.Delay) + 8*cfg.NFFT
 	run.RxWave = channel.Mix(c.Rng, total, 0, c.NoiseRx, emissions...)
-	return run, nil
+	return run
 }
 
 // receiveHeader detects a sync header in stream x, refines the arrival
@@ -189,124 +213,18 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 // The returned arrival estimate is the (fractional) sample index of the
 // first preamble sample as seen on this node's clock.
 func receiveHeader(cfg *modem.Config, x []complex128, from, backoff int) (float64, modem.DetectResult, SyncHeader, error) {
-	det := modem.DetectPacket(cfg, x, from, modem.DetectorOptions{})
-	if !det.Detected {
-		return 0, det, SyncHeader{}, modem.ErrNoPacket
-	}
-	start := det.FineIdx
 	hp := headerFrameParams(cfg)
-	if start < 0 || start+hp.AirtimeSamples()+cfg.NFFT > len(x) {
-		return 0, det, SyncHeader{}, modem.ErrNoPacket
-	}
-	buf := append([]complex128(nil), x[start:]...)
-	modem.CorrectCFO(buf, det.CoarseCFO, 0)
-	resid := modem.EstimateCFO(cfg, buf, 0)
-	modem.CorrectCFO(buf, resid, 0)
-
-	lts1 := cfg.LTSOffset() - backoff
-	if lts1 < 0 {
-		return 0, det, SyncHeader{}, modem.ErrNoPacket
-	}
-	h := cfg.EstimateChannelLTS(buf[lts1:lts1+cfg.NFFT], buf[lts1+cfg.NFFT:lts1+2*cfg.NFFT])
-	delta := sls.EstimateDelay(cfg, h)
-	arrival := float64(start-backoff) + delta
-
-	jr := &JointReceiver{Cfg: cfg, FFTBackoff: backoff}
-	hdrBytes, ok := jr.decodeHeaderSymbols(hp, buf)
-	if !ok {
-		return arrival, det, SyncHeader{}, ErrHeaderFailed
-	}
-	hdr, err := ParseSyncHeader(hdrBytes)
+	acq, err := modem.Acquire(cfg, x, from, backoff, hp.AirtimeSamples()+cfg.NFFT)
 	if err != nil {
-		return arrival, det, SyncHeader{}, err
+		return 0, acq.Detect, SyncHeader{}, err
 	}
-	return arrival, det, hdr, nil
+	hdr, err := decodeHeader(hp, acq, backoff)
+	return slopeArrival(cfg, acq.Detect, acq.H, backoff), acq.Detect, hdr, err
 }
 
-// RunCalibration simulates one calibration frame (paper §8.1.1) through the
-// same distributed machinery as Run: the co-sender really detects the
-// header and schedules itself; the frame's data region carries alternating
-// lead/co training symbols for the ground-truth estimator. Exactly one
-// co-sender is supported.
-func (c *JointSimConfig) RunCalibration(reps int) (*SimRun, error) {
-	if c.P.NumCo != 1 || len(c.Co) != 1 {
-		return nil, fmt.Errorf("phy: calibration needs exactly one co-sender")
-	}
-	if c.Margin == 0 {
-		c.Margin = 600
-	}
-	cfg := c.P.Cfg
-	leadStart := float64(c.Margin)
-	leadWave := c.P.BuildLeadCalibration(reps)
-
-	run := &SimRun{
-		CoJoined:        make([]bool, 1),
-		TrueMisalign:    make([]float64, 1),
-		CoArrivalEstErr: make([]float64, 1),
-	}
-	leadGlobalRef := leadStart + float64(c.P.GlobalRef())
-	emissions := []channel.Emission{{
-		Wave:  leadWave,
-		Start: leadStart + c.LeadToRx.Delay,
-		Gain:  c.LeadToRx.Gain,
-		CFO:   c.Lead.ResidCFO,
-		Phase: c.Lead.Phase,
-		Path:  c.LeadToRx.Path,
-	}}
-
-	// finish mixes whatever emissions made it into the calibration window —
-	// the single exit for the lead-only (header miss, slot miss) and joint
-	// paths, so the window length stays identical everywhere.
-	finish := func() (*SimRun, error) {
-		total := c.Margin + c.P.CalibrationLen(reps) + int(c.LeadToRx.Delay) + 8*cfg.NFFT
-		run.RxWave = channel.Mix(c.Rng, total, 0, c.NoiseRx, emissions...)
-		return run, nil
-	}
-
-	headerSamples := c.P.HeaderEnd()
-	co := &c.Co[0]
-	link := c.LeadToCo[0]
-	hdrWave := leadWave[:headerSamples]
-	coWindow := c.Margin + headerSamples + int(link.Delay) + 4*cfg.NFFT
-	coRx := channel.Mix(c.Rng, coWindow, 0, co.NoisePower, channel.Emission{
-		Wave:  hdrWave,
-		Start: leadStart + link.Delay,
-		Gain:  link.Gain,
-		CFO:   c.Lead.ResidCFO - co.OscCFO,
-		Phase: c.Rng.Float64() * 6.28318530717958647692,
-		Path:  link.Path,
-	})
-	arrivalEst, det, hdr, err := receiveHeader(cfg, coRx, 0, co.FFTBackoff)
-	if err != nil || !hdr.Joint {
-		// Co-sender missed the header: lead-only calibration frame.
-		return finish()
-	}
-	run.CoJoined[0] = true
-	run.CoArrivalEstErr[0] = arrivalEst - (leadStart + link.Delay)
-
-	var txStart float64
-	if co.BaselineSync {
-		detEvent := float64(det.CoarseIdx) + co.DetectJitter*c.Rng.Float64()
-		txStart = detEvent + float64(headerSamples) + sls.SIFSSamples(cfg)
-	} else {
-		gEst := arrivalEst - co.EstDelayFromLead + float64(headerSamples) + sls.SIFSSamples(cfg)
-		txStart = gEst + co.TxOffset
-	}
-	ready := arrivalEst + float64(headerSamples) + co.Turnaround
-	if txStart < ready {
-		// Slot missed: abstain and emit a lead-only calibration frame.
-		run.CoJoined[0] = false
-		run.SlotMisses++
-		return finish()
-	}
-	emissions = append(emissions, channel.Emission{
-		Wave:  c.P.BuildCoCalibration(0, reps),
-		Start: txStart + c.CoToRx[0].Delay,
-		Gain:  c.CoToRx[0].Gain,
-		CFO:   co.ResidCFO,
-		Phase: co.Phase,
-		Path:  c.CoToRx[0].Path,
-	})
-	run.TrueMisalign[0] = (txStart + c.CoToRx[0].Delay) - (leadGlobalRef + c.LeadToRx.Delay)
-	return finish()
+// slopeArrival refines a detection into a fractional arrival time: the
+// detector's fine index, less the FFT backoff, plus the phase-slope offset
+// of the channel estimate (the SLS measurement, §4.2a).
+func slopeArrival(cfg *modem.Config, det modem.DetectResult, h []complex128, backoff int) float64 {
+	return float64(det.FineIdx-backoff) + sls.EstimateDelay(cfg, h)
 }
