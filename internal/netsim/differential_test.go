@@ -15,15 +15,17 @@ package netsim_test
 // deliberate, documented behavior change moves the simulation (same
 // contract as the experiment goldens).
 //
-// Every trial is stepped by hand with CheckMemos after each Step, so a
-// geometry memo that outlives its topology generation fails the trial at
-// the step it went stale. TestBoundedInterferenceMatchesUnbounded reuses
+// Every trial runs under RunChecked, which runs CheckMemos and CheckEvents
+// after each Step, so a geometry memo that outlives its topology
+// generation, or a start entry that outlives its countdown, fails the
+// trial at the step it went stale. TestBoundedInterferenceMatchesUnbounded reuses
 // the same trials to pin a floor-covering interference range as an
 // access-path change only.
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -141,9 +143,9 @@ func buildTrial(trial int) diffTrial {
 
 // runDifferential drains one scenario and fingerprints everything the run
 // produced, with clock values in exact hex-float form and a final RNG
-// draw pinning total randomness consumption. It steps the simulator by
-// hand — the same loop Run and RunUntil drive — and checks the geometry
-// memos after every step, failing with the first stale one.
+// draw pinning total randomness consumption. It runs the simulator under
+// RunChecked — RunUntil's loop with the invariant checks after every
+// step — failing with the first violation.
 func runDifferential(trial int, t diffTrial) (string, error) {
 	cfg := modem.Profile80211()
 	rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -223,18 +225,24 @@ func runDifferential(trial int, t diffTrial) (string, error) {
 		s.ScheduleAt(t.addAt, func() { addFlow(late) })
 	}
 
-	for steps := 0; t.window == 0 || s.Now() < t.window; steps++ {
-		if !s.Step() {
-			break
-		}
-		if err := netsim.CheckMemos(s); err != nil {
-			return "", fmt.Errorf("trial %d, step %d (t=%.6fs): %v", trial, steps+1, s.Now(), err)
-		}
+	deadline := math.Inf(1)
+	if t.window > 0 {
+		deadline = t.window
+	}
+	if _, err := netsim.RunChecked(s, deadline, math.MaxInt); err != nil {
+		return "", fmt.Errorf("trial %d, %v", trial, err)
 	}
 
+	return fingerprint(fmt.Sprintf("trial=%d", trial), s, queues, rng), nil
+}
+
+// fingerprint renders everything a finished run produced: the label, then
+// every simulator and per-flow counter with clock values in exact
+// hex-float form, then one draw from rng past the end of the run.
+func fingerprint(label string, s *netsim.Sim, queues []*netsim.Traffic, rng *rand.Rand) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trial=%d now=%x busy=%x acq=%d coll=%d hid=%d\n",
-		trial, s.Now(), s.BusyTime(), s.Acquisitions, s.CollisionRounds, s.HiddenCorruptions)
+	fmt.Fprintf(&b, "%s now=%x busy=%x acq=%d coll=%d hid=%d\n",
+		label, s.Now(), s.BusyTime(), s.Acquisitions, s.CollisionRounds, s.HiddenCorruptions)
 	for i, f := range s.Flows {
 		fmt.Fprintf(&b, "  %s d=%d dr=%d at=%d co=%d ca=%d hl=%d air=%x",
 			f.Name, f.Delivered, f.Dropped, f.Attempts, f.Collisions, f.Captures, f.HiddenLosses, f.AirTime)
@@ -251,7 +259,7 @@ func runDifferential(trial int, t diffTrial) (string, error) {
 	// One draw past the end pins the exact number of RNG values the run
 	// consumed — any scheduler change that adds or drops a draw moves it.
 	fmt.Fprintf(&b, "  rng=%d\n", rng.Int63())
-	return b.String(), nil
+	return b.String()
 }
 
 const differentialTrials = 30

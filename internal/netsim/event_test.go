@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -30,7 +31,7 @@ func TestHiddenTerminalCorruptsFrames(t *testing.T) {
 	s.Env = testbed.Default(cfg)
 	a := s.AddFlow(placedFlow("a", 30, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 58, Y: 0}, 25))
 	b := s.AddFlow(placedFlow("b", 30, 1e-3, testbed.Point{X: 60, Y: 0}, testbed.Point{X: 2, Y: 0}, 25))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 
 	if s.CollisionRounds != 0 {
 		t.Fatalf("out-of-range senders produced %d collision rounds", s.CollisionRounds)
@@ -62,7 +63,7 @@ func TestHiddenTerminalsOffWithoutCaptureModel(t *testing.T) {
 	s.Env = testbed.Default(cfg)
 	a := s.AddFlow(placedFlow("a", 30, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 58, Y: 0}, 25))
 	b := s.AddFlow(placedFlow("b", 30, 1e-3, testbed.Point{X: 60, Y: 0}, testbed.Point{X: 2, Y: 0}, 25))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if a.HiddenLosses != 0 || b.HiddenLosses != 0 || s.HiddenCorruptions != 0 {
 		t.Fatalf("interference modeled with no Model: a=%d b=%d", a.HiddenLosses, b.HiddenLosses)
 	}
@@ -82,7 +83,7 @@ func TestPerNeighborhoodClockIndependence(t *testing.T) {
 	alone := New(m, rand.New(rand.NewSource(53)))
 	alone.CSRangeM = 30
 	alone.AddFlow(placedFlow("short", 100, shortFT, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 3, Y: 0}, 30))
-	alone.Run()
+	runChecked(t, alone, math.Inf(1))
 	aloneT := alone.Now()
 
 	s := New(m, rand.New(rand.NewSource(53)))
@@ -96,7 +97,7 @@ func TestPerNeighborhoodClockIndependence(t *testing.T) {
 	}
 	s.AddFlow(sf)
 	lf := s.AddFlow(placedFlow("long", 100, longFT, testbed.Point{X: 500, Y: 0}, testbed.Point{X: 503, Y: 0}, 30))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 
 	if lf.Delivered != 100 || sf.Delivered != 100 {
 		t.Fatalf("deliveries %d/%d", sf.Delivered, lf.Delivered)
@@ -124,7 +125,7 @@ func TestDisjointCellsUtilizationExceedsOneAndAHalf(t *testing.T) {
 	s.CSRangeM = 30
 	a := s.AddFlow(placedFlow("a", 200, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 3, Y: 0}, 30))
 	b := s.AddFlow(placedFlow("b", 100, 2e-3, testbed.Point{X: 500, Y: 0}, testbed.Point{X: 503, Y: 0}, 30))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if a.Delivered != 200 || b.Delivered != 100 {
 		t.Fatalf("deliveries %d/%d", a.Delivered, b.Delivered)
 	}
@@ -151,7 +152,7 @@ func TestEventClockNeverRunsBackward(t *testing.T) {
 	un.Acked = false
 	s.AddFlow(un)
 	prev := s.Now()
-	for s.Step() {
+	for stepChecked(t, s) {
 		if s.Now() < prev {
 			t.Fatalf("clock ran backward: %.9f -> %.9f", prev, s.Now())
 		}

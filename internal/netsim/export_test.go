@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"testing"
 )
 
 // CheckMemos verifies the geometry memos against fresh rebuilds: every
@@ -68,4 +69,105 @@ func candsEqual(cached, fresh []ixCand) error {
 		}
 	}
 	return nil
+}
+
+// CheckEvents verifies the event heap against the per-flow state: the
+// 4-ary heap order holds; every start entry sits at the slot its flow
+// records and is keyed at that flow's countdown expiry; a flow holds
+// exactly one start entry while it is in flight, waiting and off the air,
+// and none otherwise; and every flow on the air has exactly one entry for
+// its transmission — the air end before the frame settles, the occupancy
+// end after. It only reads, so it leaves the run's behavior untouched.
+func CheckEvents(s *Sim) error {
+	h := s.events
+	starts := make([]int, len(s.Flows))
+	txEntries := make([]int, len(s.Flows))
+	for k, e := range h {
+		if k > 0 && eventLess(e, h[(k-1)/4]) {
+			return fmt.Errorf("heap order: slot %d (t=%v kind=%d seq=%d) precedes its parent", k, e.t, e.kind, e.seq)
+		}
+		switch e.kind {
+		case evStart:
+			i := int32(e.seq)
+			starts[i]++
+			if s.startPos[i] != int32(k+1) {
+				return fmt.Errorf("flow %d: start entry at slot %d, flow records slot+1 = %d", i, k, s.startPos[i])
+			}
+			if _, st := s.startTime(i); e.t != st {
+				return fmt.Errorf("flow %d: start entry at t=%v, countdown expires at t=%v", i, e.t, st)
+			}
+		case evAirEnd, evOccEnd:
+			i := e.r.f.idx
+			txEntries[i]++
+			if s.curTx[i] != e.r {
+				return fmt.Errorf("flow %d: kind-%d entry for a transmission that is not on the air", i, e.kind)
+			}
+			if settled := e.kind == evOccEnd; e.r.resolved != settled {
+				return fmt.Errorf("flow %d: kind-%d entry, frame resolved=%t", i, e.kind, e.r.resolved)
+			}
+		}
+	}
+	for i, f := range s.Flows {
+		fl := s.flags[i]
+		onAir := s.curTx[i] != nil
+		if fl&fWaiting != 0 && (fl&(fInFlight|fCounterValid) != fInFlight|fCounterValid || onAir) {
+			return fmt.Errorf("flow %d (%s): waiting with flags %04b, on air %t", i, f.Name, fl, onAir)
+		}
+		want := 0
+		if fl&fWaiting != 0 {
+			want = 1
+		}
+		if starts[i] != want || (want == 0 && s.startPos[i] != 0) {
+			return fmt.Errorf("flow %d (%s): %d start entries (slot+1 %d) with flags %04b", i, f.Name, starts[i], s.startPos[i], fl)
+		}
+		if onAir && txEntries[i] != 1 {
+			return fmt.Errorf("flow %d (%s): on the air with %d transmission entries", i, f.Name, txEntries[i])
+		}
+	}
+	return nil
+}
+
+// RunChecked is RunUntil under the invariant checks: it steps s until the
+// clock reaches deadline, every flow drains, or limit Steps have run, and
+// runs CheckMemos and then CheckEvents after every Step. It returns the
+// number of Steps that ran and the first violation, tagged with its step
+// and clock.
+func RunChecked(s *Sim, deadline float64, limit int) (int, error) {
+	for n := 0; n < limit; n++ {
+		if s.now >= deadline {
+			return n, nil
+		}
+		ran := s.Step()
+		for _, check := range [...]func(*Sim) error{CheckMemos, CheckEvents} {
+			if err := check(s); err != nil {
+				return n, fmt.Errorf("step %d (t=%.6fs): %v", n+1, s.now, err)
+			}
+		}
+		if !ran {
+			return n, nil
+		}
+	}
+	return limit, nil
+}
+
+// runChecked is the tests' RunUntil: RunChecked under the scheduler's own
+// step cap, failing tb at the first violation.
+func runChecked(tb testing.TB, s *Sim, deadline float64) {
+	tb.Helper()
+	if n, err := RunChecked(s, deadline, maxSteps); err != nil {
+		tb.Fatal(err)
+	} else if n == maxSteps {
+		tb.Fatalf("still running after %d steps", n)
+	}
+}
+
+// stepChecked is the tests' Step: one Step under RunChecked, reporting
+// whether it ran and failing tb at a violation.
+func stepChecked(tb testing.TB, s *Sim) bool {
+	tb.Helper()
+	n, err := RunChecked(s, math.Inf(1), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n == 1
 }

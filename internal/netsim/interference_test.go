@@ -132,7 +132,7 @@ func TestRateAwareDegradationVersusLegacyGate(t *testing.T) {
 	run := func(model InterferenceModel) (*Sim, *Flow, *Flow) {
 		s, a, b := hiddenPair(62, 30)
 		s.Model = model
-		s.Run()
+		runChecked(t, s, math.Inf(1))
 		return s, a, b
 	}
 

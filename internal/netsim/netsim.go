@@ -226,18 +226,17 @@ const (
 
 // event is one entry in the scheduler's min-heap, kept at 32 bytes so
 // heap moves stay cheap. Tx events carry their transmission and tie-break
-// by creation sequence; start events carry the flow's index and a
-// generation stamp — freezing or consuming the countdown bumps the flow's
-// generation, so superseded start events are recognized and discarded
-// lazily when they surface. Timer events tie-break by schedule order and
-// reuse gen as the slot of their callback in Sim.timerFns (the callback
-// pointer would push the struct past 32 bytes for every event kind).
+// by creation sequence; start events carry the flow's index as their
+// sequence, and a flow has at most one start entry in the heap (Sim.startPos
+// tracks its slot). Timer events tie-break by schedule order and carry the
+// slot of their callback in Sim.timerFns (the callback pointer would push
+// the struct past 32 bytes for every event kind).
 type event struct {
 	t    float64
 	seq  int64
 	r    *tx
 	kind uint8
-	gen  uint32
+	slot uint32
 }
 
 // eventLess orders the heap: time, then phase, then creation/registration
@@ -300,29 +299,30 @@ type Sim struct {
 
 	// Pending events, a 4-ary min-heap ordered by eventLess: shallower
 	// than a binary heap, so a pop touches fewer cache lines on the way
-	// down. eventLess is total except between a flow's superseded and
-	// current start events at one instant, which staleStart filters
-	// identically in either pop order — so the heap arity never changes
-	// the processed event sequence.
+	// down. Every entry is live — a countdown that freezes or stops takes
+	// its start entry out at once — and no two live entries share a key,
+	// so eventLess is total over the heap and the processed event sequence
+	// does not depend on the heap's arity or layout.
 	events   []event
 	txSeq    int64
 	timerSeq int64 // schedule order of timer events: their heap tie-break
 	txFree   []*tx // retired tx structs, recycled to keep the event path allocation-free
 
 	// Timer callbacks parked outside the heap (events stay pointer-light):
-	// a timer event's gen field addresses its slot here, recycled on fire.
+	// a timer event's slot field addresses its callback here, recycled on
+	// fire.
 	timerFns  []func()
 	timerFree []uint32
 
 	// Per-flow hot state, struct-of-arrays: parallel to Flows, indexed by
 	// Flow.idx, grown in AddFlow. The event loop's inner passes (carrier-
-	// sense freeze, resume, blocked checks, stale-event filtering) touch
-	// only these dense arrays, so a neighborhood walk reads a few cache
-	// lines instead of one Flow struct per neighbor.
+	// sense freeze, resume, blocked checks) touch only these dense arrays,
+	// so a neighborhood walk reads a few cache lines instead of one Flow
+	// struct per neighbor.
 	flags      []uint8    // fInFlight | fCounterValid | fWaiting | fQueued
 	counter    []int32    // frozen DCF backoff counter, whole slots
 	idleSince  []float64  // when the current DIFS + countdown began
-	startGen   []uint32   // generation of the pending start event (freeze/resume invalidates)
+	startPos   []int32    // heap slot+1 of the flow's start entry; 0 while it has none
 	mark       []uint32   // last markGen that visited the flow (scratch)
 	starterIdx []int32    // the flow's slot in the current starter set (scratch)
 	curTx      []*tx      // in-flight transmission; nil while contending or idle
@@ -420,7 +420,7 @@ func (s *Sim) growState() {
 		s.flags = append(s.flags, 0)
 		s.counter = append(s.counter, 0)
 		s.idleSince = append(s.idleSince, 0)
-		s.startGen = append(s.startGen, 0)
+		s.startPos = append(s.startPos, 0)
 		s.mark = append(s.mark, 0)
 		s.starterIdx = append(s.starterIdx, 0)
 		s.curTx = append(s.curTx, nil)
@@ -466,14 +466,14 @@ func (s *Sim) ScheduleAt(t float64, fn func()) {
 		slot = uint32(len(s.timerFns))
 		s.timerFns = append(s.timerFns, fn)
 	}
-	s.pushEvent(event{t: t, kind: evTimer, seq: s.timerSeq, gen: slot})
+	s.pushEvent(event{t: t, kind: evTimer, seq: s.timerSeq, slot: slot})
 }
 
 // takeTimer claims a fired timer event's callback and recycles its slot.
 func (s *Sim) takeTimer(e event) func() {
-	fn := s.timerFns[e.gen]
-	s.timerFns[e.gen] = nil
-	s.timerFree = append(s.timerFree, e.gen)
+	fn := s.timerFns[e.slot]
+	s.timerFns[e.slot] = nil
+	s.timerFree = append(s.timerFree, e.slot)
 	return fn
 }
 
@@ -668,50 +668,83 @@ func (s *Sim) interferenceModeled(f *Flow) bool {
 
 // pushEvent adds one event to the pending min-heap (4-ary).
 func (s *Sim) pushEvent(e event) {
-	h := append(s.events, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !eventLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	s.events = h
+	s.events = append(s.events, e)
+	s.siftUp(len(s.events)-1, e)
 }
 
-// popEvent removes and returns the earliest pending event. The moved tail
-// element sifts down through the 4-ary levels: pick the least of up to
-// four children, swap while it beats the parent.
+// popEvent removes and returns the earliest pending event.
 func (s *Sim) popEvent() event {
+	top := s.events[0]
+	s.removeAt(0)
+	return top
+}
+
+// removeAt deletes the heap entry at slot k: the tail entry fills the hole
+// and sifts whichever way restores the heap order.
+func (s *Sim) removeAt(k int) {
 	h := s.events
-	top := h[0]
+	if h[k].kind == evStart {
+		s.startPos[h[k].seq] = 0
+	}
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = event{} // release the tx pointer
-	h = h[:n]
-	i := 0
-	for {
-		m := i
-		c := 4*i + 1
-		last := c + 4
-		if last > n {
-			last = n
-		}
-		for ; c < last; c++ {
-			if eventLess(h[c], h[m]) {
-				m = c
-			}
-		}
-		if m == i {
+	s.events = h[:n]
+	switch {
+	case k == n: // the tail entry itself left: nothing to refill
+	case k > 0 && eventLess(last, h[(k-1)/4]):
+		s.siftUp(k, last)
+	default:
+		s.siftDown(k, last)
+	}
+}
+
+// place writes e into heap slot i; a start entry's flow records the slot.
+func (s *Sim) place(i int, e event) {
+	s.events[i] = e
+	if e.kind == evStart {
+		s.startPos[e.seq] = int32(i + 1)
+	}
+}
+
+// siftUp settles e into the hole at slot i, moving each parent that e
+// precedes down a level.
+func (s *Sim) siftUp(i int, e event) {
+	h := s.events
+	for i > 0 {
+		p := (i - 1) / 4
+		if !eventLess(e, h[p]) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		s.place(i, h[p])
+		i = p
+	}
+	s.place(i, e)
+}
+
+// siftDown settles e into the hole at slot i, moving the least of up to
+// four children up while it precedes e.
+func (s *Sim) siftDown(i int, e event) {
+	h := s.events
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, last := c+1, min(c+4, n); j < last; j++ {
+			if eventLess(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !eventLess(h[m], e) {
+			break
+		}
+		s.place(i, h[m])
 		i = m
 	}
-	s.events = h
-	return top
+	s.place(i, e)
 }
 
 // newTx takes a transmission from the free pool, or allocates one.
@@ -877,6 +910,11 @@ func (s *Sim) admit(f *Flow) {
 		s.flags[i] = fl
 	}
 	if s.blocked(f) {
+		if fl&fWaiting != 0 {
+			// Woken after a mobility epoch moved the flow into range of a
+			// live transmission: its countdown stops until that ends.
+			s.removeAt(int(s.startPos[i]) - 1)
+		}
 		s.flags[i] = fl &^ fWaiting
 		return
 	}
@@ -887,34 +925,17 @@ func (s *Sim) admit(f *Flow) {
 	}
 }
 
-// pushStart schedules f's countdown expiry as a start event under a fresh
-// generation (superseding any stale event still in the heap).
+// pushStart schedules f's countdown expiry as the flow's one start entry.
+// Only a flow entering its countdown gets here, and every transition out
+// of the countdown (start, freeze, blocked) removes the entry, so a live
+// one is a scheduler bug.
 func (s *Sim) pushStart(f *Flow) {
 	i := f.idx
-	s.startGen[i]++
-	_, st := s.startTime(i)
-	s.pushEvent(event{t: st, kind: evStart, seq: int64(i), gen: s.startGen[i]})
-}
-
-// staleStart reports whether a start event no longer speaks for its flow:
-// the countdown was frozen, restarted, or consumed since the event was
-// pushed.
-func (s *Sim) staleStart(e event) bool {
-	i := e.seq
-	return e.gen != s.startGen[i] || s.flags[i]&(fWaiting|fInFlight) != (fWaiting|fInFlight) || s.curTx[i] != nil
-}
-
-// purgeStale discards superseded start events from the top of the heap so
-// the earliest remaining event is real — the clock must never advance to a
-// time where nothing happens.
-func (s *Sim) purgeStale() {
-	for len(s.events) > 0 {
-		e := s.events[0]
-		if e.kind != evStart || !s.staleStart(e) {
-			return
-		}
-		s.popEvent()
+	if s.startPos[i] != 0 {
+		panic(fmt.Sprintf("netsim: flow %d (%s) entered its countdown with a start already pending", i, f.Name))
 	}
+	_, st := s.startTime(i)
+	s.pushEvent(event{t: st, kind: evStart, seq: int64(i)})
 }
 
 // Step advances the simulator to its next event — a frame starting,
@@ -930,7 +951,6 @@ func (s *Sim) Step() bool {
 	// frames, retry counters) take their RNG draws in registration order
 	// while the clock still reads the previous event time.
 	s.processAdmissions()
-	s.purgeStale()
 
 	if len(s.events) == 0 {
 		// Quiescent: nothing on the air, no countdown pending. Re-examine
@@ -942,7 +962,6 @@ func (s *Sim) Step() bool {
 				s.admit(f)
 			}
 		}
-		s.purgeStale()
 		if len(s.events) == 0 {
 			return false
 		}
@@ -964,9 +983,7 @@ func (s *Sim) Step() bool {
 		case evOccEnd:
 			s.retire(e.r)
 		case evStart:
-			if !s.staleStart(e) {
-				startFlows = append(startFlows, s.Flows[e.seq])
-			}
+			startFlows = append(startFlows, s.Flows[e.seq])
 		default: // evTimer
 			s.takeTimer(e)()
 		}
@@ -992,7 +1009,6 @@ func (s *Sim) Step() bool {
 			r.end = r.airEnd // provisional; finalized when the delivery settles
 			s.curTx[i] = r
 			s.flags[i] &^= fWaiting | fCounterValid // the counter is consumed by this attempt
-			s.startGen[i]++
 			if r.ft > s.maxFT {
 				s.maxFT = r.ft
 			}
@@ -1014,7 +1030,7 @@ func (s *Sim) Step() bool {
 				}
 				s.counter[gi] -= int32(elapsedSlots(t-s.idleSince[gi]-difs, s.Mac.SlotTime, int(s.counter[gi])))
 				s.flags[gi] = fl &^ fWaiting
-				s.startGen[gi]++ // supersede the pending start event
+				s.removeAt(int(s.startPos[gi]) - 1) // the countdown's start entry goes with it
 			}
 		}
 

@@ -33,7 +33,7 @@ func TestVirtualClockMatchesSingleFlowAccounting(t *testing.T) {
 	s := New(m, rand.New(rand.NewSource(1)))
 	const ft = 1e-3
 	f := s.AddFlow(backloggedFlow("dl", 200, ft, 1)) // lossless
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 
 	if f.Delivered != 200 || f.Dropped != 0 {
 		t.Fatalf("delivered %d dropped %d", f.Delivered, f.Dropped)
@@ -57,14 +57,14 @@ func TestClockMonotonicPerStep(t *testing.T) {
 	s.AddFlow(backloggedFlow("a", 50, 1e-3, 0.7))
 	s.AddFlow(backloggedFlow("b", 50, 5e-4, 0.7))
 	prev := s.Now()
-	for s.Step() {
+	for stepChecked(t, s) {
 		if s.Now() <= prev {
 			t.Fatalf("clock did not advance: %.9f -> %.9f", prev, s.Now())
 		}
 		prev = s.Now()
 	}
 	// Draining is idempotent: further steps neither run nor advance time.
-	if s.Step() || s.Now() != prev {
+	if stepChecked(t, s) || s.Now() != prev {
 		t.Fatal("drained sim must stay put")
 	}
 }
@@ -79,7 +79,7 @@ func TestContentionSharesMediumFairly(t *testing.T) {
 	s := New(m, rand.New(rand.NewSource(3)))
 	a := s.AddFlow(backloggedFlow("a", pkts, ft, 1))
 	b := s.AddFlow(backloggedFlow("b", pkts, ft, 1))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 
 	if a.Delivered+b.Delivered != 2*pkts {
 		t.Fatalf("delivered %d+%d", a.Delivered, b.Delivered)
@@ -102,7 +102,7 @@ func TestCollisionsOccurAndAreAccounted(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		flows = append(flows, s.AddFlow(backloggedFlow("f", 100, 1e-3, 1)))
 	}
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if s.CollisionRounds == 0 {
 		t.Fatal("8 contenders on CW 15 must collide at least once")
 	}
@@ -137,7 +137,7 @@ func TestUnackedFlowSingleAttempt(t *testing.T) {
 		Deliver:    func(*rand.Rand, int, Interference) bool { return false }, // never received
 		Done:       func(int, bool, float64) { remaining-- },
 	})
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if f.Attempts != 10 || f.Dropped != 10 || f.Delivered != 0 {
 		t.Fatalf("attempts %d dropped %d delivered %d", f.Attempts, f.Dropped, f.Delivered)
 	}
@@ -159,7 +159,7 @@ func TestAckedRetryLimitDropsFrame(t *testing.T) {
 		Deliver:    func(*rand.Rand, int, Interference) bool { return false },
 		Done:       func(int, bool, float64) { remaining-- },
 	})
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if f.Attempts != m.RetryLimit || f.Dropped != 1 {
 		t.Fatalf("attempts %d dropped %d, want %d/1", f.Attempts, f.Dropped, m.RetryLimit)
 	}
@@ -171,7 +171,7 @@ func TestDeterministicForSeed(t *testing.T) {
 		s := New(m, rand.New(rand.NewSource(7)))
 		a := s.AddFlow(backloggedFlow("a", 120, 1e-3, 0.8))
 		b := s.AddFlow(backloggedFlow("b", 120, 7e-4, 0.6))
-		s.Run()
+		runChecked(t, s, math.Inf(1))
 		return s.Now(), a.Delivered, b.Delivered
 	}
 	n1, a1, b1 := run()

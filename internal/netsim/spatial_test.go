@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestFrozenBackoffPersistsAcrossLostRounds(t *testing.T) {
 	// One contention round spans several scheduler events (start, frame-air
 	// end, occupancy end); step until the first delivery settles.
 	for winner.Delivered == 0 && loser.Delivered == 0 {
-		if !s.Step() {
+		if !stepChecked(t, s) {
 			t.Fatal("drained before any delivery")
 		}
 	}
@@ -67,7 +68,7 @@ func TestFrozenBackoffPersistsAcrossLostRounds(t *testing.T) {
 	// checking the counter never grows while frozen (it only counts down).
 	prev := int(s.counter[loser.idx])
 	for loser.Delivered == 0 {
-		if !s.Step() {
+		if !stepChecked(t, s) {
 			t.Fatal("drained before the loser delivered")
 		}
 		if s.flags[loser.idx]&fCounterValid != 0 && loser.Delivered == 0 && int(s.counter[loser.idx]) > prev {
@@ -86,7 +87,7 @@ func TestFrozenBackoffDeterministicForSeed(t *testing.T) {
 		a := s.AddFlow(backloggedFlow("a", 150, 1e-3, 0.8))
 		b := s.AddFlow(backloggedFlow("b", 150, 7e-4, 0.6))
 		c := s.AddFlow(backloggedFlow("c", 150, 5e-4, 0.9))
-		s.Run()
+		runChecked(t, s, math.Inf(1))
 		return s.Now(), a.Delivered, b.Delivered, c.Delivered
 	}
 	n1, a1, b1, c1 := run()
@@ -120,7 +121,7 @@ func TestCaptureStrongFrameSurvivesCollision(t *testing.T) {
 	s := captureSim(21, a, b, LegacyThreshold{CaptureDB: 10})
 	// a's interference: b's transmitter is ~298 m away — negligible. b's
 	// interference: a's transmitter is 8 m from b's receiver — overwhelming.
-	for i := 0; i < 20 && s.Step(); i++ {
+	for i := 0; i < 20 && stepChecked(t, s); i++ {
 	}
 	if a.Captures == 0 || a.Delivered == 0 {
 		t.Fatalf("strong flow never captured: captures=%d delivered=%d collisions=%d",
@@ -144,7 +145,7 @@ func TestCaptureNearEqualFramesBothDie(t *testing.T) {
 	a := placedFlow("a", 5, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 5, Y: 0}, 20)
 	b := placedFlow("b", 5, 1e-3, testbed.Point{X: 10, Y: 0}, testbed.Point{X: 5, Y: 1}, 20)
 	s := captureSim(22, a, b, LegacyThreshold{CaptureDB: 10})
-	for i := 0; i < 5 && s.Step(); i++ {
+	for i := 0; i < 5 && stepChecked(t, s); i++ {
 	}
 	if a.Captures != 0 || b.Captures != 0 {
 		t.Fatalf("near-equal frames captured: a=%d b=%d", a.Captures, b.Captures)
@@ -163,7 +164,7 @@ func TestCaptureDisabledKeepsClassicCollisions(t *testing.T) {
 	a := placedFlow("strong", 5, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 2, Y: 0}, 30)
 	b := placedFlow("weak", 5, 1e-3, testbed.Point{X: 300, Y: 0}, testbed.Point{X: 8, Y: 0}, 20)
 	s := captureSim(23, a, b, nil)
-	for i := 0; i < 5 && s.Step(); i++ {
+	for i := 0; i < 5 && stepChecked(t, s); i++ {
 	}
 	if a.Captures != 0 || a.Delivered != 0 {
 		t.Fatalf("capture disabled but strong flow got through: captures=%d delivered=%d", a.Captures, a.Delivered)
@@ -173,7 +174,7 @@ func TestCaptureDisabledKeepsClassicCollisions(t *testing.T) {
 // runPairs drains two lossless tx/rx pairs whose transmitters sit `sep`
 // meters apart under the given carrier-sense range, returning aggregate
 // throughput in frames per virtual second.
-func runPairs(seed int64, sep, csRange float64, packets int) (aggFPS float64, collisions int) {
+func runPairs(t *testing.T, seed int64, sep, csRange float64, packets int) (aggFPS float64, collisions int) {
 	cfg := modem.Profile80211()
 	m := mac.Default(cfg)
 	s := New(m, rand.New(rand.NewSource(seed)))
@@ -182,7 +183,7 @@ func runPairs(seed int64, sep, csRange float64, packets int) (aggFPS float64, co
 	const ft = 1e-3
 	a := s.AddFlow(placedFlow("a", packets, ft, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 3, Y: 0}, 30))
 	b := s.AddFlow(placedFlow("b", packets, ft, testbed.Point{X: sep, Y: 0}, testbed.Point{X: sep + 3, Y: 0}, 30))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	return float64(a.Delivered+b.Delivered) / s.Now(), s.CollisionRounds
 }
 
@@ -191,8 +192,8 @@ func TestSpatialReuseDoublesAggregateThroughput(t *testing.T) {
 	// concurrently: aggregate throughput must be ~2x the same pairs forced
 	// into one collision domain.
 	const packets = 300
-	shared, _ := runPairs(31, 10, 30, packets)     // 10 m apart, 30 m CS range: contend
-	reused, coll := runPairs(31, 200, 30, packets) // 200 m apart: reuse
+	shared, _ := runPairs(t, 31, 10, 30, packets)     // 10 m apart, 30 m CS range: contend
+	reused, coll := runPairs(t, 31, 200, 30, packets) // 200 m apart: reuse
 	ratio := reused / shared
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Fatalf("spatial reuse gave %.2fx aggregate (shared %.1f fps, reused %.1f fps), want ~2x",
@@ -213,7 +214,7 @@ func TestOutOfRangeFlowsNeverCollide(t *testing.T) {
 	s.CSRangeM = 50
 	s.AddFlow(placedFlow("a", 40, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 3, Y: 0}, 30))
 	s.AddFlow(placedFlow("b", 40, 1e-3, testbed.Point{X: 500, Y: 0}, testbed.Point{X: 503, Y: 0}, 30))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if s.CollisionRounds != 0 {
 		t.Fatalf("%d collision rounds between out-of-range transmitters", s.CollisionRounds)
 	}
@@ -229,7 +230,7 @@ func TestFlowsWithoutRadioContendEverywhere(t *testing.T) {
 	s.CSRangeM = 10
 	s.AddFlow(placedFlow("placed", 20, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 3, Y: 0}, 30))
 	s.AddFlow(backloggedFlow("unplaced", 20, 1e-3, 1))
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if s.CollisionRounds == 0 {
 		t.Fatal("an unplaced flow must still collide with placed ones")
 	}

@@ -57,8 +57,7 @@ func TestTimersFireInScheduleOrder(t *testing.T) {
 		// Same-instant reschedule fires within the same drain.
 		s.ScheduleAt(1e-3, func() { got = append(got, 11) })
 	})
-	for s.Step() {
-	}
+	runChecked(t, s, math.Inf(1))
 	want := []int{1, 10, 11, 2}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -80,8 +79,7 @@ func TestTimerInThePastRunsAtCurrentInstant(t *testing.T) {
 	s.ScheduleAt(1e-3, func() {
 		s.ScheduleAt(0, func() { fired = s.Now() }) // in the past: clamped to now
 	})
-	for s.Step() {
-	}
+	runChecked(t, s, math.Inf(1))
 	if fired != 1e-3 {
 		t.Fatalf("past-dated timer fired at %.6f, want clamped to 0.001", fired)
 	}
@@ -96,7 +94,7 @@ func TestIdleFlowZeroAirtimeZeroRNG(t *testing.T) {
 	s := New(m, rand.New(cs))
 	f := s.AddFlow(arrivalFlow("idle", 1e-3, 1))
 	s.AttachTraffic(f, TrafficConfig{Process: Poisson{RatePps: 0}})
-	s.Run()
+	runChecked(t, s, math.Inf(1))
 	if f.AirTime != 0 || f.Attempts != 0 || f.Delivered != 0 {
 		t.Fatalf("idle flow transmitted: attempts=%d delivered=%d airtime=%.9f",
 			f.Attempts, f.Delivered, f.AirTime)
@@ -118,7 +116,7 @@ func TestPoissonArrivalsDrainAndAccount(t *testing.T) {
 	f := s.AddFlow(arrivalFlow("poisson", 1e-3, 1))
 	q := s.AttachTraffic(f, TrafficConfig{Process: Poisson{RatePps: 200}})
 	const window = 0.5
-	s.RunUntil(window)
+	runChecked(t, s, window)
 	if q.Arrived < 50 || q.Arrived > 150 {
 		t.Fatalf("arrived %d packets in %.1fs at 200pps — process is off", q.Arrived, window)
 	}
@@ -173,7 +171,7 @@ func TestDeadlineExpiresStaleQueue(t *testing.T) {
 		Process:     Poisson{RatePps: 400},
 		DeadlineSec: 1e-3,
 	})
-	s.RunUntil(1.0)
+	runChecked(t, s, 1.0)
 	if hog.Delivered == 0 || q.Arrived == 0 {
 		t.Fatalf("degenerate run: hog=%d arrived=%d", hog.Delivered, q.Arrived)
 	}
@@ -198,7 +196,7 @@ func TestChurnStartStopWindow(t *testing.T) {
 		StartSec: 0.2,
 		StopSec:  0.4,
 	})
-	s.RunUntil(1.0)
+	runChecked(t, s, 1.0)
 	if q.Arrived == 0 || f.Delivered == 0 {
 		t.Fatalf("flow never ran: arrived=%d delivered=%d", q.Arrived, f.Delivered)
 	}
@@ -227,7 +225,7 @@ func TestMidRunJoinViaTimer(t *testing.T) {
 		s.ScheduleAt(0.05, func() {
 			late = s.AddFlow(backloggedFlow("late", 100, 1e-3, 1))
 		})
-		s.Run()
+		runChecked(t, s, math.Inf(1))
 		return late.Delivered, s.Now()
 	}
 	d1, t1 := run()
@@ -268,7 +266,7 @@ func TestReindexMovesCarrierSenseNeighborhoods(t *testing.T) {
 				s.Wake(a)
 			})
 		}
-		s.Run()
+		runChecked(t, s, math.Inf(1))
 		return s.Now()
 	}
 	apart := elapsed(false)
@@ -279,5 +277,68 @@ func TestReindexMovesCarrierSenseNeighborhoods(t *testing.T) {
 	// And the merged run is reproducible.
 	if m2 := elapsed(true); math.Abs(m2-merged) != 0 {
 		t.Fatalf("mobility run not deterministic: %.9f vs %.9f", merged, m2)
+	}
+}
+
+func TestMovedTransmitterDropsPendingCountdown(t *testing.T) {
+	// Flow b counts down out of carrier-sense range of flow a, which is on
+	// the air. A mobility epoch then moves b's transmitter next to a's,
+	// reindexes and wakes b: b's countdown must stop, so b defers until
+	// a's occupancy ends and no attempt collides. CW 0 pins every counter
+	// at 0 and a 2 ms slot stretches DIFS, so the epoch lands inside b's
+	// countdown.
+	m := mac.Default(modem.Profile80211())
+	m.CWMin, m.CWMax = 0, 0
+	m.SlotTime = 2e-3
+	s := New(m, rand.New(rand.NewSource(37)))
+	s.CSRangeM = 30
+	const ft = 10e-3
+	radio := func(x float64) *Radio {
+		return &Radio{TxPos: testbed.Point{X: x, Y: 0}, RxPos: testbed.Point{X: x, Y: 5}, SNRdB: 30}
+	}
+	a := s.AddFlow(placedFlow("a", 1, ft, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 0, Y: 5}, 30))
+	aSettled := -1.0
+	aDone := a.Done
+	a.Done = func(r int, ok bool, air float64) {
+		aDone(r, ok, air)
+		aSettled = s.Now()
+	}
+	ready, bStart := false, -1.0
+	b := s.AddFlow(&Flow{
+		Name:       "b",
+		Acked:      true,
+		Radio:      radio(200),
+		HasTraffic: func() bool { return ready },
+		FrameTime: func(int) float64 {
+			if bStart < 0 {
+				bStart = s.Now()
+			}
+			return ft
+		},
+		Deliver: func(*rand.Rand, int, Interference) bool { return true },
+		Done:    func(int, bool, float64) { ready = false },
+	})
+	s.ScheduleAt(5e-3, func() { // a is on the air from DIFS ≈ 4 ms
+		ready = true
+		s.Wake(b)
+	})
+	s.ScheduleAt(7e-3, func() { // b's countdown runs from 5 ms to ≈ 9 ms
+		if s.curTx[a.idx] == nil || s.flags[b.idx]&fWaiting == 0 {
+			t.Fatal("the epoch must find a on the air and b counting down")
+		}
+		b.Radio = radio(10)
+		s.Reindex()
+		s.Wake(b)
+	})
+	runChecked(t, s, math.Inf(1))
+
+	if a.Collisions != 0 || b.Collisions != 0 || s.CollisionRounds != 0 {
+		t.Fatalf("collisions: a=%d b=%d rounds=%d", a.Collisions, b.Collisions, s.CollisionRounds)
+	}
+	if aOccEnd := aSettled + m.SIFS + m.AckDuration(); bStart < aOccEnd {
+		t.Fatalf("b started at %.6fs, inside a's occupancy (ends %.6fs)", bStart, aOccEnd)
+	}
+	if a.Delivered != 1 || b.Delivered != 1 {
+		t.Fatalf("delivered a=%d b=%d, want 1 each", a.Delivered, b.Delivered)
 	}
 }
