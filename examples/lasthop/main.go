@@ -8,9 +8,7 @@ package main
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"slices"
 
 	sourcesync "repro"
 	"repro/internal/lasthop"
@@ -26,34 +24,32 @@ func main() {
 	client := testbed.Point{X: 25, Y: 7}
 	ap1 := testbed.Point{X: 11, Y: 4}
 	ap2 := testbed.Point{X: 38, Y: 11}
-
-	c := lasthop.Config{
-		Mac:          sourcesync.DCFParams(cfg),
-		PayloadBytes: 1460,
-		APLinks: []testbed.Link{
-			env.NewLink(rng, ap1, client),
-			env.NewLink(rng, ap2, client),
-		},
-		Packets: 600,
+	links := []testbed.Link{
+		env.NewLink(rng, ap1, client),
+		env.NewLink(rng, ap2, client),
 	}
-	fmt.Printf("AP1->client %.1f dB, AP2->client %.1f dB\n",
-		c.APLinks[0].SNRdB, c.APLinks[1].SNRdB)
 
-	for ap := range c.APLinks {
-		r := c.RunSingleAP(rand.New(rand.NewSource(100+int64(ap))), ap)
+	// A one-client cell: RunBestSingleAP serves the client from its
+	// highest-SNR AP alone, RunJoint from both APs at once.
+	const packets = 600
+	c := lasthop.Cell{
+		Mac:              sourcesync.DCFParams(cfg),
+		PayloadBytes:     1460,
+		Links:            [][]testbed.Link{links},
+		PacketsPerClient: packets,
+	}
+	fmt.Printf("AP1->client %.1f dB, AP2->client %.1f dB\n", links[0].SNRdB, links[1].SNRdB)
+
+	for ap, link := range links {
+		alone := c
+		alone.Links = [][]testbed.Link{{link}}
+		r := alone.RunBestSingleAP(rand.New(rand.NewSource(100 + int64(ap))))
 		fmt.Printf("AP%d alone:  %6.2f Mbps (%d/%d delivered)\n",
-			ap+1, r.ThroughputBps/1e6, r.Delivered, c.Packets)
+			ap+1, r.AggregateBps/1e6, r.Delivered, packets)
 	}
 	best := c.RunBestSingleAP(rand.New(rand.NewSource(200)))
 	joint := c.RunJoint(rand.New(rand.NewSource(300)))
-	fmt.Printf("best single AP: %6.2f Mbps\n", best.ThroughputBps/1e6)
+	fmt.Printf("best single AP: %6.2f Mbps\n", best.AggregateBps/1e6)
 	fmt.Printf("SourceSync (both APs): %6.2f Mbps  -> gain %.2fx\n",
-		joint.ThroughputBps/1e6, joint.ThroughputBps/best.ThroughputBps)
-
-	fmt.Println("\nrates used by the joint transmission (SampleRate at the lead AP):")
-	for _, idx := range slices.Sorted(maps.Keys(joint.RateHistogram)) {
-		if n := joint.RateHistogram[idx]; n > 0 {
-			fmt.Printf("  rate %d: %d packets\n", idx, n)
-		}
-	}
+		joint.AggregateBps/1e6, joint.AggregateBps/best.AggregateBps)
 }

@@ -265,12 +265,8 @@ type CrossTrafficOptions struct {
 	CrossFlows   int // contending single-hop flows
 	CrossPackets int // backlog per cross flow
 	Payload      int
-	RateMbps     int
+	RateMbps     int // the routed flow's fixed rate
 	Probes       int // measurement-phase probes per link
-	// AdaptCross gives every cross flow a SampleRate controller over the
-	// standard rate table (instead of the fixed RateMbps), so rate
-	// adaptation reacts to contention and interference-degraded loss.
-	AdaptCross bool
 	// CSRangeM is the carrier-sense range between cross-flow transmitters
 	// (meters). 0 keeps the classic single collision domain; positive
 	// values enable spatial reuse — and hidden terminals — between cross
@@ -291,7 +287,6 @@ func DefaultCrossTrafficOptions() CrossTrafficOptions {
 	return CrossTrafficOptions{
 		Topologies: 20, Packets: 120, CrossFlows: 2,
 		CrossPackets: 150, Payload: 1000, RateMbps: 12, Probes: 60,
-		AdaptCross: true,
 	}
 }
 
@@ -328,7 +323,7 @@ type CrossTrafficResult struct {
 	CrossHiddenLosses int
 	// CrossRateCorruption aggregates the interference model's per-rate
 	// outcomes over the cross flows of every loaded run (index = standard
-	// rate index under AdaptCross, 0 otherwise).
+	// rate index).
 	CrossRateCorruption []netsim.RateCorruption
 }
 
@@ -349,13 +344,9 @@ func RunCrossTraffic(ec engine.Config, o CrossTrafficOptions) CrossTrafficResult
 		panic(err)
 	}
 	m := mac.Default(cfg)
-	// The cross flows' rate table: the standard rates under AdaptCross, the
-	// single fixed rate otherwise.
-	rates := []modem.Rate{rate}
-	if o.AdaptCross {
-		rates = modem.StandardRates()
-	}
-	model := netsim.NewRateAware(cfg, rates, o.Payload)
+	// The rate-aware model prices the cross flows' rate table: the
+	// standard rates they adapt over.
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 
 	type tpRes struct {
 		spAlone, spLoaded, ssAlone, ssLoaded float64
@@ -384,7 +375,7 @@ func RunCrossTraffic(ec engine.Config, o CrossTrafficOptions) CrossTrafficResult
 			meas = topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
 		}
 		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: o.Payload,
-			CSRangeM: o.CSRangeM, Model: model, AdaptCross: o.AdaptCross}
+			CSRangeM: o.CSRangeM, Model: model}
 		// Cross flows between distinct relays (nodes 1..N-2), drawn per
 		// topology.
 		relays := topo.N() - 2

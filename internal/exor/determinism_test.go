@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/mac"
 	"repro/internal/modem"
+	"repro/internal/testbed"
 )
 
 func TestSimulationDeterministicGivenSeed(t *testing.T) {
@@ -24,19 +26,21 @@ func TestSimulationDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestMaxTxPerPacketBoundsLoss(t *testing.T) {
-	// With a nearly-dead relay->dst hop, the per-packet transmission cap
-	// must bound work and count the packet as lost.
+	// The measured distances promise a route, but the destination sits
+	// 10 km away: every packet must burn exactly the per-packet
+	// transmission cap and count as lost.
+	cfg := modem.Profile80211()
 	rng := rand.New(rand.NewSource(5))
-	topo := paperTopology(rng, 2.0) // extreme stretch: dst far out of reach
+	pts := []testbed.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 6, Y: 2}, {X: 4, Y: 3}, {X: 10000, Y: 0}}
+	topo := NewTopology(rng, testbed.Default(cfg), pts)
 	rate, _ := modem.RateByMbps(12)
 	meas := topo.Measure(rng, rate, 500, 30, 0.1)
-	sim := newSim(t, rng, topo, 12)
-	sim.Meas = meas
-	sim.MaxTxPerPacket = 5
+	meas.DistTo = []float64{4, 3, 2, 1, 0}
+	sim := &Sim{Topo: topo, Meas: meas, Mac: mac.Default(cfg), Rate: rate, Payload: 500}
 	const pkts = 30
 	res := sim.Run(rng, ExOR, pkts)
-	if res.Transmissions > pkts*5 {
-		t.Fatalf("cap violated: %d transmissions", res.Transmissions)
+	if res.Delivered != 0 || res.Transmissions != pkts*maxTxPerPacket {
+		t.Fatalf("delivered %d in %d transmissions, want 0 in %d", res.Delivered, res.Transmissions, pkts*maxTxPerPacket)
 	}
 }
 

@@ -11,12 +11,13 @@
 // medium accounting (DCF timing, ARQ, the virtual clock) live in
 // internal/netsim — each routing scheme is expressed as a netsim flow, so
 // runs can share the medium with cross-traffic flows (RunWithCross). Cross
-// flows carry their endpoints' testbed positions; with Sim.CSRangeM set
-// they contend only within carrier-sense range of each other (and, with
-// an interference Model set, can corrupt each other as hidden terminals
-// when their concurrent frames overlap at a receiver), while the routed
-// flow — whose transmitter moves hop by hop — stays unplaced and contends
-// with everyone.
+// flows adapt their rate with SampleRate and carry their endpoints'
+// testbed positions; with Sim.CSRangeM set they contend only within
+// carrier-sense range of each other (and, with an interference Model set,
+// can corrupt each other as hidden terminals when their concurrent frames
+// overlap at a receiver), while the routed flow — whose transmitter moves
+// hop by hop — stays unplaced and contends with everyone. An ExOR packet
+// is declared lost after 40 transmissions.
 package exor
 
 import (
@@ -110,9 +111,6 @@ type Sim struct {
 	Mac     mac.Params
 	Rate    modem.Rate
 	Payload int
-	// MaxTxPerPacket bounds the transmissions charged to one packet before
-	// it is declared lost (progress safeguard).
-	MaxTxPerPacket int
 	// CSRangeM is the carrier-sense range between transmitters, in meters;
 	// <= 0 (the default) keeps the classic single collision domain. When
 	// positive, cross flows carry their endpoints' topology positions and
@@ -125,11 +123,11 @@ type Sim struct {
 	// nil models no interference: collisions destroy every frame and
 	// hidden terminals never interfere.
 	Model netsim.InterferenceModel
-	// AdaptCross gives every cross flow a SampleRate controller over the
-	// standard rate table instead of the simulation's fixed Rate, so rate
-	// adaptation reacts to contention and interference-degraded loss.
-	AdaptCross bool
 }
+
+// maxTxPerPacket bounds the ExOR transmissions charged to one packet
+// before it is declared lost (progress safeguard).
+const maxTxPerPacket = 40
 
 // Result is the outcome of a scheme simulation. AirTime is the virtual
 // time the run occupied on the shared medium (with cross traffic, every
@@ -146,15 +144,15 @@ type Result struct {
 	// interference-degraded effective SNR (rate-aware model only).
 	Degraded int
 	// RateCorruption[r] is the interference model's per-rate outcome
-	// tally for this flow (rate index r of the flow's own rate table:
-	// the standard rates under AdaptCross, index 0 otherwise).
+	// tally for this flow (rate index r of the standard rate table a cross
+	// flow adapts over).
 	RateCorruption []netsim.RateCorruption
 	AirTime        float64
 }
 
 // CrossFlow describes one contending single-hop stream riding on the same
-// medium as the routed flow: Packets unicast frames From -> To at the
-// simulation's rate, with normal DCF ARQ.
+// medium as the routed flow: Packets unicast frames From -> To at
+// SampleRate-adapted rates, with normal DCF ARQ.
 type CrossFlow struct {
 	From, To int
 	Packets  int
@@ -171,9 +169,6 @@ func (s *Sim) Run(rng *rand.Rand, scheme Scheme, nPackets int) Result {
 // result and one result per cross flow; every throughput is measured over
 // the run's shared virtual time.
 func (s *Sim) RunWithCross(rng *rand.Rand, scheme Scheme, nPackets int, cross []CrossFlow) (Result, []Result) {
-	if s.MaxTxPerPacket == 0 {
-		s.MaxTxPerPacket = 40
-	}
 	sim := netsim.New(s.Mac, rng)
 	sim.CSRangeM = s.CSRangeM
 	sim.Model = s.Model
@@ -229,14 +224,19 @@ func (s *Sim) RunWithCross(rng *rand.Rand, scheme Scheme, nPackets int, cross []
 
 // crossFlow builds one contending single-hop stream: Packets unicast
 // frames From -> To with normal DCF ARQ, placed at its endpoints'
-// positions so spatial reuse and interference apply. With AdaptCross the
-// flow runs its own SampleRate controller over the standard rate table —
-// rate adaptation reacting to contention and interference-degraded loss —
-// otherwise every frame goes at the simulation's fixed Rate.
+// positions so spatial reuse and interference apply. The flow runs its own
+// SampleRate controller over the standard rate table, so rate adaptation
+// reacts to contention and interference-degraded loss.
 func (s *Sim) crossFlow(cf CrossFlow) *netsim.Flow {
 	links := s.Topo.Links[cf.From][cf.To : cf.To+1]
 	remaining := cf.Packets
-	f := &netsim.Flow{
+	rates := modem.StandardRates()
+	ft := make([]float64, len(rates))
+	for i, r := range rates {
+		ft[i] = s.Mac.FrameDuration(r, s.Payload)
+	}
+	sr := samplerate.New(ft)
+	return &netsim.Flow{
 		Name:  "cross",
 		Acked: true,
 		Radio: &netsim.Radio{
@@ -245,35 +245,19 @@ func (s *Sim) crossFlow(cf CrossFlow) *netsim.Flow {
 			SNRdB: links[0].SNRdB,
 		},
 		HasTraffic: func() bool { return remaining > 0 },
-		Done:       func(_ int, _ bool, _ float64) { remaining-- },
+		Prepare: func(rng *rand.Rand) int {
+			idx, _ := sr.Pick(rng)
+			return idx
+		},
+		FrameTime: func(i int) float64 { return ft[i] },
+		Deliver: func(rng *rand.Rand, i int, ix netsim.Interference) bool {
+			return netsim.DrawDelivery(rng, links, sr.Rate(i), s.Payload, ix.SNRScale)
+		},
+		Done: func(i int, delivered bool, air float64) {
+			remaining--
+			sr.Update(i, delivered, air)
+		},
 	}
-	if !s.AdaptCross {
-		ft := s.Mac.FrameDuration(s.Rate, s.Payload)
-		f.FrameTime = func(int) float64 { return ft }
-		f.Deliver = func(rng *rand.Rand, _ int, ix netsim.Interference) bool {
-			return netsim.DrawDelivery(rng, links, s.Rate, s.Payload, ix.SNRScale)
-		}
-		return f
-	}
-	rates := modem.StandardRates()
-	ft := make([]float64, len(rates))
-	for i, r := range rates {
-		ft[i] = s.Mac.FrameDuration(r, s.Payload)
-	}
-	sr := samplerate.New(ft)
-	f.Prepare = func(rng *rand.Rand) int {
-		idx, _ := sr.Pick(rng)
-		return idx
-	}
-	f.FrameTime = func(i int) float64 { return ft[i] }
-	f.Deliver = func(rng *rand.Rand, i int, ix netsim.Interference) bool {
-		return netsim.DrawDelivery(rng, links, sr.Rate(i), s.Payload, ix.SNRScale)
-	}
-	f.Done = func(i int, delivered bool, air float64) {
-		remaining--
-		sr.Update(i, delivered, air)
-	}
-	return f
 }
 
 // singlePathFlow expresses min-ETX routing with per-hop ARQ as one flow:
@@ -397,7 +381,7 @@ func (s *Sim) exorFlow(nPackets int, sourceSync bool) (*netsim.Flow, *int) {
 			holders = nil
 			return
 		}
-		if tx >= s.MaxTxPerPacket {
+		if tx >= maxTxPerPacket {
 			remaining--
 			holders = nil
 		}

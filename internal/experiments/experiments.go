@@ -499,11 +499,7 @@ func (r *runner) runCrossTraffic(ec engine.Config, o sourcesync.CrossTrafficOpti
 	o.Packets = r.shrink(o.Packets)
 	o.CrossPackets = r.shrink(o.CrossPackets)
 	res := sourcesync.RunCrossTraffic(ec, o)
-	rateLabel := fmt.Sprintf("%d Mbps", o.RateMbps)
-	if o.AdaptCross {
-		rateLabel = "SampleRate-adapted"
-	}
-	r.printf("%d cross flows x %d packets, %s, model=rate-aware", o.CrossFlows, o.CrossPackets, rateLabel)
+	r.printf("%d cross flows x %d packets, SampleRate-adapted, model=rate-aware", o.CrossFlows, o.CrossPackets)
 	if o.CSRangeM > 0 {
 		r.printf(", cs-range=%.0fm width-x%.1f", o.CSRangeM, o.WidthScale)
 	}

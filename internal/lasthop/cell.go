@@ -9,10 +9,11 @@ import (
 	"repro/internal/testbed"
 )
 
-// Cell describes a multi-client WLAN deployment (§8.3 scaled up): N clients
-// with backlogged downlink traffic, each served by its own set of APs, all
-// driven as contending netsim flows with per-client SampleRate controllers.
-// With only Links set the cell is one collision domain; with the spatial
+// Cell describes a WLAN deployment: N clients with backlogged downlink
+// traffic, each served by its own set of APs, all driven as contending
+// netsim flows with per-client SampleRate controllers. One client alone on
+// the medium is the paper's §8.3 downlink (Fig. 17); more clients scale it
+// up. With only Links set the cell is one collision domain; with the spatial
 // fields set (positions, Env, CSRangeM) the clients may span several
 // carrier-sense neighborhoods — e.g. multiple cells of a building — whose
 // downlinks reuse the medium concurrently, each neighborhood advancing at
@@ -28,9 +29,6 @@ type Cell struct {
 	// Links[c][a] is the a-th serving AP -> client c link. Rows may have
 	// different lengths (clients in different cells see different APs).
 	Links [][]testbed.Link
-	// DataCPIncrease is the extra cyclic prefix (samples) joint frames
-	// spend on residual misalignment.
-	DataCPIncrease int
 	// PacketsPerClient is each client's downlink backlog.
 	PacketsPerClient int
 
@@ -172,7 +170,7 @@ func (c Cell) radioFor(client, ap int) *netsim.Radio {
 // served by its best AP (highest average SNR), one frame in the air at a
 // time per neighborhood, per-client SampleRate.
 func (c Cell) RunBestSingleAP(rng *rand.Rand) CellResult {
-	ft := frameTimes(c.Mac, c.PayloadBytes, false, 0, 0)
+	ft := frameTimes(c.Mac, c.PayloadBytes, false, 0)
 	return c.run(rng, func(client int) clientPlan {
 		best := c.bestAP(client)
 		links := c.Links[client][best : best+1]
@@ -195,14 +193,13 @@ func (c Cell) RunJoint(rng *rand.Rand) CellResult {
 	// ragged Links rows (clients served by different AP sets) are priced
 	// correctly. Frame-time tables are shared between clients with equal
 	// counts — SampleRate is per client regardless.
-	dataCP := c.Mac.Cfg.CPLen + c.DataCPIncrease
 	ftByCo := map[int][]float64{}
 	return c.run(rng, func(client int) clientPlan {
 		links := c.Links[client]
 		numCo := len(links) - 1
 		ft, ok := ftByCo[numCo]
 		if !ok {
-			ft = frameTimes(c.Mac, c.PayloadBytes, true, numCo, dataCP)
+			ft = frameTimes(c.Mac, c.PayloadBytes, true, numCo)
 			ftByCo[numCo] = ft
 		}
 		return clientPlan{

@@ -3,42 +3,29 @@ package lasthop
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/mac"
-	"repro/internal/modem"
-	"repro/internal/testbed"
 )
 
-func testConfig(snrs []float64, packets int) Config {
-	cfg := modem.Profile80211()
-	tb := testbed.Default(cfg)
-	links := make([]testbed.Link, len(snrs))
-	for i, s := range snrs {
-		links[i] = tb.LinkAtSNR(s, 10)
-	}
-	return Config{
-		Mac:          mac.Default(cfg),
-		PayloadBytes: 1460,
-		APLinks:      links,
-		Packets:      packets,
-	}
+// clientCell builds a one-client cell whose APs reach the client at the
+// given average SNRs: the paper's Fig. 17 downlink.
+func clientCell(packets int, snrs ...float64) Cell {
+	return testCell([][]float64{snrs}, packets)
 }
 
 func TestSingleAPThroughputScalesWithSNR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	weak := testConfig([]float64{6}, 300).RunSingleAP(rng, 0)
-	strong := testConfig([]float64{25}, 300).RunSingleAP(rng, 0)
-	if weak.ThroughputBps <= 0 || strong.ThroughputBps <= 0 {
-		t.Fatalf("throughputs %v %v", weak.ThroughputBps, strong.ThroughputBps)
+	weak := clientCell(300, 6).RunBestSingleAP(rng)
+	strong := clientCell(300, 25).RunBestSingleAP(rng)
+	if weak.AggregateBps <= 0 || strong.AggregateBps <= 0 {
+		t.Fatalf("throughputs %v %v", weak.AggregateBps, strong.AggregateBps)
 	}
-	if strong.ThroughputBps < 2*weak.ThroughputBps {
+	if strong.AggregateBps < 2*weak.AggregateBps {
 		t.Fatalf("25 dB (%.1f Mbps) should be much faster than 6 dB (%.1f Mbps)",
-			strong.ThroughputBps/1e6, weak.ThroughputBps/1e6)
+			strong.AggregateBps/1e6, weak.AggregateBps/1e6)
 	}
 	// At 25 dB the achieved rate should approach (but not exceed) the top
 	// PHY rates.
-	if strong.ThroughputBps > 54e6 {
-		t.Fatalf("throughput %.1f Mbps exceeds PHY limit", strong.ThroughputBps/1e6)
+	if strong.AggregateBps > 54e6 {
+		t.Fatalf("throughput %.1f Mbps exceeds PHY limit", strong.AggregateBps/1e6)
 	}
 }
 
@@ -46,12 +33,12 @@ func TestJointBeatsSingleAtModerateSNR(t *testing.T) {
 	// Two comparable mediocre APs: joint transmission should deliver
 	// noticeably more than the best single AP (paper Fig. 17: median 1.57x).
 	rng := rand.New(rand.NewSource(2))
-	c := testConfig([]float64{9, 8}, 400)
+	c := clientCell(400, 9, 8)
 	single := c.RunBestSingleAP(rng)
 	joint := c.RunJoint(rng)
-	if joint.ThroughputBps <= single.ThroughputBps {
+	if joint.AggregateBps <= single.AggregateBps {
 		t.Fatalf("joint %.2f Mbps not better than single %.2f Mbps",
-			joint.ThroughputBps/1e6, single.ThroughputBps/1e6)
+			joint.AggregateBps/1e6, single.AggregateBps/1e6)
 	}
 }
 
@@ -60,25 +47,21 @@ func TestJointOverheadVisibleAtHighSNR(t *testing.T) {
 	// airtime (sync gap + CE) means it cannot be dramatically better; it
 	// must at least stay within a sane band, not collapse.
 	rng := rand.New(rand.NewSource(3))
-	c := testConfig([]float64{30, 30}, 400)
+	c := clientCell(400, 30, 30)
 	single := c.RunBestSingleAP(rng)
 	joint := c.RunJoint(rng)
-	ratio := joint.ThroughputBps / single.ThroughputBps
+	ratio := joint.AggregateBps / single.AggregateBps
 	if ratio < 0.85 || ratio > 1.3 {
 		t.Fatalf("high-SNR joint/single ratio %.2f out of band", ratio)
 	}
 }
 
 func TestRateHistogramPopulated(t *testing.T) {
+	// Every packet SampleRate schedules is retired, delivered or dropped.
 	rng := rand.New(rand.NewSource(4))
-	c := testConfig([]float64{18}, 200)
-	res := c.RunSingleAP(rng, 0)
-	total := 0
-	for _, n := range res.RateHistogram {
-		total += n
-	}
-	if total != 200 {
-		t.Fatalf("histogram covers %d packets", total)
+	res := clientCell(200, 18).RunBestSingleAP(rng).PerClient[0]
+	if total := res.Delivered + res.Dropped; total != 200 {
+		t.Fatalf("run retired %d of 200 packets", total)
 	}
 	if res.Delivered < 150 {
 		t.Fatalf("only %d/200 delivered at 18 dB", res.Delivered)
@@ -87,8 +70,7 @@ func TestRateHistogramPopulated(t *testing.T) {
 
 func TestDeadLinkDeliversNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := testConfig([]float64{-10}, 50)
-	res := c.RunSingleAP(rng, 0)
+	res := clientCell(50, -10).RunBestSingleAP(rng)
 	if res.Delivered != 0 {
 		t.Fatalf("delivered %d packets over a dead link", res.Delivered)
 	}

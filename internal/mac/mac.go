@@ -1,13 +1,13 @@
-// Package mac models 802.11 DCF medium access at the packet level: frame
-// airtimes (from the modem's symbol accounting), SIFS/DIFS/backoff timing,
-// acknowledgments and the retransmission loop. The throughput experiments
-// charge every scheme (single path, ExOR, SourceSync) through this model so
+// Package mac holds 802.11 DCF timing at the packet level: frame airtimes
+// (from the modem's symbol accounting, joint frames included), SIFS/DIFS,
+// the ACK exchange and timeout, the contention-window schedule, and the
+// retry limit. internal/netsim applies these to every flow — it draws the
+// backoffs and runs the retransmission loop — so every scheme (single
+// path, ExOR, SourceSync) is charged through the same timing and
 // comparisons are apples to apples.
 package mac
 
 import (
-	"math/rand"
-
 	"repro/internal/modem"
 	"repro/internal/phy"
 )
@@ -84,54 +84,4 @@ func (p Params) CW(attempt int) int {
 		}
 	}
 	return cw
-}
-
-// Backoff draws the random backoff duration for the given retry attempt
-// (0-based); the contention window doubles per retry up to CWMax.
-func (p Params) Backoff(attempt int, rng *rand.Rand) float64 {
-	return float64(rng.Intn(p.CW(attempt)+1)) * p.SlotTime
-}
-
-// AttemptOverhead returns the channel-access cost of one transmission
-// attempt excluding the data frame itself: DIFS + drawn backoff, plus
-// SIFS + ACK when acknowledged.
-func (p Params) AttemptOverhead(attempt int, acked bool, rng *rand.Rand) float64 {
-	t := p.DIFS() + p.Backoff(attempt, rng)
-	if acked {
-		t += p.SIFS + p.AckDuration()
-	}
-	return t
-}
-
-// TxOutcome summarizes a retransmission loop.
-type TxOutcome struct {
-	Success  bool
-	Attempts int
-	AirTime  float64 // total medium time consumed, seconds
-}
-
-// RetryLoop transmits a frame of the given duration until `succeeds`
-// returns true or the retry limit is exhausted. succeeds is called once per
-// attempt (callers evaluate channel/PER randomness inside it). acked
-// controls whether successful attempts are charged for an ACK exchange.
-func (p Params) RetryLoop(rng *rand.Rand, frameTime float64, acked bool, succeeds func(attempt int) bool) TxOutcome {
-	var out TxOutcome
-	for attempt := 0; attempt < p.RetryLimit; attempt++ {
-		out.Attempts++
-		ok := succeeds(attempt)
-		out.AirTime += p.DIFS() + p.Backoff(attempt, rng) + frameTime
-		if ok {
-			if acked {
-				out.AirTime += p.SIFS + p.AckDuration()
-			}
-			out.Success = true
-			return out
-		}
-		// A failed attempt waits out the ACK timeout — not a full ACK
-		// exchange, which would overbill retry-heavy schemes.
-		if acked {
-			out.AirTime += p.AckTimeout()
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package mac
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/modem"
@@ -44,65 +43,6 @@ func TestJointFrameDurationIncludesOverhead(t *testing.T) {
 	}
 }
 
-func TestBackoffDoubling(t *testing.T) {
-	p := Default(modem.Profile80211())
-	rng := rand.New(rand.NewSource(1))
-	avg := func(attempt int) float64 {
-		var s float64
-		for i := 0; i < 4000; i++ {
-			s += p.Backoff(attempt, rng)
-		}
-		return s / 4000
-	}
-	a0, a2 := avg(0), avg(2)
-	// Expected: CW 15 -> mean 7.5 slots; CW 63 -> mean 31.5 slots.
-	if math.Abs(a0-7.5*p.SlotTime) > p.SlotTime {
-		t.Fatalf("attempt0 mean backoff %g", a0)
-	}
-	if math.Abs(a2-31.5*p.SlotTime) > 2*p.SlotTime {
-		t.Fatalf("attempt2 mean backoff %g", a2)
-	}
-	// CW saturates at CWMax.
-	big := avg(12)
-	if big > (float64(p.CWMax)/2+40)*p.SlotTime {
-		t.Fatalf("saturated backoff %g too large", big)
-	}
-}
-
-func TestRetryLoopStatistics(t *testing.T) {
-	p := Default(modem.Profile80211())
-	rng := rand.New(rand.NewSource(2))
-	r6, _ := modem.RateByMbps(6)
-	ft := p.FrameDuration(r6, 500)
-
-	// 50% loss: expected ~2 attempts, near-certain eventual success.
-	var attempts, successes int
-	const n = 2000
-	for i := 0; i < n; i++ {
-		out := p.RetryLoop(rng, ft, true, func(int) bool { return rng.Float64() < 0.5 })
-		attempts += out.Attempts
-		if out.Success {
-			successes++
-		}
-	}
-	if successes < n*98/100 {
-		t.Fatalf("successes %d/%d", successes, n)
-	}
-	mean := float64(attempts) / float64(successes)
-	if mean < 1.8 || mean > 2.2 {
-		t.Fatalf("mean attempts %.2f, want ~2", mean)
-	}
-
-	// Dead link: retry limit reached, no success.
-	out := p.RetryLoop(rng, ft, true, func(int) bool { return false })
-	if out.Success || out.Attempts != p.RetryLimit {
-		t.Fatalf("dead link outcome %+v", out)
-	}
-	if out.AirTime < float64(p.RetryLimit)*ft {
-		t.Fatal("airtime must include every attempt")
-	}
-}
-
 func TestAckTimeoutShorterThanAckExchange(t *testing.T) {
 	p := Default(modem.Profile80211())
 	to := p.AckTimeout()
@@ -111,21 +51,6 @@ func TestAckTimeoutShorterThanAckExchange(t *testing.T) {
 	}
 	if full := p.SIFS + p.AckDuration(); to >= full {
 		t.Fatalf("AckTimeout %g must be shorter than a full ACK exchange %g", to, full)
-	}
-}
-
-func TestFailedAttemptsChargedAckTimeout(t *testing.T) {
-	// On a dead link every attempt fails; total airtime must use AckTimeout
-	// per attempt, not the full SIFS+ACK exchange.
-	p := Default(modem.Profile80211())
-	p.CWMin, p.CWMax = 0, 0 // no backoff: airtime is deterministic
-	rng := rand.New(rand.NewSource(3))
-	r6, _ := modem.RateByMbps(6)
-	ft := p.FrameDuration(r6, 500)
-	out := p.RetryLoop(rng, ft, true, func(int) bool { return false })
-	want := float64(p.RetryLimit) * (p.DIFS() + ft + p.AckTimeout())
-	if math.Abs(out.AirTime-want) > 1e-12 {
-		t.Fatalf("dead-link airtime %g, want %g", out.AirTime, want)
 	}
 }
 

@@ -110,18 +110,11 @@ func (c *Config) UsedBins() []int {
 // NumData returns the number of data subcarriers per symbol.
 func (c *Config) NumData() int { return len(c.dataBins) }
 
-// SymbolLen returns the length of one OFDM symbol in samples, including the
-// cyclic prefix cp (pass c.CPLen for the default).
-func (c *Config) SymbolLen(cp int) int { return c.NFFT + cp }
-
 // SymbolDuration returns the duration in seconds of a symbol with the given
 // cyclic prefix length.
 func (c *Config) SymbolDuration(cp int) float64 {
 	return float64(c.NFFT+cp) / c.SampleRateHz
 }
-
-// SamplePeriod returns the duration of one sample in seconds.
-func (c *Config) SamplePeriod() float64 { return 1 / c.SampleRateHz }
 
 // Bin converts a signed subcarrier index to an FFT array index.
 func (c *Config) Bin(k int) int {

@@ -184,12 +184,3 @@ func (m Modulation) MapBits(bits []byte) []complex128 {
 	}
 	return out
 }
-
-// DemapSymbols hard-demaps a sequence of constellation points to bits.
-func (m Modulation) DemapSymbols(syms []complex128) []byte {
-	out := make([]byte, 0, len(syms)*m.BitsPerSymbol())
-	for _, s := range syms {
-		out = m.Demap(s, out)
-	}
-	return out
-}

@@ -54,12 +54,3 @@ func (r Rate) DataBitsPerSymbol(c *Config) int {
 func (r Rate) BitRate(c *Config) float64 {
 	return float64(r.DataBitsPerSymbol(c)) / c.SymbolDuration(c.CPLen)
 }
-
-// NumSymbols returns how many OFDM symbols a payload of n data bits
-// occupies at this rate (including the 6 convolutional tail bits and padding
-// to a whole symbol).
-func (r Rate) NumSymbols(c *Config, nBits int) int {
-	dbps := r.DataBitsPerSymbol(c)
-	total := nBits + convK - 1
-	return (total + dbps - 1) / dbps
-}

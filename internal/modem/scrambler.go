@@ -30,11 +30,3 @@ func (s *Scrambler) XOR(bits []byte) []byte {
 	}
 	return bits
 }
-
-// ScrambleCopy returns a scrambled copy of bits using a fresh scrambler with
-// the given seed; the input is not modified.
-func ScrambleCopy(bits []byte, seed byte) []byte {
-	out := append([]byte(nil), bits...)
-	NewScrambler(seed).XOR(out)
-	return out
-}

@@ -148,7 +148,11 @@ func TestUnackedFlowSingleAttempt(t *testing.T) {
 }
 
 func TestAckedRetryLimitDropsFrame(t *testing.T) {
+	// Every attempt over a dead link fails: the frame is dropped after
+	// RetryLimit attempts, each billed the ACK timeout rather than a full
+	// ACK exchange.
 	m := mac.Default(modem.Profile80211())
+	m.CWMin, m.CWMax = 0, 0 // deterministic: no backoff
 	s := New(m, rand.New(rand.NewSource(6)))
 	remaining := 1
 	f := s.AddFlow(&Flow{
@@ -162,6 +166,10 @@ func TestAckedRetryLimitDropsFrame(t *testing.T) {
 	runChecked(t, s, math.Inf(1))
 	if f.Attempts != m.RetryLimit || f.Dropped != 1 {
 		t.Fatalf("attempts %d dropped %d, want %d/1", f.Attempts, f.Dropped, m.RetryLimit)
+	}
+	want := float64(m.RetryLimit) * (m.DIFS() + 1e-3 + m.AckTimeout())
+	if math.Abs(s.Now()-want) > 1e-12 || math.Abs(f.AirTime-want) > 1e-12 {
+		t.Fatalf("clock %.9f, airtime %.9f, want %.9f", s.Now(), f.AirTime, want)
 	}
 }
 

@@ -95,9 +95,6 @@ type CoSenderSim = phy.CoSenderSim
 // Testbed is the indoor radio environment (re-export).
 type Testbed = testbed.Testbed
 
-// DefaultTestbed returns the default office-floor environment.
-func DefaultTestbed(cfg *Config) *Testbed { return testbed.Default(cfg) }
-
 // MeshTestbed returns the lossier environment used by the mesh experiments.
 func MeshTestbed(cfg *Config) *Testbed { return testbed.Mesh(cfg) }
 
