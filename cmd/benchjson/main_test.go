@@ -1,7 +1,9 @@
 package main
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -284,4 +286,27 @@ func TestParseBenchStreamMixedUnits(t *testing.T) {
 	if got[2].NsPerOp != 4e9 || got[2].Metrics["ns/event"] != 11000 || got[2].Metrics["events/s"] != 90000 {
 		t.Errorf("mixed-unit benchmark misparsed: %+v", got[2])
 	}
+}
+
+// FuzzParseBenchLine feeds arbitrary lines to parseBenchLine: it must not
+// panic, and an accepted line must carry a Benchmark name, a non-negative
+// iteration count and ns/op, and only finite metrics.
+func FuzzParseBenchLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		b, ok := parseBenchLine(line, "repro/internal/netsim")
+		if !ok {
+			return
+		}
+		if !strings.HasPrefix(b.Name, "Benchmark") {
+			t.Fatalf("accepted %q with name %q", line, b.Name)
+		}
+		if b.Iterations < 0 || !(b.NsPerOp >= 0) || math.IsInf(b.NsPerOp, 0) {
+			t.Fatalf("accepted %q with iterations %d, ns/op %v", line, b.Iterations, b.NsPerOp)
+		}
+		for _, unit := range slices.Sorted(maps.Keys(b.Metrics)) {
+			if v := b.Metrics[unit]; math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted %q with %s = %v", line, unit, v)
+			}
+		}
+	})
 }

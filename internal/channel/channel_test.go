@@ -167,26 +167,42 @@ func TestIndoorResponseMatchesFreqResponse(t *testing.T) {
 	}
 }
 
+// TestApplyMatchesDirectConvolution sums each output sample directly, in
+// tap order from zero, and requires the same bits from Apply: over
+// channels with zero taps and inputs with silent runs too, whose skipped
+// products are ±0.
 func TestApplyMatchesDirectConvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := NewRayleigh(rng, 5, 2)
-	x := make([]complex128, 40)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	got := m.Apply(x)
-	if len(got) != len(x)+len(m.Taps)-1 {
-		t.Fatalf("conv length %d", len(got))
-	}
-	for n := 0; n < len(got); n++ {
-		var want complex128
-		for k, tap := range m.Taps {
-			if j := n - k; j >= 0 && j < len(x) {
-				want += tap * x[j]
+	for c := 0; c < 60; c++ {
+		m := NewRayleigh(rng, 5, 2)
+		x := make([]complex128, 40)
+		if c > 0 {
+			m = NewRayleigh(rng, 1+rng.Intn(17), 4)
+			if rng.Intn(2) == 0 {
+				m.Taps[rng.Intn(len(m.Taps))] = 0
+			}
+			x = make([]complex128, 1+rng.Intn(600))
+		}
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		if c > 0 {
+			silentRuns(rng, x, rng.Intn(5))
+		}
+		got := m.Apply(x)
+		if len(got) != len(x)+len(m.Taps)-1 {
+			t.Fatalf("case %d: conv length %d", c, len(got))
+		}
+		want := make([]complex128, len(got))
+		for n := range want {
+			for k, tap := range m.Taps {
+				if j := n - k; j >= 0 && j < len(x) {
+					want[n] += tap * x[j]
+				}
 			}
 		}
-		if cmplx.Abs(got[n]-want) > 1e-10 {
-			t.Fatalf("conv sample %d: got %v want %v", n, got[n], want)
+		if !sameBits(got, want) {
+			t.Fatalf("case %d: Apply differs from the direct convolution", c)
 		}
 	}
 }
@@ -290,8 +306,7 @@ func TestMixFractionalStartShiftsSignal(t *testing.T) {
 	}
 	whole := Mix(rng, 64, 0, 0, Emission{Wave: w, Start: 10})
 	half := Mix(rng, 64, 0, 0, Emission{Wave: w, Start: 10.5})
-	pw, _ := dsp.PeakIndex(absVec(whole))
-	ph, _ := dsp.PeakIndex(absVec(half))
+	pw, ph := peakMag(whole), peakMag(half)
 	if pw != 26 {
 		t.Fatalf("whole-delay peak at %d, want 26", pw)
 	}
@@ -376,10 +391,13 @@ func TestLinkBudgetHelpers(t *testing.T) {
 	}
 }
 
-func absVec(x []complex128) []float64 {
-	out := make([]float64, len(x))
+// peakMag returns the first index of x's largest magnitude.
+func peakMag(x []complex128) int {
+	best := 0
 	for i, v := range x {
-		out[i] = cmplx.Abs(v)
+		if cmplx.Abs(v) > cmplx.Abs(x[best]) {
+			best = i
+		}
 	}
-	return out
+	return best
 }

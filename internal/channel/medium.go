@@ -27,8 +27,9 @@ type Emission struct {
 // rejected (panic) since their energy would be truncated silently.
 func Mix(rng *rand.Rand, n, origin int, noisePower float64, emissions ...Emission) []complex128 {
 	out := make([]complex128, n)
+	var scratch []complex128
 	for _, e := range emissions {
-		renderInto(out, origin, e)
+		scratch = renderInto(out, origin, e, scratch)
 	}
 	if noisePower > 0 {
 		sigma := math.Sqrt(noisePower / 2)
@@ -39,38 +40,87 @@ func Mix(rng *rand.Rand, n, origin int, noisePower float64, emissions ...Emissio
 	return out
 }
 
-func renderInto(out []complex128, origin int, e Emission) {
+// fracDelaySide is the fractional-delay filter's taps per side.
+const fracDelaySide = 12
+
+// renderInto adds emission e to out, whose first sample is absolute sample
+// origin, and returns scratch, grown if e needed more, for the next
+// emission. The wave passes through the multipath channel, the
+// fractional-delay filter (for a fractional part of at least 1e-9 samples)
+// and the integer delay, then the oscillator rotation adds it into out.
+// Only samples that land in out are computed, each by the same operations
+// in the same order as a full-length render. Products with a silent
+// sample are skipped: with finite waves, taps and gains each is ±0, and
+// adding ±0 to an accumulator that starts at +0 never changes its bits
+// (in round-to-nearest +0 + -0 = +0, so no accumulator ever holds -0).
+func renderInto(out []complex128, origin int, e Emission, scratch []complex128) []complex128 {
 	rel := e.Start - float64(origin)
 	if rel < 0 {
 		panic("channel: emission starts before mixing window")
 	}
-	wave := e.Wave
+	ip := int(math.Floor(rel))
+	frac := rel - float64(ip)
+	filtered := frac >= 1e-9
+
+	// The wave after the channel (w) and after the fractional delay (f),
+	// cut to what lands in out: f[k] lands on out[ip+k], and the filter
+	// reads side samples of w past the last f it writes.
+	wLen := len(e.Wave)
 	if e.Path != nil {
-		wave = e.Path.Apply(wave)
+		wLen += len(e.Path.Taps) - 1
 	}
-	// Fractional+integer delay to the emission's absolute position.
-	delayed := dsp.DelaySamples(wave, rel, 12)
+	side := 0
+	if filtered {
+		side = fracDelaySide
+	}
+	fLen := min(wLen+side, len(out)-ip)
+	if fLen <= 0 {
+		return scratch
+	}
+	wLen = min(wLen, fLen+side)
+	need := 0
+	if e.Path != nil {
+		need += wLen
+	}
+	if filtered {
+		need += fLen
+	}
+	if cap(scratch) < need {
+		scratch = make([]complex128, need)
+	}
+	w, buf := e.Wave, scratch[:need]
+	if e.Path != nil {
+		w, buf = buf[:wLen], buf[wLen:]
+		e.Path.convolveInto(w, e.Wave)
+	}
+	f := w[:min(len(w), fLen)]
+	if filtered {
+		f = buf[:fLen]
+		dsp.FracDelayInto(f, w, frac, fracDelaySide)
+	}
+
 	gain := e.Gain
 	if gain == 0 {
 		gain = 1
 	}
 	// Oscillator rotation is a function of absolute time so that concurrent
 	// emissions from different senders rotate relative to each other exactly
-	// as in the paper (§5).
+	// as in the paper (§5). cur steps once per sample from out's first
+	// sample, across the integer-delay prefix too.
 	rot := cmplx.Rect(gain, e.Phase)
 	step := cmplx.Exp(complex(0, 2*math.Pi*e.CFO))
 	cur := rot * cmplx.Exp(complex(0, 2*math.Pi*e.CFO*float64(origin)))
-	for i, v := range delayed {
-		if i >= len(out) {
-			break
+	for i := range ip + len(f) {
+		if i >= ip && f[i-ip] != 0 {
+			out[i] += f[i-ip] * cur
 		}
-		out[i] += v * cur
 		cur *= step
 		if i&1023 == 1023 {
 			// Keep |cur| from drifting over long frames.
 			cur = cur / complex(cmplx.Abs(cur)/gain, 0)
 		}
 	}
+	return scratch
 }
 
 // NoisePowerForSNR returns the per-sample noise power that yields the given

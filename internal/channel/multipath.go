@@ -121,15 +121,61 @@ func indoorProfile(fs, spreadNs float64) (nTaps int, decayTaps float64) {
 // Apply convolves x with the channel, returning len(x)+len(Taps)-1 samples.
 func (m *Multipath) Apply(x []complex128) []complex128 {
 	out := make([]complex128, len(x)+len(m.Taps)-1)
+	m.convolveInto(out, x)
+	return out
+}
+
+// convolveInto writes the first len(out) samples of x convolved with the
+// channel into out, which must be no longer than len(x)+len(Taps)-1. Each
+// sample sums tap*x in tap order from +0, skipping zero taps and x's
+// silent runs: with finite taps a skipped product is ±0, which cannot
+// change an accumulator that starts at +0.
+func (m *Multipath) convolveInto(out, x []complex128) {
+	clear(out)
+	spans := nonzeroSpans(x)
 	for i, t := range m.Taps {
 		if t == 0 {
 			continue
 		}
-		for j, v := range x {
-			out[i+j] += t * v
+		for _, sp := range spans {
+			lo, hi := sp[0], min(sp[1], len(out)-i)
+			if lo >= hi {
+				break
+			}
+			addScaled(out[i+lo:i+hi], x[lo:hi], t)
 		}
 	}
-	return out
+}
+
+// addScaled adds t*x[j] to o[j] for every j < len(x) <= len(o). As its
+// own function the loop keeps its operands in registers.
+func addScaled(o, x []complex128, t complex128) {
+	o = o[:len(x)]
+	for j, v := range x {
+		o[j] += t * v
+	}
+}
+
+// nonzeroSpans returns the maximal runs [start, end) of nonzero samples of
+// x, in order.
+func nonzeroSpans(x []complex128) [][2]int {
+	n := 0
+	for i, v := range x {
+		if v != 0 && (i == 0 || x[i-1] == 0) {
+			n++
+		}
+	}
+	spans := make([][2]int, 0, n)
+	for i, v := range x {
+		switch {
+		case v == 0:
+		case i == 0 || x[i-1] == 0:
+			spans = append(spans, [2]int{i, i + 1})
+		default:
+			spans[len(spans)-1][1] = i + 1
+		}
+	}
+	return spans
 }
 
 // FreqResponse returns the channel's frequency response on an nfft-point

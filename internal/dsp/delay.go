@@ -5,42 +5,46 @@ import "math"
 // sqrt is a local alias so hot paths avoid repeated package qualification.
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
-// DelaySamples delays waveform x by a (possibly fractional) number of
-// samples. The integer part is realized by prepending zeros; the fractional
-// part by a windowed-sinc interpolation filter with the given number of taps
-// per side (total 2*side+1 taps). The returned slice is longer than x by the
-// integer delay plus the filter's tail.
+// FracDelayInto writes x delayed by frac (0 < frac < 1) samples into dst.
+// The delay is a Hann-windowed sinc filter of 2*side+1 taps (side < 1
+// means 8) normalized to unit DC gain, with the filter's own side samples
+// of group delay dropped: dst[m] sums x[i]*tap[m+side-i] over i in
+// ascending order, starting from zero and skipping silent samples. The
+// delayed wave has len(x)+side samples; dst may be shorter (later samples
+// are not computed) or longer (the rest is zero).
 //
-// Fractional delay is what makes sub-sample misalignment between SourceSync
-// senders representable at the waveform level.
-func DelaySamples(x []complex128, delay float64, side int) []complex128 {
-	if delay < 0 {
-		panic("dsp: negative delay")
-	}
-	ip := int(math.Floor(delay))
-	frac := delay - float64(ip)
-	var filtered []complex128
-	if frac < 1e-9 {
-		filtered = x
-	} else {
-		filtered = fracDelayFilter(x, frac, side)
-	}
-	out := make([]complex128, ip+len(filtered))
-	copy(out[ip:], filtered)
-	return out
-}
-
-// fracDelayFilter applies a Hann-windowed sinc filter implementing a delay of
-// frac (0 < frac < 1) samples. The output has len(x)+2*side samples: `side`
-// samples of filter delay are kept at the head so the group delay of the
-// filter itself (side samples) plus frac equals the shift of the signal
-// within the returned slice minus side. Callers that care about absolute
-// timing should use DelaySamples, which accounts for this.
-func fracDelayFilter(x []complex128, frac float64, side int) []complex128 {
+// Fractional delay is what makes sub-sample misalignment between
+// SourceSync senders representable at the waveform level.
+func FracDelayInto(dst, x []complex128, frac float64, side int) {
 	if side < 1 {
 		side = 8
 	}
-	taps := make([]float64, 2*side+1)
+	var stack [33]float64 // taps for side <= 16 stay off the heap
+	taps := fracDelayTaps(stack[:0], frac, side)
+	clear(dst)
+	for i, v := range x {
+		if i-side >= len(dst) {
+			break
+		}
+		if v == 0 {
+			continue
+		}
+		// Tap j lands on dst[i+j-side]; a real tap scales each part.
+		lo, hi := max(side-i, 0), min(len(taps), len(dst)+side-i)
+		re, im := real(v), imag(v)
+		ts := taps[lo:hi]
+		o := dst[i+lo-side:][:len(ts)]
+		for j, t := range ts {
+			o[j] += complex(re*t, im*t)
+		}
+	}
+}
+
+// fracDelayTaps appends to buf the 2*side+1 taps of the Hann-windowed
+// sinc filter for a delay of side+frac samples, normalized to unit DC
+// gain.
+func fracDelayTaps(buf []float64, frac float64, side int) []float64 {
+	taps := append(buf, make([]float64, 2*side+1)...)
 	var sum float64
 	for i := range taps {
 		// Tap i corresponds to n = i - side; the ideal filter for delay
@@ -58,19 +62,7 @@ func fracDelayFilter(x []complex128, frac float64, side int) []complex128 {
 			taps[i] /= sum
 		}
 	}
-	out := make([]complex128, len(x)+2*side)
-	for i, v := range x {
-		if v == 0 {
-			continue
-		}
-		for j, t := range taps {
-			out[i+j] += v * complex(t, 0)
-		}
-	}
-	// The filter imposes `side` samples of group delay; the caller asked for
-	// frac only, so drop `side` leading samples to leave just the fractional
-	// shift (content then starts at 0 shifted by frac).
-	return out[side:]
+	return taps
 }
 
 func sinc(x float64) float64 {

@@ -9,7 +9,11 @@
 // the SourceSync paper.
 package modem
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/dsp"
+)
 
 // Config describes one OFDM PHY profile. All times derive from SampleRateHz.
 type Config struct {
@@ -26,6 +30,10 @@ type Config struct {
 	// Cached training fields, computed by build.
 	stsF, ltsF []complex128 // frequency domain, indexed by FFT bin
 	stsT, ltsT []complex128 // time domain, one NFFT period each
+
+	// ltsTemplate is LongTraining prepared for DetectPacket's fine-timing
+	// correlation, its FFT sized for the widest search.
+	ltsTemplate *dsp.Template
 }
 
 // Profile80211 returns the standard 802.11a/g 20 MHz profile: 64-point FFT,

@@ -33,6 +33,13 @@ const (
 	detMinAutoCorr = 0.35 // STS periodicity confirmation
 )
 
+// The fine-timing search spans these many STS periods before and after
+// the coarse instant; Config.build sizes the LTS template's FFT for it.
+const (
+	fineSearchBefore = 6
+	fineSearchAfter  = 26
+)
+
 // DetectPacket searches x (starting at from) for a preamble. It returns the
 // coarse detection instant and the fine preamble-start estimate. The fine
 // estimate is negative when the stream begins after the preamble's first
@@ -47,22 +54,27 @@ func DetectPacket(cfg *Config, x []complex128, from int) DetectResult {
 		return DetectResult{}
 	}
 	seg := x[from:]
-	ratios := dsp.DoubleSlidingWindow(seg, w)
-	auto := dsp.AutoCorrRatio(seg, period, w)
 
 	// Find the first energy-ratio crossing whose following samples also show
 	// STS periodicity. The crossing at ratio index d means the energy
 	// arrived inside window [d+w, d+2w); the detector "fires" at the end of
-	// that window, which is what a hardware implementation timestamps.
+	// that window, which is what a hardware implementation timestamps. Both
+	// running sums advance only as far as this search reads them.
+	ratio := dsp.NewEnergyRatio(seg, w)
+	auto := dsp.NewAutoCorr(seg, period, w)
 	coarse := -1
 	confirm := -1
-	for d := 0; d < len(ratios); d++ {
-		if ratios[d] < detEnergyRatio {
+	// next is the first periodicity index not yet read. Every index an
+	// earlier crossing read fell short of the threshold, so a later
+	// crossing d resumes at max(next, d) instead of rereading [d, next).
+	next := 0
+	for d := 0; d < ratio.Len(); d++ {
+		if ratio.At(d) < detEnergyRatio {
 			continue
 		}
-		for j := d; j <= d+3*w && j < len(auto); j++ {
-			if auto[j] >= detMinAutoCorr {
-				confirm = j
+		for next = max(next, d); next <= d+3*w && next < auto.Len(); next++ {
+			if auto.At(next) >= detMinAutoCorr {
+				confirm = next
 				break
 			}
 		}
@@ -101,23 +113,22 @@ func DetectPacket(cfg *Config, x []complex128, from int) DetectResult {
 	// The coarse instant can precede the true packet start by up to ~2w (a
 	// noise blip confirmed by the following packet) or trail it by most of
 	// the STS at low SNR, so the search is asymmetric.
-	ref := cfg.LongTraining()
-	searchLo := coarse - 6*period
+	refLen := cfg.ltsTemplate.Len()
+	searchLo := coarse - fineSearchBefore*period
 	if searchLo < 0 {
 		searchLo = 0
 	}
-	searchHi := coarse + 26*period
-	if searchHi+len(ref) > len(seg) {
-		searchHi = len(seg) - len(ref)
+	searchHi := coarse + fineSearchAfter*period
+	if searchHi+refLen > len(seg) {
+		searchHi = len(seg) - refLen
 	}
 	if searchHi <= searchLo {
 		// Not enough samples to fine-time; fall back to the coarse guess.
 		return DetectResult{Detected: true, CoarseIdx: from + coarse, FineIdx: from + coarse - w, CoarseCFO: coarseCFO}
 	}
-	fineSeg := append([]complex128(nil), seg[searchLo:searchHi+len(ref)]...)
+	fineSeg := append([]complex128(nil), seg[searchLo:searchHi+refLen]...)
 	dsp.Rotate(fineSeg, -coarseCFO, searchLo)
-	corr := dsp.CrossCorrelate(fineSeg, ref)
-	pk, _ := dsp.PeakIndex(corr)
+	pk := dsp.CorrelationPeak(fineSeg, cfg.ltsTemplate)
 	// The correlation peak marks the start of LongTraining (its guard).
 	// LongTraining begins 10 STS periods into the preamble.
 	ltsFieldStart := searchLo + pk

@@ -51,6 +51,8 @@ func (c *Config) buildTraining() {
 	}
 	c.ltsT = dsp.IFFT(c.ltsF)
 	c.stsT = dsp.IFFT(c.stsF)
+	lts := c.LongTraining()
+	c.ltsTemplate = dsp.NewTemplate(lts, (fineSearchBefore+fineSearchAfter)*c.STSPeriod()+len(lts))
 }
 
 // LTSReference returns the frequency-domain LTS values indexed by FFT bin;

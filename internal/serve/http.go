@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -30,6 +32,34 @@ func Endpoints() []string {
 		"GET /metrics",
 		"GET /debug/pprof/",
 	}
+}
+
+// shutdownGrace bounds how long Serve waits for in-flight requests once
+// its context is done; a progress stream still open after it is cut.
+const shutdownGrace = 5 * time.Second
+
+// Serve answers Handler's API on ln until ctx is done or ln fails. When
+// ctx is done it stops accepting connections, gives in-flight requests up
+// to shutdownGrace to finish, closes whatever is still open, and returns
+// nil; a listener failure is returned as is. Serve leaves s open: the
+// caller's Close then cancels queued and running jobs and drains the
+// runners.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if hs.Shutdown(grace) != nil {
+		hs.Close() // the grace ran out: cut the remaining connections
+	}
+	<-served // http.ErrServerClosed, now that Shutdown has begun
+	return nil
 }
 
 // Handler returns the daemon's HTTP API:

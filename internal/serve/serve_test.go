@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -738,5 +740,50 @@ func TestPprofEndpointsServeProfiles(t *testing.T) {
 		if len(body) == 0 {
 			t.Errorf("GET %s: empty body", path)
 		}
+	}
+}
+
+// TestServeShutsDownWithRunningJob cancels Serve's context while a job is
+// running: Serve must return nil and stop answering, and the Close that
+// follows must cancel the job and drain the runner.
+func TestServeShutsDownWithRunningJob(t *testing.T) {
+	s := New(Config{MaxRunning: 1, CacheEntries: -1, runFn: fakeRun(make(chan struct{}), nil)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+
+	url := "http://" + ln.Addr().String()
+	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(`{"experiment":"fig12"}`))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	var st Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode status: %v", err)
+	}
+	j, ok := s.Get(st.ID)
+	if !ok {
+		t.Fatalf("job %q not found", st.ID)
+	}
+	for j.StateNow() != StateRunning {
+		<-newTimer(time.Millisecond).C
+	}
+
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v, want nil", err)
+	}
+	if _, err := http.Get(url + "/healthz"); err == nil {
+		t.Fatal("server still answering after Serve returned")
+	}
+	s.Close()
+	if got := j.StateNow(); got != StateCanceled {
+		t.Fatalf("job state after Close = %s, want %s", got, StateCanceled)
 	}
 }
