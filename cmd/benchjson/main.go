@@ -4,11 +4,14 @@
 //
 // Usage:
 //
-//	go test -bench . -benchtime 1x -run '^$' ./... | go run ./cmd/benchjson > BENCH_netsim.json
+//	go test -bench . -benchtime 1x -count 5 -run '^$' ./... | go run ./cmd/benchjson > BENCH_netsim.json
 //
 // Each benchmark line ("BenchmarkName-8  10  123456 ns/op  42 frames/s")
-// becomes one record with its package (from the preceding "pkg:" line),
-// iterations, ns/op, and any extra b.ReportMetric pairs.
+// is parsed with its package (from the preceding "pkg:" line),
+// iterations, ns/op, and any extra b.ReportMetric pairs. The lines of one
+// benchmark repeated by -count N fold into one record: its ns/op and each
+// metric are the median of the runs that report it, its iterations the
+// runs' total, and runs their number.
 //
 // -require REGEXP[@UNIT] exits nonzero unless at least one parsed
 // benchmark's "package.Name" matches — and, with the @UNIT suffix, that a
@@ -26,7 +29,8 @@
 // rate-like units (anything per second) regress downward. The JSON record
 // is emitted either way so the artifact survives a failing gate; the
 // default factor is deliberately generous because CI runs benchmarks at
-// -benchtime 1x on shared runners.
+// -benchtime 1x on shared runners, and it gates medians of -count runs
+// so that one slow run cannot fail it.
 package main
 
 import (
@@ -34,9 +38,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,6 +55,9 @@ type Benchmark struct {
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	// Runs is how many lines of the benchmark were folded into this
+	// record (go test -count).
+	Runs int `json:"runs,omitempty"`
 }
 
 // Record is the artifact schema: enough context to compare runs over time.
@@ -64,7 +73,7 @@ func main() {
 	var requires requireFlags
 	flag.Var(&requires, "require", "fail unless a parsed benchmark's package.Name matches this REGEXP[@UNIT]; repeatable, all must be met")
 	baseline := flag.String("baseline", "", "fail if any benchmark in this record regressed past -max-regress")
-	maxRegress := flag.Float64("max-regress", 5, "tolerated slowdown factor for -baseline (single-shot CI timings are noisy)")
+	maxRegress := flag.Float64("max-regress", 5, "tolerated slowdown factor for -baseline (CI timings are noisy)")
 	flag.Parse()
 	reqs, err := parseRequirements(requires)
 	if err != nil {
@@ -118,6 +127,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
 		os.Exit(1)
 	}
+	rec.Benchmarks = foldRuns(rec.Benchmarks)
 	if unmet := unmetRequirements(rec.Benchmarks, reqs); len(unmet) > 0 {
 		for _, msg := range unmet {
 			fmt.Fprintf(os.Stderr, "benchjson: %s — the perf artifact would silently drop it\n", msg)
@@ -138,6 +148,56 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// foldRuns merges the runs of each benchmark (same package and name) into
+// one record at the position of its first run: ns/op and each metric are
+// the median over the runs that report them, Iterations sums the runs'
+// iterations and Runs counts them.
+func foldRuns(runs []Benchmark) []Benchmark {
+	var order []string
+	byKey := map[string][]Benchmark{}
+	for _, b := range runs {
+		key := b.Package + "." + b.Name
+		if _, ok := byKey[key]; !ok {
+			order = append(order, key)
+		}
+		byKey[key] = append(byKey[key], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, key := range order {
+		group := byKey[key]
+		f := Benchmark{Name: group[0].Name, Package: group[0].Package, Runs: len(group)}
+		ns := make([]float64, len(group))
+		metrics := map[string][]float64{}
+		for i, b := range group {
+			f.Iterations += b.Iterations
+			ns[i] = b.NsPerOp
+			for _, unit := range slices.Sorted(maps.Keys(b.Metrics)) {
+				metrics[unit] = append(metrics[unit], b.Metrics[unit])
+			}
+		}
+		f.NsPerOp = median(ns)
+		for unit, vs := range metrics {
+			if f.Metrics == nil {
+				f.Metrics = map[string]float64{}
+			}
+			f.Metrics[unit] = median(vs)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when len(vs) is even. It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // compareBaseline checks the current benchmarks against a committed

@@ -310,3 +310,60 @@ func FuzzParseBenchLine(f *testing.F) {
 		}
 	})
 }
+
+func TestFoldRunsTakesMedians(t *testing.T) {
+	// go test -count repeats each benchmark's line; the record keeps one
+	// entry per benchmark, in first-run order, with median values.
+	const pkg = "repro/internal/netsim"
+	runs := []Benchmark{
+		{Name: "BenchmarkOdd", Package: pkg, Iterations: 1, NsPerOp: 30, Metrics: map[string]float64{"ns/event": 3}},
+		{Name: "BenchmarkEven", Package: pkg, Iterations: 2, NsPerOp: 10},
+		{Name: "BenchmarkOdd", Package: "repro/internal/other", Iterations: 1, NsPerOp: 7},
+		{Name: "BenchmarkOdd", Package: pkg, Iterations: 1, NsPerOp: 10, Metrics: map[string]float64{"ns/event": 1, "allocs/op": 4}},
+		{Name: "BenchmarkEven", Package: pkg, Iterations: 2, NsPerOp: 40, Metrics: map[string]float64{"events/s": 5}},
+		{Name: "BenchmarkOdd", Package: pkg, Iterations: 1, NsPerOp: 20, Metrics: map[string]float64{"ns/event": 2}},
+		{Name: "BenchmarkEven", Package: pkg, Iterations: 2, NsPerOp: 20, Metrics: map[string]float64{"events/s": 9}},
+		{Name: "BenchmarkEven", Package: pkg, Iterations: 2, NsPerOp: 30},
+	}
+	got := foldRuns(runs)
+	want := []Benchmark{
+		// Odd count: the middle run. A metric only some runs report takes
+		// the median of those runs.
+		{Name: "BenchmarkOdd", Package: pkg, Iterations: 3, NsPerOp: 20, Runs: 3,
+			Metrics: map[string]float64{"ns/event": 2, "allocs/op": 4}},
+		// Even count: the mean of the two middle runs.
+		{Name: "BenchmarkEven", Package: pkg, Iterations: 8, NsPerOp: 25, Runs: 4,
+			Metrics: map[string]float64{"events/s": 7}},
+		// The same name in another package is another benchmark.
+		{Name: "BenchmarkOdd", Package: "repro/internal/other", Iterations: 1, NsPerOp: 7, Runs: 1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("folded into %d records, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Name != w.Name || g.Package != w.Package || g.Iterations != w.Iterations || g.NsPerOp != w.NsPerOp ||
+			g.Runs != w.Runs || !maps.Equal(g.Metrics, w.Metrics) {
+			t.Errorf("record %d = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+func TestFoldRunsGatesOnMedianNotOutlier(t *testing.T) {
+	// One slow run among five must not fail the baseline gate: the
+	// median is what is compared.
+	base := []Benchmark{{Name: "BenchmarkDraw", Package: "repro/internal/netsim", NsPerOp: 5000}}
+	var runs []Benchmark
+	for _, ns := range []float64{4500, 5200, 61000, 4900, 5100} {
+		runs = append(runs, Benchmark{Name: "BenchmarkDraw", Package: "repro/internal/netsim", Iterations: 1, NsPerOp: ns})
+	}
+	if bad := compareBaseline(base, foldRuns(runs), 5); len(bad) != 0 {
+		t.Fatalf("one outlier run failed the gate: %v", bad)
+	}
+	for i := range runs[:3] {
+		runs[i].NsPerOp = 61000
+	}
+	if bad := compareBaseline(base, foldRuns(runs), 5); len(bad) != 1 {
+		t.Fatalf("a regression in most runs passed the gate: %v", bad)
+	}
+}

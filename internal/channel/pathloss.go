@@ -3,8 +3,6 @@ package channel
 import (
 	"math"
 	"math/rand"
-
-	"repro/internal/dsp"
 )
 
 // SpeedOfLight in meters/second, used to convert distance to propagation
@@ -36,11 +34,6 @@ func (p PathLossModel) LossDB(d float64, rng *rand.Rand) float64 {
 		loss += rng.NormFloat64() * p.ShadowSigma
 	}
 	return loss
-}
-
-// AmplitudeGain converts a path loss in dB to an amplitude scaling factor.
-func AmplitudeGain(lossDB float64) float64 {
-	return math.Sqrt(dsp.FromDB(-lossDB))
 }
 
 // PropagationDelaySamples returns the propagation delay over d meters in

@@ -31,29 +31,6 @@ func Scale(x []complex128, g float64) {
 	}
 }
 
-// AddInto accumulates src into dst element-wise: dst[i] += src[i]. The slices
-// must have equal length.
-func AddInto(dst, src []complex128) {
-	if len(dst) != len(src) {
-		panic("dsp: AddInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
-
-// Dot returns the inner product sum(x[i] * conj(y[i])).
-func Dot(x, y []complex128) complex128 {
-	if len(x) != len(y) {
-		panic("dsp: Dot length mismatch")
-	}
-	var s complex128
-	for i := range x {
-		s += x[i] * cmplx.Conj(y[i])
-	}
-	return s
-}
-
 // Rotate applies a continuous phase rotation of freq cycles-per-sample to x
 // starting at sample offset start: x[i] *= e^{j*2*pi*freq*(start+i)}.
 // It is used to impose or undo carrier frequency offsets.
@@ -71,15 +48,4 @@ func Rotate(x []complex128, freq float64, start int) {
 			cur /= complex(cmplx.Abs(cur), 0)
 		}
 	}
-}
-
-// MaxAbs returns the maximum magnitude over x, or 0 for an empty slice.
-func MaxAbs(x []complex128) float64 {
-	var m float64
-	for _, v := range x {
-		if a := cmplx.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }

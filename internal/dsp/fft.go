@@ -139,14 +139,3 @@ func butterflies(x []complex128, p *plan) {
 		}
 	}
 }
-
-// FFTShift reorders FFT output so that the zero-frequency bin is centered.
-// It returns a new slice; useful when plotting per-subcarrier quantities.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}

@@ -130,17 +130,6 @@ func TestFFTIntoAliasing(t *testing.T) {
 	}
 }
 
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestFFTPanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -58,23 +58,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// CDFPoint is one point of an empirical cumulative distribution.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // fraction of samples <= Value
-}
-
-// CDF returns the empirical CDF of xs as a sorted sequence of points.
-func CDF(xs []float64) []CDFPoint {
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	out := make([]CDFPoint, len(c))
-	for i, v := range c {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(c))}
-	}
-	return out
-}
-
 // DB converts a linear power ratio to decibels. Non-positive inputs map to
 // -inf dB, clamped to a large negative value to keep downstream math finite.
 func DB(lin float64) float64 {

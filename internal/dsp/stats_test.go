@@ -3,7 +3,6 @@ package dsp
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -56,20 +55,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDFIsSortedAndEndsAtOne(t *testing.T) {
-	xs := []float64{4, 2, 9, 1}
-	pts := CDF(xs)
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].Value < pts[j].Value }) {
-		t.Fatal("CDF not sorted")
-	}
-	if pts[len(pts)-1].Fraction != 1 {
-		t.Fatalf("last fraction = %g", pts[len(pts)-1].Fraction)
-	}
-	if pts[0].Fraction != 0.25 {
-		t.Fatalf("first fraction = %g", pts[0].Fraction)
 	}
 }
 
@@ -134,13 +119,9 @@ func TestRotateUndo(t *testing.T) {
 	}
 }
 
-func TestDotAndEnergy(t *testing.T) {
+func TestEnergy(t *testing.T) {
 	x := []complex128{complex(1, 1), complex(0, 2)}
 	if e := Energy(x); math.Abs(e-6) > 1e-12 {
 		t.Fatalf("energy = %g", e)
-	}
-	d := Dot(x, x)
-	if math.Abs(real(d)-6) > 1e-12 || math.Abs(imag(d)) > 1e-12 {
-		t.Fatalf("dot = %v", d)
 	}
 }

@@ -65,19 +65,32 @@ var ErrCanceled = errors.New("experiment run canceled")
 // Options carries the experiment-specific knobs — the sweep shape and
 // saturation mode that only some experiments read — as a typed
 // sub-struct, so Params' generic fields (seed, size, parallelism) stay
-// separate from per-experiment configuration. The ssbench flags and the
-// ssserve wire format both map into it; the zero value means "the
-// experiment's defaults".
+// separate from per-experiment configuration. The ssbench flags map into
+// it, and it is the "options" object of the ssserve wire format, whose
+// keys are its JSON tags; the zero value means "the experiment's
+// defaults".
 type Options struct {
 	// Cells is cellsweep's capacity-vs-cell-count sweep (ssbench -cells).
-	Cells []int
+	Cells []int `json:"cells,omitempty"`
 	// CSRanges is cellsweep's carrier-sense sweep in meters (ssbench -cs).
-	CSRanges []float64
+	CSRanges []float64 `json:"cs_ranges,omitempty"`
 	// WindowSec switches cell, cellsweep, metro and every backlogged
 	// scenario spec to fixed-time-window saturation mode (ssbench
 	// -window), overriding a spec's traffic.window_sec; 0 keeps each
 	// run's own mode.
-	WindowSec float64
+	WindowSec float64 `json:"window_sec,omitempty"`
+}
+
+// WithDefaults returns o with each empty sweep list replaced by the
+// standard sweep points, which is how Run and ssserve read an unset list.
+func (o Options) WithDefaults() Options {
+	if len(o.Cells) == 0 {
+		o.Cells = []int{1, 2, 3}
+	}
+	if len(o.CSRanges) == 0 {
+		o.CSRanges = []float64{20, 30, 45}
+	}
+	return o
 }
 
 // Params configures one Run. The zero value is not runnable as-is for
@@ -106,25 +119,13 @@ type Params struct {
 // DefaultParams mirrors ssbench's flag defaults: seed 1, full size, one
 // worker per CPU, the standard cellsweep sweep points.
 func DefaultParams() Params {
-	return Params{
-		Seed: 1,
-		Options: Options{
-			Cells:    []int{1, 2, 3},
-			CSRanges: []float64{20, 30, 45},
-		},
-	}
+	return Params{Seed: 1, Options: Options{}.WithDefaults()}
 }
 
 // normalized fills zero-value sweep lists with the defaults, so callers
 // (e.g. a service job with an empty spec) get ssbench's behavior.
 func (p Params) normalized() Params {
-	d := DefaultParams()
-	if len(p.Options.Cells) == 0 {
-		p.Options.Cells = d.Options.Cells
-	}
-	if len(p.Options.CSRanges) == 0 {
-		p.Options.CSRanges = d.Options.CSRanges
-	}
+	p.Options = p.Options.WithDefaults()
 	return p
 }
 

@@ -61,22 +61,6 @@ func (e *Estimator) Active(sender int) bool { return e.active[sender] }
 // symbol symIdx (paper §5: pilots shared round-robin across symbols).
 func (e *Estimator) PilotOwner(symIdx int) int { return symIdx % e.Senders }
 
-// MeasurePilotPhase measures the phase of a received symbol's pilot bins
-// relative to a reference channel h (the pilot owner's static estimate).
-// ok is false when the reference carries no pilot energy.
-func MeasurePilotPhase(cfg *modem.Config, h []complex128, symIdx int, bins []complex128) (phase float64, ok bool) {
-	var acc complex128
-	for p, k := range cfg.PilotBins() {
-		b := cfg.Bin(k)
-		ref := h[b] * cfg.PilotValue(p, symIdx)
-		acc += bins[b] * cmplx.Conj(ref)
-	}
-	if acc == 0 {
-		return 0, false
-	}
-	return cmplx.Phase(acc), true
-}
-
 // UpdatePilots absorbs the pilot observations of one received data symbol:
 // it measures the owner's current phase relative to its static channel
 // estimate and updates the owner's tracker. Symbols owned by absent senders
@@ -86,7 +70,7 @@ func (e *Estimator) UpdatePilots(symIdx int, bins []complex128) {
 	if !e.active[owner] || e.h[owner] == nil {
 		return
 	}
-	phase, ok := MeasurePilotPhase(e.Cfg, e.h[owner], symIdx, bins)
+	phase, ok := e.Cfg.PilotPhase(bins, e.h[owner], symIdx)
 	if !ok {
 		return
 	}
@@ -102,16 +86,6 @@ func (e *Estimator) ChannelAt(sender, symIdx int, b int) complex128 {
 	}
 	theta := e.trackers[sender].At(symIdx)
 	return e.h[sender][b] * cmplx.Exp(complex(0, theta))
-}
-
-// Composite returns the composite (summed) channel on bin b at symbol
-// symIdx — the quantity H_i(t) of paper §5.
-func (e *Estimator) Composite(symIdx, b int) complex128 {
-	var s complex128
-	for j := 0; j < e.Senders; j++ {
-		s += e.ChannelAt(j, symIdx, b)
-	}
-	return s
 }
 
 // SenderChannels gathers every sender's rotated channel on bin b at symbol

@@ -3,8 +3,9 @@
 // estimation symbols, and per-sender residual-frequency phase tracking via
 // pilots shared across symbols (the lead sender owns the pilot subcarriers
 // in symbols 0, k, 2k, ...; co-sender i in symbols i, k+i, ...). The
-// composite channel used for decoding is the sum of the individual channels,
-// each rotated by its sender's tracked phase.
+// space-time decoder reads every sender's channel rotated by its sender's
+// tracked phase; senders that share a codeword add up to the composite
+// channel of §5.
 package jce
 
 import (

@@ -103,18 +103,3 @@ func AppendTail(bits []byte) []byte {
 	copy(out, bits)
 	return out
 }
-
-// CodedLen returns the number of coded bits ConvEncode produces for n input
-// bits at the given rate. It accounts for puncturing of a partial final
-// pattern period.
-func CodedLen(n int, rate CodeRate) int {
-	pat := rate.puncturePattern()
-	mother := n * 2
-	kept := 0
-	for i := 0; i < mother; i++ {
-		if pat[i%len(pat)] {
-			kept++
-		}
-	}
-	return kept
-}

@@ -75,9 +75,9 @@ func (p FrameParams) EncodePayloadSymbols(payload []byte) [][]complex128 {
 // frame: preamble followed by OFDM data symbols.
 func BuildFrame(p FrameParams, payload []byte) []complex128 {
 	syms := p.EncodePayloadSymbols(payload)
-	wave := p.Cfg.Preamble()
+	wave := append(make([]complex128, 0, p.AirtimeSamples()), p.Cfg.Preamble()...)
 	for i, s := range syms {
-		wave = append(wave, p.Cfg.AssembleSymbol(s, i, p.CP)...)
+		wave = p.Cfg.AppendSymbol(wave, s, i, p.CP, true)
 	}
 	return wave
 }

@@ -228,27 +228,6 @@ func TestDetectionDelayGrowsAtLowSNR(t *testing.T) {
 	}
 }
 
-func TestMeasureSubcarrierSNR(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	cfg := Profile80211()
-	p := testParams(cfg, 6, 40)
-	payload := make([]byte, p.PayloadLen)
-	r.Read(payload)
-	wave := BuildFrame(p, payload)
-	want := 15.0
-	var est []float64
-	for trial := 0; trial < 30; trial++ {
-		noisy := addAWGN(r, wave, want)
-		x := padded(r, noisy, 100, 100, -want)
-		snr := MeasureSubcarrierSNR(cfg, x, 100)
-		est = append(est, dsp.DB(dsp.Mean(snr)))
-	}
-	avg := dsp.Mean(est)
-	if math.Abs(avg-want) > 1.5 {
-		t.Fatalf("estimated SNR %.1f dB, want %.1f", avg, want)
-	}
-}
-
 func TestFrameParamsAccounting(t *testing.T) {
 	cfg := Profile80211()
 	p := testParams(cfg, 6, 1460)

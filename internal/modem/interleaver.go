@@ -38,13 +38,3 @@ func Deinterleave(soft []float64, nbpsc int) []float64 {
 	}
 	return out
 }
-
-// DeinterleaveBits inverts Interleave on hard bits.
-func DeinterleaveBits(bits []byte, nbpsc int) []byte {
-	ncbps := len(bits)
-	out := make([]byte, ncbps)
-	for k := range bits {
-		out[k] = bits[interleaveIndex(k, ncbps, nbpsc)]
-	}
-	return out
-}

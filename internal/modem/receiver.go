@@ -122,41 +122,3 @@ func (m Modulation) EVM(syms [][]complex128) float64 {
 	}
 	return acc
 }
-
-// MeasureSubcarrierSNR estimates per-used-bin SNR (linear) by comparing
-// equalized LTS bins against their known values: signal power over error
-// power, computed from the two LTS repetitions' difference (noise) and mean
-// (signal+channel). Entry i is subcarrier cfg.UsedBins()[i].
-func MeasureSubcarrierSNR(cfg *Config, x []complex128, preambleStart int) []float64 {
-	lts1 := preambleStart + cfg.LTSOffset()
-	if lts1 < 0 || lts1+2*cfg.NFFT > len(x) {
-		return nil
-	}
-	b1 := cfg.SymbolBins(x[lts1 : lts1+cfg.NFFT])
-	b2 := cfg.SymbolBins(x[lts1+cfg.NFFT : lts1+2*cfg.NFFT])
-	used := cfg.UsedBins()
-	// The noise is white, so estimate a single variance across all bins
-	// (from the difference of the two LTS repetitions); a per-bin noise
-	// estimate would make the SNR ratio heavy-tailed.
-	var noise float64
-	out := make([]float64, len(used))
-	for i, k := range used {
-		b := cfg.Bin(k)
-		sum := b1[b] + b2[b]
-		diff := b1[b] - b2[b]
-		out[i] = (real(sum)*real(sum) + imag(sum)*imag(sum)) / 4
-		noise += (real(diff)*real(diff) + imag(diff)*imag(diff)) / 2
-	}
-	noise /= float64(len(used))
-	if noise <= 0 {
-		noise = 1e-12
-	}
-	for i, sig := range out {
-		s := sig - noise/2 // remove the noise bias from the signal term
-		if s < 0 {
-			s = 0
-		}
-		out[i] = s / noise
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package modem
 
 import (
 	"math/cmplx"
+	"slices"
 
 	"repro/internal/dsp"
 )
@@ -30,33 +31,31 @@ func (c *Config) PilotValue(p, symIdx int) complex128 {
 	return complex(pol, 0)
 }
 
-// AssembleSymbol builds one time-domain OFDM symbol (with cyclic prefix cp)
-// from NumData constellation points. symIdx selects the pilot polarity.
-func (c *Config) AssembleSymbol(data []complex128, symIdx, cp int) []complex128 {
-	return c.AssembleSymbolPilots(data, symIdx, cp, true)
-}
-
-// AssembleSymbolPilots is AssembleSymbol with explicit control over pilot
-// transmission. SourceSync senders leave the pilot bins silent in symbols
-// they do not own (paper §5's shared pilots).
-func (c *Config) AssembleSymbolPilots(data []complex128, symIdx, cp int, withPilots bool) []complex128 {
+// AppendSymbol appends one time-domain OFDM symbol (cyclic prefix cp,
+// then NFFT samples) carrying NumData constellation points to dst and
+// returns the extended slice. symIdx selects the pilot polarity; pilots
+// false leaves the pilot bins silent, as SourceSync senders do in the
+// symbols they do not own (paper §5's shared pilots). The symbol's bins
+// are written into dst's new tail and transformed there in place.
+func (c *Config) AppendSymbol(dst, data []complex128, symIdx, cp int, pilots bool) []complex128 {
 	if len(data) != c.NumData() {
-		panic("modem: AssembleSymbol wrong number of data points")
+		panic("modem: AppendSymbol wrong number of data points")
 	}
-	bins := make([]complex128, c.NFFT)
+	n := len(dst)
+	dst = slices.Grow(dst, cp+c.NFFT)[:n+cp+c.NFFT]
+	sym := dst[n+cp:]
+	clear(sym)
 	for i, k := range c.dataBins {
-		bins[c.Bin(k)] = data[i]
+		sym[c.Bin(k)] = data[i]
 	}
-	if withPilots {
+	if pilots {
 		for p, k := range c.pilotBins {
-			bins[c.Bin(k)] = c.PilotValue(p, symIdx)
+			sym[c.Bin(k)] = c.PilotValue(p, symIdx)
 		}
 	}
-	t := dsp.IFFT(bins)
-	out := make([]complex128, cp+c.NFFT)
-	copy(out, t[c.NFFT-cp:])
-	copy(out[cp:], t)
-	return out
+	dsp.IFFTInto(sym, sym)
+	copy(dst[n:n+cp], sym[c.NFFT-cp:])
+	return dst
 }
 
 // SymbolBins runs an FFT over the NFFT samples starting at the beginning of
@@ -68,24 +67,22 @@ func (c *Config) SymbolBins(samples []complex128) []complex128 {
 	return dsp.FFT(samples[:c.NFFT])
 }
 
-// PilotPhase estimates the common phase error of a received symbol's bins
-// relative to channel estimate H (indexed by FFT bin), using the pilot bins
-// of symbol symIdx. It also returns the mean pilot amplitude ratio, a cheap
-// per-symbol gain-tracking aid.
-func (c *Config) PilotPhase(bins, h []complex128, symIdx int) (phase float64, gain float64) {
+// PilotPhase measures the common phase error of a received symbol's bins
+// relative to channel estimate h (indexed by FFT bin) from the pilot bins
+// of data symbol symIdx: the phase of the pilots' correlation with their
+// reference values through h. ok is false when the correlation is zero,
+// as when h carries no pilot energy.
+func (c *Config) PilotPhase(bins, h []complex128, symIdx int) (phase float64, ok bool) {
 	var acc complex128
-	var num, den float64
 	for p, k := range c.pilotBins {
 		b := c.Bin(k)
 		ref := h[b] * c.PilotValue(p, symIdx)
 		acc += bins[b] * cmplx.Conj(ref)
-		num += cmplx.Abs(bins[b])
-		den += cmplx.Abs(ref)
 	}
-	if den == 0 {
-		return 0, 1
+	if acc == 0 {
+		return 0, false
 	}
-	return cmplx.Phase(acc), num / den
+	return cmplx.Phase(acc), true
 }
 
 // EqualizeData corrects a received symbol's bins by the common phase error

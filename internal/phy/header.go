@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/modem"
+	"repro/internal/stbc"
 )
 
 // SyncHeader is the content of the lead sender's synchronization header
@@ -63,6 +64,9 @@ func ParseSyncHeader(b []byte) (SyncHeader, error) {
 	}
 	if int(h.RateIdx) >= len(modem.StandardRates()) {
 		return SyncHeader{}, errors.New("phy: sync header rate index out of range")
+	}
+	if _, err := stbc.ForSenders(int(h.NumCo) + 1); err != nil {
+		return SyncHeader{}, fmt.Errorf("phy: sync header declares %d co-senders: %w", h.NumCo, err)
 	}
 	return h, nil
 }

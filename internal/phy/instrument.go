@@ -31,7 +31,7 @@ func (p JointFrameParams) CalibrationLen(reps int) int {
 // BuildLeadCalibration renders the lead's waveform for a calibration frame:
 // the data frame's lead prefix, then an LTS symbol in every even tail slot.
 func (p JointFrameParams) BuildLeadCalibration(reps int) []complex128 {
-	return p.appendCalibrationTail(p.leadPrefix(), reps, 0)
+	return p.appendCalibrationTail(p.leadPrefix(2*reps*p.ceSymbolLen()), reps, 0)
 }
 
 // BuildCoCalibration renders co-sender i's calibration waveform (sample 0 =
@@ -41,7 +41,7 @@ func (p JointFrameParams) BuildCoCalibration(i, reps int) []complex128 {
 	if i != 0 || p.NumCo != 1 {
 		panic("phy: calibration frames support exactly one co-sender")
 	}
-	return p.appendCalibrationTail(p.coPrefix(i), reps, 1)
+	return p.appendCalibrationTail(p.coPrefix(i, 2*reps*p.ceSymbolLen()), reps, 1)
 }
 
 // appendCalibrationTail appends reps [lead LTS, co LTS] symbol pairs to

@@ -16,9 +16,10 @@ const (
 	// CombineSTBC uses the Smart Combiner's space-time block codes
 	// (Alamouti / quasi-orthogonal), the SourceSync design.
 	CombineSTBC Combining = iota
-	// CombineNaive has every sender transmit identical symbols; signals can
-	// combine destructively. Used as an ablation baseline (paper §6's
-	// motivating failure case).
+	// CombineNaive has every sender transmit identical symbols: the
+	// one-sender code replicated to every sender, so signals can combine
+	// destructively. Used as an ablation baseline (paper §6's motivating
+	// failure case).
 	CombineNaive
 )
 
@@ -38,10 +39,12 @@ type JointFrameParams struct {
 // Senders returns the total number of concurrent senders.
 func (p JointFrameParams) Senders() int { return p.NumCo + 1 }
 
-// code returns the space-time code for this frame.
+// code returns the frame's space-time code: the Smart Combiner's code for
+// its number of senders, or under CombineNaive the one-sender code
+// replicated to every sender.
 func (p JointFrameParams) code() stbc.Code {
 	if p.Combining == CombineNaive {
-		return nil
+		return stbc.Replicated{Base: stbc.Single{}, NumSenders: p.Senders()}
 	}
 	c, err := stbc.ForSenders(p.Senders())
 	if err != nil {
@@ -50,19 +53,16 @@ func (p JointFrameParams) code() stbc.Code {
 	return c
 }
 
-// dataParams returns the modem parameters for the data portion.
+// dataParams returns the modem parameters for the data portion, padded to
+// whole code blocks.
 func (p JointFrameParams) dataParams() modem.FrameParams {
-	mult := 1
-	if c := p.code(); c != nil {
-		mult = c.BlockLen()
-	}
 	return modem.FrameParams{
 		Cfg:            p.Cfg,
 		Rate:           p.Rate,
 		CP:             p.DataCP,
 		PayloadLen:     p.PayloadLen,
 		ScramblerSeed:  p.Seed,
-		SymbolMultiple: mult,
+		SymbolMultiple: p.code().BlockLen(),
 	}
 }
 
@@ -153,100 +153,83 @@ func ceSymbolWave(cfg *modem.Config, cp int) []complex128 {
 	return out
 }
 
-// encodeDataSymbols produces, for each sender role, the time-domain data
-// portion (concatenated OFDM symbols). Role 0 is the lead.
-func (p JointFrameParams) encodeDataSymbols(payload []byte) [][]complex128 {
-	dp := p.dataParams()
-	syms := dp.EncodePayloadSymbols(payload)
-	senders := p.Senders()
-	out := make([][]complex128, senders)
-
-	if p.Combining == CombineNaive {
-		for role := 0; role < senders; role++ {
-			var wave []complex128
-			for s, pts := range syms {
-				owner := s%senders == role
-				wave = append(wave, p.Cfg.AssembleSymbolPilots(pts, s, p.DataCP, owner)...)
-			}
-			out[role] = wave
-		}
-		return out
+// senderWaves renders every sender's complete transmission, indexed by
+// role in the space-time code. Role 0 is the lead: preamble and sync header
+// symbols, silence through SIFS and the co-sender CE slots, then its share
+// of the data symbols; its sample 0 is the start of the preamble. Role i+1
+// is co-sender i, whose sample 0 is the frame's global time reference, so a
+// perfectly synchronized co-sender starts emitting it exactly at its
+// (compensated) global reference time; leading zeros cover the CE slots of
+// earlier co-senders.
+func (p JointFrameParams) senderWaves(payload []byte) [][]complex128 {
+	data := p.NumDataSymbols() * (p.DataCP + p.Cfg.NFFT)
+	waves := make([][]complex128, p.Senders())
+	waves[0] = p.leadPrefix(data)
+	for i := 0; i < p.NumCo; i++ {
+		waves[i+1] = p.coPrefix(i, data)
 	}
+	p.encodeDataSymbols(waves, payload)
+	return waves
+}
 
+// encodeDataSymbols appends every sender role's data symbols to
+// waves[role]: each block of the payload's constellation points is encoded
+// per subcarrier by the frame's space-time code, and only the role that
+// owns a symbol's pilots sends them.
+func (p JointFrameParams) encodeDataSymbols(waves [][]complex128, payload []byte) {
+	syms := p.dataParams().EncodePayloadSymbols(payload)
 	code := p.code()
 	bl := code.BlockLen()
 	nd := p.Cfg.NumData()
-	for role := 0; role < senders; role++ {
-		var wave []complex128
-		txPts := make([]complex128, nd)
+	block := make([]complex128, bl)
+	encoded := make([][]complex128, bl) // [t][subcarrier]
+	for t := range encoded {
+		encoded[t] = make([]complex128, nd)
+	}
+	for role := range waves {
 		for b0 := 0; b0 < len(syms); b0 += bl {
-			// Encode each subcarrier's block for this role.
-			encoded := make([][]complex128, bl) // [t][subcarrier]
-			for t := range encoded {
-				encoded[t] = make([]complex128, nd)
-			}
-			block := make([]complex128, bl)
 			for j := 0; j < nd; j++ {
-				for t := 0; t < bl; t++ {
+				for t := range block {
 					block[t] = syms[b0+t][j]
 				}
-				enc := code.Encode(role, block)
-				for t := 0; t < bl; t++ {
-					encoded[t][j] = enc[t]
+				for t, v := range code.Encode(role, block) {
+					encoded[t][j] = v
 				}
 			}
-			for t := 0; t < bl; t++ {
+			for t, pts := range encoded {
 				s := b0 + t
-				owner := s%senders == role
-				copy(txPts, encoded[t])
-				wave = append(wave, p.Cfg.AssembleSymbolPilots(txPts, s, p.DataCP, owner)...)
+				waves[role] = p.Cfg.AppendSymbol(waves[role], pts, s, p.DataCP, s%len(waves) == role)
 			}
 		}
-		out[role] = wave
 	}
-	return out
 }
 
 // leadPrefix renders the lead's transmission up to the data region:
 // preamble + sync header symbols, then silence through SIFS and the
-// co-sender CE slots. Sample 0 is the start of the preamble.
-func (p JointFrameParams) leadPrefix() []complex128 {
-	wave := modem.BuildFrame(headerFrameParams(p.Cfg), p.Header().Bytes())
-	silence := p.DataStart() - len(wave)
-	if silence < 0 {
+// co-sender CE slots, with room for tail more samples. Sample 0 is the
+// start of the preamble.
+func (p JointFrameParams) leadPrefix(tail int) []complex128 {
+	hdr := modem.BuildFrame(headerFrameParams(p.Cfg), p.Header().Bytes())
+	if len(hdr) > p.DataStart() {
 		panic("phy: header longer than data start")
 	}
-	return append(wave, make([]complex128, silence)...)
+	wave := make([]complex128, p.DataStart(), p.DataStart()+tail)
+	copy(wave, hdr)
+	return wave
 }
 
-// coPrefix renders co-sender i's transmission up to the data region.
-// Sample 0 is the frame's global time reference; leading zeros cover the
-// CE slots of earlier co-senders, then come its own two CE symbols and
-// silence through the later slots.
-func (p JointFrameParams) coPrefix(i int) []complex128 {
+// coPrefix renders co-sender i's transmission up to the data region, with
+// room for tail more samples. Sample 0 is the frame's global time
+// reference; leading zeros cover the CE slots of earlier co-senders, then
+// come its own two CE symbols and silence through the later slots.
+func (p JointFrameParams) coPrefix(i, tail int) []complex128 {
 	if i < 0 || i >= p.NumCo {
 		panic("phy: co-sender index out of range")
 	}
-	wave := make([]complex128, i*2*p.ceSymbolLen())
+	n := p.DataStart() - p.GlobalRef()
+	wave := make([]complex128, n, n+tail)
 	ce := ceSymbolWave(p.Cfg, p.DataCP)
-	wave = append(wave, ce...)
-	wave = append(wave, ce...)
-	return append(wave, make([]complex128, p.DataStart()-p.GlobalRef()-len(wave))...)
-}
-
-// BuildLeadWaveform renders the lead sender's complete transmission:
-// preamble + sync header symbols, silence through SIFS and the co-sender CE
-// slots, then its share of the data symbols. Sample 0 of the returned
-// waveform is the start of the preamble.
-func (p JointFrameParams) BuildLeadWaveform(payload []byte) []complex128 {
-	return append(p.leadPrefix(), p.encodeDataSymbols(payload)[0]...)
-}
-
-// BuildCoWaveform renders co-sender i's transmission (role i+1 in the
-// space-time code). Sample 0 of the returned waveform corresponds to the
-// frame's global time reference, so a perfectly synchronized co-sender
-// starts emitting it exactly at its (compensated) global reference time.
-// Leading zeros cover the CE slots of earlier co-senders.
-func (p JointFrameParams) BuildCoWaveform(i int, payload []byte) []complex128 {
-	return append(p.coPrefix(i), p.encodeDataSymbols(payload)[i+1]...)
+	copy(wave[2*i*len(ce):], ce)
+	copy(wave[(2*i+1)*len(ce):], ce)
+	return wave
 }

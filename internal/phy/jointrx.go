@@ -8,7 +8,6 @@ import (
 	"repro/internal/jce"
 	"repro/internal/modem"
 	"repro/internal/sls"
-	"repro/internal/stbc"
 )
 
 // JointRxResult reports everything a SourceSync receiver learns from one
@@ -186,12 +185,12 @@ func (r *JointReceiver) noiseFromGap(p JointFrameParams, buf []complex128) float
 	return acc / float64(len(used))
 }
 
-// decodeData demodulates the space-time-coded data symbols.
+// decodeData demodulates the data symbols and decodes them with the
+// frame's space-time code.
 func (r *JointReceiver) decodeData(p JointFrameParams, buf []complex128, est *jce.Estimator) (payload []byte, ok bool, evm float64) {
 	cfg := p.Cfg
 	nsym := p.NumDataSymbols()
 	symLen := p.DataCP + cfg.NFFT
-	nd := cfg.NumData()
 
 	// First pass: FFT all data symbols and feed the pilot trackers.
 	allBins := make([][]complex128, nsym)
@@ -205,7 +204,7 @@ func (r *JointReceiver) decodeData(p JointFrameParams, buf []complex128, est *jc
 		if naive != nil {
 			owner := est.PilotOwner(s)
 			if h := est.Channel(owner); h != nil {
-				if ph, ok := jce.MeasurePilotPhase(cfg, h, s, allBins[s]); ok {
+				if ph, ok := cfg.PilotPhase(allBins[s], h, s); ok {
 					naive.Update(s, ph)
 				}
 			}
@@ -214,60 +213,36 @@ func (r *JointReceiver) decodeData(p JointFrameParams, buf []complex128, est *jc
 		est.UpdatePilots(s, allBins[s])
 	}
 
-	var code stbc.Code
-	if p.Combining == CombineSTBC {
-		code, _ = stbc.ForSenders(p.Senders())
-	}
-
-	// rotAt returns the common rotation the naive (ablation) tracker would
-	// apply at a symbol; 1 when per-sender tracking is active.
-	rotAt := func(sym int) complex128 {
-		if naive == nil {
-			return 1
-		}
-		theta := naive.At(sym)
-		return complex(cosSin(theta))
-	}
-
+	code := p.code()
+	bl := code.BlockLen()
+	y := make([]complex128, bl)
+	var hbuf []complex128
 	eq := make([][]complex128, nsym)
 	for s := range eq {
-		eq[s] = make([]complex128, nd)
+		eq[s] = make([]complex128, cfg.NumData())
 	}
-	if code == nil {
-		// Naive combining: equalize against the composite channel.
-		for s := 0; s < nsym; s++ {
-			rot := rotAt(s)
-			for j, k := range cfg.DataBins() {
-				b := cfg.Bin(k)
-				h := est.Composite(s, b) * rot
-				if h == 0 {
-					continue
-				}
-				eq[s][j] = allBins[s][b] / h
-			}
+	for b0 := 0; b0+bl <= nsym; b0 += bl {
+		mid := b0 + bl/2
+		// The naive (ablation) tracker applies one common rotation to
+		// every sender's channel; per-sender tracking needs none.
+		rot := complex128(1)
+		if naive != nil {
+			rot = complex(cosSin(naive.At(mid)))
 		}
-	} else {
-		bl := code.BlockLen()
-		y := make([]complex128, bl)
-		var hbuf []complex128
-		for b0 := 0; b0+bl <= nsym; b0 += bl {
-			mid := b0 + bl/2
-			rot := rotAt(mid)
-			for j, k := range cfg.DataBins() {
-				b := cfg.Bin(k)
-				for t := 0; t < bl; t++ {
-					y[t] = allBins[b0+t][b]
+		for j, k := range cfg.DataBins() {
+			b := cfg.Bin(k)
+			for t := 0; t < bl; t++ {
+				y[t] = allBins[b0+t][b]
+			}
+			hbuf = est.SenderChannels(hbuf, mid, b)
+			if rot != 1 {
+				for i := range hbuf {
+					hbuf[i] *= rot
 				}
-				hbuf = est.SenderChannels(hbuf, mid, b)
-				if rot != 1 {
-					for i := range hbuf {
-						hbuf[i] *= rot
-					}
-				}
-				dec := code.Decode(y, hbuf)
-				for t := 0; t < bl; t++ {
-					eq[b0+t][j] = dec[t]
-				}
+			}
+			dec := code.Decode(y, hbuf)
+			for t := 0; t < bl; t++ {
+				eq[b0+t][j] = dec[t]
 			}
 		}
 	}

@@ -29,6 +29,18 @@ func TestSyncHeaderRoundTrip(t *testing.T) {
 	if _, err := ParseSyncHeader(bad.Bytes()); err == nil {
 		t.Fatal("bad rate index must fail")
 	}
+	// A header must name a space-time code: eight senders is the most
+	// stbc.ForSenders covers.
+	for _, tc := range []struct {
+		numCo uint8
+		ok    bool
+	}{{7, true}, {8, false}, {255, false}} {
+		hc := h
+		hc.NumCo = tc.numCo
+		if _, err := ParseSyncHeader(hc.Bytes()); (err == nil) != tc.ok {
+			t.Fatalf("NumCo %d: err %v, want accepted = %t", tc.numCo, err, tc.ok)
+		}
+	}
 }
 
 func TestHashPacketIDSpreads(t *testing.T) {
@@ -57,11 +69,11 @@ func TestJointFrameLayout(t *testing.T) {
 	if p.DataStart() != p.GlobalRef()+320 {
 		t.Fatalf("data start %d", p.DataStart())
 	}
-	lead := p.BuildLeadWaveform(make([]byte, 100))
+	waves := p.senderWaves(make([]byte, 100))
+	lead, co := waves[0], waves[2]
 	if len(lead) != p.TotalLen() {
 		t.Fatalf("lead waveform %d samples, want %d", len(lead), p.TotalLen())
 	}
-	co := p.BuildCoWaveform(1, make([]byte, 100))
 	if len(co) != p.TotalLen()-p.GlobalRef() {
 		t.Fatalf("co waveform %d samples", len(co))
 	}
@@ -362,6 +374,62 @@ func TestCompositeSNRShowsPowerGain(t *testing.T) {
 	gainDB := 10 * math.Log10(compAvg/leadAvg)
 	if gainDB < 2 || gainDB > 4 {
 		t.Fatalf("composite power gain %.2f dB, want ~3", gainDB)
+	}
+}
+
+// sameSamples reports whether a and b hold the same samples bit for bit.
+func sameSamples(a, b []complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestNaiveCombiningSendsSingleSenderSymbols(t *testing.T) {
+	// Under CombineNaive every role's data region is the single-sender
+	// frame's data symbols, bit for bit, except that a role sends the
+	// pilots only in the symbols it owns.
+	rng := rand.New(rand.NewSource(11))
+	payload := make([]byte, 100)
+	rng.Read(payload)
+	for _, cfg := range []*modem.Config{modem.Profile80211(), modem.ProfileWiGLAN()} {
+		rate, _ := modem.RateByMbps(12)
+		for numCo := 1; numCo <= 3; numCo++ {
+			p := JointFrameParams{
+				Cfg: cfg, Rate: rate, DataCP: cfg.CPLen + 4, PayloadLen: len(payload),
+				Seed: 0x5d, NumCo: numCo, Combining: CombineNaive,
+			}
+			fp := modem.FrameParams{Cfg: cfg, Rate: rate, CP: p.DataCP, PayloadLen: len(payload), ScramblerSeed: p.Seed}
+			single := modem.BuildFrame(fp, payload)[cfg.PreambleLen():]
+			syms := fp.EncodePayloadSymbols(payload)
+			symLen := p.DataCP + cfg.NFFT
+			for role, w := range p.senderWaves(payload) {
+				start := p.DataStart()
+				if role > 0 {
+					start -= p.GlobalRef()
+				}
+				data := w[start:]
+				if len(data) != len(single) {
+					t.Fatalf("%s %d co: role %d sends %d data samples, single sender %d", cfg.Name, numCo, role, len(data), len(single))
+				}
+				for s := range syms {
+					got := data[s*symLen : (s+1)*symLen]
+					owner := s%p.Senders() == role
+					if owner && !sameSamples(got, single[s*symLen:(s+1)*symLen]) {
+						t.Fatalf("%s %d co: role %d symbol %d differs from the single-sender symbol", cfg.Name, numCo, role, s)
+					}
+					if !sameSamples(got, cfg.AppendSymbol(nil, syms[s], s, p.DataCP, owner)) {
+						t.Fatalf("%s %d co: role %d symbol %d: pilots sent = %t expected", cfg.Name, numCo, role, s, owner)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,9 @@ import (
 
 // rxFrames holds one clean frame of each kind the receive paths take: a
 // single-sender frame, a perfectly aligned two-sender joint frame and a
-// calibration frame, all on the 802.11 profile and carrying one payload.
+// calibration frame, all on the 802.11 profile and carrying one payload,
+// plus a lead-only frame whose sync header declares more co-senders than
+// any space-time code serves.
 type rxFrames struct {
 	cfg     *modem.Config
 	fp      modem.FrameParams // the single-sender frame
@@ -22,6 +25,7 @@ type rxFrames struct {
 	single  []complex128
 	joint   []complex128
 	calib   []complex128
+	noCode  []complex128
 }
 
 func newRxFrames() *rxFrames {
@@ -36,8 +40,15 @@ func newRxFrames() *rxFrames {
 	f.payload = make([]byte, 40)
 	rand.New(rand.NewSource(1)).Read(f.payload)
 	f.single = modem.BuildFrame(f.fp, f.payload)
-	f.joint = overlay(f.p.BuildLeadWaveform(f.payload), f.p.BuildCoWaveform(0, f.payload), f.p.GlobalRef())
+	waves := f.p.senderWaves(f.payload)
+	f.joint = overlay(waves[0], waves[1], f.p.GlobalRef())
 	f.calib = overlay(f.p.BuildLeadCalibration(f.reps), f.p.BuildCoCalibration(0, f.reps), f.p.GlobalRef())
+	// The header and its silent CE slots, then silence as long as the
+	// joint frame's data region.
+	bad := f.p
+	bad.NumCo = 8
+	f.noCode = bad.leadPrefix(0)
+	f.noCode = append(f.noCode, make([]complex128, len(f.joint)-f.p.DataStart())...)
 	return f
 }
 
@@ -110,15 +121,15 @@ func TestReceiversRejectPreambleBeforeStream(t *testing.T) {
 }
 
 // FuzzReceive feeds cut, delayed and noisy copies of a single-sender, a
-// joint and a calibration frame to all four receive paths: the
-// single-sender receiver, the joint receiver, the calibration receiver and
-// the co-sender's header reception. None may panic, and whatever passes a
-// CRC must be what was sent.
+// joint, a calibration and a header-without-code frame to all four receive
+// paths: the single-sender receiver, the joint receiver, the calibration
+// receiver and the co-sender's header reception. None may panic, and
+// whatever passes a CRC must be what was sent.
 func FuzzReceive(f *testing.F) {
 	fr := newRxFrames()
 	f.Fuzz(func(t *testing.T, seed int64, front, back, lead uint16, snrDB int8) {
 		rng := rand.New(rand.NewSource(seed))
-		for _, frame := range [][]complex128{fr.single, fr.joint, fr.calib} {
+		for _, frame := range [][]complex128{fr.single, fr.joint, fr.calib, fr.noCode} {
 			cut := int(front) % (len(frame) + 1)
 			x := cutStream(rng, frame, cut, int(back)%(len(frame)-cut+1), int(lead)%4096, float64(snrDB))
 
@@ -137,4 +148,22 @@ func FuzzReceive(f *testing.F) {
 			}
 		}
 	})
+}
+
+func TestJointReceiverRejectsHeaderWithoutCode(t *testing.T) {
+	// A sync header that declares eight co-senders names no space-time
+	// code, so the joint receiver must reject the frame rather than build
+	// a decoder for it; the co-sender's header reception must not join it.
+	f := newRxFrames()
+	x := cutStream(rand.New(rand.NewSource(1)), f.noCode, 0, 0, 300, 30)
+	res, err := (&JointReceiver{Cfg: f.cfg, FFTBackoff: 3}).Receive(x, 0)
+	if err == nil {
+		t.Fatalf("joint receiver accepted a header with NumCo 8: %+v", res.Header)
+	}
+	if !errors.Is(err, ErrHeaderFailed) {
+		t.Fatalf("receive failed before the header: %v", err)
+	}
+	if _, _, _, err := receiveHeader(f.cfg, x, 0, 3); err == nil {
+		t.Fatal("header reception accepted a header with NumCo 8")
+	}
 }

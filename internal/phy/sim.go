@@ -93,11 +93,7 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 	if len(c.Co) != c.P.NumCo || len(c.LeadToCo) != c.P.NumCo || len(c.CoToRx) != c.P.NumCo {
 		return nil, fmt.Errorf("phy: sim has %d co-senders but frame declares %d", len(c.Co), c.P.NumCo)
 	}
-	data := c.P.encodeDataSymbols(payload)
-	lead := append(c.P.leadPrefix(), data[0]...)
-	return c.exchange(lead, c.P.TotalLen(), func(i int) []complex128 {
-		return append(c.P.coPrefix(i), data[i+1]...)
-	}), nil
+	return c.exchange(c.P.senderWaves(payload), c.P.TotalLen()), nil
 }
 
 // RunCalibration simulates one calibration frame (paper §8.1.1) through the
@@ -109,17 +105,16 @@ func (c *JointSimConfig) RunCalibration(reps int) (*SimRun, error) {
 	if c.P.NumCo != 1 || len(c.Co) != 1 {
 		return nil, fmt.Errorf("phy: calibration needs exactly one co-sender")
 	}
-	return c.exchange(c.P.BuildLeadCalibration(reps), c.P.CalibrationLen(reps), func(i int) []complex128 {
-		return c.P.BuildCoCalibration(i, reps)
-	}), nil
+	waves := [][]complex128{c.P.BuildLeadCalibration(reps), c.P.BuildCoCalibration(0, reps)}
+	return c.exchange(waves, c.P.CalibrationLen(reps)), nil
 }
 
 // exchange runs one distributed joint transmission. The lead emits
-// leadWave; each co-sender receives the sync header over its own link,
-// schedules its slot (paper §4.3) or abstains, and emits coWave(i) from its
-// estimated global reference. The receiver's stream covers frameLen
+// waves[0]; each co-sender i receives the sync header over its own link,
+// schedules its slot (paper §4.3) or abstains, and emits waves[i+1] from
+// its estimated global reference. The receiver's stream covers frameLen
 // samples of frame plus guard on both sides.
-func (c *JointSimConfig) exchange(leadWave []complex128, frameLen int, coWave func(i int) []complex128) *SimRun {
+func (c *JointSimConfig) exchange(waves [][]complex128, frameLen int) *SimRun {
 	cfg := c.P.Cfg
 	leadStart := float64(simMargin)
 	run := &SimRun{
@@ -131,6 +126,7 @@ func (c *JointSimConfig) exchange(leadWave []complex128, frameLen int, coWave fu
 	// The lead's implied global-reference emission instant.
 	leadGlobalRef := leadStart + float64(c.P.GlobalRef())
 
+	leadWave := waves[0]
 	emissions := []channel.Emission{{
 		Wave:  leadWave,
 		Start: leadStart + c.LeadToRx.Delay,
@@ -192,7 +188,7 @@ func (c *JointSimConfig) exchange(leadWave []complex128, frameLen int, coWave fu
 		}
 
 		emissions = append(emissions, channel.Emission{
-			Wave:  coWave(i),
+			Wave:  waves[i+1],
 			Start: txStart + c.CoToRx[i].Delay,
 			Gain:  c.CoToRx[i].Gain,
 			CFO:   co.ResidCFO,

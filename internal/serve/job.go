@@ -13,20 +13,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// Options groups the experiment-shaping knobs (ssbench's -cells, -cs,
-// -window) into one typed sub-object of the job spec. It mirrors
-// experiments.Options field for field, so a spec's options translate into
-// Params without interpretation.
-type Options struct {
-	// Cells is cellsweep's capacity-vs-cell-count sweep (ssbench -cells).
-	Cells []int `json:"cells,omitempty"`
-	// CSRanges is cellsweep's carrier-sense sweep in meters (ssbench -cs).
-	CSRanges []float64 `json:"cs_ranges,omitempty"`
-	// WindowSec selects fixed-time-window saturation mode (ssbench -window)
-	// for cell, cellsweep, metro and backlogged scenario specs.
-	WindowSec float64 `json:"window_sec,omitempty"`
-}
-
 // Spec is the client-facing description of one experiment job, as posted
 // to POST /jobs. The zero value of every optional field means "ssbench's
 // default": seed nil is seed 1, empty sweep lists are the standard sweep
@@ -54,10 +40,10 @@ type Spec struct {
 	// contract it cannot change the output bytes, so it is excluded from
 	// the job's cache key.
 	Workers int `json:"workers,omitempty"`
-	// Options groups the experiment-shaping knobs. After normalize it is
-	// always non-nil with the default sweeps filled in; on the wire it may
-	// be omitted.
-	Options *Options `json:"options,omitempty"`
+	// Options groups the experiment-shaping knobs (ssbench's -cells, -cs,
+	// -window). After normalize it is always non-nil with the default
+	// sweeps filled in; on the wire it may be omitted.
+	Options *experiments.Options `json:"options,omitempty"`
 	// Scenario is an inline declarative scenario spec (the same JSON
 	// ssbench -scenario reads from a file), required by — and only
 	// accepted with — the generic "scenario" experiment. It is parsed
@@ -93,16 +79,8 @@ func (sp Spec) normalize() (Spec, error) {
 	if sp.TimeoutSec < 0 {
 		return sp, fmt.Errorf("timeout_sec %g < 0", sp.TimeoutSec)
 	}
-	if sp.Options == nil {
-		sp.Options = &Options{}
-	}
-	d := experiments.DefaultParams()
-	if len(sp.Options.Cells) == 0 {
-		sp.Options.Cells = d.Options.Cells
-	}
-	if len(sp.Options.CSRanges) == 0 {
-		sp.Options.CSRanges = d.Options.CSRanges
-	}
+	opts := sp.options().WithDefaults()
+	sp.Options = &opts
 	switch {
 	case sp.Experiment == "scenario" && len(sp.Scenario) == 0:
 		return sp, fmt.Errorf(`experiment "scenario" requires an inline "scenario" spec object`)
@@ -125,6 +103,15 @@ func (sp Spec) normalize() (Spec, error) {
 	return sp, nil
 }
 
+// options returns the spec's experiment options, the zero value when the
+// spec has none.
+func (sp Spec) options() experiments.Options {
+	if sp.Options == nil {
+		return experiments.Options{}
+	}
+	return *sp.Options
+}
+
 // params translates the (normalized) Spec into experiments.Params, wiring
 // in the job's monitor for progress and cooperative cancellation.
 func (sp Spec) params(m *engine.Monitor) experiments.Params {
@@ -132,15 +119,11 @@ func (sp Spec) params(m *engine.Monitor) experiments.Params {
 	if sp.Seed != nil {
 		seed = *sp.Seed
 	}
-	opts := experiments.Options{}
-	if sp.Options != nil {
-		opts = experiments.Options(*sp.Options)
-	}
 	p := experiments.Params{
 		Seed:    seed,
 		Quick:   sp.Quick,
 		Workers: sp.Workers,
-		Options: opts,
+		Options: sp.options(),
 		Monitor: m,
 	}
 	if len(sp.Scenario) > 0 {
@@ -169,10 +152,7 @@ func (sp Spec) Key() string {
 	if sp.Seed != nil {
 		seed = *sp.Seed
 	}
-	o := Options{}
-	if sp.Options != nil {
-		o = *sp.Options
-	}
+	o := sp.options()
 	return fmt.Sprintf("%s|seed=%d|quick=%t|cells=%v|cs=%v|window=%g|scenario=%s",
 		sp.Experiment, seed, sp.Quick, o.Cells, o.CSRanges, o.WindowSec, sp.Scenario)
 }

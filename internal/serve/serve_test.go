@@ -66,7 +66,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{Experiment: "nope"},
 		{Experiment: "fig12", Workers: -1},
 		{Experiment: "fig12", TimeoutSec: -2},
-		{Experiment: "cellsweep", Options: &Options{Cells: []int{0}}},
+		{Experiment: "cellsweep", Options: &experiments.Options{Cells: []int{0}}},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted a bad spec", spec)

@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // validScenarioJSON is examples/arrivals.json shrunk to one rate, small
@@ -38,9 +40,9 @@ func TestNormalizeRejectionTable(t *testing.T) {
 		{"negative workers", Spec{Experiment: "fig12", Workers: -1}, "workers"},
 		{"negative timeout", Spec{Experiment: "fig12", TimeoutSec: -2}, "timeout_sec"},
 		{"bad option value", Spec{Experiment: "cellsweep",
-			Options: &Options{Cells: []int{0}}}, "cell count"},
+			Options: &experiments.Options{Cells: []int{0}}}, "cell count"},
 		{"bad carrier-sense range", Spec{Experiment: "cellsweep",
-			Options: &Options{CSRanges: []float64{-1}}}, "carrier-sense"},
+			Options: &experiments.Options{CSRanges: []float64{-1}}}, "carrier-sense"},
 		{"scenario without spec", Spec{Experiment: "scenario"}, "requires an inline"},
 		{"scenario on other experiment", Spec{Experiment: "fig12",
 			Scenario: json.RawMessage(validScenarioJSON)}, `only accepted with experiment "scenario"`},
@@ -192,7 +194,7 @@ func TestSpecEndpointMatchesSpecStruct(t *testing.T) {
 		}
 	}
 	check("fields", doc.Fields, reflect.TypeOf(Spec{}))
-	check("options", doc.Options, reflect.TypeOf(Options{}))
+	check("options", doc.Options, reflect.TypeOf(experiments.Options{}))
 
 	found := false
 	for _, name := range doc.Experiments {

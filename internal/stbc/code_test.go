@@ -257,3 +257,43 @@ func TestSingleCode(t *testing.T) {
 		t.Fatal("zero channel should yield zero")
 	}
 }
+
+func TestReplicatedSingleIsIdenticalTransmission(t *testing.T) {
+	// The one-sender code replicated to every sender is naive identical
+	// transmission: every role sends the data unchanged, and the decoder
+	// divides by the senders' channels summed in sender order.
+	r := rand.New(rand.NewSource(10))
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for _, n := range []int{1, 2, 3, 5, 9} {
+		code := Replicated{Base: Single{}, NumSenders: n}
+		if code.Senders() != n || code.BlockLen() != 1 || code.DataLen() != 1 {
+			t.Fatalf("n=%d: senders %d, block %d, data %d", n, code.Senders(), code.BlockLen(), code.DataLen())
+		}
+		for trial := 0; trial < 50; trial++ {
+			data := []complex128{randSym(r)}
+			for role := 0; role < n; role++ {
+				if enc := code.Encode(role, data); len(enc) != 1 || !same(enc[0], data[0]) {
+					t.Fatalf("n=%d role %d: encoded %v, want %v", n, role, enc, data)
+				}
+			}
+			h := make([]complex128, n)
+			var sum complex128
+			for j := range h {
+				h[j] = randChan(r)
+				sum += h[j]
+			}
+			y := []complex128{randSym(r)}
+			if got := code.Decode(y, h); len(got) != 1 || !same(got[0], y[0]/sum) {
+				t.Fatalf("n=%d: decoded %v, want %v", n, got, y[0]/sum)
+			}
+		}
+	}
+	// Channels that cancel leave nothing to divide by.
+	code := Replicated{Base: Single{}, NumSenders: 2}
+	if got := code.Decode([]complex128{1}, []complex128{complex(1, 2), complex(-1, -2)}); got[0] != 0 {
+		t.Fatalf("cancelling channels decoded %v, want 0", got)
+	}
+}

@@ -32,8 +32,6 @@ type Testbed struct {
 	DelaySpreadNs float64 // RMS multipath delay spread
 	LOSThresholdM float64 // links shorter than this get a Rician component
 	KFactorDB     float64 // Rician K for LOS links
-	CarrierHz     float64
-	MaxPPM        float64 // oscillator offset magnitude bound
 }
 
 // Default returns an environment modeled on the paper's office floor:
@@ -49,8 +47,6 @@ func Default(cfg *modem.Config) *Testbed {
 		DelaySpreadNs: 50,
 		LOSThresholdM: 6,
 		KFactorDB:     6,
-		CarrierHz:     5.8e9,
-		MaxPPM:        20,
 	}
 }
 
@@ -169,12 +165,6 @@ func (l Link) AppendSubcarrierSNRs(dst []float64, rng *rand.Rand) []float64 {
 // PropDelaySamples returns the line-of-flight delay of this link in samples.
 func (l Link) PropDelaySamples() float64 {
 	return channel.PropagationDelaySamples(l.DistM, l.parent.Cfg.SampleRateHz)
-}
-
-// DrawCFO samples an oscillator offset for a node, in cycles/sample.
-func (t *Testbed) DrawCFO(rng *rand.Rand) float64 {
-	ppm := (rng.Float64()*2 - 1) * t.MaxPPM
-	return channel.PPMToCFO(ppm, t.CarrierHz, t.Cfg.SampleRateHz)
 }
 
 // Regime buckets link quality as in the paper's §8.2 grouping.

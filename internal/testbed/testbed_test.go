@@ -85,18 +85,6 @@ func TestPropDelaySamples(t *testing.T) {
 	}
 }
 
-func TestDrawCFOBounded(t *testing.T) {
-	tb := Default(modem.Profile80211())
-	rng := rand.New(rand.NewSource(3))
-	max := tb.MaxPPM * 1e-6 * tb.CarrierHz / tb.Cfg.SampleRateHz
-	for i := 0; i < 200; i++ {
-		cfo := tb.DrawCFO(rng)
-		if math.Abs(cfo) > max {
-			t.Fatalf("cfo %g exceeds bound %g", cfo, max)
-		}
-	}
-}
-
 func TestClassifyRegime(t *testing.T) {
 	cases := map[float64]Regime{3: LowSNR, 5.9: LowSNR, 6: MediumSNR, 12: MediumSNR, 12.1: HighSNR, 30: HighSNR}
 	for _, snr := range slices.Sorted(maps.Keys(cases)) {
