@@ -60,25 +60,16 @@ func RunFig17(ec engine.Config, o Fig17Options) Fig17Result {
 			}},
 			PacketsPerClient: o.Packets,
 		}
-		single := bestSingleAPBps(rand.New(rand.NewSource(rng.Int63())), c) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		joint := c.RunJoint(rand.New(rand.NewSource(rng.Int63())))          //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
+		single := bestSingleAPBps(engine.ChildRNG(rng), c)
+		joint := c.RunJoint(engine.ChildRNG(rng))
 		return plRes{single, joint.AggregateBps}
 	})
-
-	var singles, joints, gains []float64
-	for _, r := range rows {
-		singles = append(singles, r.singleBps/1e6)
-		joints = append(joints, r.jointBps/1e6)
-		if r.singleBps > 0 {
-			gains = append(gains, r.jointBps/r.singleBps)
-		}
-	}
-	sortFloats(singles)
-	sortFloats(joints)
+	single := func(r plRes) float64 { return r.singleBps }
+	joint := func(r plRes) float64 { return r.jointBps }
 	return Fig17Result{
-		SingleMbps: singles,
-		JointMbps:  joints,
-		MedianGain: dsp.Median(gains),
+		SingleMbps: mbpsCDF(rows, single),
+		JointMbps:  mbpsCDF(rows, joint),
+		MedianGain: medianRatio(rows, joint, single),
 	}
 }
 
@@ -92,7 +83,7 @@ func bestSingleAPBps(rng *rand.Rand, c lasthop.Cell) float64 {
 	for _, link := range c.Links[0] {
 		alone := c
 		alone.Links = [][]testbed.Link{{link}}
-		r := alone.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand per-AP child RNG bridged from the placement's stream; one parent draw per AP is part of the contracted draw order
+		r := alone.RunBestSingleAP(engine.ChildRNG(rng))
 		best = max(best, r.AggregateBps)
 	}
 	return best
@@ -162,33 +153,23 @@ func RunFig18(ec engine.Config, o Fig18Options) Fig18Result {
 		topo := randomMeshTopology(rng, env, false, nil)
 		meas := topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
 		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: o.Payload}
-		sp := sim.Run(rand.New(rand.NewSource(rng.Int63())), exor.SinglePath, o.Packets)     //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		ex := sim.Run(rand.New(rand.NewSource(rng.Int63())), exor.ExOR, o.Packets)           //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		ss := sim.Run(rand.New(rand.NewSource(rng.Int63())), exor.ExORSourceSync, o.Packets) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
+		sp := sim.Run(engine.ChildRNG(rng), exor.SinglePath, o.Packets)
+		ex := sim.Run(engine.ChildRNG(rng), exor.ExOR, o.Packets)
+		ss := sim.Run(engine.ChildRNG(rng), exor.ExORSourceSync, o.Packets)
 		return tpRes{sp.ThroughputBps, ex.ThroughputBps, ss.ThroughputBps}
 	})
-
-	res := Fig18Result{RateMbps: o.RateMbps}
-	var gEx, gSS, gSSsp []float64
-	for _, r := range rows {
-		res.SinglePathMbps = append(res.SinglePathMbps, r.spBps/1e6)
-		res.ExORMbps = append(res.ExORMbps, r.exBps/1e6)
-		res.SourceSyncMbps = append(res.SourceSyncMbps, r.ssBps/1e6)
-		if r.spBps > 0 {
-			gEx = append(gEx, r.exBps/r.spBps)
-			gSSsp = append(gSSsp, r.ssBps/r.spBps)
-		}
-		if r.exBps > 0 {
-			gSS = append(gSS, r.ssBps/r.exBps)
-		}
+	sp := func(r tpRes) float64 { return r.spBps }
+	ex := func(r tpRes) float64 { return r.exBps }
+	ss := func(r tpRes) float64 { return r.ssBps }
+	return Fig18Result{
+		RateMbps:       o.RateMbps,
+		SinglePathMbps: mbpsCDF(rows, sp),
+		ExORMbps:       mbpsCDF(rows, ex),
+		SourceSyncMbps: mbpsCDF(rows, ss),
+		GainExOROverSP: medianRatio(rows, ex, sp),
+		GainSSOverExOR: medianRatio(rows, ss, ex),
+		GainSSOverSP:   medianRatio(rows, ss, sp),
 	}
-	sortFloats(res.SinglePathMbps)
-	sortFloats(res.ExORMbps)
-	sortFloats(res.SourceSyncMbps)
-	res.GainExOROverSP = dsp.Median(gEx)
-	res.GainSSOverExOR = dsp.Median(gSS)
-	res.GainSSOverSP = dsp.Median(gSSsp)
-	return res
 }
 
 // randomMeshTopology draws the paper's 5-node shape: source and destination
@@ -271,4 +252,31 @@ func meshRoutablePredicate(cfg *modem.Config, rate modem.Rate, payloadBytes int)
 	}
 }
 
-func sortFloats(x []float64) { sort.Float64s(x) }
+// ------------------------------------------------------ trial reductions
+//
+// Every packet-level table reduces its trials the same two ways: a
+// scheme's throughput CDF and the median of a per-trial ratio.
+
+// mbpsCDF is one scheme's throughput CDF: bps of every trial, in Mbps,
+// sorted.
+func mbpsCDF[T any](trials []T, bps func(T) float64) []float64 {
+	out := make([]float64, 0, len(trials))
+	for _, tr := range trials {
+		out = append(out, bps(tr)/1e6)
+	}
+	sort.Float64s(out)
+	return out
+}
+
+// medianRatio is the median over trials of num/den, skipping the trials
+// whose den is not positive (a baseline that delivered nothing gives no
+// ratio).
+func medianRatio[T any](trials []T, num, den func(T) float64) float64 {
+	var ratios []float64
+	for _, tr := range trials {
+		if d := den(tr); d > 0 {
+			ratios = append(ratios, num(tr)/d)
+		}
+	}
+	return dsp.Median(ratios)
+}

@@ -3,23 +3,26 @@ package sourcesync
 import (
 	"math"
 	"math/rand"
+	"slices"
 
-	"repro/internal/dsp"
 	"repro/internal/engine"
 	"repro/internal/exor"
 	"repro/internal/lasthop"
 	"repro/internal/mac"
 	"repro/internal/modem"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
 
 // ---------------------------------------------------------- cell family
 //
-// The cell family — the cell experiment (a builtin backlogged scenario
-// spec), cellsweep and metro — shares one driver: runCells lays out each
-// placement and drains it once per serving mode, and reduceCells turns a
-// sweep point's per-placement records into SweepStats.
+// Every lasthop.Cell experiment — cell, cellsweep, metro, arrivals and
+// mobility — runs its trials through one runner, runCells: a trial draws
+// its layout, then runs each serving scheme on a fresh cell built from
+// that layout, each on its own child stream. reduceScenarioTrials folds a
+// point's trials into per-scheme statistics, and reduceCells extends them
+// to the saturation experiments' SweepStats.
 
 // SweepStats are the per-point statistics shared by every cell-family
 // table (clients per cell, cell count, carrier-sense range, metro
@@ -60,89 +63,90 @@ type CellExpResult struct {
 	Stats         SweepStats
 }
 
-// cellRecord is one placement's joint-vs-single comparison.
-type cellRecord struct {
-	singleBps, jointBps       float64
-	collisionRate, hiddenRate float64
-	captureRate               float64
-	utiliz                    float64
-	corruption                []netsim.RateCorruption
-}
+// bothSchemes is the saturation experiments' scheme list: best single AP,
+// then joint, the order their child streams are drawn in.
+var bothSchemes = []string{scenario.SchemeSingle, scenario.SchemeJoint}
 
 // runCells runs points x placements trials on one engine grid. Each trial
-// lays its cell out with place, then drains it once with per-client
-// best-single-AP service and once with SourceSync joint transmissions,
-// each on a child RNG drawn from the trial stream in that order. Records
-// come back as rows[point][placement].
-func runCells(ec engine.Config, points, placements int, place func(pt int, rng *rand.Rand) lasthop.Cell) [][]cellRecord {
-	return engine.Grid(ec, points, placements, func(pt, _ int, rng *rand.Rand) cellRecord {
-		cell := place(pt, rng)
-		single := cell.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		joint := cell.RunJoint(rand.New(rand.NewSource(rng.Int63())))         //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		r := cellRecord{
-			singleBps:  single.AggregateBps,
-			jointBps:   joint.AggregateBps,
-			utiliz:     joint.Utilization,
-			corruption: joint.RateCorruption,
+// draws its layout with place, which returns a builder of fresh cells over
+// that layout, then runs each scheme in schemes on a fresh cell (single:
+// best-single-AP service; joint: SourceSync joint service), each on a
+// child RNG drawn from the trial stream in scheme order. Results come back as
+// trials[point][placement][scheme], holding only the trials that ran: a
+// canceled run drops the ones it never started (its output is discarded
+// anyway).
+func runCells(ec engine.Config, points, placements int, schemes []string,
+	place func(pt int, rng *rand.Rand) func() lasthop.Cell) [][][]lasthop.CellResult {
+	trials := engine.Grid(ec, points, placements, func(pt, _ int, rng *rand.Rand) []lasthop.CellResult {
+		fresh := place(pt, rng)
+		out := make([]lasthop.CellResult, len(schemes))
+		for si, scheme := range schemes {
+			if scheme == scenario.SchemeSingle {
+				out[si] = fresh().RunBestSingleAP(engine.ChildRNG(rng))
+			} else {
+				out[si] = fresh().RunJoint(engine.ChildRNG(rng))
+			}
 		}
-		if joint.Acquisitions > 0 {
-			r.collisionRate = float64(joint.Collisions) / float64(joint.Acquisitions)
-			r.hiddenRate = float64(joint.HiddenLosses) / float64(joint.Acquisitions)
-			r.captureRate = float64(joint.Captures) / float64(joint.Acquisitions)
-		}
-		return r
+		return out
 	})
+	for pt := range trials {
+		trials[pt] = slices.DeleteFunc(trials[pt], func(tr []lasthop.CellResult) bool { return tr == nil })
+	}
+	return trials
 }
 
-// reduceCells folds one sweep point's placements (in placement order, so
-// float accumulation is deterministic) into means and medians.
-func reduceCells(rows []cellRecord) SweepStats {
-	var singles, joints, gains []float64
-	var s SweepStats
-	for _, r := range rows {
-		singles = append(singles, r.singleBps/1e6)
-		joints = append(joints, r.jointBps/1e6)
-		if r.singleBps > 0 {
-			gains = append(gains, r.jointBps/r.singleBps)
-		}
-		s.CollisionRate += r.collisionRate
-		s.HiddenRate += r.hiddenRate
-		s.CaptureRate += r.captureRate
-		s.MeanUtilization += r.utiliz
-		s.RateCorruption = netsim.MergeRateCorruption(s.RateCorruption, r.corruption)
+// aggBps selects scheme si's aggregate throughput from a trial's results.
+func aggBps(si int) func([]lasthop.CellResult) float64 {
+	return func(tr []lasthop.CellResult) float64 { return tr[si].AggregateBps }
+}
+
+// reduceCells folds one sweep point's trials, run over bothSchemes, into
+// SweepStats: the scenario reducer's medians, plus the joint runs'
+// per-acquisition rates and utilization averaged in placement order (so
+// float accumulation is deterministic).
+func reduceCells(trials [][]lasthop.CellResult) SweepStats {
+	pt := reduceScenarioTrials(bothSchemes, trials, 0)
+	s := SweepStats{
+		SingleAggMbps: pt.Stats[0].MedianGoodputMbps,
+		JointAggMbps:  pt.Stats[1].MedianGoodputMbps,
+		MedianGain:    pt.MedianGain,
 	}
-	if n := len(rows); n > 0 {
+	for _, tr := range trials {
+		joint := tr[1]
+		if joint.Acquisitions > 0 {
+			s.CollisionRate += float64(joint.Collisions) / float64(joint.Acquisitions)
+			s.HiddenRate += float64(joint.HiddenLosses) / float64(joint.Acquisitions)
+			s.CaptureRate += float64(joint.Captures) / float64(joint.Acquisitions)
+		}
+		s.MeanUtilization += joint.Utilization
+		s.RateCorruption = netsim.MergeRateCorruption(s.RateCorruption, joint.RateCorruption)
+	}
+	if n := len(trials); n > 0 {
 		s.CollisionRate /= float64(n)
 		s.HiddenRate /= float64(n)
 		s.CaptureRate /= float64(n)
 		s.MeanUtilization /= float64(n)
 	}
-	s.SingleAggMbps = dsp.Median(singles)
-	s.JointAggMbps = dsp.Median(joints)
-	s.MedianGain = dsp.Median(gains)
 	return s
 }
 
 // sweepStats reduces every point of a sweep, in swept-value order.
-func sweepStats(rows [][]cellRecord) []SweepStats {
-	out := make([]SweepStats, len(rows))
-	for pt := range rows {
-		out[pt] = reduceCells(rows[pt])
+func sweepStats(trials [][][]lasthop.CellResult) []SweepStats {
+	out := make([]SweepStats, len(trials))
+	for pt := range trials {
+		out[pt] = reduceCells(trials[pt])
 	}
 	return out
 }
 
-// cellCDF is the cell experiment's view of one point's records: the
-// sorted per-placement aggregates beside the shared statistics.
-func cellCDF(rows []cellRecord) CellExpResult {
-	res := CellExpResult{Stats: reduceCells(rows)}
-	for _, r := range rows {
-		res.SingleAggMbps = append(res.SingleAggMbps, r.singleBps/1e6)
-		res.JointAggMbps = append(res.JointAggMbps, r.jointBps/1e6)
+// cellCDF is the cell experiment's view of one point's trials: the sorted
+// per-placement aggregates beside the shared statistics.
+func cellCDF(trials [][]lasthop.CellResult) *CellExpResult {
+	return &CellExpResult{
+		SingleAggMbps: mbpsCDF(trials, aggBps(0)),
+		JointAggMbps:  mbpsCDF(trials, aggBps(1)),
+		Stats:         reduceCells(trials),
 	}
-	sortFloats(res.SingleAggMbps)
-	sortFloats(res.JointAggMbps)
-	return res
 }
 
 // apSite accepts an AP position within 10 m of its cell center and at
@@ -388,10 +392,10 @@ func RunCrossTraffic(ec engine.Config, o CrossTrafficOptions) CrossTrafficResult
 			}
 			cross[i] = exor.CrossFlow{From: from, To: to, Packets: o.CrossPackets}
 		}
-		spAlone := sim.Run(rand.New(rand.NewSource(rng.Int63())), exor.SinglePath, o.Packets)                               //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		spLoaded, spCross := sim.RunWithCross(rand.New(rand.NewSource(rng.Int63())), exor.SinglePath, o.Packets, cross)     //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		ssAlone := sim.Run(rand.New(rand.NewSource(rng.Int63())), exor.ExORSourceSync, o.Packets)                           //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		ssLoaded, ssCross := sim.RunWithCross(rand.New(rand.NewSource(rng.Int63())), exor.ExORSourceSync, o.Packets, cross) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
+		spAlone := sim.Run(engine.ChildRNG(rng), exor.SinglePath, o.Packets)
+		spLoaded, spCross := sim.RunWithCross(engine.ChildRNG(rng), exor.SinglePath, o.Packets, cross)
+		ssAlone := sim.Run(engine.ChildRNG(rng), exor.ExORSourceSync, o.Packets)
+		ssLoaded, ssCross := sim.RunWithCross(engine.ChildRNG(rng), exor.ExORSourceSync, o.Packets, cross)
 		r := tpRes{spAlone: spAlone.ThroughputBps, spLoaded: spLoaded.ThroughputBps,
 			ssAlone: ssAlone.ThroughputBps, ssLoaded: ssLoaded.ThroughputBps}
 		for _, c := range append(spCross, ssCross...) {
@@ -401,31 +405,22 @@ func RunCrossTraffic(ec engine.Config, o CrossTrafficOptions) CrossTrafficResult
 		return r
 	})
 
-	var res CrossTrafficResult
-	var spRet, ssRet, gain []float64
+	spAlone := func(r tpRes) float64 { return r.spAlone }
+	spLoaded := func(r tpRes) float64 { return r.spLoaded }
+	ssAlone := func(r tpRes) float64 { return r.ssAlone }
+	ssLoaded := func(r tpRes) float64 { return r.ssLoaded }
+	res := CrossTrafficResult{
+		SinglePathAloneMbps:  mbpsCDF(rows, spAlone),
+		SinglePathLoadedMbps: mbpsCDF(rows, spLoaded),
+		SourceSyncAloneMbps:  mbpsCDF(rows, ssAlone),
+		SourceSyncLoadedMbps: mbpsCDF(rows, ssLoaded),
+		SinglePathRetention:  medianRatio(rows, spLoaded, spAlone),
+		SourceSyncRetention:  medianRatio(rows, ssLoaded, ssAlone),
+		GainUnderLoad:        medianRatio(rows, ssLoaded, spLoaded),
+	}
 	for _, r := range rows {
-		res.SinglePathAloneMbps = append(res.SinglePathAloneMbps, r.spAlone/1e6)
-		res.SinglePathLoadedMbps = append(res.SinglePathLoadedMbps, r.spLoaded/1e6)
-		res.SourceSyncAloneMbps = append(res.SourceSyncAloneMbps, r.ssAlone/1e6)
-		res.SourceSyncLoadedMbps = append(res.SourceSyncLoadedMbps, r.ssLoaded/1e6)
-		if r.spAlone > 0 {
-			spRet = append(spRet, r.spLoaded/r.spAlone)
-		}
-		if r.ssAlone > 0 {
-			ssRet = append(ssRet, r.ssLoaded/r.ssAlone)
-		}
-		if r.spLoaded > 0 {
-			gain = append(gain, r.ssLoaded/r.spLoaded)
-		}
 		res.CrossHiddenLosses += r.crossHidden
 		res.CrossRateCorruption = netsim.MergeRateCorruption(res.CrossRateCorruption, r.crossCorruption)
 	}
-	sortFloats(res.SinglePathAloneMbps)
-	sortFloats(res.SinglePathLoadedMbps)
-	sortFloats(res.SourceSyncAloneMbps)
-	sortFloats(res.SourceSyncLoadedMbps)
-	res.SinglePathRetention = dsp.Median(spRet)
-	res.SourceSyncRetention = dsp.Median(ssRet)
-	res.GainUnderLoad = dsp.Median(gain)
 	return res
 }

@@ -59,7 +59,7 @@ func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) 
 		Model:            netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload),
 		WindowSec:        o.WindowSec,
 	}
-	return sweepStats(runCells(ec, points, o.Placements, func(pt int, rng *rand.Rand) lasthop.Cell {
+	return sweepStats(runCells(ec, points, o.Placements, bothSchemes, func(pt int, rng *rand.Rand) func() lasthop.Cell {
 		cells, cs, clientsPer := at(pt)
 		pitch := cellPitch(cs)
 		// Widen the floor to hold every cell; height (and the 8-25 m client
@@ -73,10 +73,11 @@ func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) 
 		floor := base
 		floor.CSRangeM = cs
 		floor.Env = env
-		return placeCells(rng, floor, centers, o.APsPerCell, clientsPer,
+		cell := placeCells(rng, floor, centers, o.APsPerCell, clientsPer,
 			func(rng *rand.Rand, _ testbed.Point, _ float64, accept func(testbed.Point) bool) testbed.Point {
 				return env.RandomPointWhere(rng, 100000, accept)
 			})
+		return func() lasthop.Cell { return cell }
 	}))
 }
 

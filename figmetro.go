@@ -105,7 +105,8 @@ func RunMetro(ec engine.Config, o MetroOptions) []SweepStats {
 		InterferenceRangeM: o.InterferenceRangeM,
 		WindowSec:          o.WindowSec,
 	}
-	return sweepStats(runCells(ec, len(o.ClientsPer), o.Placements, func(pt int, rng *rand.Rand) lasthop.Cell {
-		return placeCells(rng, base, centers, o.APsPerCell, o.ClientsPer[pt], metroPoint)
+	return sweepStats(runCells(ec, len(o.ClientsPer), o.Placements, bothSchemes, func(pt int, rng *rand.Rand) func() lasthop.Cell {
+		cell := placeCells(rng, base, centers, o.APsPerCell, o.ClientsPer[pt], metroPoint)
+		return func() lasthop.Cell { return cell }
 	}))
 }

@@ -18,11 +18,12 @@ import (
 //
 // This file executes declarative scenario specs (internal/scenario): it
 // maps a parsed spec onto the same lasthop/netsim machinery the
-// registered experiments use. Backlogged specs — the builtin cell
-// experiment among them — run on the cell family's driver (runCells), one
-// saturation run per serving mode per placement. Arrival-driven specs run
-// fixed windows with netsim's traffic layer attached; mobility specs
-// additionally drift every client at each waypoint epoch.
+// registered experiments use. Every spec runs on the cell family's trial
+// runner (runCells), one run per scheme per placement. Backlogged specs —
+// the builtin cell experiment among them — run saturated; arrival-driven
+// specs run fixed windows with netsim's traffic layer attached, one grid
+// point per swept rate; mobility specs additionally drift every client at
+// each waypoint epoch.
 
 // ScenarioSchemeStats is one serving scheme's aggregate outcome over a
 // scenario's placements.
@@ -81,7 +82,9 @@ func RunScenario(ec engine.Config, sp *scenario.Spec) (*ScenarioOutcome, error) 
 		return nil, err
 	}
 	if sp.Traffic.Model == scenario.ModelBacklogged {
-		return &ScenarioOutcome{Cell: runScenarioCell(ec, sp)}, nil
+		// The cell experiment's only code path: one point of placements,
+		// each drained under both serving modes.
+		return &ScenarioOutcome{Cell: cellCDF(scenarioTrials(ec, sp, []float64{0})[0])}, nil
 	}
 	if sp.Mobility != nil {
 		return &ScenarioOutcome{Mobility: runScenarioMobility(ec, sp)}, nil
@@ -197,12 +200,12 @@ func (t *scenTopo) bestCell(p testbed.Point) int {
 
 // instantiate builds a fresh lasthop.Cell for one scheme run, with its
 // own copies of the position/link rows (a mobility run mutates them, and
-// both schemes must start from the same placement), the spec's arrival
-// traffic attached (a backlogged spec leaves Traffic nil for the caller
-// to size the backlog), and — under mobility — the per-epoch drift wired
-// up. The returned counter accumulates serving-cell handoffs.
+// every scheme must start from the same placement): a backlogged spec
+// gives every client its backlog, an arrival-driven one the spec's
+// traffic at ratePps, and under mobility the per-epoch drift is wired up,
+// returning the epoch's serving-cell handoffs.
 func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Params,
-	model netsim.InterferenceModel, ratePps float64) (lasthop.Cell, *int) {
+	model netsim.InterferenceModel, ratePps float64) lasthop.Cell {
 	n := len(t.clients)
 	links := make([][]testbed.Link, n)
 	apPos := make([][]testbed.Point, n)
@@ -226,115 +229,63 @@ func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Pa
 		Env:                env,
 		WindowSec:          sp.Traffic.WindowSec,
 	}
-	if sp.Traffic.Model != scenario.ModelBacklogged {
+	if sp.Traffic.Model == scenario.ModelBacklogged {
+		cell.PacketsPerClient = sp.Traffic.Packets
+	} else {
 		cell.Traffic = func(client int) netsim.TrafficConfig {
 			return scenarioTraffic(sp, ratePps, client)
 		}
 	}
-	handoffs := new(int)
 	if sp.Mobility != nil {
 		step := sp.Mobility.SpeedMps * sp.Mobility.EpochSec
 		cell.MobilityEpochSec = sp.Mobility.EpochSec
-		cell.MoveClients = func(float64) {
+		cell.MoveClients = func(float64) int {
+			handoffs := 0
 			for c := range cur {
 				cur[c].pos.X += step
 				if best := t.bestCell(cur[c].pos); best != cur[c].cell {
 					cur[c].cell = best
-					*handoffs++
+					handoffs++
 				}
 				aps := t.cellAPs[cur[c].cell]
 				apPos[c] = aps
 				links[c] = meanLinks(env, aps, cur[c].pos)
 				clientPos[c] = cur[c].pos
 			}
+			return handoffs
 		}
 	}
-	return cell, handoffs
+	return cell
 }
 
-// runScenarioCell runs a backlogged spec, the cell experiment's only code
-// path: one engine grid point of placements, each instantiated with every
-// client's backlog and drained under both serving modes by runCells. The
-// topology's carrier-sense and interference ranges apply as in every
-// other spec.
-func runScenarioCell(ec engine.Config, sp *scenario.Spec) *CellExpResult {
+// scenarioTrials runs a spec's (rate, placement) grid on the cell
+// family's runner: each trial draws one placement and runs every scheme
+// of the spec over it at the point's per-client rate (ignored by
+// backlogged specs).
+func scenarioTrials(ec engine.Config, sp *scenario.Spec, rates []float64) [][][]lasthop.CellResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
 	model := netsim.NewRateAware(cfg, modem.StandardRates(), sp.Traffic.PayloadBytes)
-	rows := runCells(ec, 1, sp.Topology.Placements, func(_ int, rng *rand.Rand) lasthop.Cell {
-		cell, _ := buildScenarioTopology(rng, env, sp).instantiate(sp, env, m, model, 0)
-		cell.PacketsPerClient = sp.Traffic.Packets
-		return cell
+	return runCells(ec, len(rates), sp.Topology.Placements, sp.SchemeList(), func(pt int, rng *rand.Rand) func() lasthop.Cell {
+		topo := buildScenarioTopology(rng, env, sp)
+		return func() lasthop.Cell { return topo.instantiate(sp, env, m, model, rates[pt]) }
 	})
-	res := cellCDF(rows[0])
-	return &res
-}
-
-// runScenarioScheme runs one serving scheme over an instantiated cell.
-func runScenarioScheme(cell lasthop.Cell, scheme string, rng *rand.Rand) lasthop.CellResult {
-	if scheme == scenario.SchemeSingle {
-		return cell.RunBestSingleAP(rng)
-	}
-	return cell.RunJoint(rng)
-}
-
-// scenTrial is one (placement, load) trial's per-scheme outcome.
-type scenTrial struct {
-	goodputBps []float64
-	arrived    []int
-	delivered  []int
-	expired    []int
-	abandoned  []int
-	handoffs   int
-}
-
-// runScenarioTrial builds one placement and runs every scheme over it at
-// the given per-client rate, bridging each scheme its own child RNG from
-// the per-trial stream.
-func runScenarioTrial(sp *scenario.Spec, env *testbed.Testbed, m mac.Params,
-	model netsim.InterferenceModel, schemes []string, ratePps float64, rng *rand.Rand) scenTrial {
-	topo := buildScenarioTopology(rng, env, sp)
-	var tr scenTrial
-	for _, scheme := range schemes {
-		cell, handoffs := topo.instantiate(sp, env, m, model, ratePps)
-		res := runScenarioScheme(cell, scheme, rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		tr.goodputBps = append(tr.goodputBps, res.AggregateBps)
-		tr.arrived = append(tr.arrived, res.Arrived)
-		tr.delivered = append(tr.delivered, res.Delivered)
-		tr.expired = append(tr.expired, res.Expired)
-		tr.abandoned = append(tr.abandoned, res.Abandoned)
-		// The drift trajectory is deterministic and scheme-independent, so
-		// one scheme's count stands for the trial.
-		tr.handoffs = *handoffs
-	}
-	return tr
 }
 
 // reduceScenarioTrials folds one load point's trials into per-scheme
-// stats and the joint/single gain. A canceled run returns the trials it
-// never started as zero values, with no per-scheme entries; they are
-// skipped (the canceled run's output is discarded anyway).
-func reduceScenarioTrials(schemes []string, all []scenTrial, ratePps float64) ScenarioLoadPoint {
-	var trials []scenTrial
-	for _, tr := range all {
-		if len(tr.goodputBps) == len(schemes) {
-			trials = append(trials, tr)
-		}
-	}
+// stats and the joint/single gain.
+func reduceScenarioTrials(schemes []string, trials [][]lasthop.CellResult, ratePps float64) ScenarioLoadPoint {
 	pt := ScenarioLoadPoint{RatePps: ratePps}
 	single, joint := -1, -1
 	for si, scheme := range schemes {
-		st := ScenarioSchemeStats{Scheme: scheme}
-		var goodputs []float64
+		st := ScenarioSchemeStats{Scheme: scheme, MedianGoodputMbps: dsp.Median(mbpsCDF(trials, aggBps(si)))}
 		for _, tr := range trials {
-			goodputs = append(goodputs, tr.goodputBps[si]/1e6)
-			st.Arrived += tr.arrived[si]
-			st.Delivered += tr.delivered[si]
-			st.Expired += tr.expired[si]
-			st.Abandoned += tr.abandoned[si]
+			st.Arrived += tr[si].Arrived
+			st.Delivered += tr[si].Delivered
+			st.Expired += tr[si].Expired
+			st.Abandoned += tr[si].Abandoned
 		}
-		st.MedianGoodputMbps = dsp.Median(goodputs)
 		pt.Stats = append(pt.Stats, st)
 		if scheme == scenario.SchemeSingle {
 			single = si
@@ -343,13 +294,7 @@ func reduceScenarioTrials(schemes []string, all []scenTrial, ratePps float64) Sc
 		}
 	}
 	if single >= 0 && joint >= 0 {
-		var gains []float64
-		for _, tr := range trials {
-			if tr.goodputBps[single] > 0 {
-				gains = append(gains, tr.goodputBps[joint]/tr.goodputBps[single])
-			}
-		}
-		pt.MedianGain = dsp.Median(gains)
+		pt.MedianGain = medianRatio(trials, aggBps(joint), aggBps(single))
 	}
 	return pt
 }
@@ -358,41 +303,28 @@ func reduceScenarioTrials(schemes []string, all []scenTrial, ratePps float64) Sc
 // (rate, placement), every trial running each scheme over the same drawn
 // topology.
 func runScenarioArrivals(ec engine.Config, sp *scenario.Spec) *ScenarioArrivalsResult {
-	cfg := Profile80211()
-	env := testbed.Mesh(cfg)
-	m := mac.Default(cfg)
-	model := netsim.NewRateAware(cfg, modem.StandardRates(), sp.Traffic.PayloadBytes)
-	schemes := sp.SchemeList()
 	rates := sp.Traffic.RateSweepPps
 	if len(rates) == 0 {
 		rates = []float64{sp.Traffic.RatePps}
 	}
-	grid := engine.Grid(ec, len(rates), sp.Topology.Placements, func(pt, pl int, rng *rand.Rand) scenTrial {
-		return runScenarioTrial(sp, env, m, model, schemes, rates[pt], rng)
-	})
 	res := &ScenarioArrivalsResult{}
-	for pi, trials := range grid {
-		res.Points = append(res.Points, reduceScenarioTrials(schemes, trials, rates[pi]))
+	for pi, trials := range scenarioTrials(ec, sp, rates) {
+		res.Points = append(res.Points, reduceScenarioTrials(sp.SchemeList(), trials, rates[pi]))
 	}
 	return res
 }
 
-// runScenarioMobility runs the drifting-clients scenario: one engine map
-// over placements at the spec's single rate.
+// runScenarioMobility runs the drifting-clients scenario: the arrivals
+// grid at the spec's single rate.
 func runScenarioMobility(ec engine.Config, sp *scenario.Spec) *ScenarioMobilityResult {
-	cfg := Profile80211()
-	env := testbed.Mesh(cfg)
-	m := mac.Default(cfg)
-	model := netsim.NewRateAware(cfg, modem.StandardRates(), sp.Traffic.PayloadBytes)
-	schemes := sp.SchemeList()
-	trials := engine.Map(ec, 0, sp.Topology.Placements, func(pl int, rng *rand.Rand) scenTrial {
-		return runScenarioTrial(sp, env, m, model, schemes, sp.Traffic.RatePps, rng)
-	})
-	pt := reduceScenarioTrials(schemes, trials, sp.Traffic.RatePps)
+	trials := scenarioTrials(ec, sp, []float64{sp.Traffic.RatePps})[0]
+	pt := reduceScenarioTrials(sp.SchemeList(), trials, sp.Traffic.RatePps)
 	res := &ScenarioMobilityResult{Stats: pt.Stats, MedianGain: pt.MedianGain}
 	var handoffs int
 	for _, tr := range trials {
-		handoffs += tr.handoffs
+		// The drift trajectory is deterministic and scheme-independent, so
+		// one scheme's count stands for the trial.
+		handoffs += tr[len(tr)-1].Handoffs
 	}
 	if n := len(trials) * sp.TotalClients(); n > 0 {
 		res.HandoffsPerClient = float64(handoffs) / float64(n)

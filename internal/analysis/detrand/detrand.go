@@ -13,9 +13,12 @@
 //  3. rand.NewSource(expr) where expr contains a function call: the
 //     canonical offender is time.Now().UnixNano(), but any call-derived
 //     seed hides an extra input to the draw stream. Deriving a child
-//     source from a parent stream (rand.NewSource(rng.Int63())) is the
-//     sanctioned bridge idiom; those sites carry //sslint:allow detrand
-//     directives stating that the parent draw is part of the contract.
+//     source from a parent stream (rand.NewSource(rng.Int63())) is
+//     sanctioned in one place: engine.ChildRNG, whose allow directive
+//     states that the parent draw is part of the contracted draw order.
+//     Every other bridge calls it instead of carrying a directive of its
+//     own, and TestDirectivesStayInEngine fails on a detrand directive
+//     outside internal/engine.
 package detrand
 
 import (
@@ -97,7 +100,7 @@ func checkSeedArgs(pass *framework.Pass, call *ast.CallExpr, ctor string) {
 				return false
 			}
 			pass.Reportf(call.Pos(),
-				"rand.%s seed contains a call (%s); seeds must be plumbed constants or parameters — a sanctioned parent-stream bridge needs //sslint:allow detrand", ctor, callLabel(inner))
+				"rand.%s seed contains a call (%s); seeds must be plumbed constants or parameters — bridge a child stream from a parent RNG with engine.ChildRNG", ctor, callLabel(inner))
 			return false
 		})
 	}

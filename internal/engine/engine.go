@@ -11,7 +11,8 @@
 //     hash of (base seed, point index, trial index) — see TrialSeed. No RNG
 //     state is shared between trials, so the random stream a trial consumes
 //     does not depend on which worker ran it, on scheduling order, or on
-//     the worker count.
+//     the worker count. Sub-runs inside a trial take their own streams
+//     through ChildRNG, one draw from the trial stream each.
 //   - Results land in a slice indexed by (point, trial), so reductions see
 //     trial order, never completion order. Floating-point accumulation in
 //     the callers therefore sums in a fixed order too.
@@ -114,6 +115,15 @@ func TrialSeed(seed int64, point, trial int) int64 {
 // TrialRNG returns a fresh rand.Rand for one trial, seeded by TrialSeed.
 func TrialRNG(seed int64, point, trial int) *rand.Rand {
 	return rand.New(rand.NewSource(TrialSeed(seed, point, trial))) //sslint:allow detrand TrialSeed is the sanctioned derivation: a pure splitmix64 function of (seed, point, trial)
+}
+
+// ChildRNG returns a fresh rand.Rand seeded by one Int63 draw from parent:
+// the one bridge from a trial's stream to an independent sub-run (a
+// serving scheme, a routing protocol, one AP alone). The parent draw is
+// part of the caller's contracted draw order, so call sites bridge in a
+// fixed order.
+func ChildRNG(parent *rand.Rand) *rand.Rand {
+	return rand.New(rand.NewSource(parent.Int63())) //sslint:allow detrand the sanctioned child-stream bridge: the seed is the parent stream's next draw, part of the contracted draw order
 }
 
 // PointRNG returns a rand.Rand scoped to a whole operating point (trial

@@ -71,14 +71,15 @@ type Cell struct {
 	Traffic func(client int) netsim.TrafficConfig
 	// MobilityEpochSec, with MoveClients, drifts the deployment: every
 	// epoch the cell calls MoveClients (which mutates ClientPos, Links,
-	// and APPos rows in place), rebuilds each client's serving plan and
-	// flow geometry from the mutated rows, re-indexes carrier-sense
+	// and APPos rows in place and returns how many clients changed
+	// serving cell), rebuilds each client's serving plan and flow
+	// geometry from the mutated rows, re-indexes carrier-sense
 	// neighborhoods (netsim.Sim.Reindex), and wakes every flow. Epoch
 	// callbacks run inside the event drain in deterministic order, so
 	// mobility is as reproducible as the rest of the run. Requires
 	// WindowSec > 0.
 	MobilityEpochSec float64
-	MoveClients      func(now float64)
+	MoveClients      func(now float64) (handoffs int)
 }
 
 // ClientResult is one client's share of a cell run.
@@ -124,6 +125,9 @@ type CellResult struct {
 	Arrived   int
 	Expired   int
 	Abandoned int
+	// Handoffs sums MoveClients' serving-cell changes over the run's
+	// mobility epochs; 0 without mobility.
+	Handoffs int
 }
 
 // clientPlan is one client's serving decision: its per-attempt reception
@@ -263,13 +267,14 @@ func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 			queues[client] = sim.AttachTraffic(flows[client], c.Traffic(client))
 		}
 	}
+	handoffs := 0
 	if c.MobilityEpochSec > 0 && c.MoveClients != nil {
 		if c.WindowSec <= 0 {
 			panic("lasthop: Cell.MoveClients requires WindowSec > 0")
 		}
 		var epoch func()
 		epoch = func() {
-			c.MoveClients(sim.Now())
+			handoffs += c.MoveClients(sim.Now())
 			for client := range flows {
 				plans[client] = plan(client)
 				flows[client].Radio = plans[client].radio
@@ -291,6 +296,7 @@ func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 		Elapsed:      sim.Now(),
 		Acquisitions: sim.Acquisitions,
 		Collisions:   sim.CollisionRounds,
+		Handoffs:     handoffs,
 	}
 	for i, f := range flows {
 		res.PerClient[i] = ClientResult{

@@ -8,10 +8,11 @@ import (
 )
 
 // CheckMemos verifies the geometry memos against fresh rebuilds: every
-// flow whose nbList, ixCands or sigPow stamp (topology generation plus the
-// Radio it was built against) says fresh must hold exactly what its
-// builder would produce now — the same flow ids in the same order, the
-// same carrier-sense bits, and bit-identical prices. A stale entry means a
+// flow whose nbList or ixCands stamp (topology generation plus the Radio
+// it was built against) says fresh must hold exactly what its builder
+// would produce now — the same flow ids in the same order, the same
+// carrier-sense bits, and bit-identical prices, the serving power built
+// beside ixCands (sigPow) included. A stale entry means a
 // missed generation bump or an in-place Radio mutation. The rebuilds run
 // into fresh slices and the cached entries are restored afterwards, so the
 // check consumes no randomness and leaves the run's behavior untouched.
@@ -35,21 +36,16 @@ func CheckMemos(s *Sim) error {
 			}
 		}
 		if s.ixGen[i] == s.topoGen && s.ixRadio[i] == f.Radio {
-			cached := s.ixCands[i]
+			cached, cachedPow := s.ixCands[i], s.sigPow[i]
 			s.ixCands[i] = nil
 			fresh := s.buildIxCands(f)
-			s.ixCands[i] = cached
+			freshPow := s.sigPow[i]
+			s.ixCands[i], s.sigPow[i] = cached, cachedPow
 			if err := candsEqual(cached, fresh); err != nil {
 				return fmt.Errorf("flow %d (%s): stale ixCands: %v", i, f.Name, err)
 			}
-		}
-		if f.Radio != nil && s.sigGen[i] == s.topoGen && s.sigRadio[i] == f.Radio {
-			cached := s.sigPow[i]
-			s.sigRadio[i] = nil
-			fresh := s.servingPow(f)
-			s.sigPow[i] = cached
-			if math.Float64bits(cached) != math.Float64bits(fresh) {
-				return fmt.Errorf("flow %d (%s): stale sigPow %x, rebuild %x", i, f.Name, cached, fresh)
+			if math.Float64bits(cachedPow) != math.Float64bits(freshPow) {
+				return fmt.Errorf("flow %d (%s): stale sigPow %x, rebuild %x", i, f.Name, cachedPow, freshPow)
 			}
 		}
 	}

@@ -349,12 +349,10 @@ type Sim struct {
 	nbGen    []uint32   // generation nbList was built at
 	nbRadio  []*Radio   // the flow's Radio when nbList was built
 	nbList   [][]int32  // cached carrier-sense neighborhood (grid hits ascending, then unplaced)
-	ixGen    []uint32   // generation ixCands was built at
-	ixRadio  []*Radio   // the flow's Radio when ixCands was built
+	ixGen    []uint32   // generation ixCands and sigPow were built at
+	ixRadio  []*Radio   // the flow's Radio when ixCands and sigPow were built
 	ixCands  [][]ixCand // cached interferer candidates with per-pair prices
-	sigGen   []uint32   // generation sigPow was computed at
-	sigRadio []*Radio   // the flow's Radio when sigPow was computed
-	sigPow   []float64  // 10^(SNRdB/10) of the serving link
+	sigPow   []float64  // 10^(SNRdB/10) of the serving link, built with ixCands
 	allFlows []int32    // shared everyone-contends list for the no-grid path
 
 	// Admission queue: flows that need a fresh look at the top of the next
@@ -431,8 +429,6 @@ func (s *Sim) growState() {
 		s.ixGen = append(s.ixGen, 0)
 		s.ixRadio = append(s.ixRadio, nil)
 		s.ixCands = append(s.ixCands, nil)
-		s.sigGen = append(s.sigGen, 0)
-		s.sigRadio = append(s.sigRadio, nil)
 		s.sigPow = append(s.sigPow, 0)
 	}
 }
@@ -538,24 +534,13 @@ func NoInterference() Interference {
 // the serving link's SNR over the worst *simultaneous* interference power
 // the frame saw at its receiver, plus noise, in dB. Interferers are
 // additive only while their air intervals actually coincide — two
-// successive far-cell frames are not a doubled interferer. Deterministic:
-// no RNG is consumed.
+// successive far-cell frames are not a doubled interferer. The serving
+// power is f's sigPow memo, current because resolve refreshed f's
+// candidate list, which builds it, before settling. Deterministic: no RNG
+// is consumed.
 func (s *Sim) effectiveSINRdB(f *Flow, interferers []interferer) float64 {
-	sinr := s.servingPow(f) / (1 + s.worstSimultaneous(interferers))
+	sinr := s.sigPow[f.idx] / (1 + s.worstSimultaneous(interferers))
 	return 10 * math.Log10(sinr)
-}
-
-// servingPow returns the serving link's linear SNR, memoized per flow per
-// topology generation (the exponentiation is a pure function of the
-// static Radio between Reindex calls).
-func (s *Sim) servingPow(f *Flow) float64 {
-	i := f.idx
-	if s.sigGen[i] == s.topoGen && s.sigRadio[i] == f.Radio {
-		return s.sigPow[i]
-	}
-	p := math.Pow(10, f.Radio.SNRdB/10)
-	s.sigPow[i], s.sigRadio[i], s.sigGen[i] = p, f.Radio, s.topoGen
-	return p
 }
 
 // worstSimultaneous sweeps the interferers' overlap intervals and returns
@@ -1319,7 +1304,9 @@ func (s *Sim) resolve(r *tx) {
 // unplaced flows, first occurrence kept. Otherwise every registered flow
 // is a candidate (infinite range). Each candidate is priced once against
 // its current Radio; the list is valid until the topology generation
-// advances or f's Radio is swapped. Consumes no randomness.
+// advances or f's Radio is swapped. The serving link's linear SNR
+// (sigPow) is a pure function of the same Radio, so it is built under the
+// same stamp. Consumes no randomness.
 func (s *Sim) buildIxCands(f *Flow) []ixCand {
 	i := f.idx
 	s.markGen++
@@ -1356,6 +1343,9 @@ func (s *Sim) buildIxCands(f *Flow) []ixCand {
 			out = make([]ixCand, 0, len(all))
 		}
 		add(all)
+	}
+	if f.Radio != nil {
+		s.sigPow[i] = math.Pow(10, f.Radio.SNRdB/10)
 	}
 	s.ixCands[i] = out
 	s.ixRadio[i] = f.Radio

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/dsp"
 	"repro/internal/modem"
 	"repro/internal/sls"
 )
@@ -110,35 +111,38 @@ func (r *JointReceiver) ReceiveCalibration(p JointFrameParams, x []complex128, f
 		res.MeasuredSNRdB = 10 * math.Log10(sig/noise)
 	}
 
-	// Repetition series: single-symbol channel estimates per slot.
-	for rep := 0; rep < reps; rep++ {
+	// Repetition series: single-symbol channel estimates per slot, into
+	// one spectrum scratch and one channel buffer per sender. Every
+	// repetition writes the same used bins, so the others stay zero.
+	bins := make([]complex128, cfg.NFFT)
+	hL := make([]complex128, cfg.NFFT)
+	hC := make([]complex128, cfg.NFFT)
+	res.Series = make([]float64, reps)
+	var mean float64
+	for rep := range res.Series {
 		leadSym := p.DataStart() + (2*rep)*ceLen + p.DataCP - r.FFTBackoff
 		coSym := p.DataStart() + (2*rep+1)*ceLen + p.DataCP - r.FFTBackoff
-		hL := r.singleSymbolChannel(buf[leadSym:])
-		hC := r.singleSymbolChannel(buf[coSym:])
-		res.Series = append(res.Series, sls.Misalignment(cfg, hL, hC))
-	}
-	var mean float64
-	for _, v := range res.Series {
-		mean += v
+		symbolChannel(cfg, hL, bins, buf[leadSym:leadSym+cfg.NFFT], used)
+		symbolChannel(cfg, hC, bins, buf[coSym:coSym+cfg.NFFT], used)
+		res.Series[rep] = sls.Misalignment(cfg, hL, hC)
+		mean += res.Series[rep]
 	}
 	res.GroundTruth = mean / float64(len(res.Series))
 	return res, nil
 }
 
-// singleSymbolChannel estimates the channel from one LTS-patterned symbol.
-func (r *JointReceiver) singleSymbolChannel(win []complex128) []complex128 {
-	cfg := r.Cfg
-	bins := cfg.SymbolBins(win)
+// symbolChannel estimates the channel from one LTS-patterned symbol into
+// h, transforming it through the scratch spectrum bins. Only the used
+// bins with a nonzero reference are written.
+func symbolChannel(cfg *modem.Config, h, bins, sym []complex128, used []int) {
+	dsp.FFTInto(bins, sym)
 	ref := cfg.LTSReference()
-	h := make([]complex128, cfg.NFFT)
-	for _, k := range cfg.UsedBins() {
+	for _, k := range used {
 		b := cfg.Bin(k)
 		if ref[b] != 0 {
 			h[b] = bins[b] / ref[b]
 		}
 	}
-	return h
 }
 
 func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }

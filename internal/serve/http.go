@@ -121,6 +121,21 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // are a few kilobytes; anything near the cap is not a spec.
 const maxSpecBytes = 1 << 20
 
+// decodeSpec is POST /jobs' strict decode of a job spec: one JSON
+// document, no unknown fields, nothing after it but whitespace.
+func decodeSpec(body []byte) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("bad job spec: %v", err)
+	}
+	if len(bytes.TrimSpace(body[dec.InputOffset():])) > 0 {
+		return spec, errors.New("bad job spec: trailing data after the JSON document")
+	}
+	return spec, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	var tooBig *http.MaxBytesError
@@ -132,15 +147,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading job spec: %v", err)
 		return
 	}
-	var spec Spec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	if len(bytes.TrimSpace(body[dec.InputOffset():])) > 0 {
-		writeError(w, http.StatusBadRequest, "bad job spec: trailing data after the JSON document")
+	spec, err := decodeSpec(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	job, err := s.Submit(spec)
