@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dsp"
+	"repro/internal/modem"
 )
 
 func TestRayleighUnitPower(t *testing.T) {
@@ -141,7 +142,7 @@ func TestDrawsMatchReference(t *testing.T) {
 	}
 }
 
-func TestIndoorResponseMatchesFreqResponse(t *testing.T) {
+func TestFadingResponseMatchesFreqResponse(t *testing.T) {
 	// 20 and 128 MHz at 50 ns are the two shipped profiles' channels (5 and
 	// 27 taps); 200 ns at 20 MHz on an 8-point grid has more taps (17) than
 	// grid points, which FreqResponse truncates.
@@ -151,10 +152,11 @@ func TestIndoorResponseMatchesFreqResponse(t *testing.T) {
 	}{{20e6, 50, 64}, {128e6, 50, 128}, {20e6, 200, 8}, {20e6, -10, 4}}
 	for _, c := range cases {
 		for _, k := range []float64{0, 6} {
+			f := NewFading(c.nfft, c.fs, c.spreadNs, k)
 			fast, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 			h := make([]complex128, c.nfft)
 			for i := 0; i < 50; i++ {
-				IndoorResponse(fast, h, c.fs, c.spreadNs, k)
+				f.Response(fast, h)
 				want := NewIndoor(ref, c.fs, c.spreadNs, k).FreqResponse(c.nfft)
 				if !sameBits(h, want) {
 					t.Fatalf("fs %g, spread %g ns, K %g dB, nfft %d, draw %d: %v, reference %v", c.fs, c.spreadNs, k, c.nfft, i, h, want)
@@ -164,6 +166,29 @@ func TestIndoorResponseMatchesFreqResponse(t *testing.T) {
 				t.Fatalf("fs %g, spread %g ns, K %g dB: RNG positions diverged", c.fs, c.spreadNs, k)
 			}
 		}
+	}
+}
+
+// BenchmarkFadingResponse times one packet's fading draw on the 802.11
+// profile at the testbed's 50 ns delay spread (5 taps on a 64-point
+// grid), for a non-LOS (Rayleigh) link and a line-of-sight (Rician, K
+// 6 dB) one: the draw every delivery draw makes per sender. Both report
+// allocs/op, which CI requires; a draw allocates nothing.
+func BenchmarkFadingResponse(b *testing.B) {
+	cfg := modem.Profile80211()
+	for _, c := range []struct {
+		name      string
+		kFactorDB float64
+	}{{"NLOS", 0}, {"LOS", 6}} {
+		f := NewFading(cfg.NFFT, cfg.SampleRateHz, 50, c.kFactorDB)
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			h := make([]complex128, cfg.NFFT)
+			b.ReportAllocs()
+			for b.Loop() {
+				f.Response(rng, h)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,8 @@ type Multipath struct {
 // keeping link budgets controlled in experiments.
 func NewRayleigh(rng *rand.Rand, nTaps int, decayTaps float64) *Multipath {
 	taps := make([]complex128, max(nTaps, 1))
-	drawTaps(rng, taps, decayTaps, false, 0)
+	p := newProfile(len(taps), decayTaps, false, 0)
+	p.draw(rng, taps)
 	return &Multipath{Taps: taps}
 }
 
@@ -36,34 +37,53 @@ func NewRayleigh(rng *rand.Rand, nTaps int, decayTaps float64) *Multipath {
 // power to total scattered power.
 func NewRician(rng *rand.Rand, nTaps int, decayTaps, kFactorDB float64) *Multipath {
 	taps := make([]complex128, max(nTaps, 1))
-	drawTaps(rng, taps, decayTaps, true, kFactorDB)
+	p := newProfile(len(taps), decayTaps, true, kFactorDB)
+	p.draw(rng, taps)
 	return &Multipath{Taps: taps}
 }
 
-// drawTaps fills taps with one channel realization: Rayleigh taps with an
-// exponential power-delay profile normalized to unit power, then, when los
-// is set, scaled to the scattered share of a K-factor kFactorDB channel
-// with a random-phase line-of-sight component added to the first tap and
-// the whole renormalized. The RNG is consumed in that order: two normals
-// per tap, then the LOS phase.
-func drawTaps(rng *rand.Rand, taps []complex128, decayTaps float64, los bool, kFactorDB float64) {
-	for i := range taps {
-		p := math.Exp(-float64(i) / math.Max(decayTaps, 1e-9))
-		g := math.Sqrt(p / 2)
+// profile holds the constants of one tap-delay profile: each tap's
+// per-quadrature standard deviation, sqrt(exp(-i/decay)/2) for an
+// exponential power-delay profile, and for a line-of-sight (Rician)
+// profile the scattered and LOS amplitudes of its K-factor.
+type profile struct {
+	weights         []float64
+	los             bool
+	scatter, direct float64 // sqrt(1/(1+k)) and sqrt(k/(1+k)), k = K linear
+}
+
+func newProfile(nTaps int, decayTaps float64, los bool, kFactorDB float64) profile {
+	p := profile{weights: make([]float64, nTaps), los: los}
+	for i := range p.weights {
+		pow := math.Exp(-float64(i) / math.Max(decayTaps, 1e-9))
+		p.weights[i] = math.Sqrt(pow / 2)
+	}
+	if los {
+		k := dsp.FromDB(kFactorDB)
+		p.scatter, p.direct = math.Sqrt(1/(1+k)), math.Sqrt(k/(1+k))
+	}
+	return p
+}
+
+// draw fills taps, one per weight, with one channel realization: Rayleigh
+// taps normalized to unit power, then, for a line-of-sight profile,
+// scaled to the scattered share, with a random-phase LOS component added
+// to the first tap and the whole renormalized. The RNG is consumed in
+// that order: two normals per tap, then the LOS phase.
+func (p *profile) draw(rng *rand.Rand, taps []complex128) {
+	for i, g := range p.weights {
 		taps[i] = complex(rng.NormFloat64()*g, rng.NormFloat64()*g)
 	}
 	normalize(taps)
-	if !los {
+	if !p.los {
 		return
 	}
-	k := dsp.FromDB(kFactorDB)
 	// Scattered power is currently 1; scale so scattered + LOS = 1.
-	s := math.Sqrt(1 / (1 + k))
 	for i := range taps {
-		taps[i] *= complex(s, 0)
+		taps[i] *= complex(p.scatter, 0)
 	}
 	phase := rng.Float64() * 2 * math.Pi
-	taps[0] += cmplx.Rect(math.Sqrt(k/(1+k)), phase)
+	taps[0] += cmplx.Rect(p.direct, phase)
 	// Renormalize the realized power (LOS and scatter add incoherently only
 	// in expectation).
 	normalize(taps)
@@ -92,30 +112,52 @@ func NewIndoor(rng *rand.Rand, fs, spreadNs, kFactorDB float64) *Multipath {
 	return NewRayleigh(rng, nTaps, decayTaps)
 }
 
-// IndoorResponse draws one NewIndoor channel and writes its frequency
-// response on a len(h)-point grid (FFT bin order) into h: the same RNG
-// draws and the same bits as NewIndoor(rng, fs, spreadNs,
-// kFactorDB).FreqResponse(len(h)), without allocating when the taps fit
-// in h.
-func IndoorResponse(rng *rand.Rand, h []complex128, fs, spreadNs, kFactorDB float64) {
-	nTaps, decayTaps := indoorProfile(fs, spreadNs)
-	if nTaps <= len(h) {
-		drawTaps(rng, h[:nTaps], decayTaps, kFactorDB > 0, kFactorDB)
-		clear(h[nTaps:])
-	} else {
-		// More taps than grid points: FreqResponse keeps the first len(h).
-		taps := make([]complex128, nTaps)
-		drawTaps(rng, taps, decayTaps, kFactorDB > 0, kFactorDB)
-		copy(h, taps)
-	}
-	dsp.FFTInto(h, h)
-}
-
 // indoorProfile returns NewIndoor's tap count (at least one) and decay
 // constant (in taps) for an RMS delay spread of spreadNs at sample rate fs.
 func indoorProfile(fs, spreadNs float64) (nTaps int, decayTaps float64) {
 	decayTaps = spreadNs * 1e-9 * fs
 	return max(int(math.Ceil(4*decayTaps))+1, 1), decayTaps
+}
+
+// Fading is the per-packet fading draw of one indoor environment:
+// NewIndoor's channel at a fixed sample rate, delay spread and K-factor,
+// seen on an nfft-point grid. NewFading computes every constant of the
+// draw once (the tap count, the tap weights, the Rician amplitudes, the
+// FFT plan), so Response does only per-packet work. A Fading is read-only
+// after construction and safe to share between goroutines.
+type Fading struct {
+	profile
+	plan *dsp.Plan
+}
+
+// NewFading builds the draw of NewIndoor(rng, fs, spreadNs, kFactorDB)'s
+// frequency response on an nfft-point grid; nfft must be a power of two.
+func NewFading(nfft int, fs, spreadNs, kFactorDB float64) *Fading {
+	nTaps, decayTaps := indoorProfile(fs, spreadNs)
+	return &Fading{
+		profile: newProfile(nTaps, decayTaps, kFactorDB > 0, kFactorDB),
+		plan:    dsp.PlanFor(nfft),
+	}
+}
+
+// Response draws one channel and writes its frequency response (FFT bin
+// order) into h, which must hold nfft points: the same RNG draws, and the
+// same bits in every nonzero component, as NewIndoor(rng, fs, spreadNs,
+// kFactorDB).FreqResponse(nfft). It allocates nothing when the taps fit
+// in h; with more taps than grid points it keeps FreqResponse's
+// truncation to the first nfft.
+func (f *Fading) Response(rng *rand.Rand, h []complex128) {
+	nTaps := len(f.weights)
+	if nTaps > len(h) {
+		taps := make([]complex128, nTaps)
+		f.draw(rng, taps)
+		copy(h, taps)
+		f.plan.FFTPrefix(h, len(h))
+		return
+	}
+	f.draw(rng, h[:nTaps])
+	clear(h[nTaps:])
+	f.plan.FFTPrefix(h, nTaps)
 }
 
 // Apply convolves x with the channel, returning len(x)+len(Taps)-1 samples.

@@ -10,10 +10,11 @@ import (
 	"sync"
 )
 
-// plan holds the precomputed bit-reversal permutation and twiddle factors for
-// a single FFT size. Plans are cached globally because the PHY uses a small
-// set of sizes (64, 128, ...) millions of times.
-type plan struct {
+// Plan holds the precomputed bit-reversal permutation and twiddle factors
+// for a single FFT size. Plans are memoized globally because the PHY uses a
+// small set of sizes (64, 128, ...) millions of times; a caller that
+// transforms one size many times looks its plan up once with PlanFor.
+type Plan struct {
 	n       int
 	rev     []int
 	twiddle []complex128 // e^{-j*2*pi*k/n} for k in [0, n/2)
@@ -21,10 +22,12 @@ type plan struct {
 
 var (
 	planMu    sync.Mutex //sslint:allow detgoroutine guards the FFT plan memo; a plan is a pure function of n, so lock order cannot reach output
-	planCache = map[int]*plan{}
+	planCache = map[int]*Plan{}
 )
 
-func getPlan(n int) *plan {
+// PlanFor returns the memoized plan of the n-point FFT. n must be a power
+// of two.
+func PlanFor(n int) *Plan {
 	planMu.Lock()
 	defer planMu.Unlock()
 	if p, ok := planCache[n]; ok {
@@ -33,7 +36,7 @@ func getPlan(n int) *plan {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("dsp: FFT size %d is not a power of two", n))
 	}
-	p := &plan{n: n, rev: make([]int, n), twiddle: make([]complex128, n/2)}
+	p := &Plan{n: n, rev: make([]int, n), twiddle: make([]complex128, n/2)}
 	shift := 1
 	for 1<<shift < n {
 		shift++
@@ -77,7 +80,7 @@ func IFFT(src []complex128) []complex128 {
 // FFTInto computes the forward DFT of src into dst. dst and src must have the
 // same power-of-two length; they may alias.
 func FFTInto(dst, src []complex128) {
-	p := getPlan(len(src))
+	p := PlanFor(len(src))
 	if len(dst) != len(src) {
 		panic("dsp: FFTInto length mismatch")
 	}
@@ -88,13 +91,13 @@ func FFTInto(dst, src []complex128) {
 			dst[i] = src[r]
 		}
 	}
-	butterflies(dst, p)
+	butterflies(dst, p, 2)
 }
 
 // IFFTInto computes the inverse DFT of src into dst with 1/N scaling.
 func IFFTInto(dst, src []complex128) {
 	n := len(src)
-	p := getPlan(n)
+	p := PlanFor(n)
 	if len(dst) != n {
 		panic("dsp: IFFTInto length mismatch")
 	}
@@ -106,14 +109,65 @@ func IFFTInto(dst, src []complex128) {
 		dst[i] = cmplx.Conj(dst[i])
 	}
 	permuteInPlace(dst, p)
-	butterflies(dst, p)
+	butterflies(dst, p, 2)
 	scale := 1 / float64(n)
 	for i := range dst {
 		dst[i] = complex(real(dst[i])*scale, -imag(dst[i])*scale)
 	}
 }
 
-func permuteInPlace(x []complex128, p *plan) {
+// FFTPrefix computes in place the forward DFT of x, whose samples at index
+// support and beyond must be zero: a response drawn from a few channel
+// taps, say. len(x) must be the plan's size and 0 <= support <= len(x).
+//
+// Let L be the least power of two >= support and G = len(x)/L. Bit
+// reversal moves sample t < L to slot G*rev_L(t), and every other slot of
+// that G-slot block holds a zero, so in each of the first log2(G) stages
+// every butterfly's odd operand is an exact zero. With finite twiddles
+// 0*w is ±0, and even ± (±0) is even, except perhaps for the sign of a
+// zero component. So FFTPrefix fills each block with its sample and runs
+// only the remaining stages: every nonzero output component, and so
+// every |x[k]|², has the bits FFTInto(x, x) gives; a zero may differ in
+// sign, and a NaN stays NaN. For an 802.11 channel (64 points, 5 taps)
+// that is 3 of the 6 stages. A support above len(x)/2 runs the whole
+// transform.
+func (p *Plan) FFTPrefix(x []complex128, support int) {
+	n := p.n
+	if len(x) != n {
+		panic("dsp: FFTPrefix length mismatch")
+	}
+	if support < 0 || support > n {
+		panic(fmt.Sprintf("dsp: FFTPrefix support %d outside [0, %d]", support, n))
+	}
+	l := 1
+	for l < support {
+		l <<= 1
+	}
+	if 2*l > n {
+		permuteInPlace(x, p)
+		butterflies(x, p, 2)
+		return
+	}
+	g := n / l
+	// Bit-reverse the first l samples among themselves (rev_L(t) is
+	// rev_n(t)/G), then spread them from the top down: block r starts at
+	// G*r >= r, above every sample not yet spread.
+	for t := 0; t < l; t++ {
+		if r := p.rev[t] / g; t < r {
+			x[t], x[r] = x[r], x[t]
+		}
+	}
+	for r := l - 1; r >= 0; r-- {
+		v := x[r]
+		block := x[g*r : g*r+g]
+		for i := range block {
+			block[i] = v
+		}
+	}
+	butterflies(x, p, 2*g)
+}
+
+func permuteInPlace(x []complex128, p *Plan) {
 	for i, r := range p.rev {
 		if i < r {
 			x[i], x[r] = x[r], x[i]
@@ -121,9 +175,12 @@ func permuteInPlace(x []complex128, p *plan) {
 	}
 }
 
-func butterflies(x []complex128, p *plan) {
+// butterflies runs the radix-2 stages of sizes first, 2*first, ..., n over
+// x, which holds its samples in bit-reversed order. A full transform starts
+// at first = 2; FFTPrefix starts later, at the stage its blocks feed.
+func butterflies(x []complex128, p *Plan, first int) {
 	n := p.n
-	for size := 2; size <= n; size <<= 1 {
+	for size := first; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
 		for start := 0; start < n; start += size {

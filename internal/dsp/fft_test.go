@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"encoding/binary"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -137,6 +138,157 @@ func TestFFTPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	FFT(make([]complex128, 12))
+}
+
+// prefixFamilies are the sample families that TestFFTPrefixMatchesFFTInto
+// puts inside FFTPrefix's support, and that FuzzFFTPrefix's seed corpus
+// (testdata/fuzz/FuzzFFTPrefix) holds: finite, zero-signed, subnormal,
+// extreme and non-finite components, the values whose bits a skipped
+// butterfly could change.
+var prefixFamilies = []struct {
+	name   string
+	sample func(r *rand.Rand, i int) complex128
+}{
+	{"normal", func(r *rand.Rand, _ int) complex128 {
+		return complex(r.NormFloat64(), r.NormFloat64())
+	}},
+	{"zero-real-or-imag", func(r *rand.Rand, i int) complex128 {
+		if i%2 == 0 {
+			return complex(0, r.NormFloat64())
+		}
+		return complex(r.NormFloat64(), 0)
+	}},
+	{"signed-zeros", func(r *rand.Rand, _ int) complex128 {
+		return complex(signedZeroOr(r, r.NormFloat64()), signedZeroOr(r, r.NormFloat64()))
+	}},
+	{"subnormal", func(r *rand.Rand, _ int) complex128 {
+		sub := func() float64 {
+			if r.Intn(2) == 0 {
+				return r.NormFloat64()
+			}
+			return math.Float64frombits(r.Uint64() & (1<<63 | 1<<52 - 1))
+		}
+		return complex(sub(), sub())
+	}},
+	{"huge-1e300", func(r *rand.Rand, _ int) complex128 {
+		return complex(1e300*r.NormFloat64(), 1e300*r.NormFloat64())
+	}},
+	{"tiny-1e-300", func(r *rand.Rand, _ int) complex128 {
+		return complex(1e-300*r.NormFloat64(), 1e-300*r.NormFloat64())
+	}},
+	{"inf", func(r *rand.Rand, _ int) complex128 {
+		inf := func() float64 {
+			if r.Intn(4) == 0 {
+				return math.Inf(1 - 2*r.Intn(2))
+			}
+			return r.NormFloat64()
+		}
+		return complex(inf(), inf())
+	}},
+	{"nan", func(r *rand.Rand, _ int) complex128 {
+		nan := func() float64 {
+			if r.Intn(4) == 0 {
+				return math.NaN()
+			}
+			return r.NormFloat64()
+		}
+		return complex(nan(), nan())
+	}},
+}
+
+// signedZeroOr returns +0 or -0 with probability 1/4 each, else v.
+func signedZeroOr(r *rand.Rand, v float64) float64 {
+	switch r.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	}
+	return v
+}
+
+// prefixComponentOK reports whether FFTPrefix's output component got may
+// stand for FFTInto's want: the same bits, both zero (a skipped butterfly
+// may flip the sign of a zero), or both NaN.
+func prefixComponentOK(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) ||
+		got == 0 && want == 0 ||
+		math.IsNaN(got) && math.IsNaN(want)
+}
+
+// checkPrefix runs FFTPrefix over a copy of x, which is zero from support
+// on, and holds every output component to FFTInto's; got and want are
+// buffers of len(x) it writes.
+func checkPrefix(t *testing.T, name string, x []complex128, support int, got, want []complex128) {
+	t.Helper()
+	FFTInto(want, x)
+	copy(got, x)
+	PlanFor(len(x)).FFTPrefix(got, support)
+	for k := range want {
+		if !prefixComponentOK(real(got[k]), real(want[k])) || !prefixComponentOK(imag(got[k]), imag(want[k])) {
+			t.Fatalf("%s: n %d, support %d, bin %d: %v, FFTInto %v", name, len(x), support, k, got[k], want[k])
+		}
+	}
+}
+
+func TestFFTPrefixMatchesFFTInto(t *testing.T) {
+	for fi, fam := range prefixFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(30 + fi)))
+			for n := 1; n <= 1024; n <<= 1 {
+				samples := make([]complex128, n)
+				for i := range samples {
+					samples[i] = fam.sample(r, i)
+				}
+				x, got, want := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+				for support := 0; support <= n; support++ {
+					copy(x, samples[:support])
+					clear(x[support:])
+					checkPrefix(t, fam.name, x, support, got, want)
+				}
+			}
+		})
+	}
+}
+
+func TestFFTPrefixPanicsOnBadArguments(t *testing.T) {
+	p := PlanFor(64)
+	for _, c := range []struct {
+		name    string
+		n       int
+		support int
+	}{{"short", 32, 5}, {"long", 128, 5}, {"negative-support", 64, -1}, {"support-past-n", 64, 65}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: FFTPrefix(len %d, support %d) did not panic", c.name, c.n, c.support)
+				}
+			}()
+			p.FFTPrefix(make([]complex128, c.n), c.support)
+		}()
+	}
+}
+
+// FuzzFFTPrefix holds FFTPrefix to FFTInto on arbitrary samples. data[0]
+// sets n = 2^(data[0]%11), data[1:3] (little endian) the support modulo
+// n+1, and the rest are little-endian float64 (real, imag) pairs, the
+// samples inside the support in order; samples the data runs out of are
+// zero.
+func FuzzFFTPrefix(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 1 << (data[0] % 11)
+		support := int(binary.LittleEndian.Uint16(data[1:])) % (n + 1)
+		x := make([]complex128, n)
+		for i, rest := 0, data[3:]; i < support && len(rest) >= 16; i, rest = i+1, rest[16:] {
+			x[i] = complex(
+				math.Float64frombits(binary.LittleEndian.Uint64(rest)),
+				math.Float64frombits(binary.LittleEndian.Uint64(rest[8:])))
+		}
+		checkPrefix(t, "fuzz", x, support, make([]complex128, n), make([]complex128, n))
+	})
 }
 
 func TestTimeShiftIsPhaseRamp(t *testing.T) {

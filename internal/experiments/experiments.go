@@ -406,13 +406,24 @@ func (r *runner) cellBody(sp *scenario.Spec, res *sourcesync.CellExpResult) {
 	r.printCorruption(res.Stats.RateCorruption)
 }
 
-func (r *runner) cellsweep() {
-	r.header("Cellsweep — saturation throughput vs clients per cell (multi-cell spatial reuse)")
-	ec := r.ec(10)
+// sweepClients is the clients per cell of cellsweep's cell-count and
+// carrier-sense tables, before -quick.
+const sweepClients = 4
+
+// cellSweepOptions is the shape every cellsweep table runs: the defaults,
+// shrunk by -quick, in the requested saturation mode.
+func (r *runner) cellSweepOptions() sourcesync.CellSweepOptions {
 	o := sourcesync.DefaultCellSweepOptions()
 	o.Placements = r.shrink(o.Placements)
 	o.Packets = r.shrink(o.Packets)
 	o.WindowSec = r.p.Options.WindowSec
+	return o
+}
+
+func (r *runner) cellsweep() {
+	r.header("Cellsweep — saturation throughput vs clients per cell (multi-cell spatial reuse)")
+	ec := r.ec(10)
+	o := r.cellSweepOptions()
 	stats := sourcesync.RunCellSweep(ec, o)
 	r.printf("cells=%d aps/cell=%d packets/client=%d cs-range=%.0fm model=rate-aware", o.Cells, o.APsPerCell, o.Packets, o.CSRangeM)
 	if o.WindowSec > 0 {
@@ -428,7 +439,7 @@ func (r *runner) cellsweep() {
 		return
 	}
 
-	clientsPer := r.shrink(4)
+	clientsPer := r.shrink(sweepClients)
 	counts := r.p.Options.Cells
 	stats = sourcesync.RunCellCountSweep(ec, o, counts, clientsPer)
 	r.printf("\ncapacity vs cell count (clients/cell=%d):\n", clientsPer)
@@ -455,8 +466,9 @@ func (r *runner) printSweepTable(keyHeader string, stats []sourcesync.SweepStats
 	}
 }
 
-func (r *runner) metro() {
-	r.header("Metro — city-scale capacity map by client density: best single AP vs SourceSync")
+// metroOptions is the city metro runs: the defaults, or under -quick a
+// smaller one, in the requested saturation mode.
+func (r *runner) metroOptions() sourcesync.MetroOptions {
 	o := sourcesync.DefaultMetroOptions()
 	o.WindowSec = r.p.Options.WindowSec
 	if r.p.Quick {
@@ -467,6 +479,12 @@ func (r *runner) metro() {
 		o.Placements = 2
 	}
 	o.Packets = r.shrink(o.Packets)
+	return o
+}
+
+func (r *runner) metro() {
+	r.header("Metro — city-scale capacity map by client density: best single AP vs SourceSync")
+	o := r.metroOptions()
 	stats := sourcesync.RunMetro(r.ec(16), o)
 	r.printf("cells=%dx%d aps/cell=%d packets/client=%d cs-range=%.0fm ix-range=%.0fm model=rate-aware",
 		o.CellsX, o.CellsY, o.APsPerCell, o.Packets, o.CSRangeM, o.InterferenceRangeM)
@@ -568,14 +586,11 @@ func (r *runner) ablations() {
 		lp.LPMaxMisalign, lp.FirstRxMisalign)
 }
 
-// scenario runs and renders one declarative scenario spec — the generic
-// path behind `ssbench -scenario`, ssserve inline specs, and the
-// registered data-driven experiments (cell, arrivals, mobility). The spec
-// runs as a copy that -quick shrinks (placements and backlogs, exactly as
-// it shrinks the coded experiments) and a positive Options.WindowSec
-// overrides (a backlogged spec's traffic.window_sec, as it sets the coded
-// saturation runners' window); the header and body render that copy.
-func (r *runner) scenario(spec *scenario.Spec) error {
+// scenarioRun is the copy of spec a run executes: -quick shrinks its
+// placements and backlogs, exactly as it shrinks the coded experiments,
+// and a positive Options.WindowSec overrides a backlogged spec's
+// traffic.window_sec, as it sets the coded saturation runners' window.
+func (r *runner) scenarioRun(spec *scenario.Spec) *scenario.Spec {
 	run := *spec
 	sp := &run
 	sp.Topology.Placements = r.shrink(sp.Topology.Placements)
@@ -583,6 +598,15 @@ func (r *runner) scenario(spec *scenario.Spec) error {
 	if w := r.p.Options.WindowSec; w > 0 && sp.Traffic.Model == scenario.ModelBacklogged {
 		sp.Traffic.WindowSec = w
 	}
+	return sp
+}
+
+// scenario runs and renders one declarative scenario spec — the generic
+// path behind `ssbench -scenario`, ssserve inline specs, and the
+// registered data-driven experiments (cell, arrivals, mobility). The
+// header and body render the spec's run copy (scenarioRun).
+func (r *runner) scenario(spec *scenario.Spec) error {
+	sp := r.scenarioRun(spec)
 	out, err := sourcesync.RunScenario(r.ec(sp.SeedOffset), sp)
 	if err != nil {
 		return err

@@ -94,11 +94,13 @@ const maxStackBins = 128
 // DrawDelivery draws one reception of a transmission arriving over the
 // given links at once, one per sender: a single link is a one-sender
 // draw, and no links never deliver. Each sender gets a fresh multipath
-// realization; the receiver sees the per-subcarrier sum of the senders'
-// SNRs (SourceSync's joint transmission) scaled by snrScale, the
-// effective-SNR degradation an interference model charges a partially
-// overlapped frame (Interference.SNRScale; 1 means undegraded). One
-// uniform u then decides it: delivered iff u >= PER (permodel.Delivered).
+// realization from its environment's fading profile, built once with the
+// environment (testbed.Link.AppendSubcarrierSNRs); the receiver sees the
+// per-subcarrier sum of the senders' SNRs (SourceSync's joint
+// transmission) scaled by snrScale, the effective-SNR degradation an
+// interference model charges a partially overlapped frame
+// (Interference.SNRScale; 1 means undegraded). One uniform u then
+// decides it: delivered iff u >= PER (permodel.Delivered).
 //
 // The first sender is drawn straight into the sum, which equals adding it
 // to zero; each later sender is added right after its draw, so only one

@@ -73,40 +73,65 @@ func receiverTopology(links []testbed.Link) *Topology {
 	return t
 }
 
-// drawLinks places n links with average SNRs across the PER waterfall,
-// each line-of-sight (Rician) or not (Rayleigh) at random.
-func drawLinks(rng *rand.Rand, env *testbed.Testbed, n int) []testbed.Link {
+// drawLinks places n links, each line-of-sight (Rician) or not (Rayleigh)
+// at random, through one Link constructor: LinkAtSNR with average SNRs
+// across the PER waterfall, or, with newLink, NewLink between two placed
+// points, priced by the environment's link budget and shadowing.
+func drawLinks(rng *rand.Rand, env *testbed.Testbed, n int, newLink bool) []testbed.Link {
 	links := make([]testbed.Link, n)
 	for i := range links {
 		dist := env.LOSThresholdM / 2
 		if rng.Intn(2) == 1 {
 			dist = env.LOSThresholdM * 3
 		}
+		if newLink {
+			// Near links stay within the LOS threshold; far ones reach out
+			// to 7x their class distance (126 m), past where even the
+			// office floor's budget crosses the PER waterfall.
+			d := dist * (0.5 + rng.Float64())
+			if dist > env.LOSThresholdM {
+				d = dist * (1 + 6*rng.Float64())
+			}
+			links[i] = env.NewLink(rng, testbed.Point{}, testbed.Point{X: d})
+			continue
+		}
 		links[i] = env.LinkAtSNR(rng.Float64()*30, dist)
 	}
 	return links
 }
 
+// drawEnvs are the environments the reference tests draw in, under both
+// profiles: the office floor and the mesh floor built on it.
+var drawEnvs = []struct {
+	name string
+	env  func(*modem.Config) *testbed.Testbed
+}{{"default", testbed.Default}, {"mesh", testbed.Mesh}}
+
 func TestSubcarrierSNRsMatchReference(t *testing.T) {
 	for _, cfg := range []*modem.Config{modem.Profile80211(), modem.ProfileWiGLAN()} {
-		env := testbed.Default(cfg)
-		setup := rand.New(rand.NewSource(1))
-		fast, ref := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2))
-		for i := 0; i < 500; i++ {
-			link := drawLinks(setup, env, 1)[0]
-			got := link.AppendSubcarrierSNRs(nil, fast)
-			want := refSNRs(ref, env, link)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d bins, reference %d", cfg.Name, len(got), len(want))
-			}
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("%s draw %d (LOS %v) bin %d: %v, reference %v", cfg.Name, i, link.LOS, j, got[j], want[j])
+		for _, de := range drawEnvs {
+			for _, newLink := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/newLink=%v", cfg.Name, de.name, newLink)
+				env := de.env(cfg)
+				setup := rand.New(rand.NewSource(1))
+				fast, ref := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2))
+				for i := 0; i < 500; i++ {
+					link := drawLinks(setup, env, 1, newLink)[0]
+					got := link.AppendSubcarrierSNRs(nil, fast)
+					want := refSNRs(ref, env, link)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d bins, reference %d", name, len(got), len(want))
+					}
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s draw %d (LOS %v) bin %d: %v, reference %v", name, i, link.LOS, j, got[j], want[j])
+						}
+					}
+				}
+				if a, b := fast.Int63(), ref.Int63(); a != b {
+					t.Fatalf("%s: RNG positions diverged", name)
 				}
 			}
-		}
-		if a, b := fast.Int63(), ref.Int63(); a != b {
-			t.Fatalf("%s: RNG positions diverged", cfg.Name)
 		}
 	}
 }
@@ -114,50 +139,54 @@ func TestSubcarrierSNRsMatchReference(t *testing.T) {
 func TestDeliveryDrawsMatchReference(t *testing.T) {
 	rates := modem.StandardRates()
 	for _, cfg := range []*modem.Config{modem.Profile80211(), modem.ProfileWiGLAN()} {
-		env := testbed.Default(cfg)
-		for _, scale := range []float64{1, 0.3} {
-			for _, senders := range []int{0, 1, 2, 4} {
-				name := fmt.Sprintf("%s/scale=%g/senders=%d", cfg.Name, scale, senders)
-				setup := rand.New(rand.NewSource(int64(senders) + 1))
-				fast, ref := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-				group := make([]int, senders)
-				for i := range group {
-					group[i] = i
-				}
-				delivered := 0
-				for i := 0; i < 400; i++ {
-					links := drawLinks(setup, env, senders)
-					rate := rates[setup.Intn(len(rates))]
-					payload := []int{40, 1460}[setup.Intn(2)]
-					got := DrawDelivery(fast, links, rate, payload, scale)
-					want := refDeliver(ref, env, links, rate, payload, scale)
-					if got != want {
-						t.Fatalf("%s draw %d: verdict %v, reference %v", name, i, got, want)
-					}
-					if got {
-						delivered++
-					}
-					// The topology's draws are the same draw, undegraded.
-					topo := receiverTopology(links)
-					got = topo.DeliverJoint(fast, group, senders, rate, payload)
-					want = refDeliver(ref, env, links, rate, payload, 1)
-					if got != want {
-						t.Fatalf("%s draw %d: DeliverJoint verdict %v, reference %v", name, i, got, want)
-					}
-					if senders == 1 {
-						got = topo.Deliver(fast, 0, 1, rate, payload)
-						want = refDeliver(ref, env, links, rate, payload, 1)
-						if got != want {
-							t.Fatalf("%s draw %d: Deliver verdict %v, reference %v", name, i, got, want)
+		for _, de := range drawEnvs {
+			for _, newLink := range []bool{false, true} {
+				env := de.env(cfg)
+				for _, scale := range []float64{1, 0.3} {
+					for _, senders := range []int{0, 1, 2, 4} {
+						name := fmt.Sprintf("%s/%s/newLink=%v/scale=%g/senders=%d", cfg.Name, de.name, newLink, scale, senders)
+						setup := rand.New(rand.NewSource(int64(senders) + 1))
+						fast, ref := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+						group := make([]int, senders)
+						for i := range group {
+							group[i] = i
+						}
+						delivered := 0
+						for i := 0; i < 400; i++ {
+							links := drawLinks(setup, env, senders, newLink)
+							rate := rates[setup.Intn(len(rates))]
+							payload := []int{40, 1460}[setup.Intn(2)]
+							got := DrawDelivery(fast, links, rate, payload, scale)
+							want := refDeliver(ref, env, links, rate, payload, scale)
+							if got != want {
+								t.Fatalf("%s draw %d: verdict %v, reference %v", name, i, got, want)
+							}
+							if got {
+								delivered++
+							}
+							// The topology's draws are the same draw, undegraded.
+							topo := receiverTopology(links)
+							got = topo.DeliverJoint(fast, group, senders, rate, payload)
+							want = refDeliver(ref, env, links, rate, payload, 1)
+							if got != want {
+								t.Fatalf("%s draw %d: DeliverJoint verdict %v, reference %v", name, i, got, want)
+							}
+							if senders == 1 {
+								got = topo.Deliver(fast, 0, 1, rate, payload)
+								want = refDeliver(ref, env, links, rate, payload, 1)
+								if got != want {
+									t.Fatalf("%s draw %d: Deliver verdict %v, reference %v", name, i, got, want)
+								}
+							}
+							if a, b := fast.Int63(), ref.Int63(); a != b {
+								t.Fatalf("%s draw %d: RNG positions diverged", name, i)
+							}
+						}
+						// Both verdicts must occur, or the comparison proves little.
+						if senders > 0 && (delivered == 0 || delivered == 400) {
+							t.Fatalf("%s: %d of 400 delivered; want a mix", name, delivered)
 						}
 					}
-					if a, b := fast.Int63(), ref.Int63(); a != b {
-						t.Fatalf("%s draw %d: RNG positions diverged", name, i)
-					}
-				}
-				// Both verdicts must occur, or the comparison proves little.
-				if senders > 0 && (delivered == 0 || delivered == 400) {
-					t.Fatalf("%s: %d of 400 delivered; want a mix", name, delivered)
 				}
 			}
 		}

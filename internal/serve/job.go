@@ -97,11 +97,24 @@ func (sp Spec) normalize() (Spec, error) {
 		}
 		sp.Scenario = json.RawMessage(compact.Bytes())
 	}
-	if err := sp.params(nil).Validate(); err != nil {
+	p := sp.params(nil)
+	if err := p.Validate(); err != nil {
 		return sp, err
+	}
+	if w := experiments.EstimateWork(sp.Experiment, p); !(w.Packets <= maxJobPackets) {
+		return sp, fmt.Errorf("job too large: about %.3g packets to simulate, over the cap of %d; %s dominates, reduce it",
+			w.Packets, maxJobPackets, w.Field)
 	}
 	return sp, nil
 }
+
+// maxJobPackets caps a job's estimated work (experiments.EstimateWork)
+// at submit, so a spec sized to run for hours is refused instead of
+// holding a runner until its timeout. It sits 33 times above the
+// full-size "all" run (607,200 packets); at metro's cost per packet,
+// about 15 µs on one core, a job at the cap runs about five minutes, a
+// third of the default timeout.
+const maxJobPackets = 20_000_000
 
 // options returns the spec's experiment options, the zero value when the
 // spec has none.

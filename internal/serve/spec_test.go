@@ -7,6 +7,8 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -56,6 +58,20 @@ func TestNormalizeRejectionTable(t *testing.T) {
 				"topology":{"family":"cell","placements":2,"aps":2,"clients":4},
 				"traffic":{"model":"poisson","payload_bytes":1460,"window_sec":0.5}}`)},
 			"rate_pps"},
+		{"over the work cap", Spec{Experiment: "cellsweep",
+			Options: &experiments.Options{Cells: []int{1000000}}}, "options.cells"},
+		{"window over the work cap", Spec{Experiment: "metro",
+			Options: &experiments.Options{WindowSec: 1e6}}, "options.window_sec"},
+		{"scenario over the work cap", Spec{Experiment: "scenario",
+			Scenario: json.RawMessage(strings.Replace(validScenarioJSON, `"placements": 2`, `"placements": 1000000000`, 1))},
+			"scenario.topology.placements"},
+		// cells × clients is past int64's range: a wrapped product would
+		// read as negative work and pass.
+		{"work past int64", Spec{Experiment: "scenario",
+			Scenario: json.RawMessage(`{"version":1,"name":"t",
+				"topology":{"family":"multicell","cells":3037000500,"placements":1,"aps":1,"clients":3037000501,"cs_range_m":30},
+				"traffic":{"model":"poisson","payload_bytes":1,"rate_pps":1,"window_sec":1}}`)},
+			"scenario.topology.clients"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,6 +83,30 @@ func TestNormalizeRejectionTable(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestWorkCapAdmitsEveryDefault holds the work cap above every registered
+// experiment and "all" at full size with default options, and above every
+// examples/*.json spec submitted inline at full size.
+func TestWorkCapAdmitsEveryDefault(t *testing.T) {
+	for _, name := range append(experiments.Names(), "all") {
+		if _, err := (Spec{Experiment: name}).normalize(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	specs, err := filepath.Glob("../../examples/*.json")
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no example specs found (%v)", err)
+	}
+	for _, path := range specs {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Spec{Experiment: "scenario", Scenario: raw}).normalize(); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
 	}
 }
 

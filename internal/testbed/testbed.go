@@ -22,7 +22,9 @@ func Dist(a, b Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// Testbed carries the radio environment parameters.
+// Testbed carries the radio environment parameters. Cfg, DelaySpreadNs
+// and KFactorDB are fixed at construction: Default builds the
+// environment's per-packet fading draws from them.
 type Testbed struct {
 	Cfg           *modem.Config
 	PL            channel.PathLossModel
@@ -32,12 +34,17 @@ type Testbed struct {
 	DelaySpreadNs float64 // RMS multipath delay spread
 	LOSThresholdM float64 // links shorter than this get a Rician component
 	KFactorDB     float64 // Rician K for LOS links
+
+	// rayleigh and rician draw one packet's multipath on Cfg's FFT grid:
+	// NewIndoor's channel at the delay spread, with K 0 and with
+	// KFactorDB (Rayleigh too unless KFactorDB > 0).
+	rayleigh, rician *channel.Fading
 }
 
 // Default returns an environment modeled on the paper's office floor:
 // a 30 x 15 m floor, 5.8 GHz carrier, indoor path loss with shadowing.
 func Default(cfg *modem.Config) *Testbed {
-	return &Testbed{
+	t := &Testbed{
 		Cfg:           cfg,
 		PL:            channel.DefaultIndoor(),
 		TxPowerDBm:    15,
@@ -48,6 +55,9 @@ func Default(cfg *modem.Config) *Testbed {
 		LOSThresholdM: 6,
 		KFactorDB:     6,
 	}
+	t.rayleigh = channel.NewFading(cfg.NFFT, cfg.SampleRateHz, t.DelaySpreadNs, 0)
+	t.rician = channel.NewFading(cfg.NFFT, cfg.SampleRateHz, t.DelaySpreadNs, t.KFactorDB)
+	return t
 }
 
 // Mesh returns an environment tuned for the multi-hop experiments (§8.4):
@@ -105,6 +115,7 @@ type Link struct {
 	SNRdB  float64
 	DistM  float64
 	LOS    bool
+	lin    float64 // SNRdB as a linear power ratio
 	parent *Testbed
 }
 
@@ -115,22 +126,22 @@ func (t *Testbed) NewLink(rng *rand.Rand, a, b Point) Link {
 	d := Dist(a, b)
 	loss := t.PL.LossDB(d, rng)
 	snr := channel.SNRFromBudget(t.TxPowerDBm, loss, t.NoiseFloorDBm())
-	return Link{SNRdB: snr, DistM: d, LOS: d <= t.LOSThresholdM, parent: t}
+	return t.LinkAtSNR(snr, d)
 }
 
 // LinkAtSNR fabricates a link with a prescribed average SNR (used by
 // experiments that sweep SNR directly).
 func (t *Testbed) LinkAtSNR(snrDB, distM float64) Link {
-	return Link{SNRdB: snrDB, DistM: distM, LOS: distM <= t.LOSThresholdM, parent: t}
+	return Link{SNRdB: snrDB, DistM: distM, LOS: distM <= t.LOSThresholdM, lin: math.Pow(10, snrDB/10), parent: t}
 }
 
-// kFactorDB is the Rician K-factor of this link's multipath: the
-// environment's for line-of-sight links, 0 (Rayleigh) otherwise.
-func (l Link) kFactorDB() float64 {
+// fading is the draw of this link's multipath: the environment's K-factor
+// on line-of-sight links, Rayleigh otherwise.
+func (l Link) fading() *channel.Fading {
 	if l.LOS {
-		return l.parent.KFactorDB
+		return l.parent.rician
 	}
-	return 0
+	return l.parent.rayleigh
 }
 
 // maxStackNFFT is the largest FFT whose scratch AppendSubcarrierSNRs keeps
@@ -153,11 +164,10 @@ func (l Link) AppendSubcarrierSNRs(dst []float64, rng *rand.Rand) []float64 {
 	} else {
 		h = make([]complex128, cfg.NFFT)
 	}
-	channel.IndoorResponse(rng, h, cfg.SampleRateHz, l.parent.DelaySpreadNs, l.kFactorDB())
-	lin := math.Pow(10, l.SNRdB/10)
+	l.fading().Response(rng, h)
 	for _, k := range cfg.DataBins() {
 		v := h[cfg.Bin(k)]
-		dst = append(dst, lin*(real(v)*real(v)+imag(v)*imag(v)))
+		dst = append(dst, l.lin*(real(v)*real(v)+imag(v)*imag(v)))
 	}
 	return dst
 }
