@@ -10,10 +10,12 @@
 // into float sums, slice ordering, or RNG draw order and break the
 // byte-identical-output contract.
 //
-// The handful of deliberate caches outside the sanctioned packages (dsp's
-// FFT plan table, modem's constellation cache, netsim's decode-threshold
-// memo) are value-deterministic memoizations and carry //sslint:allow
-// detgoroutine directives explaining why.
+// No code outside the sanctioned packages is exempt. A process-wide cache
+// of pure values (dsp's FFT plans, netsim's decode-threshold tables,
+// permodel's certificate tables) is an engine.Memo, so it needs no
+// concurrency of its own, and internal/analysis/detrand's
+// TestDirectivesStayInEngine fails on a detgoroutine allow directive in
+// any non-test file.
 package detgoroutine
 
 import (

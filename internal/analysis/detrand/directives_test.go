@@ -14,12 +14,17 @@ import (
 	"repro/internal/analysis/sslint"
 )
 
-// TestDirectivesStayInEngine keeps engine.ChildRNG the module's one
-// child-stream bridge: it parses every non-test Go file of the module
+// TestDirectivesStayInEngine keeps the module's sanctioned exceptions in
+// internal/engine. It parses every non-test Go file of the module once
 // (testdata, hidden directories and nested modules excluded, as the go
-// tool excludes them) and fails on any detrand allow directive outside
-// internal/engine. A new bridge calls engine.ChildRNG instead of carrying
-// a directive of its own.
+// tool excludes them) and holds each check's allow directives to a rule:
+//   - detrand: only internal/engine may carry one, and it must carry at
+//     least one, or the walk missed it. engine.ChildRNG is the one
+//     child-stream bridge; a new bridge calls it instead of carrying a
+//     directive of its own.
+//   - detgoroutine: no file may carry one. Concurrency lives in
+//     internal/engine and internal/serve, which need no directive, and a
+//     process-wide cache is an engine.Memo.
 func TestDirectivesStayInEngine(t *testing.T) {
 	root := moduleRoot(t)
 	fset := token.NewFileSet()
@@ -54,20 +59,32 @@ func TestDirectivesStayInEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	directives := directive.Collect(fset, files, sslint.KnownChecks()).Directives()
 	engineDir := filepath.Join(root, "internal", "engine")
-	inEngine := 0
-	for _, d := range directive.Collect(fset, files, sslint.KnownChecks()).Directives() {
-		if d.Check != "detrand" {
-			continue
-		}
-		if filepath.Dir(d.Pos.Filename) == engineDir {
-			inEngine++
-			continue
-		}
-		t.Errorf("%s: detrand allow directive outside internal/engine; bridge child streams with engine.ChildRNG", d.Pos)
-	}
-	if inEngine == 0 {
-		t.Errorf("found no detrand directive in %s: the walk missed the engine's sanctioned bridges", engineDir)
+	for _, rule := range []struct {
+		check    string
+		inEngine bool // internal/engine may, and must, carry this check's directives
+		fix      string
+	}{
+		{"detrand", true, "only internal/engine may carry one; bridge child streams with engine.ChildRNG"},
+		{"detgoroutine", false, "no non-test file may carry one; keep process-wide values in an engine.Memo"},
+	} {
+		t.Run(rule.check, func(t *testing.T) {
+			inEngine := 0
+			for _, d := range directives {
+				if d.Check != rule.check {
+					continue
+				}
+				if rule.inEngine && filepath.Dir(d.Pos.Filename) == engineDir {
+					inEngine++
+					continue
+				}
+				t.Errorf("%s: %s allow directive: %s", d.Pos, rule.check, rule.fix)
+			}
+			if rule.inEngine && inEngine == 0 {
+				t.Errorf("found no %s directive in %s: the walk missed the engine's sanctioned sites", rule.check, engineDir)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
+
+	"repro/internal/engine"
 )
 
 // Plan holds the precomputed bit-reversal permutation and twiddle factors
@@ -20,19 +21,14 @@ type Plan struct {
 	twiddle []complex128 // e^{-j*2*pi*k/n} for k in [0, n/2)
 }
 
-var (
-	planMu    sync.Mutex //sslint:allow detgoroutine guards the FFT plan memo; a plan is a pure function of n, so lock order cannot reach output
-	planCache = map[int]*Plan{}
-)
+// plans memoizes FFT plans by size.
+var plans = engine.NewMemo[int, *Plan]("dsp.fft_plans")
 
 // PlanFor returns the memoized plan of the n-point FFT. n must be a power
 // of two.
-func PlanFor(n int) *Plan {
-	planMu.Lock()
-	defer planMu.Unlock()
-	if p, ok := planCache[n]; ok {
-		return p
-	}
+func PlanFor(n int) *Plan { return plans.Get(n, newPlan) }
+
+func newPlan(n int) *Plan {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("dsp: FFT size %d is not a power of two", n))
 	}
@@ -48,7 +44,6 @@ func PlanFor(n int) *Plan {
 		angle := -2 * math.Pi * float64(k) / float64(n)
 		p.twiddle[k] = cmplx.Exp(complex(0, angle))
 	}
-	planCache[n] = p
 	return p
 }
 

@@ -1,5 +1,5 @@
 // Package engine is a deterministic parallel trial scheduler for the
-// experiment runners in the root package.
+// experiment runners in the root package, and holds the module's one memo.
 //
 // Every §8 experiment is a grid of independent trials: an outer sweep over
 // operating points (an SNR, a cyclic-prefix value, a random placement) and
@@ -26,6 +26,10 @@
 // full points x trials cross product on one shared pool. The repository's
 // determinism contract — every experiment's stdout byte-identical at every
 // worker count, enforced by CI — is documented in docs/ARCHITECTURE.md.
+//
+// Memo is the module's one process-wide cache of pure values, shared by
+// every trial, worker and job: a package outside the engine that memoizes
+// a value needs no concurrency of its own.
 package engine
 
 import (

@@ -1,9 +1,6 @@
 package modem
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Soft demapping: instead of slicing each equalized constellation point to
 // the nearest symbol (hard decision), compute per-bit confidences from the
@@ -17,14 +14,17 @@ type constPoint struct {
 	bits []byte
 }
 
-//sslint:allow detgoroutine constellation memo; the table is a pure function of the modulation, so cache timing cannot reach output
-var constCache sync.Map // Modulation -> []constPoint
+// constellations holds every modulation's labeled points (86 in all),
+// built at package init.
+var constellations = [...][]constPoint{
+	BPSK:  BPSK.points(),
+	QPSK:  QPSK.points(),
+	QAM16: QAM16.points(),
+	QAM64: QAM64.points(),
+}
 
 // points enumerates the constellation of m with bit labels.
 func (m Modulation) points() []constPoint {
-	if v, ok := constCache.Load(m); ok {
-		return v.([]constPoint)
-	}
 	n := m.BitsPerSymbol()
 	out := make([]constPoint, 0, 1<<n)
 	for code := 0; code < 1<<n; code++ {
@@ -34,7 +34,6 @@ func (m Modulation) points() []constPoint {
 		}
 		out = append(out, constPoint{pt: m.Map(bits), bits: bits})
 	}
-	constCache.Store(m, out)
 	return out
 }
 
@@ -43,8 +42,8 @@ func (m Modulation) points() []constPoint {
 // variance. noiseVar <= 0 degenerates to hard decisions (confidences
 // exactly 0 or 1), so one code path serves both.
 func (m Modulation) DemapSoft(sym complex128, noiseVar float64, dst []float64) []float64 {
-	pts := m.points()
 	n := m.BitsPerSymbol()
+	pts := constellations[m]
 	for b := 0; b < n; b++ {
 		d0 := math.Inf(1)
 		d1 := math.Inf(1)

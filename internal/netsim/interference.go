@@ -3,8 +3,8 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/modem"
 	"repro/internal/permodel"
 )
@@ -84,71 +84,32 @@ type RateAware struct {
 // NewRateAware derives per-rate decode thresholds from the permodel PER
 // curves for the given rate table and payload size — the rate-dependent
 // decode margins of the effective-SNR interference model. The table is
-// memoized process-wide (see thresholdMemo): a threshold is a pure
-// function of (profile, rate, payload), and bisecting the PER curves is
-// by far the most expensive cross-job invariant a long-running service
-// would otherwise recompute on every job.
+// memoized process-wide (see thresholds), and each call gets a private
+// copy, so a caller mutating its RateAware.ThresholdsDB cannot poison the
+// memo.
 func NewRateAware(cfg *modem.Config, rates []modem.Rate, payloadBytes int) *RateAware {
-	return &RateAware{ThresholdsDB: cachedThresholds(cfg, rates, payloadBytes)}
+	thr := thresholds.Get(thresholdKey(cfg, rates, payloadBytes), func(string) []float64 {
+		thr := make([]float64, len(rates))
+		for i, r := range rates {
+			thr[i] = DecodeThresholdDB(cfg, r, payloadBytes)
+		}
+		return thr
+	})
+	return &RateAware{ThresholdsDB: append([]float64(nil), thr...)}
 }
 
-// thresholdMemo caches decode-threshold tables across NewRateAware calls,
-// keyed by a fingerprint of the OFDM profile, the rate table, and the
-// payload size. The memo is value-deterministic — every entry is a pure
-// function of its key — so cache timing can never reach experiment output
-// (same argument as dsp's FFT-plan table and modem's constellation cache).
-var thresholdMemo struct {
-	mu           sync.Mutex //sslint:allow detgoroutine guards the decode-threshold memo; a table is a pure function of (profile, rates, payload), so lock order cannot reach output
-	table        map[string][]float64
-	hits, misses uint64
-}
-
-// ThresholdCacheStats returns how many NewRateAware calls were served from
-// the memo vs computed fresh — surfaced by ssserve's /metrics as a
-// cross-job cache-hit-rate signal.
-func ThresholdCacheStats() (hits, misses uint64) {
-	thresholdMemo.mu.Lock()
-	defer thresholdMemo.mu.Unlock()
-	return thresholdMemo.hits, thresholdMemo.misses
-}
+// thresholds memoizes decode-threshold tables by thresholdKey. A table is
+// a pure function of its key, and bisecting the PER curves (about 2 ms a
+// table) is the most expensive cross-job invariant a long-running service
+// would otherwise recompute on every job.
+var thresholds = engine.NewMemo[string, []float64]("netsim.thresholds")
 
 // thresholdKey fingerprints everything DecodeThresholdDB's result depends
 // on: the OFDM profile's physical parameters, the rate table, and the
-// payload size.
+// payload size. It is a value, so two configs built alike share a table.
 func thresholdKey(cfg *modem.Config, rates []modem.Rate, payloadBytes int) string {
 	return fmt.Sprintf("%s|%g|%d|%d|%d|%v|%v|%d",
 		cfg.Name, cfg.SampleRateHz, cfg.NFFT, cfg.CPLen, cfg.UsedHalf, cfg.Pilots, rates, payloadBytes)
-}
-
-// cachedThresholds returns the memoized threshold table for the key,
-// computing and inserting it on a miss. Callers get a private copy, so a
-// caller mutating its RateAware.ThresholdsDB cannot poison the cache. Two
-// concurrent first calls may both compute; they insert identical values.
-func cachedThresholds(cfg *modem.Config, rates []modem.Rate, payloadBytes int) []float64 {
-	key := thresholdKey(cfg, rates, payloadBytes)
-	thresholdMemo.mu.Lock()
-	if cached, ok := thresholdMemo.table[key]; ok {
-		thresholdMemo.hits++
-		thresholdMemo.mu.Unlock()
-		return append([]float64(nil), cached...)
-	}
-	thresholdMemo.mu.Unlock()
-
-	// Compute outside the lock: the bisection is the expensive part, and
-	// holding the memo across it would serialize unrelated first lookups.
-	thr := make([]float64, len(rates))
-	for i, r := range rates {
-		thr[i] = DecodeThresholdDB(cfg, r, payloadBytes)
-	}
-
-	thresholdMemo.mu.Lock()
-	if thresholdMemo.table == nil {
-		thresholdMemo.table = map[string][]float64{}
-	}
-	thresholdMemo.table[key] = thr
-	thresholdMemo.misses++
-	thresholdMemo.mu.Unlock()
-	return append([]float64(nil), thr...)
 }
 
 // Name implements InterferenceModel.

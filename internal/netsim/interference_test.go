@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/mac"
 	"repro/internal/modem"
 	"repro/internal/testbed"
@@ -199,27 +200,25 @@ func TestRateCorruptionMergeRaggedSlices(t *testing.T) {
 }
 
 // The decode-threshold memo must be invisible except in speed: memoized
-// tables equal a direct bisection, repeat lookups hit the cache, and the
-// returned slice is a private copy a caller cannot poison the memo through.
+// tables equal a direct bisection, the key is a value (configs built alike
+// share one table), and the returned slice is a private copy a caller
+// cannot poison the memo through. The memo's own properties are tested in
+// internal/engine.
 func TestThresholdMemoMatchesDirectComputation(t *testing.T) {
 	cfg := modem.Profile80211()
 	rates := modem.StandardRates()
-	h0, m0 := ThresholdCacheStats()
 
-	a := NewRateAware(cfg, rates, 1459) // payload unlikely to be cached by earlier tests
+	a := NewRateAware(cfg, rates, 1459)
 	for i, r := range rates {
 		if want := DecodeThresholdDB(cfg, r, 1459); a.ThresholdsDB[i] != want {
 			t.Fatalf("rate %v: memoized threshold %.4f, direct %.4f", r, a.ThresholdsDB[i], want)
 		}
 	}
 
-	b := NewRateAware(cfg, rates, 1459)
-	h1, m1 := ThresholdCacheStats()
-	if m1 <= m0 {
-		t.Fatalf("first lookup should have been a miss (misses %d -> %d)", m0, m1)
-	}
-	if h1 <= h0 {
-		t.Fatalf("second lookup should have been a hit (hits %d -> %d)", h0, h1)
+	built := engine.MemoSizes()["netsim.thresholds"]
+	b := NewRateAware(modem.Profile80211(), rates, 1459)
+	if got := engine.MemoSizes()["netsim.thresholds"]; got != built {
+		t.Fatalf("a second Profile80211 config built its own table (%d -> %d tables); the key must not depend on the pointer", built, got)
 	}
 
 	// Mutating one table must not leak into the other (or the memo).

@@ -87,9 +87,9 @@ func (t *Topology) DeliveryProb(rng *rand.Rand, i, j int, rate modem.Rate, paylo
 }
 
 // maxStackBins is how many data subcarriers a delivery draw keeps on its
-// stack; it covers both shipped profiles (48 and 16 data bins, NFFT <=
-// 128). Larger configurations still work, through a heap slice.
-const maxStackBins = 128
+// stack: the most data bins of any profile modem builds (802.11 has 48,
+// WiGLAN 16). Larger configurations still work, through a heap slice.
+const maxStackBins = 48
 
 // DrawDelivery draws one reception of a transmission arriving over the
 // given links at once, one per sender: a single link is a one-sender
@@ -104,16 +104,19 @@ const maxStackBins = 128
 //
 // The first sender is drawn straight into the sum, which equals adding it
 // to zero; each later sender is added right after its draw, so only one
-// sender's bins and the sum are kept, both on the stack. The RNG is
-// consumed by the senders' realizations in turn, then u.
+// sender's bins and the sum are kept, both on the stack. Go zeroes a
+// stack array at its declaration, so the per-sender array is declared
+// where a joint draw needs it and a one-sender draw never clears it. The
+// RNG is consumed by the senders' realizations in turn, then u.
 func DrawDelivery(rng *rand.Rand, links []testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	var sumBuf, drawBuf [maxStackBins]float64
+	var sumBuf [maxStackBins]float64
 	var bins []float64
 	for i, l := range links {
 		if i == 0 {
 			bins = l.AppendSubcarrierSNRs(sumBuf[:0], rng)
 			continue
 		}
+		var drawBuf [maxStackBins]float64
 		permodel.AccumulateSNR(bins, l.AppendSubcarrierSNRs(drawBuf[:0], rng))
 	}
 	scaleBins(bins, snrScale)

@@ -2,8 +2,8 @@ package permodel
 
 import (
 	"math"
-	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/modem"
 )
 
@@ -64,12 +64,17 @@ type certTables struct {
 	coded [len(spectra)][pIdxHi - pIdxLo + 1]float64
 }
 
-// tables builds the certificate's tables on the first delivery draw rather
-// than at package init, so processes that make no draws never pay for its
-// ~9k UncodedBER and ~11k CodedBitErrorBound evaluations (about 10 ms).
-//
-//sslint:allow detgoroutine one-time build of read-only tables that are a pure function of UncodedBER and CodedBitErrorBound; which goroutine builds them, and when, cannot reach output
-var tables = sync.OnceValue(func() *certTables {
+// certMemo holds the certificate's tables under the one key 0 (an int
+// key takes the map's fast path; a struct{} key reads about 4 ns slower
+// per draw). They are built on the first delivery draw rather than at
+// package init, so processes that make no draws never pay for their ~9k
+// UncodedBER and ~11k CodedBitErrorBound evaluations (about 10 ms).
+var certMemo = engine.NewMemo[int, *certTables]("permodel.cert_tables")
+
+// tables returns the certificate's tables, building them on first use.
+func tables() *certTables { return certMemo.Get(0, buildTables) }
+
+func buildTables(int) *certTables {
 	t := new(certTables)
 	for m := range t.ber {
 		for i := range t.ber[m] {
@@ -82,7 +87,7 @@ var tables = sync.OnceValue(func() *certTables {
 		}
 	}
 	return t
-})
+}
 
 // Delivered reports whether a packet survives its delivery draw: exactly
 // u >= PER(rate, payloadBytes, perBinSNR), for every input. It first

@@ -18,6 +18,7 @@ import (
 	"embed"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -268,6 +269,11 @@ func (t *Topology) validate() error {
 	}
 	if t.Clients < 1 {
 		return bad(`"topology.clients" must be >= 1`)
+	}
+	// netsim indexes flows with int32 (Flow.idx, startPos, grid ids). The
+	// check divides, so it cannot overflow as totalClients' product can.
+	if cells := max(t.Cells, 1); t.Clients > math.MaxInt32/cells {
+		return bad(`"topology.cells" %d × "topology.clients" %d exceeds %d flows, the most netsim indexes`, cells, t.Clients, math.MaxInt32)
 	}
 	if t.CSRangeM < 0 {
 		return bad(`"topology.cs_range_m" must be >= 0`)

@@ -107,6 +107,17 @@ func TestValidateErrorTable(t *testing.T) {
 			s.Topology.Family = FamilyMulticell
 			s.Topology.Cells = 2
 		}, `"topology.cs_range_m"`},
+		// cells × clients wraps an int64 to a negative flow count, which
+		// the churn check would otherwise pass.
+		{"flows past int32, multicell with churn", func(s *Spec) {
+			s.Topology.Family = FamilyMulticell
+			s.Topology.Cells = 3037000500
+			s.Topology.Clients = 3037000501
+			s.Topology.CSRangeM = 30
+			s.Churn = &Churn{JoinStaggerSec: 0.05}
+		}, `"topology.cells" 3037000500 × "topology.clients" 3037000501`},
+		{"flows past int32, one cell", func(s *Spec) { s.Topology.Clients = 1 << 31 },
+			`"topology.cells" 1 × "topology.clients" 2147483648`},
 		{"unknown model", func(s *Spec) { s.Traffic.Model = "cbr" }, `"traffic.model"`},
 		{"missing model", func(s *Spec) { s.Traffic.Model = "" }, `"traffic.model"`},
 		{"no payload", func(s *Spec) { s.Traffic.PayloadBytes = 0 }, `"traffic.payload_bytes"`},

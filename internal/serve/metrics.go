@@ -9,13 +9,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/netsim"
+	"repro/internal/engine"
 )
 
 // metrics aggregates the service counters behind GET /metrics. Rendering
 // is Prometheus-style text: one `name{labels} value` line per series, so
 // any scraper (or a human with curl) can read the job mix, the
-// per-experiment latency profile, and the cache hit rates.
+// per-experiment latency profile, the output cache's hit rate, and how
+// many keys each process-wide engine memo has built.
 type metrics struct {
 	mu          sync.Mutex
 	submitted   uint64
@@ -101,9 +102,10 @@ func (m *metrics) render(w io.Writer, queued int) {
 	}
 	fmt.Fprintf(w, "ssserve_output_cache_hits_total %d\n", m.cacheHits)
 	fmt.Fprintf(w, "ssserve_output_cache_misses_total %d\n", m.cacheMisses)
-	thrHits, thrMisses := netsim.ThresholdCacheStats()
-	fmt.Fprintf(w, "ssserve_threshold_cache_hits_total %d\n", thrHits)
-	fmt.Fprintf(w, "ssserve_threshold_cache_misses_total %d\n", thrMisses)
+	memos := engine.MemoSizes()
+	for _, name := range slices.Sorted(maps.Keys(memos)) {
+		fmt.Fprintf(w, "ssserve_memo_entries{memo=%q} %d\n", name, memos[name])
+	}
 	for _, exp := range slices.Sorted(maps.Keys(m.perExp)) {
 		e := m.perExp[exp]
 		fmt.Fprintf(w, "ssserve_experiment_runs_total{experiment=%q} %d\n", exp, e.runs)

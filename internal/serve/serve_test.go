@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -684,8 +685,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`ssserve_jobs_finished_total{state="done"} 1`,
 		"ssserve_output_cache_hits_total 1",
 		"ssserve_output_cache_misses_total 1",
-		"ssserve_threshold_cache_hits_total",
-		"ssserve_threshold_cache_misses_total",
+		`ssserve_memo_entries{memo="dsp.fft_plans"} `,
+		`ssserve_memo_entries{memo="netsim.thresholds"} `,
+		`ssserve_memo_entries{memo="permodel.cert_tables"} `,
 		`ssserve_experiment_runs_total{experiment="fig12"} 1`,
 		`ssserve_experiment_run_seconds_sum{experiment="fig12"}`,
 		`ssserve_experiment_run_seconds_max{experiment="fig12"}`,
@@ -695,6 +697,15 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics page is missing %q\n%s", want, m)
 		}
+	}
+	var memoLines []string
+	for _, line := range strings.Split(m, "\n") {
+		if strings.HasPrefix(line, "ssserve_memo_entries") {
+			memoLines = append(memoLines, line)
+		}
+	}
+	if !slices.IsSorted(memoLines) {
+		t.Errorf("memo lines are not sorted by name:\n%s", strings.Join(memoLines, "\n"))
 	}
 }
 

@@ -66,12 +66,13 @@ func TestNormalizeRejectionTable(t *testing.T) {
 			Scenario: json.RawMessage(strings.Replace(validScenarioJSON, `"placements": 2`, `"placements": 1000000000`, 1))},
 			"scenario.topology.placements"},
 		// cells × clients is past int64's range: a wrapped product would
-		// read as negative work and pass.
+		// read as negative work and pass. The spec's own flow-count check
+		// rejects it before the work estimate.
 		{"work past int64", Spec{Experiment: "scenario",
 			Scenario: json.RawMessage(`{"version":1,"name":"t",
 				"topology":{"family":"multicell","cells":3037000500,"placements":1,"aps":1,"clients":3037000501,"cs_range_m":30},
 				"traffic":{"model":"poisson","payload_bytes":1,"rate_pps":1,"window_sec":1}}`)},
-			"scenario.topology.clients"},
+			`"topology.clients"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
