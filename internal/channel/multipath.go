@@ -143,9 +143,10 @@ func NewFading(nfft int, fs, spreadNs, kFactorDB float64) *Fading {
 // Response draws one channel and writes its frequency response (FFT bin
 // order) into h, which must hold nfft points: the same RNG draws, and the
 // same bits in every nonzero component, as NewIndoor(rng, fs, spreadNs,
-// kFactorDB).FreqResponse(nfft). It allocates nothing when the taps fit
-// in h; with more taps than grid points it keeps FreqResponse's
-// truncation to the first nfft.
+// kFactorDB).FreqResponse(nfft). h's previous contents are ignored, so a
+// caller need not clear it. It allocates nothing when the taps fit in h;
+// with more taps than grid points it keeps FreqResponse's truncation to
+// the first nfft.
 func (f *Fading) Response(rng *rand.Rand, h []complex128) {
 	nTaps := len(f.weights)
 	if nTaps > len(h) {
@@ -156,7 +157,6 @@ func (f *Fading) Response(rng *rand.Rand, h []complex128) {
 		return
 	}
 	f.draw(rng, h[:nTaps])
-	clear(h[nTaps:])
 	f.plan.FFTPrefix(h, nTaps)
 }
 

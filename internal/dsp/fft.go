@@ -111,21 +111,23 @@ func IFFTInto(dst, src []complex128) {
 	}
 }
 
-// FFTPrefix computes in place the forward DFT of x, whose samples at index
-// support and beyond must be zero: a response drawn from a few channel
-// taps, say. len(x) must be the plan's size and 0 <= support <= len(x).
+// FFTPrefix computes in place the forward DFT of x[:support] zero-padded
+// to len(x): a response drawn from a few channel taps, say. The values in
+// x[support:] are ignored and overwritten, so a caller need not clear
+// them. len(x) must be the plan's size and 0 <= support <= len(x).
 //
 // Let L be the least power of two >= support and G = len(x)/L. Bit
 // reversal moves sample t < L to slot G*rev_L(t), and every other slot of
 // that G-slot block holds a zero, so in each of the first log2(G) stages
 // every butterfly's odd operand is an exact zero. With finite twiddles
 // 0*w is ±0, and even ± (±0) is even, except perhaps for the sign of a
-// zero component. So FFTPrefix fills each block with its sample and runs
-// only the remaining stages: every nonzero output component, and so
-// every |x[k]|², has the bits FFTInto(x, x) gives; a zero may differ in
-// sign, and a NaN stays NaN. For an 802.11 channel (64 points, 5 taps)
-// that is 3 of the 6 stages. A support above len(x)/2 runs the whole
-// transform.
+// zero component. So FFTPrefix zeroes the padding x[support:L], fills
+// each block with its sample and runs only the remaining stages: every
+// nonzero output component, and so every |x[k]|², has the bits FFTInto
+// gives for the zero-padded input; a zero may differ in sign, and a NaN
+// stays NaN. For an 802.11 channel (64 points, 5 taps) that is 3 of the
+// 6 stages. A support above len(x)/2 zeroes the whole tail and runs the
+// whole transform.
 func (p *Plan) FFTPrefix(x []complex128, support int) {
 	n := p.n
 	if len(x) != n {
@@ -139,10 +141,12 @@ func (p *Plan) FFTPrefix(x []complex128, support int) {
 		l <<= 1
 	}
 	if 2*l > n {
+		clear(x[support:])
 		permuteInPlace(x, p)
 		butterflies(x, p, 2)
 		return
 	}
+	clear(x[support:l])
 	g := n / l
 	// Bit-reverse the first l samples among themselves (rev_L(t) is
 	// rev_n(t)/G), then spread them from the top down: block r starts at

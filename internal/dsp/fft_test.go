@@ -141,10 +141,10 @@ func TestFFTPanicsOnBadSize(t *testing.T) {
 }
 
 // prefixFamilies are the sample families that TestFFTPrefixMatchesFFTInto
-// puts inside FFTPrefix's support, and that FuzzFFTPrefix's seed corpus
-// (testdata/fuzz/FuzzFFTPrefix) holds: finite, zero-signed, subnormal,
-// extreme and non-finite components, the values whose bits a skipped
-// butterfly could change.
+// puts inside FFTPrefix's support (and, mixed, past it), and that
+// FuzzFFTPrefix's seed corpus (testdata/fuzz/FuzzFFTPrefix) holds: finite,
+// zero-signed, subnormal, extreme and non-finite components, the values
+// whose bits a skipped butterfly could change.
 var prefixFamilies = []struct {
 	name   string
 	sample func(r *rand.Rand, i int) complex128
@@ -216,12 +216,15 @@ func prefixComponentOK(got, want float64) bool {
 		math.IsNaN(got) && math.IsNaN(want)
 }
 
-// checkPrefix runs FFTPrefix over a copy of x, which is zero from support
-// on, and holds every output component to FFTInto's; got and want are
+// checkPrefix runs FFTPrefix over a copy of x, whose values from support
+// on are arbitrary (FFTPrefix must ignore them), and holds every output
+// component to FFTInto's over x[:support] zero-padded; got and want are
 // buffers of len(x) it writes.
 func checkPrefix(t *testing.T, name string, x []complex128, support int, got, want []complex128) {
 	t.Helper()
-	FFTInto(want, x)
+	copy(want, x[:support])
+	clear(want[support:])
+	FFTInto(want, want)
 	copy(got, x)
 	PlanFor(len(x)).FFTPrefix(got, support)
 	for k := range want {
@@ -232,18 +235,21 @@ func checkPrefix(t *testing.T, name string, x []complex128, support int, got, wa
 }
 
 func TestFFTPrefixMatchesFFTInto(t *testing.T) {
+	// Past the support sit values drawn from every family in turn, NaN and
+	// ±Inf included: FFTPrefix must ignore them.
 	for fi, fam := range prefixFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(30 + fi)))
 			for n := 1; n <= 1024; n <<= 1 {
-				samples := make([]complex128, n)
+				samples, junk := make([]complex128, n), make([]complex128, n)
 				for i := range samples {
 					samples[i] = fam.sample(r, i)
+					junk[i] = prefixFamilies[(fi+i)%len(prefixFamilies)].sample(r, i)
 				}
 				x, got, want := make([]complex128, n), make([]complex128, n), make([]complex128, n)
 				for support := 0; support <= n; support++ {
 					copy(x, samples[:support])
-					clear(x[support:])
+					copy(x[support:], junk[support:])
 					checkPrefix(t, fam.name, x, support, got, want)
 				}
 			}
@@ -272,7 +278,8 @@ func TestFFTPrefixPanicsOnBadArguments(t *testing.T) {
 // FuzzFFTPrefix holds FFTPrefix to FFTInto on arbitrary samples. data[0]
 // sets n = 2^(data[0]%11), data[1:3] (little endian) the support modulo
 // n+1, and the rest are little-endian float64 (real, imag) pairs, the
-// samples inside the support in order; samples the data runs out of are
+// samples in order: those inside the support are transformed, those past
+// it are values FFTPrefix must ignore. Samples the data runs out of are
 // zero.
 func FuzzFFTPrefix(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -282,7 +289,7 @@ func FuzzFFTPrefix(f *testing.F) {
 		n := 1 << (data[0] % 11)
 		support := int(binary.LittleEndian.Uint16(data[1:])) % (n + 1)
 		x := make([]complex128, n)
-		for i, rest := 0, data[3:]; i < support && len(rest) >= 16; i, rest = i+1, rest[16:] {
+		for i, rest := 0, data[3:]; i < n && len(rest) >= 16; i, rest = i+1, rest[16:] {
 			x[i] = complex(
 				math.Float64frombits(binary.LittleEndian.Uint64(rest)),
 				math.Float64frombits(binary.LittleEndian.Uint64(rest[8:])))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mac"
 	"repro/internal/modem"
+	"repro/internal/samplerate"
 	"repro/internal/testbed"
 )
 
@@ -15,7 +16,9 @@ import (
 // the medium, and hidden-terminal interference — so CI's bench job records
 // the simulator's perf trajectory (BENCH_netsim.json) as the contention
 // core evolves. Delivery draws are a coin flip: the point is the
-// scheduler's cost, not the PHY's.
+// scheduler's cost, not the PHY's. The one exception is StepScaling's
+// metro tier, which reproduces an experiment's traffic, rate adaptation
+// and delivery draws included.
 
 func benchSim(seed int64) (*Sim, *testbed.Testbed) {
 	cfg := modem.Profile80211()
@@ -157,10 +160,14 @@ var deliverSink int
 // ns/attempt compares across tiers. The model=rateaware variant reruns the
 // 10k city under the PER-curve interference model, so the settle path's
 // cached pricing is measured at scale and not just on the two-flow
-// hidden-terminal pair above. CI's bench job archives these numbers in
-// BENCH_netsim.json and gates regressions against the committed baseline
-// via `benchjson -baseline` (and `-require`s them, so a silently dropped
-// tier fails the job rather than vanishing from the artifact).
+// hidden-terminal pair above. That tier sends every frame at rate 0 (6
+// Mbps) and runs about five attempts per flow, so its per-flow memo builds
+// weigh on it; the traffic=metro tier runs the metro experiment's
+// best-single-AP traffic instead (metroCity), 20 packets on each of 2,000
+// flows. CI's bench job archives these numbers in BENCH_netsim.json and
+// gates regressions against the committed baseline via `benchjson
+// -baseline` (and `-require`s them, so a silently dropped tier fails the
+// job rather than vanishing from the artifact).
 func BenchmarkStepScaling(b *testing.B) {
 	cfg := modem.Profile80211()
 	rateAware := NewRateAware(cfg, modem.StandardRates(), 1460)
@@ -170,14 +177,16 @@ func BenchmarkStepScaling(b *testing.B) {
 		flows   int
 		packets int
 		model   InterferenceModel
+		metro   bool // lay the city out with metroCity
 	}{
-		{"flows=100", 100, 4, legacy},
-		{"flows=1000", 1000, 4, legacy},
-		{"flows=10000", 10000, 4, legacy},
+		{"flows=100", 100, 4, legacy, false},
+		{"flows=1000", 1000, 4, legacy, false},
+		{"flows=10000", 10000, 4, legacy, false},
 		// Two packets per flow keep the largest city inside CI's time
 		// budget while still running ~10x more events than the 10k tier.
-		{"flows=100000", 100000, 2, legacy},
-		{"flows=10000/model=rateaware", 10000, 4, rateAware},
+		{"flows=100000", 100000, 2, legacy, false},
+		{"flows=10000/model=rateaware", 10000, 4, rateAware, false},
+		{"flows=2000/model=rateaware/traffic=metro", 2000, 20, rateAware, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -191,14 +200,18 @@ func BenchmarkStepScaling(b *testing.B) {
 				s.CSRangeM = 45
 				s.InterferenceRangeM = 150
 				s.Model = tc.model
-				s.Env = env
-				for c := 0; c < cells; c++ {
-					cx := float64(c%side)*60 + 30
-					cy := float64(c/side)*60 + 30
-					for k := 0; k < clientsPer; k++ {
-						tx := testbed.Point{X: cx + float64(k), Y: cy}
-						rx := testbed.Point{X: cx + float64(k), Y: cy + 10}
-						s.AddFlow(placedFlow("f", tc.packets, 1e-3, tx, rx, 25))
+				if tc.metro {
+					metroCity(s, rand.New(rand.NewSource(int64(5+i))), tc.flows, tc.packets)
+				} else {
+					s.Env = env
+					for c := 0; c < cells; c++ {
+						cx := float64(c%side)*60 + 30
+						cy := float64(c/side)*60 + 30
+						for k := 0; k < clientsPer; k++ {
+							tx := testbed.Point{X: cx + float64(k), Y: cy}
+							rx := testbed.Point{X: cx + float64(k), Y: cy + 10}
+							s.AddFlow(placedFlow("f", tc.packets, 1e-3, tx, rx, 25))
+						}
 					}
 				}
 				for s.Step() {
@@ -212,5 +225,76 @@ func BenchmarkStepScaling(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})
+	}
+}
+
+// metroCity adds flows downlinks laid out and driven as the metro
+// experiment's best-single-AP runs are (figmetro.go and lasthop's Cell):
+// cells of eight clients at metro's 90 m pitch (its pitch at a 45 m
+// carrier-sense range) on a square grid, each with two APs within 10 m of
+// its center and at least 4 m apart, and each client drawn in the 70 m
+// square around the center until its nearest AP is 8-25 m away. Links
+// come from the mesh environment, which becomes s's Env for pricing
+// interference. Each client is served by its best AP, a per-flow
+// SampleRate picks every frame's rate (Prepare) and learns from its
+// outcome (Done), and DrawDelivery draws the delivery over the link, for
+// packets packets.
+func metroCity(s *Sim, rng *rand.Rand, flows, packets int) {
+	const clientsPer, pitch, payload = 8, 90.0, 1460
+	env := testbed.Mesh(modem.Profile80211())
+	s.Env = env
+	rates := modem.StandardRates()
+	ft := make([]float64, len(rates))
+	for r, rate := range rates {
+		ft[r] = s.Mac.FrameDuration(rate, payload)
+	}
+	cells := flows / clientsPer
+	side := int(math.Ceil(math.Sqrt(float64(cells))))
+	draw := func(center testbed.Point, h float64, ok func(testbed.Point) bool) testbed.Point {
+		for {
+			p := testbed.Point{X: center.X + (rng.Float64()*2-1)*h, Y: center.Y + (rng.Float64()*2-1)*h}
+			if ok(p) {
+				return p
+			}
+		}
+	}
+	for c := 0; c < cells; c++ {
+		center := testbed.Point{X: float64(c%side)*pitch + pitch/2, Y: float64(c/side)*pitch + pitch/2}
+		var aps [2]testbed.Point
+		for a := range aps {
+			aps[a] = draw(center, 10, func(p testbed.Point) bool {
+				return testbed.Dist(p, center) <= 10 && (a == 0 || testbed.Dist(p, aps[0]) >= 4)
+			})
+		}
+		for k := 0; k < clientsPer; k++ {
+			pos := draw(center, 35, func(p testbed.Point) bool {
+				d := math.Min(testbed.Dist(p, aps[0]), testbed.Dist(p, aps[1]))
+				return d >= 8 && d <= 25
+			})
+			link, ap := env.NewLink(rng, aps[0], pos), aps[0]
+			if l := env.NewLink(rng, aps[1], pos); l.SNRdB > link.SNRdB {
+				link, ap = l, aps[1]
+			}
+			links := []testbed.Link{link}
+			sr := samplerate.New(ft)
+			remaining := packets
+			s.AddFlow(&Flow{
+				Acked:      true,
+				Radio:      &Radio{TxPos: ap, RxPos: pos, SNRdB: link.SNRdB},
+				HasTraffic: func() bool { return remaining > 0 },
+				Prepare: func(rng *rand.Rand) int {
+					idx, _ := sr.Pick(rng)
+					return idx
+				},
+				FrameTime: func(i int) float64 { return ft[i] },
+				Deliver: func(rng *rand.Rand, i int, ix Interference) bool {
+					return DrawDelivery(rng, links, sr.Rate(i), payload, ix.SNRScale)
+				},
+				Done: func(i int, delivered bool, air float64) {
+					remaining--
+					sr.Update(i, delivered, air)
+				},
+			})
+		}
 	}
 }

@@ -179,18 +179,134 @@ func TestSortEdgesMatchesReferenceSort(t *testing.T) {
 			}
 		}
 		want := append([]edge(nil), got...)
-		slices.SortFunc(want, func(a, b edge) int {
-			if edgeLess(a, b) {
-				return -1
-			}
-			if edgeLess(b, a) {
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(want, edgeCmp)
 		sortEdges(got)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d): sortEdges diverged from reference sort", trial, n)
 		}
+	}
+}
+
+// edgeCmp is edgeLess as a three-way comparison, for the library sort.
+func edgeCmp(a, b edge) int {
+	if edgeLess(a, b) {
+		return -1
+	}
+	if edgeLess(b, a) {
+		return 1
+	}
+	return 0
+}
+
+// referenceWorstSimultaneous is the overlap sweep over every interval
+// edge: both ends of every interval, sorted by (t, dp) with the library
+// sort, summed from 0 with the maximum starting at 0. worstSimultaneous
+// must return its bits.
+func referenceWorstSimultaneous(interferers []interferer) float64 {
+	var edges []edge
+	for _, g := range interferers {
+		edges = append(edges, edge{t: g.from, dp: g.power}, edge{t: g.to, dp: -g.power})
+	}
+	slices.SortFunc(edges, edgeCmp)
+	cur, worst := 0.0, 0.0
+	for _, e := range edges {
+		cur += e.dp
+		if cur > worst {
+			worst = cur
+		}
+	}
+	return worst
+}
+
+func TestWorstSimultaneousMatchesReference(t *testing.T) {
+	// worstSimultaneous drops the removals at the frame's last instant;
+	// the rest of its float sequence must be the all-edges sweep's, so the
+	// result must match it bit for bit. Each shape below fixes where the
+	// interval ends fall; powers span eight decades, so a sum taken out of
+	// order changes bits, and the coarse shape draws ends and powers from
+	// small grids (equal interior times, equal powers), as
+	// TestSortEdgesMatchesReferenceSort does.
+	const start, ft = 0.0123456789, 1.3e-3
+	airEnd := start + ft
+	interior := func(rng *rand.Rand) float64 {
+		for {
+			if v := start + ft*rng.Float64(); v > start && v < airEnd {
+				return v
+			}
+		}
+	}
+	random := func(rng *rand.Rand) (from, to float64) {
+		a, b := interior(rng), interior(rng)
+		return min(a, b), max(a, b)
+	}
+	// Grid point k of 8; point 0 is start and point 8 is airEnd exactly
+	// (ft*8/8 is ft, since scaling by a power of two is exact).
+	grid := func(k int) float64 { return start + ft*float64(k)/8 }
+	shapes := []struct {
+		name  string
+		power func(rng *rand.Rand) float64
+		ends  func(rng *rand.Rand) (from, to float64)
+	}{
+		{"mixed", nil, func(rng *rand.Rand) (float64, float64) {
+			from, to := random(rng)
+			if rng.Intn(2) == 0 {
+				from = start
+			}
+			if rng.Intn(2) == 0 {
+				to = airEnd
+			}
+			return from, to
+		}},
+		{"all-from-start", nil, func(rng *rand.Rand) (float64, float64) {
+			_, to := random(rng)
+			if rng.Intn(3) == 0 {
+				to = airEnd
+			}
+			return start, to
+		}},
+		{"all-to-air-end", nil, func(rng *rand.Rand) (float64, float64) {
+			from, _ := random(rng)
+			if rng.Intn(3) == 0 {
+				from = start
+			}
+			return from, airEnd
+		}},
+		{"whole-frame", nil, func(*rand.Rand) (float64, float64) { return start, airEnd }},
+		{"interior-only", nil, random},
+		{"coarse", func(rng *rand.Rand) float64 { return float64(1+rng.Intn(3)) * 0.75 },
+			func(rng *rand.Rand) (float64, float64) {
+				a := rng.Intn(8)
+				return grid(a), grid(a + 1 + rng.Intn(8-a))
+			}},
+	}
+	rng := rand.New(rand.NewSource(98))
+	s := &Sim{}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for trial := 0; trial < 34; trial++ {
+				n := rng.Intn(41)
+				switch trial {
+				case 0:
+					n = 0
+				case 1:
+					n = 1
+				}
+				interf := make([]interferer, n)
+				for i := range interf {
+					p := math.Pow(10, 8*rng.Float64()-4)
+					if sh.power != nil {
+						p = sh.power(rng)
+					}
+					from, to := sh.ends(rng)
+					interf[i] = interferer{power: p, from: from, to: to}
+				}
+				want := referenceWorstSimultaneous(interf)
+				got := s.worstSimultaneous(interf, airEnd)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d (%d interferers): sweep %v (%#x), all-edges reference %v (%#x)",
+						trial, n, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		})
 	}
 }

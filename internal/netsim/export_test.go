@@ -71,9 +71,12 @@ func candsEqual(cached, fresh []ixCand) error {
 // 4-ary heap order holds; every start entry sits at the slot its flow
 // records and is keyed at that flow's countdown expiry; a flow holds
 // exactly one start entry while it is in flight, waiting and off the air,
-// and none otherwise; and every flow on the air has exactly one entry for
+// and none otherwise; every flow on the air has exactly one entry for
 // its transmission — the air end before the frame settles, the occupancy
-// end after. It only reads, so it leaves the run's behavior untouched.
+// end after; and each flow's air-end mark (lastAirEnd), which lets a
+// settle skip the flow unread, equals its live transmission's air end
+// and bounds the air end of every past interval it keeps. It only reads,
+// so it leaves the run's behavior untouched.
 func CheckEvents(s *Sim) error {
 	h := s.events
 	starts := make([]int, len(s.Flows))
@@ -118,6 +121,15 @@ func CheckEvents(s *Sim) error {
 		}
 		if onAir && txEntries[i] != 1 {
 			return fmt.Errorf("flow %d (%s): on the air with %d transmission entries", i, f.Name, txEntries[i])
+		}
+		mark := s.lastAirEnd[i]
+		if onAir && mark != s.curTx[i].airEnd {
+			return fmt.Errorf("flow %d (%s): air-end mark %v, live frame leaves the air at %v", i, f.Name, mark, s.curTx[i].airEnd)
+		}
+		for _, p := range s.flowPast[i] {
+			if p.airEnd > mark {
+				return fmt.Errorf("flow %d (%s): past interval ends at %v, after the air-end mark %v", i, f.Name, p.airEnd, mark)
+			}
 		}
 	}
 	return nil

@@ -327,6 +327,12 @@ type Sim struct {
 	starterIdx []int32    // the flow's slot in the current starter set (scratch)
 	curTx      []*tx      // in-flight transmission; nil while contending or idle
 	flowPast   [][]pastTx // finished air intervals, kept while they can still interfere
+	// lastAirEnd is the air end of the latest frame the flow put on the
+	// air (0 before its first). A flow's frames never overlap, so it bounds
+	// the air end of the flow's live transmission and of every interval in
+	// flowPast: a settle skips a candidate whose mark is at or before its
+	// frame's start without reading the candidate's state.
+	lastAirEnd []float64
 
 	// Spatial index over transmitter positions (nil when CSRangeM <= 0 or
 	// nothing is placed); unplaced flows contend with everyone and ride
@@ -423,6 +429,7 @@ func (s *Sim) growState() {
 		s.starterIdx = append(s.starterIdx, 0)
 		s.curTx = append(s.curTx, nil)
 		s.flowPast = append(s.flowPast, nil)
+		s.lastAirEnd = append(s.lastAirEnd, 0)
 		s.nbGen = append(s.nbGen, 0)
 		s.nbRadio = append(s.nbRadio, nil)
 		s.nbList = append(s.nbList, nil)
@@ -530,28 +537,39 @@ func NoInterference() Interference {
 	return Interference{SNRScale: 1, SINRdB: math.Inf(1)}
 }
 
-// effectiveSINRdB prices f's frame against the given interference history:
+// effectiveSINRdB prices frame r against the given interference history:
 // the serving link's SNR over the worst *simultaneous* interference power
 // the frame saw at its receiver, plus noise, in dB. Interferers are
 // additive only while their air intervals actually coincide — two
-// successive far-cell frames are not a doubled interferer. The serving
-// power is f's sigPow memo, current because resolve refreshed f's
-// candidate list, which builds it, before settling. Deterministic: no RNG
-// is consumed.
-func (s *Sim) effectiveSINRdB(f *Flow, interferers []interferer) float64 {
-	sinr := s.sigPow[f.idx] / (1 + s.worstSimultaneous(interferers))
+// successive far-cell frames are not a doubled interferer. The
+// interferers' intervals are clipped to r's air interval, whose end the
+// sweep takes from r. The serving power is the sigPow memo of r's flow,
+// current because resolve refreshed the flow's candidate list, which
+// builds it, before settling. Deterministic: no RNG is consumed.
+func (s *Sim) effectiveSINRdB(r *tx, interferers []interferer) float64 {
+	sinr := s.sigPow[r.f.idx] / (1 + s.worstSimultaneous(interferers, r.airEnd))
 	return 10 * math.Log10(sinr)
 }
 
-// worstSimultaneous sweeps the interferers' overlap intervals and returns
-// the maximum concurrently-active interference power sum. Interval edges
-// at equal times retire before they add (intervals are half-open), and
+// worstSimultaneous sweeps the interferers' overlap intervals, each
+// clipped to a frame that leaves the air at airEnd, and returns the
+// maximum concurrently-active interference power sum. Interval edges at
+// equal times retire before they add (intervals are half-open), and
 // additions commute, so the maximum is independent of tie order — and of
-// the order interferers were accumulated in.
-func (s *Sim) worstSimultaneous(interferers []interferer) float64 {
+// the order interferers were accumulated in. The removals at airEnd are
+// never swept: an overlap starts before the frame ends, so no addition
+// lands at airEnd, and in (t, dp) order those removals follow the last
+// addition, where they can only lower the running sum, never the maximum.
+// The sum thus visits the all-edges sweep's float sequence minus its
+// trailing removals, and the maximum keeps its bits, which
+// TestWorstSimultaneousMatchesReference checks against that sweep.
+func (s *Sim) worstSimultaneous(interferers []interferer, airEnd float64) float64 {
 	edges := s.edges[:0]
 	for _, g := range interferers {
-		edges = append(edges, edge{t: g.from, dp: g.power}, edge{t: g.to, dp: -g.power})
+		edges = append(edges, edge{t: g.from, dp: g.power})
+		if g.to != airEnd {
+			edges = append(edges, edge{t: g.to, dp: -g.power})
+		}
 	}
 	s.edges = edges
 	// The key covers both fields, so elements comparing equal are identical
@@ -993,6 +1011,7 @@ func (s *Sim) Step() bool {
 			r.airEnd = r.base + r.cost
 			r.end = r.airEnd // provisional; finalized when the delivery settles
 			s.curTx[i] = r
+			s.lastAirEnd[i] = r.airEnd
 			s.flags[i] &^= fWaiting | fCounterValid // the counter is consumed by this attempt
 			if r.ft > s.maxFT {
 				s.maxFT = r.ft
@@ -1161,7 +1180,11 @@ func (s *Sim) resolve(r *tx) {
 	// the sweep in worstSimultaneous sorts by a total key), so the list's
 	// order is free. Geometry is static between Reindex calls, so a
 	// steady-state settle does no path-loss arithmetic and allocates
-	// nothing.
+	// nothing. A candidate whose latest frame left the air by the time r
+	// started (lastAirEnd <= r.start) has nothing that overlaps r, live or
+	// past, so the loop skips it before reading its state; scan would
+	// reject each of its intervals at its first test, and the superseded-
+	// radio prices skipped with them are pure.
 	interf := s.interf[:0]
 	nColliders := 0
 	geometryKnown := true
@@ -1199,6 +1222,9 @@ func (s *Sim) resolve(r *tx) {
 	for k := range cands {
 		c := &cands[k]
 		gi := c.fi
+		if s.lastAirEnd[gi] <= r.start {
+			continue
+		}
 		// The cached price was computed against the candidate's Radio at
 		// build time, which within a topology generation is its current
 		// Radio (the Reindex contract), so a live transmission always takes
@@ -1227,7 +1253,7 @@ func (s *Sim) resolve(r *tx) {
 	survives := true
 	ix := NoInterference()
 	settle := func(collision bool) bool {
-		sinr := s.effectiveSINRdB(f, interf)
+		sinr := s.effectiveSINRdB(r, interf)
 		v := s.Model.Settle(Reception{
 			SINRdB:       sinr,
 			ServingSNRdB: f.Radio.SNRdB,

@@ -96,3 +96,18 @@ func TestClassifyRegime(t *testing.T) {
 		t.Fatal("regime names")
 	}
 }
+
+func TestSubcarrierSNRsAllocateNothing(t *testing.T) {
+	// Both shipped grids (802.11's 64 points, WiGLAN's 128) draw into a
+	// stack scratch, on line-of-sight and obstructed links alike.
+	for _, cfg := range []*modem.Config{modem.Profile80211(), modem.ProfileWiGLAN()} {
+		tb := Default(cfg)
+		rng := rand.New(rand.NewSource(3))
+		dst := make([]float64, 0, cfg.NFFT)
+		for _, l := range []Link{tb.LinkAtSNR(15, 3), tb.LinkAtSNR(15, 3*tb.LOSThresholdM)} {
+			if n := testing.AllocsPerRun(100, func() { dst = l.AppendSubcarrierSNRs(dst[:0], rng) }); n != 0 {
+				t.Errorf("%d-point grid, LOS %t: %v allocs per draw, want 0", cfg.NFFT, l.LOS, n)
+			}
+		}
+	}
+}
