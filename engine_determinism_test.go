@@ -119,14 +119,14 @@ func backloggedCell(placements, clients, packets int, windowSec float64) *scenar
 	}
 }
 
-// runCellSpec runs a backlogged spec and renders its cell result.
+// runCellSpec runs a backlogged spec and renders its point.
 func runCellSpec(t *testing.T, sp *scenario.Spec, seed int64, workers int) string {
 	t.Helper()
-	out, err := RunScenario(engine.Config{Seed: seed, Workers: workers}, sp)
+	points, err := RunScenario(engine.Config{Seed: seed, Workers: workers}, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%#v", *out.Cell)
+	return fmt.Sprintf("%#v", points)
 }
 
 func TestCellCrossTrafficDeterministicAcrossWorkerCounts(t *testing.T) {

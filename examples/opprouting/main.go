@@ -54,6 +54,6 @@ func main() {
 	for _, scheme := range []exor.Scheme{exor.SinglePath, exor.ExOR, exor.ExORSourceSync} {
 		r := sim.Run(rand.New(rand.NewSource(50)), scheme, packets)
 		fmt.Printf("%-16s %6.3f Mbps  (%3d/%d delivered, %4d transmissions)\n",
-			scheme, r.ThroughputBps/1e6, r.Delivered, packets, r.Transmissions)
+			scheme, r.ThroughputBps/1e6, r.Delivered, packets, r.Flow.Attempts)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/dsp"
 	"repro/internal/engine"
 	"repro/internal/exor"
 	"repro/internal/lasthop"
@@ -20,17 +21,33 @@ import (
 // Every lasthop.Cell experiment — cell, cellsweep, metro, arrivals and
 // mobility — runs its trials through one runner, runCells: a trial draws
 // its layout, then runs each serving scheme on a fresh cell built from
-// that layout, each on its own child stream. reduceScenarioTrials folds a
-// point's trials into per-scheme statistics, and reduceCells extends them
-// to the saturation experiments' SweepStats.
+// that layout, each on its own child stream. One reducer, reducePoint,
+// folds a point's trials into the PointStats row every cell-family table
+// prints, and reducePoints folds a sweep.
 
-// SweepStats are the per-point statistics shared by every cell-family
-// table (clients per cell, cell count, carrier-sense range, metro
-// density): medians and means across the placements at one swept value.
-type SweepStats struct {
-	SingleAggMbps float64 // median aggregate, best single AP per client
-	JointAggMbps  float64 // median aggregate, SourceSync joint service
-	MedianGain    float64 // per-placement joint/single, median
+// SchemeStats is one serving scheme's outcome over a point's placements.
+type SchemeStats struct {
+	Scheme string
+	// AggMbps is the scheme's aggregate-throughput CDF: one entry per
+	// placement (delivered bits over the run's virtual time), sorted.
+	AggMbps    []float64
+	MedianMbps float64 // median of AggMbps
+	// Stats adds up the scheme's flow counters over the placements.
+	netsim.Stats
+}
+
+// PointStats is one row of every cell-family table — a swept value of the
+// saturation experiments (clients per cell, cell count, carrier-sense
+// range, metro density), one offered load of an arrival-driven scenario,
+// or a backlogged scenario's one point: each scheme's outcome over the
+// placements, and the joint runs' medium statistics.
+type PointStats struct {
+	RatePps float64 // per-client offered load; 0 for a backlogged point
+	// Schemes holds one entry per scheme, in scheme-list order.
+	Schemes []SchemeStats
+	// MedianGain is the median over placements of joint/single aggregate
+	// throughput; 0 unless both schemes ran.
+	MedianGain float64
 	// CollisionRate is the fraction of medium acquisitions whose transmit
 	// groups collided, averaged over the joint runs.
 	CollisionRate float64
@@ -41,26 +58,21 @@ type SweepStats struct {
 	// CaptureRate is captures per acquisition averaged over the joint
 	// runs: colliding downlinks the interference model let survive.
 	CaptureRate float64
-	// RateCorruption aggregates the interference model's per-rate outcomes
-	// over every joint run at this sweep point (index = SampleRate rate
-	// index): interfered / corrupted / degraded counts and summed decode
-	// margins.
-	RateCorruption []netsim.RateCorruption
 	// MeanUtilization is busy time over elapsed time in the joint runs;
 	// values above 1 mean several cells carried frames concurrently
 	// (spatial reuse at work). With the event-driven per-neighborhood
 	// clock it approaches the cell count under saturation, minus what
 	// hidden terminals and DCF overhead take.
 	MeanUtilization float64
-}
-
-// CellExpResult is the cell experiment's outcome: the aggregate-throughput
-// CDFs of the two serving modes, plus the shared statistics over the same
-// placements.
-type CellExpResult struct {
-	SingleAggMbps []float64 // sorted, one per placement (best single AP per client)
-	JointAggMbps  []float64 // same placements, every client served jointly
-	Stats         SweepStats
+	// RateCorruption aggregates the interference model's per-rate outcomes
+	// over every joint run at this point (index = SampleRate rate index):
+	// interfered / corrupted / degraded counts and summed decode margins.
+	RateCorruption []netsim.RateCorruption
+	// HandoffsPerClient is the mean number of serving-cell changes each
+	// client made over the window; 0 without mobility. The drift
+	// trajectory is scheme-independent, so the last scheme's count stands
+	// for each trial.
+	HandoffsPerClient float64
 }
 
 // bothSchemes is the saturation experiments' scheme list: best single AP,
@@ -100,53 +112,65 @@ func aggBps(si int) func([]lasthop.CellResult) float64 {
 	return func(tr []lasthop.CellResult) float64 { return tr[si].AggregateBps }
 }
 
-// reduceCells folds one sweep point's trials, run over bothSchemes, into
-// SweepStats: the scenario reducer's medians, plus the joint runs'
-// per-acquisition rates and utilization averaged in placement order (so
-// float accumulation is deterministic).
-func reduceCells(trials [][]lasthop.CellResult) SweepStats {
-	pt := reduceScenarioTrials(bothSchemes, trials, 0)
-	s := SweepStats{
-		SingleAggMbps: pt.Stats[0].MedianGoodputMbps,
-		JointAggMbps:  pt.Stats[1].MedianGoodputMbps,
-		MedianGain:    pt.MedianGain,
-	}
-	for _, tr := range trials {
-		joint := tr[1]
-		if joint.Acquisitions > 0 {
-			s.CollisionRate += float64(joint.Collisions) / float64(joint.Acquisitions)
-			s.HiddenRate += float64(joint.HiddenLosses) / float64(joint.Acquisitions)
-			s.CaptureRate += float64(joint.Captures) / float64(joint.Acquisitions)
+// reducePoint folds one point's trials, run over schemes, into its
+// PointStats row. Every sum runs in placement order, so float
+// accumulation is deterministic: the joint runs' per-acquisition rates
+// and utilization are summed and then divided once, and their per-rate
+// corruption is merged run by run.
+func reducePoint(schemes []string, trials [][]lasthop.CellResult) PointStats {
+	var pt PointStats
+	single, joint := -1, -1
+	for si, scheme := range schemes {
+		st := SchemeStats{Scheme: scheme, AggMbps: mbpsCDF(trials, aggBps(si))}
+		st.MedianMbps = dsp.Median(st.AggMbps)
+		for _, tr := range trials {
+			st.Add(tr[si].Stats)
 		}
-		s.MeanUtilization += joint.Utilization
-		s.RateCorruption = netsim.MergeRateCorruption(s.RateCorruption, joint.RateCorruption)
+		pt.Schemes = append(pt.Schemes, st)
+		if scheme == scenario.SchemeSingle {
+			single = si
+		} else {
+			joint = si
+		}
+	}
+	if single >= 0 && joint >= 0 {
+		pt.MedianGain = medianRatio(trials, aggBps(joint), aggBps(single))
+	}
+	handoffs, clients := 0, 0
+	for _, tr := range trials {
+		if joint >= 0 {
+			j := tr[joint]
+			if j.Acquisitions > 0 {
+				pt.CollisionRate += float64(j.CollisionRounds) / float64(j.Acquisitions)
+				pt.HiddenRate += float64(j.HiddenLosses) / float64(j.Acquisitions)
+				pt.CaptureRate += float64(j.Captures) / float64(j.Acquisitions)
+			}
+			pt.MeanUtilization += j.Utilization
+			pt.RateCorruption = netsim.MergeRateCorruption(pt.RateCorruption, j.RateCorruption)
+		}
+		last := tr[len(tr)-1]
+		handoffs += last.Handoffs
+		clients += len(last.PerClient)
 	}
 	if n := len(trials); n > 0 {
-		s.CollisionRate /= float64(n)
-		s.HiddenRate /= float64(n)
-		s.CaptureRate /= float64(n)
-		s.MeanUtilization /= float64(n)
+		pt.CollisionRate /= float64(n)
+		pt.HiddenRate /= float64(n)
+		pt.CaptureRate /= float64(n)
+		pt.MeanUtilization /= float64(n)
 	}
-	return s
+	if clients > 0 {
+		pt.HandoffsPerClient = float64(handoffs) / float64(clients)
+	}
+	return pt
 }
 
-// sweepStats reduces every point of a sweep, in swept-value order.
-func sweepStats(trials [][][]lasthop.CellResult) []SweepStats {
-	out := make([]SweepStats, len(trials))
+// reducePoints folds every point of a sweep, in swept-value order.
+func reducePoints(schemes []string, trials [][][]lasthop.CellResult) []PointStats {
+	out := make([]PointStats, len(trials))
 	for pt := range trials {
-		out[pt] = reduceCells(trials[pt])
+		out[pt] = reducePoint(schemes, trials[pt])
 	}
 	return out
-}
-
-// cellCDF is the cell experiment's view of one point's trials: the sorted
-// per-placement aggregates beside the shared statistics.
-func cellCDF(trials [][]lasthop.CellResult) *CellExpResult {
-	return &CellExpResult{
-		SingleAggMbps: mbpsCDF(trials, aggBps(0)),
-		JointAggMbps:  mbpsCDF(trials, aggBps(1)),
-		Stats:         reduceCells(trials),
-	}
 }
 
 // apSite accepts an AP position within 10 m of its cell center and at
@@ -399,7 +423,7 @@ func RunCrossTraffic(ec engine.Config, o CrossTrafficOptions) CrossTrafficResult
 		r := tpRes{spAlone: spAlone.ThroughputBps, spLoaded: spLoaded.ThroughputBps,
 			ssAlone: ssAlone.ThroughputBps, ssLoaded: ssLoaded.ThroughputBps}
 		for _, c := range append(spCross, ssCross...) {
-			r.crossHidden += c.HiddenLosses
+			r.crossHidden += c.Flow.HiddenLosses
 			r.crossCorruption = netsim.MergeRateCorruption(r.crossCorruption, c.RateCorruption)
 		}
 		return r

@@ -50,7 +50,7 @@ func DefaultCellSweepOptions() CellSweepOptions {
 // over the whole floor. One rate-aware interference model (read-only
 // after construction, so every worker shares it) corrupts or degrades
 // each interfered downlink at its own rate's decode threshold.
-func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) (cells int, cs float64, clientsPer int)) []SweepStats {
+func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) (cells int, cs float64, clientsPer int)) []PointStats {
 	cfg := Profile80211()
 	base := lasthop.Cell{
 		Mac:              mac.Default(cfg),
@@ -59,7 +59,7 @@ func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) 
 		Model:            netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload),
 		WindowSec:        o.WindowSec,
 	}
-	return sweepStats(runCells(ec, points, o.Placements, bothSchemes, func(pt int, rng *rand.Rand) func() lasthop.Cell {
+	return reducePoints(bothSchemes, runCells(ec, points, o.Placements, bothSchemes, func(pt int, rng *rand.Rand) func() lasthop.Cell {
 		cells, cs, clientsPer := at(pt)
 		pitch := cellPitch(cs)
 		// Widen the floor to hold every cell; height (and the 8-25 m client
@@ -86,8 +86,8 @@ func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) 
 // Placements times, drains each client's backlog once with best-single-AP
 // service and once with SourceSync joint transmissions on one shared
 // spatial-reuse simulator, and reduces medians in placement order. It
-// returns one SweepStats per ClientsPer value.
-func RunCellSweep(ec engine.Config, o CellSweepOptions) []SweepStats {
+// returns one PointStats per ClientsPer value.
+func RunCellSweep(ec engine.Config, o CellSweepOptions) []PointStats {
 	return runSweep(ec, o, len(o.ClientsPer), func(pt int) (int, float64, int) {
 		return o.Cells, o.CSRangeM, o.ClientsPer[pt]
 	})
@@ -99,8 +99,8 @@ func RunCellSweep(ec engine.Config, o CellSweepOptions) []SweepStats {
 // honest (a global round clock would idle short cells against long ones).
 // Each point widens the floor to hold its cells and re-places APs and
 // clients Placements times; MeanUtilization approaches the cell count
-// under saturation. It returns one SweepStats per cell count.
-func RunCellCountSweep(ec engine.Config, o CellSweepOptions, cellCounts []int, clientsPer int) []SweepStats {
+// under saturation. It returns one PointStats per cell count.
+func RunCellCountSweep(ec engine.Config, o CellSweepOptions, cellCounts []int, clientsPer int) []PointStats {
 	return runSweep(ec, o, len(cellCounts), func(pt int) (int, float64, int) {
 		return cellCounts[pt], o.CSRangeM, clientsPer
 	})
@@ -114,8 +114,8 @@ func RunCellCountSweep(ec engine.Config, o CellSweepOptions, cellCounts []int, c
 // receivers as hidden terminals; a longer range spaces the cells out and
 // serializes them. The interference model prices that tradeoff: the
 // HiddenRate and per-rate corruption columns quantify what denser reuse
-// costs. It returns one SweepStats per carrier-sense range.
-func RunCSRangeSweep(ec engine.Config, o CellSweepOptions, csRanges []float64, clientsPer int) []SweepStats {
+// costs. It returns one PointStats per carrier-sense range.
+func RunCSRangeSweep(ec engine.Config, o CellSweepOptions, csRanges []float64, clientsPer int) []PointStats {
 	return runSweep(ec, o, len(csRanges), func(pt int) (int, float64, int) {
 		return o.Cells, csRanges[pt], clientsPer
 	})

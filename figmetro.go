@@ -79,8 +79,8 @@ func metroPoint(rng *rand.Rand, center testbed.Point, h float64, accept func(tes
 // each placed with metroPoint — drains each layout once under each serving
 // mode, and reduces medians in placement order. The interference model is
 // rate-aware throughout — the metro question is precisely how interference
-// scales with density. It returns one SweepStats per ClientsPer value.
-func RunMetro(ec engine.Config, o MetroOptions) []SweepStats {
+// scales with density. It returns one PointStats per ClientsPer value.
+func RunMetro(ec engine.Config, o MetroOptions) []PointStats {
 	cfg := Profile80211()
 	pitch := cellPitch(o.CSRangeM)
 	env := testbed.Mesh(cfg)
@@ -105,7 +105,7 @@ func RunMetro(ec engine.Config, o MetroOptions) []SweepStats {
 		InterferenceRangeM: o.InterferenceRangeM,
 		WindowSec:          o.WindowSec,
 	}
-	return sweepStats(runCells(ec, len(o.ClientsPer), o.Placements, bothSchemes, func(pt int, rng *rand.Rand) func() lasthop.Cell {
+	return reducePoints(bothSchemes, runCells(ec, len(o.ClientsPer), o.Placements, bothSchemes, func(pt int, rng *rand.Rand) func() lasthop.Cell {
 		cell := placeCells(rng, base, centers, o.APsPerCell, o.ClientsPer[pt], metroPoint)
 		return func() lasthop.Cell { return cell }
 	}))

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/dsp"
 	"repro/internal/engine"
 	"repro/internal/lasthop"
 	"repro/internal/mac"
@@ -25,71 +24,26 @@ import (
 // point per swept rate; mobility specs additionally drift every client at
 // each waypoint epoch.
 
-// ScenarioSchemeStats is one serving scheme's aggregate outcome over a
-// scenario's placements.
-type ScenarioSchemeStats struct {
-	Scheme            string
-	MedianGoodputMbps float64 // median over placements of delivered bits / window
-	Arrived           int     // packets offered by the arrival processes, summed
-	Delivered         int
-	Expired           int // deadline-expired before service
-	Abandoned         int // queued packets taken along by leaving clients
-}
-
-// ScenarioLoadPoint is one offered-load sweep row.
-type ScenarioLoadPoint struct {
-	RatePps float64
-	// Stats holds one entry per scheme, in the spec's SchemeList order.
-	Stats []ScenarioSchemeStats
-	// MedianGain is the median over placements of joint/single goodput;
-	// 0 unless both schemes ran.
-	MedianGain float64
-}
-
-// ScenarioArrivalsResult is the outcome of an arrival-driven scenario:
-// one load point per swept rate (a single-rate spec has one point).
-type ScenarioArrivalsResult struct {
-	Points []ScenarioLoadPoint
-}
-
-// ScenarioMobilityResult is the outcome of a mobility scenario.
-type ScenarioMobilityResult struct {
-	Stats      []ScenarioSchemeStats
-	MedianGain float64
-	// HandoffsPerClient is the mean number of serving-cell changes each
-	// client made over the window (the trajectory is scheme-independent).
-	HandoffsPerClient float64
-}
-
-// ScenarioOutcome is RunScenario's result; exactly one branch is set,
-// matching the spec's shape.
-type ScenarioOutcome struct {
-	// Cell is set for backlogged specs (traffic.model "backlogged"), the
-	// cell experiment among them.
-	Cell *CellExpResult
-	// Arrivals is set for arrival-driven specs without mobility.
-	Arrivals *ScenarioArrivalsResult
-	// Mobility is set when the spec drifts its clients.
-	Mobility *ScenarioMobilityResult
-}
-
 // RunScenario executes one validated scenario spec exactly as given: its
 // placement and packet counts are the run's, with no -quick rule of its
 // own. ec.Seed is the fully derived seed (base seed + the spec's seed
-// offset).
-func RunScenario(ec engine.Config, sp *scenario.Spec) (*ScenarioOutcome, error) {
+// offset). It returns one PointStats per offered load: one per swept rate,
+// or a single point for a one-rate or backlogged spec (the cell
+// experiment's only code path: one point of placements, each drained
+// under both serving modes).
+func RunScenario(ec engine.Config, sp *scenario.Spec) ([]PointStats, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if sp.Traffic.Model == scenario.ModelBacklogged {
-		// The cell experiment's only code path: one point of placements,
-		// each drained under both serving modes.
-		return &ScenarioOutcome{Cell: cellCDF(scenarioTrials(ec, sp, []float64{0})[0])}, nil
+	rates := sp.Traffic.RateSweepPps
+	if len(rates) == 0 {
+		rates = []float64{sp.Traffic.RatePps} // 0 for a backlogged spec
 	}
-	if sp.Mobility != nil {
-		return &ScenarioOutcome{Mobility: runScenarioMobility(ec, sp)}, nil
+	points := reducePoints(sp.SchemeList(), scenarioTrials(ec, sp, rates))
+	for i := range points {
+		points[i].RatePps = rates[i]
 	}
-	return &ScenarioOutcome{Arrivals: runScenarioArrivals(ec, sp)}, nil
+	return points, nil
 }
 
 // scenarioTraffic builds client i's arrival config at the given rate: a
@@ -271,63 +225,4 @@ func scenarioTrials(ec engine.Config, sp *scenario.Spec, rates []float64) [][][]
 		topo := buildScenarioTopology(rng, env, sp)
 		return func() lasthop.Cell { return topo.instantiate(sp, env, m, model, rates[pt]) }
 	})
-}
-
-// reduceScenarioTrials folds one load point's trials into per-scheme
-// stats and the joint/single gain.
-func reduceScenarioTrials(schemes []string, trials [][]lasthop.CellResult, ratePps float64) ScenarioLoadPoint {
-	pt := ScenarioLoadPoint{RatePps: ratePps}
-	single, joint := -1, -1
-	for si, scheme := range schemes {
-		st := ScenarioSchemeStats{Scheme: scheme, MedianGoodputMbps: dsp.Median(mbpsCDF(trials, aggBps(si)))}
-		for _, tr := range trials {
-			st.Arrived += tr[si].Arrived
-			st.Delivered += tr[si].Delivered
-			st.Expired += tr[si].Expired
-			st.Abandoned += tr[si].Abandoned
-		}
-		pt.Stats = append(pt.Stats, st)
-		if scheme == scenario.SchemeSingle {
-			single = si
-		} else {
-			joint = si
-		}
-	}
-	if single >= 0 && joint >= 0 {
-		pt.MedianGain = medianRatio(trials, aggBps(joint), aggBps(single))
-	}
-	return pt
-}
-
-// runScenarioArrivals sweeps the offered load: one engine grid over
-// (rate, placement), every trial running each scheme over the same drawn
-// topology.
-func runScenarioArrivals(ec engine.Config, sp *scenario.Spec) *ScenarioArrivalsResult {
-	rates := sp.Traffic.RateSweepPps
-	if len(rates) == 0 {
-		rates = []float64{sp.Traffic.RatePps}
-	}
-	res := &ScenarioArrivalsResult{}
-	for pi, trials := range scenarioTrials(ec, sp, rates) {
-		res.Points = append(res.Points, reduceScenarioTrials(sp.SchemeList(), trials, rates[pi]))
-	}
-	return res
-}
-
-// runScenarioMobility runs the drifting-clients scenario: the arrivals
-// grid at the spec's single rate.
-func runScenarioMobility(ec engine.Config, sp *scenario.Spec) *ScenarioMobilityResult {
-	trials := scenarioTrials(ec, sp, []float64{sp.Traffic.RatePps})[0]
-	pt := reduceScenarioTrials(sp.SchemeList(), trials, sp.Traffic.RatePps)
-	res := &ScenarioMobilityResult{Stats: pt.Stats, MedianGain: pt.MedianGain}
-	var handoffs int
-	for _, tr := range trials {
-		// The drift trajectory is deterministic and scheme-independent, so
-		// one scheme's count stands for the trial.
-		handoffs += tr[len(tr)-1].Handoffs
-	}
-	if n := len(trials) * sp.TotalClients(); n > 0 {
-		res.HandoffsPerClient = float64(handoffs) / float64(n)
-	}
-	return res
 }

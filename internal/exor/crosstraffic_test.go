@@ -33,8 +33,8 @@ func TestCrossTrafficDegradesPrimaryThroughput(t *testing.T) {
 		if cr.Delivered == 0 {
 			t.Fatalf("cross flow %d delivered nothing", i)
 		}
-		if cr.AirTime != loaded.AirTime {
-			t.Fatalf("cross flow %d airtime %.4f != shared elapsed %.4f", i, cr.AirTime, loaded.AirTime)
+		if cr.Elapsed != loaded.Elapsed {
+			t.Fatalf("cross flow %d elapsed %.4f != shared elapsed %.4f", i, cr.Elapsed, loaded.Elapsed)
 		}
 	}
 }

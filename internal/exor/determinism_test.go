@@ -20,7 +20,7 @@ func TestSimulationDeterministicGivenSeed(t *testing.T) {
 	}
 	a := build()
 	b := build()
-	if a.ThroughputBps != b.ThroughputBps || a.Transmissions != b.Transmissions || a.Delivered != b.Delivered {
+	if a.ThroughputBps != b.ThroughputBps || a.Flow.Attempts != b.Flow.Attempts || a.Delivered != b.Delivered {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
@@ -39,8 +39,8 @@ func TestMaxTxPerPacketBoundsLoss(t *testing.T) {
 	sim := &Sim{Topo: topo, Meas: meas, Mac: mac.Default(cfg), Rate: rate, Payload: 500}
 	const pkts = 30
 	res := sim.Run(rng, ExOR, pkts)
-	if res.Delivered != 0 || res.Transmissions != pkts*maxTxPerPacket {
-		t.Fatalf("delivered %d in %d transmissions, want 0 in %d", res.Delivered, res.Transmissions, pkts*maxTxPerPacket)
+	if res.Delivered != 0 || res.Flow.Attempts != pkts*maxTxPerPacket {
+		t.Fatalf("delivered %d in %d transmissions, want 0 in %d", res.Delivered, res.Flow.Attempts, pkts*maxTxPerPacket)
 	}
 }
 
@@ -52,11 +52,11 @@ func TestResultAccountingConsistency(t *testing.T) {
 	if res.Delivered > 50 {
 		t.Fatalf("delivered %d of 50", res.Delivered)
 	}
-	if res.AirTime <= 0 || res.Transmissions <= 0 {
+	if res.Elapsed <= 0 || res.Flow.Attempts <= 0 {
 		t.Fatalf("accounting: %+v", res)
 	}
-	// Throughput must equal delivered payload bits over airtime.
-	want := float64(res.Delivered*sim.Payload*8) / res.AirTime
+	// Throughput must equal delivered payload bits over elapsed time.
+	want := float64(res.Delivered*sim.Payload*8) / res.Elapsed
 	if res.ThroughputBps != want {
 		t.Fatalf("throughput %.1f, want %.1f", res.ThroughputBps, want)
 	}

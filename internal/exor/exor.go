@@ -129,25 +129,24 @@ type Sim struct {
 // before it is declared lost (progress safeguard).
 const maxTxPerPacket = 40
 
-// Result is the outcome of a scheme simulation. AirTime is the virtual
-// time the run occupied on the shared medium (with cross traffic, every
-// flow shares the same elapsed time).
+// Result is the outcome of a scheme simulation.
 type Result struct {
 	ThroughputBps float64
-	Delivered     int
-	Transmissions int
-	// HiddenLosses counts attempts corrupted by concurrent out-of-range
-	// transmitters (hidden terminals); nonzero only for placed cross flows
-	// under a finite CSRangeM with an interference model configured.
-	HiddenLosses int
-	// Degraded counts attempts whose delivery draw ran at an
-	// interference-degraded effective SNR (rate-aware model only).
-	Degraded int
+	// Delivered counts end-to-end packets: for the routed flow a netsim
+	// frame is one transmission or one hop, not one routed packet.
+	Delivered int
+	// Flow is the flow's netsim accounting: Flow.Attempts counts its
+	// transmissions, and Flow.HiddenLosses the attempts corrupted by
+	// concurrent out-of-range transmitters (nonzero only for placed cross
+	// flows under a finite CSRangeM with an interference model).
+	Flow netsim.Stats
 	// RateCorruption[r] is the interference model's per-rate outcome
 	// tally for this flow (rate index r of the standard rate table a cross
 	// flow adapts over).
 	RateCorruption []netsim.RateCorruption
-	AirTime        float64
+	// Elapsed is the run's virtual time on the shared medium; with cross
+	// traffic every flow shares it.
+	Elapsed float64
 }
 
 // CrossFlow describes one contending single-hop stream riding on the same
@@ -199,13 +198,9 @@ func (s *Sim) RunWithCross(rng *rand.Rand, scheme Scheme, nPackets int, cross []
 	mk := func(f *netsim.Flow, deliveredPkts int) Result {
 		r := Result{
 			Delivered:      deliveredPkts,
-			Transmissions:  f.Attempts,
-			HiddenLosses:   f.HiddenLosses,
+			Flow:           f.Stats,
 			RateCorruption: f.RateCorruption,
-			AirTime:        elapsed,
-		}
-		for _, rc := range f.RateCorruption {
-			r.Degraded += rc.Degraded
+			Elapsed:        elapsed,
 		}
 		if elapsed > 0 {
 			r.ThroughputBps = float64(deliveredPkts*s.Payload*8) / elapsed

@@ -96,8 +96,8 @@ func TestExORUsesFewerTransmissionsThanSinglePathOnLossyLinks(t *testing.T) {
 	if sp.Delivered == 0 || ex.Delivered == 0 {
 		t.Fatalf("deliveries sp=%d ex=%d", sp.Delivered, ex.Delivered)
 	}
-	spPerPkt := float64(sp.Transmissions) / float64(sp.Delivered)
-	exPerPkt := float64(ex.Transmissions) / float64(ex.Delivered)
+	spPerPkt := float64(sp.Flow.Attempts) / float64(sp.Delivered)
+	exPerPkt := float64(ex.Flow.Attempts) / float64(ex.Delivered)
 	if exPerPkt > spPerPkt*1.1 {
 		t.Fatalf("ExOR %.2f tx/pkt vs single path %.2f", exPerPkt, spPerPkt)
 	}

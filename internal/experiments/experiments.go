@@ -386,10 +386,10 @@ func (r *runner) printCorruption(rc []netsim.RateCorruption) {
 	}
 }
 
-// cellBody renders a backlogged spec's result: the cell experiment's
+// cellBody renders a backlogged spec's one point: the cell experiment's
 // aggregate-throughput CDF table (the cell experiment is the builtin
 // backlogged spec examples/cell.json).
-func (r *runner) cellBody(sp *scenario.Spec, res *sourcesync.CellExpResult) {
+func (r *runner) cellBody(sp *scenario.Spec, pt sourcesync.PointStats) {
 	r.printf("clients=%d APs=%d packets/client=%d model=rate-aware",
 		sp.Topology.Clients, sp.Topology.APs, sp.Traffic.Packets)
 	if sp.Traffic.WindowSec > 0 {
@@ -397,13 +397,14 @@ func (r *runner) cellBody(sp *scenario.Spec, res *sourcesync.CellExpResult) {
 	}
 	r.println()
 	r.printf("%10s %14s %14s\n", "fraction", "single(Mbps)", "joint(Mbps)")
-	n := len(res.SingleAggMbps)
+	single, joint := pt.Schemes[0].AggMbps, pt.Schemes[1].AggMbps
+	n := len(single)
 	for i := 0; i < n; i++ {
-		r.printf("%10.3f %14.2f %14.2f\n", float64(i+1)/float64(n), res.SingleAggMbps[i], res.JointAggMbps[i])
+		r.printf("%10.3f %14.2f %14.2f\n", float64(i+1)/float64(n), single[i], joint[i])
 	}
 	r.printf("median aggregate gain: %.2fx; per acquisition: collisions %.3f, captures %.3f\n",
-		res.Stats.MedianGain, res.Stats.CollisionRate, res.Stats.CaptureRate)
-	r.printCorruption(res.Stats.RateCorruption)
+		pt.MedianGain, pt.CollisionRate, pt.CaptureRate)
+	r.printCorruption(pt.RateCorruption)
 }
 
 // sweepClients is the clients per cell of cellsweep's cell-count and
@@ -458,11 +459,11 @@ func (r *runner) cellsweep() {
 
 // printSweepTable renders one cell-family sweep table: row i's swept value
 // key(i) under keyHeader, then the shared statistics columns.
-func (r *runner) printSweepTable(keyHeader string, stats []sourcesync.SweepStats, key func(i int) string) {
+func (r *runner) printSweepTable(keyHeader string, stats []sourcesync.PointStats, key func(i int) string) {
 	r.printf("%10s %14s %14s %8s %8s %8s %8s %8s\n", keyHeader, "single(Mbps)", "joint(Mbps)", "gain", "collis", "hidden", "capture", "util")
 	for i, s := range stats {
 		r.printf("%10s %14.2f %14.2f %7.2fx %8.3f %8.3f %8.3f %8.2f\n",
-			key(i), s.SingleAggMbps, s.JointAggMbps, s.MedianGain, s.CollisionRate, s.HiddenRate, s.CaptureRate, s.MeanUtilization)
+			key(i), s.Schemes[0].MedianMbps, s.Schemes[1].MedianMbps, s.MedianGain, s.CollisionRate, s.HiddenRate, s.CaptureRate, s.MeanUtilization)
 	}
 }
 
@@ -607,18 +608,18 @@ func (r *runner) scenarioRun(spec *scenario.Spec) *scenario.Spec {
 // header and body render the spec's run copy (scenarioRun).
 func (r *runner) scenario(spec *scenario.Spec) error {
 	sp := r.scenarioRun(spec)
-	out, err := sourcesync.RunScenario(r.ec(sp.SeedOffset), sp)
+	points, err := sourcesync.RunScenario(r.ec(sp.SeedOffset), sp)
 	if err != nil {
 		return err
 	}
 	r.header(sp.DisplayTitle())
 	switch {
-	case out.Cell != nil:
-		r.cellBody(sp, out.Cell)
-	case out.Mobility != nil:
-		r.mobilityBody(sp, out.Mobility)
-	case out.Arrivals != nil:
-		r.arrivalsBody(sp, out.Arrivals)
+	case sp.Traffic.Model == scenario.ModelBacklogged:
+		r.cellBody(sp, points[0])
+	case sp.Mobility != nil:
+		r.mobilityBody(sp, points[0])
+	default:
+		r.arrivalsBody(sp, points)
 	}
 	return nil
 }
@@ -657,7 +658,7 @@ func (r *runner) scenarioConfig(sp *scenario.Spec) string {
 
 // arrivalsBody renders an offered-load table: one row per swept rate,
 // with each scheme's median goodput and delivered fraction.
-func (r *runner) arrivalsBody(sp *scenario.Spec, res *sourcesync.ScenarioArrivalsResult) {
+func (r *runner) arrivalsBody(sp *scenario.Spec, points []sourcesync.PointStats) {
 	r.println(r.scenarioConfig(sp))
 	schemes := sp.SchemeList()
 	r.printf("%10s", "load(pps)")
@@ -668,10 +669,10 @@ func (r *runner) arrivalsBody(sp *scenario.Spec, res *sourcesync.ScenarioArrival
 		r.printf(" %7s", "gain")
 	}
 	r.println()
-	for _, pt := range res.Points {
+	for _, pt := range points {
 		r.printf("%10.0f", pt.RatePps)
-		for _, st := range pt.Stats {
-			r.printf(" %13.2f %7.1f", st.MedianGoodputMbps, deliveredPct(st))
+		for _, st := range pt.Schemes {
+			r.printf(" %13.2f %7.1f", st.MedianMbps, deliveredPct(st))
 		}
 		if len(schemes) == 2 {
 			r.printf(" %6.2fx", pt.MedianGain)
@@ -682,8 +683,8 @@ func (r *runner) arrivalsBody(sp *scenario.Spec, res *sourcesync.ScenarioArrival
 		r.printf("deadline-expired packets:")
 		for si, s := range schemes {
 			total := 0
-			for _, pt := range res.Points {
-				total += pt.Stats[si].Expired
+			for _, pt := range points {
+				total += pt.Schemes[si].Expired
 			}
 			r.printf(" %s %d", s, total)
 		}
@@ -694,21 +695,21 @@ func (r *runner) arrivalsBody(sp *scenario.Spec, res *sourcesync.ScenarioArrival
 
 // mobilityBody renders the drifting-clients comparison: one row per
 // scheme plus the handoff rate the shared trajectory produced.
-func (r *runner) mobilityBody(sp *scenario.Spec, res *sourcesync.ScenarioMobilityResult) {
+func (r *runner) mobilityBody(sp *scenario.Spec, pt sourcesync.PointStats) {
 	r.println(r.scenarioConfig(sp))
 	r.printf("%10s %14s %8s %10s\n", "scheme", "goodput(Mbps)", "del(%)", "abandoned")
-	for _, st := range res.Stats {
-		r.printf("%10s %14.2f %8.1f %10d\n", st.Scheme, st.MedianGoodputMbps, deliveredPct(st), st.Abandoned)
+	for _, st := range pt.Schemes {
+		r.printf("%10s %14.2f %8.1f %10d\n", st.Scheme, st.MedianMbps, deliveredPct(st), st.Abandoned)
 	}
-	if len(res.Stats) == 2 {
-		r.printf("median joint/single goodput gain: %.2fx; ", res.MedianGain)
+	if len(pt.Schemes) == 2 {
+		r.printf("median joint/single goodput gain: %.2fx; ", pt.MedianGain)
 	}
-	r.printf("handoffs/client over the window: %.2f\n", res.HandoffsPerClient)
+	r.printf("handoffs/client over the window: %.2f\n", pt.HandoffsPerClient)
 	r.println("drifting clients re-anchor at cell boundaries; joint service rides out the handoff dip")
 }
 
 // deliveredPct is the percentage of offered packets a scheme delivered.
-func deliveredPct(st sourcesync.ScenarioSchemeStats) float64 {
+func deliveredPct(st sourcesync.SchemeStats) float64 {
 	if st.Arrived == 0 {
 		return 0
 	}

@@ -21,8 +21,8 @@ import (
 // concurrent out-of-range downlinks can also corrupt each other at the
 // receivers (hidden terminals) — those losses surface as HiddenLosses —
 // and, under the rate-aware model, degrade each other's delivery draws
-// (surfaced as Degraded and the per-rate RateCorruption stats). A nil
-// Model models no interference.
+// (surfaced in the per-rate RateCorruption stats). A nil Model models no
+// interference.
 type Cell struct {
 	Mac          mac.Params
 	PayloadBytes int
@@ -82,49 +82,26 @@ type Cell struct {
 	MoveClients      func(now float64) (handoffs int)
 }
 
-// ClientResult is one client's share of a cell run.
-type ClientResult struct {
-	ThroughputBps float64 // delivered bits over the whole run's virtual time
-	Delivered     int
-	Dropped       int
-	Collisions    int
-	// HiddenLosses counts downlink attempts corrupted by transmitters
-	// beyond carrier-sense range (hidden terminals); always 0 unless the
-	// cell configures an interference model and spans several
-	// neighborhoods.
-	HiddenLosses int
-	// Degraded counts attempts whose delivery draw ran at an
-	// interference-degraded effective SNR (rate-aware model only).
-	Degraded int
-}
-
-// CellResult summarizes a cell run.
+// CellResult summarizes a cell run. Its embedded Stats add up every
+// client's flow counters (netsim.Sim.Stats), so Collisions counts
+// colliding attempts; the medium's transmit groups are counted apart, in
+// Acquisitions and CollisionRounds.
 type CellResult struct {
-	PerClient    []ClientResult
-	AggregateBps float64 // all delivered bits over the run's virtual time
-	Delivered    int
-	Elapsed      float64 // virtual seconds to drain every backlog
-	Acquisitions int
-	Collisions   int // collision rounds on the medium
-	// Captures sums the clients' colliding attempts that survived by
-	// physical-layer capture (the interference model cleared them).
-	Captures int
-	// HiddenLosses sums the clients' attempts corrupted by hidden-terminal
-	// interference (out-of-range concurrent transmitters).
-	HiddenLosses int
-	// Utilization is busy time over elapsed time; under spatial reuse it
-	// may exceed 1 (several neighborhoods carrying frames at once).
-	Utilization float64
+	netsim.Stats
+	Acquisitions    int // transmit groups that acquired some neighborhood
+	CollisionRounds int // transmit groups that collided
 	// RateCorruption[r] aggregates the interference model's outcomes for
 	// rate index r across every client — the per-rate corruption-margin
 	// stats (interfered / corrupted / degraded counts and summed decode
 	// margins). Empty when no attempt was interfered with a model engaged.
 	RateCorruption []netsim.RateCorruption
-	// Arrived / Expired / Abandoned sum the traffic layer's offered-load
-	// accounting over every client; all zero unless Cell.Traffic is set.
-	Arrived   int
-	Expired   int
-	Abandoned int
+	// PerClient[c] is client c's own flow counters.
+	PerClient    []netsim.Stats
+	AggregateBps float64 // all delivered bits over the run's virtual time
+	Elapsed      float64 // virtual seconds to drain every backlog
+	// Utilization is busy time over elapsed time; under spatial reuse it
+	// may exceed 1 (several neighborhoods carrying frames at once).
+	Utilization float64
 	// Handoffs sums MoveClients' serving-cell changes over the run's
 	// mobility epochs; 0 without mobility.
 	Handoffs int
@@ -227,7 +204,6 @@ func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 	sim.InterferenceRangeM = c.InterferenceRangeM
 	n := len(c.Links)
 	flows := make([]*netsim.Flow, n)
-	queues := make([]*netsim.Traffic, n)
 	// Flow hooks read through plans so a mobility epoch can swap a
 	// client's serving plan mid-run; without mobility the entry is written
 	// once and the indirection changes nothing.
@@ -264,7 +240,7 @@ func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 			if c.WindowSec <= 0 {
 				panic("lasthop: Cell.Traffic requires WindowSec > 0")
 			}
-			queues[client] = sim.AttachTraffic(flows[client], c.Traffic(client))
+			sim.AttachTraffic(flows[client], c.Traffic(client))
 		}
 	}
 	handoffs := 0
@@ -292,34 +268,16 @@ func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 	}
 
 	res := CellResult{
-		PerClient:    make([]ClientResult, n),
-		Elapsed:      sim.Now(),
-		Acquisitions: sim.Acquisitions,
-		Collisions:   sim.CollisionRounds,
-		Handoffs:     handoffs,
+		Stats:           sim.Stats(),
+		Acquisitions:    sim.Acquisitions,
+		CollisionRounds: sim.CollisionRounds,
+		PerClient:       make([]netsim.Stats, n),
+		Elapsed:         sim.Now(),
+		Handoffs:        handoffs,
 	}
 	for i, f := range flows {
-		res.PerClient[i] = ClientResult{
-			Delivered:    f.Delivered,
-			Dropped:      f.Dropped,
-			Collisions:   f.Collisions,
-			HiddenLosses: f.HiddenLosses,
-		}
-		for _, rc := range f.RateCorruption {
-			res.PerClient[i].Degraded += rc.Degraded
-		}
-		if res.Elapsed > 0 {
-			res.PerClient[i].ThroughputBps = float64(f.Delivered*c.PayloadBytes*8) / res.Elapsed
-		}
-		res.Delivered += f.Delivered
-		res.HiddenLosses += f.HiddenLosses
-		res.Captures += f.Captures
+		res.PerClient[i] = f.Stats
 		res.RateCorruption = netsim.MergeRateCorruption(res.RateCorruption, f.RateCorruption)
-		if q := queues[i]; q != nil {
-			res.Arrived += q.Arrived
-			res.Expired += q.Expired
-			res.Abandoned += q.Abandoned
-		}
 	}
 	if res.Elapsed > 0 {
 		res.AggregateBps = float64(res.Delivered*c.PayloadBytes*8) / res.Elapsed

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mac"
 	"repro/internal/modem"
+	"repro/internal/netsim"
 	"repro/internal/testbed"
 )
 
@@ -55,6 +56,30 @@ func TestCellDrainsEveryBacklog(t *testing.T) {
 	}
 }
 
+func TestCellStatsAddUpClients(t *testing.T) {
+	// With arrival processes attached, the cell's counters are its
+	// clients' flow counters added up, the traffic layer's included.
+	c := uniformCell(4, 18, 0)
+	c.WindowSec = 0.2
+	c.Traffic = func(int) netsim.TrafficConfig {
+		return netsim.TrafficConfig{Process: netsim.Poisson{RatePps: 400}, DeadlineSec: 0.005}
+	}
+	res := c.RunJoint(rand.New(rand.NewSource(8)))
+	if len(res.PerClient) != 4 {
+		t.Fatalf("%d per-client records for 4 clients", len(res.PerClient))
+	}
+	var sum netsim.Stats
+	for _, pc := range res.PerClient {
+		sum.Add(pc)
+	}
+	if sum != res.Stats {
+		t.Fatalf("cell stats %+v, clients add up to %+v", res.Stats, sum)
+	}
+	if res.Arrived == 0 || res.Delivered == 0 {
+		t.Fatalf("degenerate run: %+v", res.Stats)
+	}
+}
+
 func TestCellContentionSplitsThroughput(t *testing.T) {
 	// Doubling the client count on one medium must not double aggregate
 	// throughput, and symmetric clients must see similar shares.
@@ -64,17 +89,19 @@ func TestCellContentionSplitsThroughput(t *testing.T) {
 		t.Fatalf("8 clients (%.1f Mbps) should not out-scale 4 (%.1f Mbps) on one medium",
 			eight.AggregateBps/1e6, four.AggregateBps/1e6)
 	}
-	var min, max float64
+	// Every client's share is its deliveries over the same elapsed time,
+	// so delivered frames compare shares directly.
+	var min, max int
 	for i, pc := range eight.PerClient {
-		if i == 0 || pc.ThroughputBps < min {
-			min = pc.ThroughputBps
+		if i == 0 || pc.Delivered < min {
+			min = pc.Delivered
 		}
-		if pc.ThroughputBps > max {
-			max = pc.ThroughputBps
+		if pc.Delivered > max {
+			max = pc.Delivered
 		}
 	}
 	if min <= 0 || max > 3*min {
-		t.Fatalf("unfair shares: %.2f .. %.2f Mbps", min/1e6, max/1e6)
+		t.Fatalf("unfair shares: %d .. %d frames delivered", min, max)
 	}
 	if eight.Collisions == 0 {
 		t.Fatal("8 contending clients must produce collisions")
@@ -138,8 +165,8 @@ func TestCellSpatialReuseScalesAggregate(t *testing.T) {
 		oneSum += one.AggregateBps
 		twoSum += two.AggregateBps
 		utilSum += two.Utilization
-		if two.Collisions != 0 {
-			t.Fatalf("out-of-range cells collided %d times (seed %d)", two.Collisions, seed)
+		if two.CollisionRounds != 0 {
+			t.Fatalf("out-of-range cells collided %d times (seed %d)", two.CollisionRounds, seed)
 		}
 	}
 	ratio := twoSum / oneSum

@@ -242,7 +242,7 @@ func runDifferential(trial int, t diffTrial) (string, error) {
 func fingerprint(label string, s *netsim.Sim, queues []*netsim.Traffic, rng *rand.Rand) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s now=%x busy=%x acq=%d coll=%d hid=%d\n",
-		label, s.Now(), s.BusyTime(), s.Acquisitions, s.CollisionRounds, s.HiddenCorruptions)
+		label, s.Now(), s.BusyTime(), s.Acquisitions, s.CollisionRounds, s.Stats().HiddenLosses)
 	for i, f := range s.Flows {
 		fmt.Fprintf(&b, "  %s d=%d dr=%d at=%d co=%d ca=%d hl=%d air=%x",
 			f.Name, f.Delivered, f.Dropped, f.Attempts, f.Collisions, f.Captures, f.HiddenLosses, f.AirTime)
@@ -252,7 +252,7 @@ func fingerprint(label string, s *netsim.Sim, queues []*netsim.Traffic, rng *ran
 			}
 		}
 		if i < len(queues) && queues[i] != nil {
-			fmt.Fprintf(&b, " arr=%d exp=%d aband=%d", queues[i].Arrived, queues[i].Expired, queues[i].Abandoned)
+			fmt.Fprintf(&b, " arr=%d exp=%d aband=%d", f.Arrived, f.Expired, f.Abandoned)
 		}
 		b.WriteString("\n")
 	}

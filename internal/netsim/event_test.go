@@ -36,9 +36,9 @@ func TestHiddenTerminalCorruptsFrames(t *testing.T) {
 	if s.CollisionRounds != 0 {
 		t.Fatalf("out-of-range senders produced %d collision rounds", s.CollisionRounds)
 	}
-	if a.HiddenLosses == 0 || b.HiddenLosses == 0 || s.HiddenCorruptions == 0 {
+	if a.HiddenLosses == 0 || b.HiddenLosses == 0 || s.Stats().HiddenLosses == 0 {
 		t.Fatalf("no hidden-terminal corruption: a=%d b=%d sim=%d",
-			a.HiddenLosses, b.HiddenLosses, s.HiddenCorruptions)
+			a.HiddenLosses, b.HiddenLosses, s.Stats().HiddenLosses)
 	}
 	// Saturated flows overlap most of the time (growing retry windows open
 	// occasional clean gaps): the majority of attempts must die to
@@ -64,7 +64,7 @@ func TestHiddenTerminalsOffWithoutCaptureModel(t *testing.T) {
 	a := s.AddFlow(placedFlow("a", 30, 1e-3, testbed.Point{X: 0, Y: 0}, testbed.Point{X: 58, Y: 0}, 25))
 	b := s.AddFlow(placedFlow("b", 30, 1e-3, testbed.Point{X: 60, Y: 0}, testbed.Point{X: 2, Y: 0}, 25))
 	runChecked(t, s, math.Inf(1))
-	if a.HiddenLosses != 0 || b.HiddenLosses != 0 || s.HiddenCorruptions != 0 {
+	if a.HiddenLosses != 0 || b.HiddenLosses != 0 || s.Stats().HiddenLosses != 0 {
 		t.Fatalf("interference modeled with no Model: a=%d b=%d", a.HiddenLosses, b.HiddenLosses)
 	}
 	if a.Delivered != 30 || b.Delivered != 30 {

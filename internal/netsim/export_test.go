@@ -73,14 +73,19 @@ func candsEqual(cached, fresh []ixCand) error {
 // exactly one start entry while it is in flight, waiting and off the air,
 // and none otherwise; every flow on the air has exactly one entry for
 // its transmission — the air end before the frame settles, the occupancy
-// end after; and each flow's air-end mark (lastAirEnd), which lets a
-// settle skip the flow unread, equals its live transmission's air end
-// and bounds the air end of every past interval it keeps. It only reads,
-// so it leaves the run's behavior untouched.
+// end after; each flow's air-end mark (lastAirEnd), which lets a settle
+// skip the flow unread, equals its live transmission's air end and bounds
+// the air end of every past interval it keeps; and a flow sits on the
+// admission queue exactly once while its fQueued bit is set, and never
+// otherwise. It only reads, so it leaves the run's behavior untouched.
 func CheckEvents(s *Sim) error {
 	h := s.events
 	starts := make([]int, len(s.Flows))
 	txEntries := make([]int, len(s.Flows))
+	queued := make([]int, len(s.Flows))
+	for _, i := range s.admitQ {
+		queued[i]++
+	}
 	for k, e := range h {
 		if k > 0 && eventLess(e, h[(k-1)/4]) {
 			return fmt.Errorf("heap order: slot %d (t=%v kind=%d seq=%d) precedes its parent", k, e.t, e.kind, e.seq)
@@ -118,6 +123,13 @@ func CheckEvents(s *Sim) error {
 		}
 		if starts[i] != want || (want == 0 && s.startPos[i] != 0) {
 			return fmt.Errorf("flow %d (%s): %d start entries (slot+1 %d) with flags %04b", i, f.Name, starts[i], s.startPos[i], fl)
+		}
+		want = 0
+		if fl&fQueued != 0 {
+			want = 1
+		}
+		if queued[i] != want {
+			return fmt.Errorf("flow %d (%s): %d admission-queue entries with flags %04b", i, f.Name, queued[i], fl)
 		}
 		if onAir && txEntries[i] != 1 {
 			return fmt.Errorf("flow %d (%s): on the air with %d transmission entries", i, f.Name, txEntries[i])

@@ -117,6 +117,38 @@ type Radio struct {
 	SNRdB float64
 }
 
+// Stats is one flow's run accounting: plain int counters only, so a copy
+// is cheap to keep, sums are exact in any order, and adding a counter
+// costs one field and one line of Add. Sim.Stats adds up every flow's.
+// Transmit groups belong to no one flow, so their counters
+// (Sim.Acquisitions, Sim.CollisionRounds) stay on Sim.
+type Stats struct {
+	Attempts     int // transmission attempts, including collisions
+	Delivered    int // frames delivered
+	Dropped      int // frames dropped (retry limit, or unacked failure)
+	Collisions   int // attempts lost to collisions
+	Captures     int // colliding attempts that survived by capture
+	HiddenLosses int // attempts corrupted by out-of-range (hidden) interferers
+	// The traffic layer's offered-load accounting; all zero unless a
+	// Traffic is attached to the flow.
+	Arrived   int // packets the arrival process offered
+	Expired   int // packets dropped because their deadline passed before service began
+	Abandoned int // packets still queued when the flow left at StopSec
+}
+
+// Add adds every counter of o to st.
+func (st *Stats) Add(o Stats) {
+	st.Attempts += o.Attempts
+	st.Delivered += o.Delivered
+	st.Dropped += o.Dropped
+	st.Collisions += o.Collisions
+	st.Captures += o.Captures
+	st.HiddenLosses += o.HiddenLosses
+	st.Arrived += o.Arrived
+	st.Expired += o.Expired
+	st.Abandoned += o.Abandoned
+}
+
 // Flow is one contending traffic stream. The simulator drives it frame by
 // frame through the hooks; all hooks see the simulator's RNG so runs stay
 // deterministic for a given seed.
@@ -155,14 +187,10 @@ type Flow struct {
 	// consumed.
 	Done func(r int, delivered bool, airTime float64)
 
-	// Accounting, maintained by the simulator.
-	Delivered    int     // frames delivered
-	Dropped      int     // frames dropped (retry limit, or unacked failure)
-	Attempts     int     // transmission attempts, including collisions
-	Collisions   int     // attempts lost to collisions
-	Captures     int     // colliding attempts that survived by capture
-	HiddenLosses int     // attempts corrupted by out-of-range (hidden) interferers
-	AirTime      float64 // medium time consumed by this flow's own attempts
+	// Accounting, maintained by the simulator (and by an attached
+	// Traffic's queue).
+	Stats
+	AirTime float64 // medium time consumed by this flow's own attempts
 	// RateCorruption[r] accumulates the interference model's outcomes for
 	// attempts sent at rate index r (grown on demand; nil while no attempt
 	// of this flow was interfered with the model engaged).
@@ -293,9 +321,8 @@ type Sim struct {
 	now  float64 // virtual time, seconds
 	busy float64 // time the medium carried frames (airtime, ACKs)
 
-	Acquisitions      int // transmit groups that acquired some neighborhood
-	CollisionRounds   int // transmit groups that collided (>1 simultaneous in-range frame)
-	HiddenCorruptions int // frames corrupted by hidden-terminal interference
+	Acquisitions    int // transmit groups that acquired some neighborhood
+	CollisionRounds int // transmit groups that collided (>1 simultaneous in-range frame)
 
 	// Pending events, a 4-ary min-heap ordered by eventLess: shallower
 	// than a binary heap, so a pop touches fewer cache lines on the way
@@ -487,6 +514,15 @@ func (s *Sim) Now() float64 { return s.now }
 // acknowledgments, summed over concurrent neighborhoods — under spatial
 // reuse it may exceed Now (utilization above 1 is the reuse win).
 func (s *Sim) BusyTime() float64 { return s.busy }
+
+// Stats adds up every registered flow's Stats.
+func (s *Sim) Stats() Stats {
+	var st Stats
+	for _, f := range s.Flows {
+		st.Add(f.Stats)
+	}
+	return st
+}
 
 // backoffSlots draws a backoff in whole slots for the given retry attempt.
 func (s *Sim) backoffSlots(attempt int) int {
@@ -1279,7 +1315,6 @@ func (s *Sim) resolve(r *tx) {
 		survives = settle(false)
 		if !survives {
 			f.HiddenLosses++
-			s.HiddenCorruptions++
 		}
 	}
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mac"
@@ -23,6 +24,27 @@ func backloggedFlow(name string, packets int, ft, pDeliver float64) *Flow {
 	f.Deliver = func(rng *rand.Rand, _ int, _ Interference) bool { return rng.Float64() < pDeliver }
 	f.Done = func(_ int, _ bool, _ float64) { remaining-- }
 	return f
+}
+
+// TestStatsAddCoversEveryField holds Stats to plain int counters that Add
+// sums in full: every field gets a distinct value, and adding the struct
+// to itself must double each one. A counter added to Stats but left out of
+// Add, or a field that is not an int, fails it.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if k := v.Field(i).Kind(); k != reflect.Int {
+			t.Fatalf("Stats.%s is a %s, want a plain int counter", v.Type().Field(i).Name, k)
+		}
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	st.Add(st)
+	for i := 0; i < v.NumField(); i++ {
+		if got, want := v.Field(i).Int(), int64(2*(i+1)); got != want {
+			t.Errorf("after Add, Stats.%s = %d, want %d", v.Type().Field(i).Name, got, want)
+		}
+	}
 }
 
 func TestVirtualClockMatchesSingleFlowAccounting(t *testing.T) {

@@ -89,23 +89,24 @@ type TrafficConfig struct {
 	// Process generates the flow's arrivals. Required.
 	Process ArrivalProcess
 	// DeadlineSec drops a queued packet that has waited longer than this
-	// before its service began (counted in Traffic.Expired). 0 means no
-	// deadline. The packet currently in service is never expired — the
-	// deadline gates service start, not completion.
+	// before its service began (counted in the flow's Stats.Expired). 0
+	// means no deadline. The packet currently in service is never expired
+	// — the deadline gates service start, not completion.
 	DeadlineSec float64
 	// StartSec delays the first interarrival draw until this instant: the
 	// flow joins the scenario mid-run (churn). 0 joins at the start.
 	StartSec float64
 	// StopSec makes the flow leave at this instant: arrivals cease, and
-	// packets still queued are discarded (counted in Traffic.Abandoned —
-	// a departing client takes its queue with it). A frame already on the
-	// air completes normally. 0 means the flow never leaves.
+	// packets still queued are discarded (counted in the flow's
+	// Stats.Abandoned — a departing client takes its queue with it). A
+	// frame already on the air completes normally. 0 means the flow never
+	// leaves.
 	StopSec float64
 }
 
 // Traffic is one flow's attached arrival queue: FIFO arrival timestamps,
-// deadline expiry, and churn accounting. Created by Sim.AttachTraffic;
-// read after the run for offered-load accounting.
+// deadline expiry, and churn. Created by Sim.AttachTraffic; it counts
+// offered, expired and abandoned packets into its flow's Stats.
 type Traffic struct {
 	sim  *Sim
 	flow *Flow
@@ -114,10 +115,6 @@ type Traffic struct {
 	arrivals []float64 // arrival instant per queued packet
 	head     int       // first live entry in arrivals (FIFO pop point)
 	left     bool      // StopSec passed: no further arrivals or service
-
-	Arrived   int // packets the arrival process offered
-	Expired   int // packets dropped because their deadline passed before service began
-	Abandoned int // packets still queued when the flow left at StopSec
 }
 
 // AttachTraffic drives f's head-of-line queue from an arrival process:
@@ -125,7 +122,8 @@ type Traffic struct {
 // flow contends exactly while packets are queued and idles — consuming no
 // airtime and no randomness — while its queue is empty. Call after the
 // flow's other hooks are set and before the first Step. The returned
-// Traffic carries the offered/expired/abandoned accounting.
+// Traffic reports the queue's backlog (Pending); its offered, expired and
+// abandoned counts land in f.Stats.
 func (s *Sim) AttachTraffic(f *Flow, cfg TrafficConfig) *Traffic {
 	q := &Traffic{sim: s, flow: f, cfg: cfg}
 	f.HasTraffic = q.hasTraffic
@@ -173,7 +171,7 @@ func (q *Traffic) arrive() {
 	if q.left {
 		return
 	}
-	q.Arrived++
+	q.flow.Arrived++
 	q.arrivals = append(q.arrivals, q.sim.Now())
 	q.sim.Wake(q.flow)
 	q.scheduleNext()
@@ -188,7 +186,7 @@ func (q *Traffic) hasTraffic() bool {
 		now := q.sim.Now()
 		for q.head < len(q.arrivals) && now > q.arrivals[q.head]+q.cfg.DeadlineSec {
 			q.head++
-			q.Expired++
+			q.flow.Expired++
 		}
 		q.compact()
 	}
@@ -220,7 +218,7 @@ func (q *Traffic) leave() {
 	if q.sim.inFlight(q.flow) && q.head < len(q.arrivals) {
 		keep++ // the in-service packet rides out its transmission
 	}
-	q.Abandoned += len(q.arrivals) - keep
+	q.flow.Abandoned += len(q.arrivals) - keep
 	q.arrivals = q.arrivals[:keep]
 	q.compact()
 }

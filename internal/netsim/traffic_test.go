@@ -117,12 +117,12 @@ func TestPoissonArrivalsDrainAndAccount(t *testing.T) {
 	q := s.AttachTraffic(f, TrafficConfig{Process: Poisson{RatePps: 200}})
 	const window = 0.5
 	runChecked(t, s, window)
-	if q.Arrived < 50 || q.Arrived > 150 {
-		t.Fatalf("arrived %d packets in %.1fs at 200pps — process is off", q.Arrived, window)
+	if f.Arrived < 50 || f.Arrived > 150 {
+		t.Fatalf("arrived %d packets in %.1fs at 200pps — process is off", f.Arrived, window)
 	}
-	if got := f.Delivered + f.Dropped + q.Pending() + inService(s, f); got != q.Arrived {
+	if got := f.Delivered + f.Dropped + q.Pending() + inService(s, f); got != f.Arrived {
 		t.Fatalf("accounting leak: delivered %d + dropped %d + pending %d != arrived %d",
-			f.Delivered, f.Dropped, q.Pending(), q.Arrived)
+			f.Delivered, f.Dropped, q.Pending(), f.Arrived)
 	}
 	// At 200 pps of 1 ms frames the flow is far from saturation: its own
 	// airtime must be a small fraction of the window.
@@ -172,15 +172,15 @@ func TestDeadlineExpiresStaleQueue(t *testing.T) {
 		DeadlineSec: 1e-3,
 	})
 	runChecked(t, s, 1.0)
-	if hog.Delivered == 0 || q.Arrived == 0 {
-		t.Fatalf("degenerate run: hog=%d arrived=%d", hog.Delivered, q.Arrived)
+	if hog.Delivered == 0 || f.Arrived == 0 {
+		t.Fatalf("degenerate run: hog=%d arrived=%d", hog.Delivered, f.Arrived)
 	}
-	if q.Expired == 0 {
+	if f.Expired == 0 {
 		t.Fatal("tight deadline under contention expired nothing")
 	}
-	if got := f.Delivered + f.Dropped + q.Expired + q.Pending() + inService(s, f); got != q.Arrived {
+	if got := f.Delivered + f.Dropped + f.Expired + q.Pending() + inService(s, f); got != f.Arrived {
 		t.Fatalf("accounting leak: %d delivered + %d dropped + %d expired + %d pending != %d arrived",
-			f.Delivered, f.Dropped, q.Expired, q.Pending(), q.Arrived)
+			f.Delivered, f.Dropped, f.Expired, q.Pending(), f.Arrived)
 	}
 }
 
@@ -197,15 +197,15 @@ func TestChurnStartStopWindow(t *testing.T) {
 		StopSec:  0.4,
 	})
 	runChecked(t, s, 1.0)
-	if q.Arrived == 0 || f.Delivered == 0 {
-		t.Fatalf("flow never ran: arrived=%d delivered=%d", q.Arrived, f.Delivered)
+	if f.Arrived == 0 || f.Delivered == 0 {
+		t.Fatalf("flow never ran: arrived=%d delivered=%d", f.Arrived, f.Delivered)
 	}
-	if q.Abandoned == 0 {
+	if f.Abandoned == 0 {
 		t.Fatal("saturating flow left nothing behind at StopSec")
 	}
-	if got := f.Delivered + f.Dropped + q.Abandoned + q.Pending() + inService(s, f); got != q.Arrived {
+	if got := f.Delivered + f.Dropped + f.Abandoned + q.Pending() + inService(s, f); got != f.Arrived {
 		t.Fatalf("accounting leak: %d delivered + %d dropped + %d abandoned + %d pending != %d arrived",
-			f.Delivered, f.Dropped, q.Abandoned, q.Pending(), q.Arrived)
+			f.Delivered, f.Dropped, f.Abandoned, q.Pending(), f.Arrived)
 	}
 	// All airtime fits inside [start, stop] plus at most one trailing frame.
 	if s.Now() > 0.4+0.1 {

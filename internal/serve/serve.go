@@ -342,35 +342,36 @@ func (s *Server) runJob(job *Job) {
 	s.settle(job, res, timeout)
 }
 
-// settle moves a finished run into its terminal state and updates cache
-// and metrics.
+// settle moves a finished run into its terminal state. It decides the
+// verdict first, then feeds the cache, retires the job and counts the
+// finished metric, and only then publishes the state and output and
+// closes done: a client woken by Done sees every effect of the job (a
+// resubmit of its spec hits the cache; the metrics page counts it).
 func (s *Server) settle(job *Job, res runResult, timeout time.Duration) {
 	job.mu.Lock()
-	job.finished = now()
-	job.ranFor = job.finished.Sub(job.started)
-	ranFor := job.ranFor
+	finished := now()
+	ranFor := finished.Sub(job.started)
+	var state State
+	var errMsg string
 	switch {
 	case job.timedOut:
-		job.state = StateFailed
-		job.errMsg = fmt.Sprintf("timed out after %s (partial output discarded)", timeout)
+		state = StateFailed
+		errMsg = fmt.Sprintf("timed out after %s (partial output discarded)", timeout)
 	case job.cancelReq:
 		// Whether the render noticed (ErrCanceled) or finished first, the
 		// client asked for cancellation: discard the output either way so
 		// the observable behavior does not depend on that race.
-		job.state = StateCanceled
-		job.errMsg = "canceled (partial output discarded)"
+		state = StateCanceled
+		errMsg = "canceled (partial output discarded)"
 	case errors.Is(res.err, experiments.ErrCanceled):
-		job.state = StateCanceled
-		job.errMsg = "canceled (partial output discarded)"
+		state = StateCanceled
+		errMsg = "canceled (partial output discarded)"
 	case res.err != nil:
-		job.state = StateFailed
-		job.errMsg = res.err.Error()
+		state = StateFailed
+		errMsg = res.err.Error()
 	default:
-		job.state = StateDone
-		job.output = res.out
+		state = StateDone
 	}
-	state := job.state
-	close(job.done)
 	job.mu.Unlock()
 
 	s.mu.Lock()
@@ -388,4 +389,15 @@ func (s *Server) settle(job *Job, res runResult, timeout time.Duration) {
 	s.retireLocked(job.ID)
 	s.mu.Unlock()
 	s.metrics.finished(job.Spec.Experiment, state, ranFor)
+
+	job.mu.Lock()
+	job.finished = finished
+	job.ranFor = ranFor
+	job.state = state
+	job.errMsg = errMsg
+	if state == StateDone {
+		job.output = res.out
+	}
+	close(job.done)
+	job.mu.Unlock()
 }

@@ -393,6 +393,45 @@ func TestOutputCacheDisabledAndBounded(t *testing.T) {
 	}
 }
 
+// TestDoneFollowsCacheAndMetrics holds settle's order: a client woken by
+// Done must see every effect of the finished job, so the finished metric
+// already counts it and a resubmit of its spec hits the cache. Each
+// iteration races the waiter against the runner's settle on a fresh
+// server; an order that closes done before those steps fails within a
+// few thousand iterations.
+func TestDoneFollowsCacheAndMetrics(t *testing.T) {
+	const iters = 20000
+	uncounted, missed := 0, 0
+	for i := 0; i < iters; i++ {
+		s := New(Config{MaxRunning: 1, runFn: fakeRun(nil, nil)})
+		j, err := s.Submit(Spec{Experiment: "fig12"})
+		if err != nil {
+			t.Fatalf("iteration %d: submit: %v", i, err)
+		}
+		if st := waitState(t, j); st != StateDone {
+			t.Fatalf("iteration %d: job settled %s", i, st)
+		}
+		s.metrics.mu.Lock()
+		finished := s.metrics.finishedBy[StateDone] // ssserve_jobs_finished_total{state="done"}
+		s.metrics.mu.Unlock()
+		if finished != 1 {
+			uncounted++
+		}
+		j2, err := s.Submit(Spec{Experiment: "fig12"})
+		if err != nil {
+			t.Fatalf("iteration %d: resubmit: %v", i, err)
+		}
+		if !j2.Status().CacheHit {
+			missed++
+		}
+		s.Close()
+	}
+	if uncounted > 0 || missed > 0 {
+		t.Fatalf("over %d jobs, %d waiters found the finished metric uncounted and %d resubmits missed the cache",
+			iters, uncounted, missed)
+	}
+}
+
 func TestJobTableRetention(t *testing.T) {
 	s := New(Config{MaxRunning: 1, MaxJobs: 2, CacheEntries: -1, runFn: fakeRun(nil, nil)})
 	defer s.Close()
