@@ -115,11 +115,11 @@ func BenchmarkFig16SubcarrierSNR(b *testing.B) {
 }
 
 func BenchmarkFig17LastHop(b *testing.B) {
-	var res Fig17Result
+	var res PointStats
 	for i := 0; i < b.N; i++ {
 		res = RunFig17(engine.Config{Seed: int64(6 + i)}, Fig17Options{Placements: 16, Packets: 250, Payload: 1460})
 	}
-	b.ReportMetric(res.MedianGain, "median-gain-x")
+	b.ReportMetric(res.MedianGain(1, 0), "median-gain-x")
 }
 
 func BenchmarkFig18OppRouting6(b *testing.B) {
@@ -132,16 +132,16 @@ func BenchmarkFig18OppRouting12(b *testing.B) {
 
 func benchFig18(b *testing.B, mbps int) {
 	b.Helper()
-	var res Fig18Result
+	var res PointStats
 	for i := 0; i < b.N; i++ {
-		res = RunFig18(engine.Config{Seed: int64(7 + i)}, Fig18Options{
+		res = RunFig18(engine.Config{Seed: int64(7 + i)}, MeshOptions{
 			Topologies: 10, Packets: 100,
 			Payload: 1000, RateMbps: mbps, Probes: 40,
 		})
 	}
-	b.ReportMetric(res.GainExOROverSP, "exor-over-sp-x")
-	b.ReportMetric(res.GainSSOverExOR, "ss-over-exor-x")
-	b.ReportMetric(res.GainSSOverSP, "ss-over-sp-x")
+	b.ReportMetric(res.MedianGain(1, 0), "exor-over-sp-x")
+	b.ReportMetric(res.MedianGain(2, 1), "ss-over-exor-x")
+	b.ReportMetric(res.MedianGain(2, 0), "ss-over-sp-x")
 }
 
 func BenchmarkTabOverhead(b *testing.B) {

@@ -131,7 +131,7 @@ func runCellSpec(t *testing.T, sp *scenario.Spec, seed int64, workers int) strin
 
 func TestCellCrossTrafficDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := backloggedCell(4, 8, 40, 0)
-	ox := CrossTrafficOptions{Topologies: 3, Packets: 40, CrossFlows: 2,
+	ox := MeshOptions{Topologies: 3, Packets: 40, CrossFlows: 2,
 		CrossPackets: 50, Payload: 1000, RateMbps: 12, Probes: 30}
 	wantC := runCellSpec(t, sc, 9, 1)
 	wantX := fmt.Sprintf("%#v", RunCrossTraffic(engine.Config{Seed: 10, Workers: 1}, ox))
@@ -188,13 +188,13 @@ func TestCellSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestFig17Fig18DeterministicAcrossWorkerCounts(t *testing.T) {
 	o17 := Fig17Options{Placements: 8, Packets: 100, Payload: 1460}
-	o18 := Fig18Options{Topologies: 5, Packets: 60, Payload: 1000, RateMbps: 12, Probes: 30}
+	o18 := MeshOptions{Topologies: 5, Packets: 60, Payload: 1000, RateMbps: 12, Probes: 30}
 	want17 := fmt.Sprintf("%#v", RunFig17(engine.Config{Seed: 5, Workers: 1}, o17))
 	want18 := fmt.Sprintf("%#v", RunFig18(engine.Config{Seed: 6, Workers: 1}, o18))
-	if got := fmt.Sprintf("%#v", RunFig17(engine.Config{Seed: 5}, o17)); got != want17 {
+	if got := fmt.Sprintf("%#v", RunFig17(engine.Config{Seed: 5, Workers: 4}, o17)); got != want17 {
 		t.Fatalf("Fig17 parallel output differs from serial")
 	}
-	if got := fmt.Sprintf("%#v", RunFig18(engine.Config{Seed: 6}, o18)); got != want18 {
+	if got := fmt.Sprintf("%#v", RunFig18(engine.Config{Seed: 6, Workers: 4}, o18)); got != want18 {
 		t.Fatalf("Fig18 parallel output differs from serial")
 	}
 }

@@ -1,17 +1,18 @@
 package sourcesync
 
 import (
+	"math"
 	"math/rand"
-	"sort"
 
-	"repro/internal/dsp"
 	"repro/internal/engine"
 	"repro/internal/etx"
 	"repro/internal/exor"
 	"repro/internal/lasthop"
 	"repro/internal/mac"
 	"repro/internal/modem"
+	"repro/internal/netsim"
 	"repro/internal/permodel"
+	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
 
@@ -29,22 +30,21 @@ func DefaultFig17Options() Fig17Options {
 	return Fig17Options{Placements: 40, Packets: 400, Payload: 1460}
 }
 
-// Fig17Result carries the two throughput CDFs and their median gain.
-type Fig17Result struct {
-	SingleMbps []float64 // sorted, one per placement (best single AP)
-	JointMbps  []float64 // sorted, same placements with SourceSync
-	MedianGain float64
-}
+// schemeEveryAP is fig17's selective-diversity baseline: the client served
+// by each AP alone in turn, keeping the best run (bestOfAPs). It is not a
+// scenario scheme, so no spec can name it.
+const schemeEveryAP = "every-ap"
 
 // RunFig17 regenerates Figure 17: CDFs of client throughput using the best
 // single AP versus both APs jointly with SourceSync (paper: median 1.57x).
-func RunFig17(ec engine.Config, o Fig17Options) Fig17Result {
+// Schemes[0] of the returned row is the best single AP and Schemes[1]
+// joint service, so MedianGain(1, 0) is the median gain.
+func RunFig17(ec engine.Config, o Fig17Options) PointStats {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
-
-	type plRes struct{ singleBps, jointBps float64 }
-	rows := engine.Map(ec, 0, o.Placements, func(pl int, rng *rand.Rand) plRes {
+	schemes := []string{schemeEveryAP, scenario.SchemeJoint}
+	return reducePoint(schemes, runCells(ec, 1, o.Placements, schemes, func(_ int, rng *rand.Rand) func() lasthop.Cell {
 		client := env.RandomPoint(rng)
 		// Two APs with usable-but-not-saturated links, per the paper's
 		// motivation (clients with poor connectivity to multiple nearby
@@ -60,31 +60,23 @@ func RunFig17(ec engine.Config, o Fig17Options) Fig17Result {
 			}},
 			PacketsPerClient: o.Packets,
 		}
-		single := bestSingleAPBps(engine.ChildRNG(rng), c)
-		joint := c.RunJoint(engine.ChildRNG(rng))
-		return plRes{single, joint.AggregateBps}
-	})
-	single := func(r plRes) float64 { return r.singleBps }
-	joint := func(r plRes) float64 { return r.jointBps }
-	return Fig17Result{
-		SingleMbps: mbpsCDF(rows, single),
-		JointMbps:  mbpsCDF(rows, joint),
-		MedianGain: medianRatio(rows, joint, single),
-	}
+		return func() lasthop.Cell { return c }
+	})[0])
 }
 
-// bestSingleAPBps is Fig. 17's selective-diversity baseline for the
-// one-client cell c: it runs the client with each AP alone, one child RNG
-// per AP in AP order, and returns the highest throughput. Unlike
+// bestOfAPs runs fig17's baseline on the one-client cell c: the client
+// with each AP alone, one child RNG per AP in AP order. It returns the run
+// with the highest throughput, the first such run on a tie. Unlike
 // Cell.RunBestSingleAP, which serves from the highest-SNR AP, it tries
 // every AP.
-func bestSingleAPBps(rng *rand.Rand, c lasthop.Cell) float64 {
-	var best float64
-	for _, link := range c.Links[0] {
+func bestOfAPs(c lasthop.Cell, rng *rand.Rand) lasthop.CellResult {
+	var best lasthop.CellResult
+	for a, link := range c.Links[0] {
 		alone := c
 		alone.Links = [][]testbed.Link{{link}}
-		r := alone.RunBestSingleAP(engine.ChildRNG(rng))
-		best = max(best, r.AggregateBps)
+		if r := alone.RunBestSingleAP(engine.ChildRNG(rng)); a == 0 || r.AggregateBps > best.AggregateBps {
+			best = r
+		}
 	}
 	return best
 }
@@ -99,77 +91,190 @@ func nearbyPoint(rng *rand.Rand, env *testbed.Testbed, ref testbed.Point, minDis
 	})
 }
 
-// ---------------------------------------------------------------- Fig. 18
+// ----------------------------------------------- Fig. 18 and crosstraffic
 
-// Fig18Options configures the opportunistic routing experiment (§8.4).
-type Fig18Options struct {
-	Topologies int
-	Packets    int
-	Payload    int
-	RateMbps   int // 6 or 12, per the paper
-	Probes     int // measurement-phase probes per link
+// MeshOptions configures the §8.4 mesh experiments over random 5-node
+// topologies: fig18's routed flow alone, and crosstraffic's routed flow
+// sharing its collision domain with contending single-hop flows between
+// relays.
+type MeshOptions struct {
+	Topologies   int
+	Packets      int // routed packets per run
+	CrossFlows   int // contending single-hop flows; none for fig18
+	CrossPackets int // backlog per cross flow
+	Payload      int
+	// RateMbps is the routed flow's fixed rate (the paper's 6 or 12).
+	// Rates up to 6 Mbps run on an 18% wider floor (runMesh).
+	RateMbps int
+	Probes   int // measurement-phase probes per link
+	// CSRangeM is the carrier-sense range between cross-flow transmitters
+	// (meters). 0 keeps the classic single collision domain; positive
+	// values enable spatial reuse — and hidden terminals — between cross
+	// flows in different parts of the mesh, and spread the relays across
+	// the span with ETX-aware placement. The routed flow's transmitter
+	// moves hop by hop, so it always contends with everyone.
+	CSRangeM float64
+	// WidthScale stretches the mesh floor (and the relay spread) by this
+	// factor; 0 or 1 keeps the default geometry. The spatial-mesh variant
+	// pairs a stretched floor with a finite CSRangeM so relay-to-relay
+	// cross flows land in different cells.
+	WidthScale float64
 }
 
 // DefaultFig18Options returns the parameters used by ssbench.
-func DefaultFig18Options(rateMbps int) Fig18Options {
-	return Fig18Options{
+func DefaultFig18Options(rateMbps int) MeshOptions {
+	return MeshOptions{
 		Topologies: 20, Packets: 150, Payload: 1000,
 		RateMbps: rateMbps, Probes: 60,
 	}
 }
 
-// Fig18Result carries the three throughput CDFs and median gains.
-type Fig18Result struct {
-	RateMbps       int
-	SinglePathMbps []float64
-	ExORMbps       []float64
-	SourceSyncMbps []float64
-	// Median gains over the per-topology ratios.
-	GainExOROverSP float64
-	GainSSOverExOR float64
-	GainSSOverSP   float64
+// DefaultCrossTrafficOptions returns the parameters used by ssbench:
+// one collision domain, SampleRate-adapted cross flows, rate-aware
+// interference.
+func DefaultCrossTrafficOptions() MeshOptions {
+	return MeshOptions{
+		Topologies: 20, Packets: 120, CrossFlows: 2,
+		CrossPackets: 150, Payload: 1000, RateMbps: 12, Probes: 60,
+	}
+}
+
+// SpatialCrossTrafficOptions returns the spatial-mesh variant used by
+// ssbench: the floor stretched to 1.2x the mesh default with the relays
+// spread across the span, and a carrier-sense range shortened to 20 m so
+// relay-to-relay cross flows land in different cells — they reuse the
+// medium concurrently and corrupt each other as hidden terminals, priced
+// by the rate-aware interference model. Stretching much further kills the
+// routed path outright (hops pass the 12 Mbps waterfall), so the variant
+// leans on the shorter carrier sense for its spatial structure.
+func SpatialCrossTrafficOptions() MeshOptions {
+	o := DefaultCrossTrafficOptions()
+	o.CSRangeM = 20
+	o.WidthScale = 1.2
+	return o
 }
 
 // RunFig18 regenerates Figure 18 at one bit rate: CDFs of throughput for
 // single-path routing, ExOR, and ExOR+SourceSync over random 5-node
-// topologies (source, three relays, destination). The mesh is stretched
-// so links sit near the chosen rate's waterfall (the paper picked
-// topologies with lossy links at each rate): the more robust rates up to
-// 6 Mbps need an 18% wider floor to see the same loss rates.
-func RunFig18(ec engine.Config, o Fig18Options) Fig18Result {
+// topologies (source, three relays, destination). The returned row's
+// Schemes are single path, ExOR and ExOR+SourceSync, then an empty cross
+// row: MedianGain(1, 0), (2, 1) and (2, 0) are the paper's three ratios.
+func RunFig18(ec engine.Config, o MeshOptions) PointStats {
+	return runMesh(ec, o, []meshRun{{exor.SinglePath, false}, {exor.ExOR, false}, {exor.ExORSourceSync, false}})
+}
+
+// RunCrossTraffic regenerates the cross-traffic comparison over random
+// §8.4 mesh topologies: relays carry their own contending flows while the
+// source routes packets to the destination. With o.CSRangeM set (the
+// spatial-mesh variant) the relays are spread across a stretched floor, so
+// cross flows in different cells reuse the medium concurrently and corrupt
+// each other as hidden terminals. The returned row's Schemes are single
+// path alone and loaded, ExOR+SourceSync alone and loaded, then the cross
+// row: MedianGain(1, 0) and (3, 2) are the retentions under load, and
+// (3, 1) SourceSync's gain under load.
+func RunCrossTraffic(ec engine.Config, o MeshOptions) PointStats {
+	return runMesh(ec, o, []meshRun{
+		{exor.SinglePath, false}, {exor.SinglePath, true},
+		{exor.ExORSourceSync, false}, {exor.ExORSourceSync, true},
+	})
+}
+
+// meshRun is one routed run of a mesh trial: a routing scheme, alone or
+// loaded with the trial's cross flows.
+type meshRun struct {
+	scheme exor.Scheme
+	loaded bool
+}
+
+// runMesh runs o.Topologies mesh trials. Each trial draws a topology,
+// runs the measurement phase, draws o.CrossFlows cross flows between
+// distinct relays, then simulates each entry of runs on its own child
+// stream, in list order. The returned row holds each run's routed flow, in
+// list order, then a "cross" row that adds up the cross flows of every
+// loaded run (its throughputs are zero).
+//
+// The mesh is stretched so links sit near the chosen rate's waterfall
+// (the paper picked topologies with lossy links at each rate): the more
+// robust rates up to 6 Mbps need an 18% wider floor to see the same loss
+// rates. The rate-aware model prices the cross flows' rate table, the
+// standard rates they adapt over; netsim consults it only for placed
+// flows, so the routed flow alone never does.
+func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	if o.RateMbps <= 6 {
 		env.Width *= 1.18
+	}
+	if o.WidthScale > 1 {
+		env.Width *= o.WidthScale
 	}
 	rate, err := modem.RateByMbps(o.RateMbps)
 	if err != nil {
 		panic(err)
 	}
 	m := mac.Default(cfg)
-
-	type tpRes struct{ spBps, exBps, ssBps float64 }
-	rows := engine.Map(ec, 0, o.Topologies, func(tp int, rng *rand.Rand) tpRes {
-		topo := randomMeshTopology(rng, env, false, nil)
-		meas := topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
-		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: o.Payload}
-		sp := sim.Run(engine.ChildRNG(rng), exor.SinglePath, o.Packets)
-		ex := sim.Run(engine.ChildRNG(rng), exor.ExOR, o.Packets)
-		ss := sim.Run(engine.ChildRNG(rng), exor.ExORSourceSync, o.Packets)
-		return tpRes{sp.ThroughputBps, ex.ThroughputBps, ss.ThroughputBps}
-	})
-	sp := func(r tpRes) float64 { return r.spBps }
-	ex := func(r tpRes) float64 { return r.exBps }
-	ss := func(r tpRes) float64 { return r.ssBps }
-	return Fig18Result{
-		RateMbps:       o.RateMbps,
-		SinglePathMbps: mbpsCDF(rows, sp),
-		ExORMbps:       mbpsCDF(rows, ex),
-		SourceSyncMbps: mbpsCDF(rows, ss),
-		GainExOROverSP: medianRatio(rows, ex, sp),
-		GainSSOverExOR: medianRatio(rows, ss, ex),
-		GainSSOverSP:   medianRatio(rows, ss, sp),
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
+	// The spatial variant spreads relays across a stretched floor, where a
+	// fraction of draws land with every src -> dst path past the rate's
+	// waterfall: the routed run then measures a dead topology, not
+	// contention. ETX-aware placement fixes that in two bounded stages:
+	// the shadowing-SNR proxy inside randomMeshTopology prunes hopeless
+	// geometry before the measurement phase, and if the measured ETX graph
+	// still leaves the destination unreachable (fading in the probe draws
+	// can kill a proxy-approved chain), the whole topology re-rolls. The
+	// compact experiments keep nil + no re-roll to stay draw-identical to
+	// their history.
+	var routable func(*exor.Topology) bool
+	if o.CSRangeM > 0 {
+		routable = meshRoutablePredicate(cfg, rate, o.Payload)
 	}
+	names := make([]string, 0, len(runs)+1)
+	for _, r := range runs {
+		name := r.scheme.String()
+		if r.loaded {
+			name += "+load"
+		}
+		names = append(names, name)
+	}
+	names = append(names, "cross")
+	trials := runTrials(ec, 1, o.Topologies, func(_ int, rng *rand.Rand) []schemeRun {
+		topo := randomMeshTopology(rng, env, o.CSRangeM > 0, routable)
+		meas := topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
+		for tries := 0; routable != nil && math.IsInf(meas.DistTo[0], 1) && tries < meshRelayRedraws; tries++ {
+			topo = randomMeshTopology(rng, env, true, routable)
+			meas = topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
+		}
+		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: o.Payload,
+			CSRangeM: o.CSRangeM, Model: model}
+		// Cross flows between distinct relays (nodes 1..N-2), drawn per
+		// topology.
+		relays := topo.N() - 2
+		cross := make([]exor.CrossFlow, o.CrossFlows)
+		for i := range cross {
+			from := 1 + rng.Intn(relays)
+			to := 1 + rng.Intn(relays-1)
+			if to >= from {
+				to++
+			}
+			cross[i] = exor.CrossFlow{From: from, To: to, Packets: o.CrossPackets}
+		}
+		out := make([]schemeRun, len(runs)+1)
+		crossRow := &out[len(runs)]
+		for i, r := range runs {
+			var load []exor.CrossFlow
+			if r.loaded {
+				load = cross
+			}
+			res, crossRes := sim.RunWithCross(engine.ChildRNG(rng), r.scheme, o.Packets, load)
+			out[i] = schemeRun{bps: res.ThroughputBps, Stats: res.Flow, rateCorruption: res.RateCorruption}
+			for _, c := range crossRes {
+				crossRow.Add(c.Flow)
+				crossRow.rateCorruption = netsim.MergeRateCorruption(crossRow.rateCorruption, c.RateCorruption)
+			}
+		}
+		return out
+	})
+	return reducePoint(names, trials[0])
 }
 
 // randomMeshTopology draws the paper's 5-node shape: source and destination
@@ -250,33 +355,4 @@ func meshRoutablePredicate(cfg *modem.Config, rate modem.Rate, payloadBytes int)
 		path, _ := g.ShortestPath(0, n-1)
 		return path != nil
 	}
-}
-
-// ------------------------------------------------------ trial reductions
-//
-// Every packet-level table reduces its trials the same two ways: a
-// scheme's throughput CDF and the median of a per-trial ratio.
-
-// mbpsCDF is one scheme's throughput CDF: bps of every trial, in Mbps,
-// sorted.
-func mbpsCDF[T any](trials []T, bps func(T) float64) []float64 {
-	out := make([]float64, 0, len(trials))
-	for _, tr := range trials {
-		out = append(out, bps(tr)/1e6)
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// medianRatio is the median over trials of num/den, skipping the trials
-// whose den is not positive (a baseline that delivered nothing gives no
-// ratio).
-func medianRatio[T any](trials []T, num, den func(T) float64) float64 {
-	var ratios []float64
-	for _, tr := range trials {
-		if d := den(tr); d > 0 {
-			ratios = append(ratios, num(tr)/d)
-		}
-	}
-	return dsp.Median(ratios)
 }

@@ -4,168 +4,208 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 
 	"repro/internal/dsp"
 	"repro/internal/engine"
-	"repro/internal/exor"
 	"repro/internal/lasthop"
-	"repro/internal/mac"
-	"repro/internal/modem"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
 
-// ---------------------------------------------------------- cell family
+// ---------------------------------------------------------- trial runners
 //
-// Every lasthop.Cell experiment — cell, cellsweep, metro, arrivals and
-// mobility — runs its trials through one runner, runCells: a trial draws
-// its layout, then runs each serving scheme on a fresh cell built from
-// that layout, each on its own child stream. One reducer, reducePoint,
-// folds a point's trials into the PointStats row every cell-family table
-// prints, and reducePoints folds a sweep.
+// Every packet-level experiment runs its trials through one grid runner,
+// runTrials, and reduces them with one reducer, reducePoint, into the
+// PointStats row every packet-level table prints. Every lasthop.Cell
+// experiment — fig17, cell, cellsweep, metro, arrivals and mobility — runs
+// on runCells: a trial draws its layout, then runs each serving scheme on
+// a fresh cell built from that layout, each on its own child stream. The
+// §8.4 mesh experiments — fig18 and both crosstraffic variants — run on
+// runMesh (fig1718.go). reducePoints folds a sweep.
 
-// SchemeStats is one serving scheme's outcome over a point's placements.
+// schemeRun is what reducePoint reads of one scheme's run in one trial.
+type schemeRun struct {
+	bps float64 // delivered bits over the run's virtual time
+	netsim.Stats
+	acquisitions    int // transmit groups that acquired the medium
+	collisionRounds int // transmit groups that collided
+	utilization     float64
+	rateCorruption  []netsim.RateCorruption
+	handoffs        int // serving-cell changes; 0 without mobility
+	clients         int // clients served, the handoff rate's divisor
+}
+
+// cellRun keeps what reducePoint reads of a cell run. The per-client
+// counters stay behind, so a finished trial holds no per-client state
+// while the rest of its grid runs.
+func cellRun(r lasthop.CellResult) schemeRun {
+	return schemeRun{
+		bps:             r.AggregateBps,
+		Stats:           r.Stats,
+		acquisitions:    r.Acquisitions,
+		collisionRounds: r.CollisionRounds,
+		utilization:     r.Utilization,
+		rateCorruption:  r.RateCorruption,
+		handoffs:        r.Handoffs,
+		clients:         len(r.PerClient),
+	}
+}
+
+// SchemeStats is one scheme's outcome over a point's placements.
 type SchemeStats struct {
 	Scheme string
-	// AggMbps is the scheme's aggregate-throughput CDF: one entry per
-	// placement (delivered bits over the run's virtual time), sorted.
+	// Bps is each placement's throughput (delivered bits over the run's
+	// virtual time), in placement order.
+	Bps []float64
+	// AggMbps is the scheme's throughput CDF: Bps in Mbps, sorted.
 	AggMbps    []float64
 	MedianMbps float64 // median of AggMbps
 	// Stats adds up the scheme's flow counters over the placements.
 	netsim.Stats
-}
-
-// PointStats is one row of every cell-family table — a swept value of the
-// saturation experiments (clients per cell, cell count, carrier-sense
-// range, metro density), one offered load of an arrival-driven scenario,
-// or a backlogged scenario's one point: each scheme's outcome over the
-// placements, and the joint runs' medium statistics.
-type PointStats struct {
-	RatePps float64 // per-client offered load; 0 for a backlogged point
-	// Schemes holds one entry per scheme, in scheme-list order.
-	Schemes []SchemeStats
-	// MedianGain is the median over placements of joint/single aggregate
-	// throughput; 0 unless both schemes ran.
-	MedianGain float64
 	// CollisionRate is the fraction of medium acquisitions whose transmit
-	// groups collided, averaged over the joint runs.
+	// groups collided, averaged over the runs.
 	CollisionRate float64
 	// HiddenRate is hidden-terminal corruptions per medium acquisition,
-	// averaged over the joint runs: concurrent out-of-range downlinks
-	// corrupting each other at the receivers.
+	// averaged over the runs: concurrent out-of-range downlinks corrupting
+	// each other at the receivers.
 	HiddenRate float64
-	// CaptureRate is captures per acquisition averaged over the joint
-	// runs: colliding downlinks the interference model let survive.
+	// CaptureRate is captures per acquisition averaged over the runs:
+	// colliding downlinks the interference model let survive.
 	CaptureRate float64
-	// MeanUtilization is busy time over elapsed time in the joint runs;
-	// values above 1 mean several cells carried frames concurrently
+	// MeanUtilization is busy time over elapsed time, averaged over the
+	// runs; values above 1 mean several cells carried frames concurrently
 	// (spatial reuse at work). With the event-driven per-neighborhood
 	// clock it approaches the cell count under saturation, minus what
 	// hidden terminals and DCF overhead take.
 	MeanUtilization float64
 	// RateCorruption aggregates the interference model's per-rate outcomes
-	// over every joint run at this point (index = SampleRate rate index):
-	// interfered / corrupted / degraded counts and summed decode margins.
+	// over the runs (index = SampleRate rate index): interfered /
+	// corrupted / degraded counts and summed decode margins.
 	RateCorruption []netsim.RateCorruption
 	// HandoffsPerClient is the mean number of serving-cell changes each
-	// client made over the window; 0 without mobility. The drift
-	// trajectory is scheme-independent, so the last scheme's count stands
-	// for each trial.
+	// client made over the window; 0 without mobility.
 	HandoffsPerClient float64
+}
+
+// PointStats is one row of every packet-level table — a swept value of the
+// saturation experiments (clients per cell, cell count, carrier-sense
+// range, metro density), one offered load of an arrival-driven scenario,
+// a backlogged scenario's one point, or a fig17, fig18 or crosstraffic
+// run: each scheme's outcome over the placements.
+type PointStats struct {
+	RatePps float64 // per-client offered load; 0 for a backlogged point
+	// Schemes holds one entry per scheme, in scheme-list order.
+	Schemes []SchemeStats
+}
+
+// MedianGain is the median over placements of scheme num's throughput over
+// scheme den's (indexes into Schemes). It pairs the two runs of each
+// placement and skips the placements where den delivered nothing, which
+// give no ratio; NaN when none is left.
+func (p PointStats) MedianGain(num, den int) float64 {
+	var ratios []float64
+	for pl, d := range p.Schemes[den].Bps {
+		if d > 0 {
+			ratios = append(ratios, p.Schemes[num].Bps[pl]/d)
+		}
+	}
+	return dsp.Median(ratios)
 }
 
 // bothSchemes is the saturation experiments' scheme list: best single AP,
 // then joint, the order their child streams are drawn in.
 var bothSchemes = []string{scenario.SchemeSingle, scenario.SchemeJoint}
 
-// runCells runs points x placements trials on one engine grid. Each trial
-// draws its layout with place, which returns a builder of fresh cells over
-// that layout, then runs each scheme in schemes on a fresh cell (single:
-// best-single-AP service; joint: SourceSync joint service), each on a
-// child RNG drawn from the trial stream in scheme order. Results come back as
+// runTrials runs points x placements trials on one engine grid. Each trial
+// returns its scheme runs in scheme order. Results come back as
 // trials[point][placement][scheme], holding only the trials that ran: a
 // canceled run drops the ones it never started (its output is discarded
 // anyway).
-func runCells(ec engine.Config, points, placements int, schemes []string,
-	place func(pt int, rng *rand.Rand) func() lasthop.Cell) [][][]lasthop.CellResult {
-	trials := engine.Grid(ec, points, placements, func(pt, _ int, rng *rand.Rand) []lasthop.CellResult {
-		fresh := place(pt, rng)
-		out := make([]lasthop.CellResult, len(schemes))
-		for si, scheme := range schemes {
-			if scheme == scenario.SchemeSingle {
-				out[si] = fresh().RunBestSingleAP(engine.ChildRNG(rng))
-			} else {
-				out[si] = fresh().RunJoint(engine.ChildRNG(rng))
-			}
-		}
-		return out
+func runTrials(ec engine.Config, points, placements int, trial func(pt int, rng *rand.Rand) []schemeRun) [][][]schemeRun {
+	trials := engine.Grid(ec, points, placements, func(pt, _ int, rng *rand.Rand) []schemeRun {
+		return trial(pt, rng)
 	})
 	for pt := range trials {
-		trials[pt] = slices.DeleteFunc(trials[pt], func(tr []lasthop.CellResult) bool { return tr == nil })
+		trials[pt] = slices.DeleteFunc(trials[pt], func(tr []schemeRun) bool { return tr == nil })
 	}
 	return trials
 }
 
-// aggBps selects scheme si's aggregate throughput from a trial's results.
-func aggBps(si int) func([]lasthop.CellResult) float64 {
-	return func(tr []lasthop.CellResult) float64 { return tr[si].AggregateBps }
+// runCells runs the cell family's trials on runTrials. Each trial draws
+// its layout with place, which returns a builder of fresh cells over that
+// layout, then runs each scheme in schemes on a fresh cell (single:
+// best-single-AP service; every-ap: fig17's try-every-AP baseline; joint:
+// SourceSync joint service), each on a child RNG drawn from the trial
+// stream in scheme order.
+func runCells(ec engine.Config, points, placements int, schemes []string,
+	place func(pt int, rng *rand.Rand) func() lasthop.Cell) [][][]schemeRun {
+	return runTrials(ec, points, placements, func(pt int, rng *rand.Rand) []schemeRun {
+		fresh := place(pt, rng)
+		out := make([]schemeRun, len(schemes))
+		for si, scheme := range schemes {
+			var r lasthop.CellResult
+			switch scheme {
+			case scenario.SchemeSingle:
+				r = fresh().RunBestSingleAP(engine.ChildRNG(rng))
+			case schemeEveryAP:
+				r = bestOfAPs(fresh(), engine.ChildRNG(rng))
+			default:
+				r = fresh().RunJoint(engine.ChildRNG(rng))
+			}
+			out[si] = cellRun(r)
+		}
+		return out
+	})
 }
 
 // reducePoint folds one point's trials, run over schemes, into its
 // PointStats row. Every sum runs in placement order, so float
-// accumulation is deterministic: the joint runs' per-acquisition rates
-// and utilization are summed and then divided once, and their per-rate
+// accumulation is deterministic: each scheme's per-acquisition rates and
+// utilization are summed and then divided once, and its per-rate
 // corruption is merged run by run.
-func reducePoint(schemes []string, trials [][]lasthop.CellResult) PointStats {
+func reducePoint(schemes []string, trials [][]schemeRun) PointStats {
 	var pt PointStats
-	single, joint := -1, -1
 	for si, scheme := range schemes {
-		st := SchemeStats{Scheme: scheme, AggMbps: mbpsCDF(trials, aggBps(si))}
-		st.MedianMbps = dsp.Median(st.AggMbps)
-		for _, tr := range trials {
-			st.Add(tr[si].Stats)
-		}
-		pt.Schemes = append(pt.Schemes, st)
-		if scheme == scenario.SchemeSingle {
-			single = si
-		} else {
-			joint = si
-		}
-	}
-	if single >= 0 && joint >= 0 {
-		pt.MedianGain = medianRatio(trials, aggBps(joint), aggBps(single))
-	}
-	handoffs, clients := 0, 0
-	for _, tr := range trials {
-		if joint >= 0 {
-			j := tr[joint]
-			if j.Acquisitions > 0 {
-				pt.CollisionRate += float64(j.CollisionRounds) / float64(j.Acquisitions)
-				pt.HiddenRate += float64(j.HiddenLosses) / float64(j.Acquisitions)
-				pt.CaptureRate += float64(j.Captures) / float64(j.Acquisitions)
+		st := SchemeStats{Scheme: scheme, Bps: make([]float64, len(trials))}
+		handoffs, clients := 0, 0
+		for pl, tr := range trials {
+			r := tr[si]
+			st.Bps[pl] = r.bps
+			st.Add(r.Stats)
+			if r.acquisitions > 0 {
+				st.CollisionRate += float64(r.collisionRounds) / float64(r.acquisitions)
+				st.HiddenRate += float64(r.HiddenLosses) / float64(r.acquisitions)
+				st.CaptureRate += float64(r.Captures) / float64(r.acquisitions)
 			}
-			pt.MeanUtilization += j.Utilization
-			pt.RateCorruption = netsim.MergeRateCorruption(pt.RateCorruption, j.RateCorruption)
+			st.MeanUtilization += r.utilization
+			st.RateCorruption = netsim.MergeRateCorruption(st.RateCorruption, r.rateCorruption)
+			handoffs += r.handoffs
+			clients += r.clients
 		}
-		last := tr[len(tr)-1]
-		handoffs += last.Handoffs
-		clients += len(last.PerClient)
-	}
-	if n := len(trials); n > 0 {
-		pt.CollisionRate /= float64(n)
-		pt.HiddenRate /= float64(n)
-		pt.CaptureRate /= float64(n)
-		pt.MeanUtilization /= float64(n)
-	}
-	if clients > 0 {
-		pt.HandoffsPerClient = float64(handoffs) / float64(clients)
+		if n := len(trials); n > 0 {
+			st.CollisionRate /= float64(n)
+			st.HiddenRate /= float64(n)
+			st.CaptureRate /= float64(n)
+			st.MeanUtilization /= float64(n)
+		}
+		if clients > 0 {
+			st.HandoffsPerClient = float64(handoffs) / float64(clients)
+		}
+		st.AggMbps = make([]float64, len(trials))
+		for pl, bps := range st.Bps {
+			st.AggMbps[pl] = bps / 1e6
+		}
+		sort.Float64s(st.AggMbps)
+		st.MedianMbps = dsp.Median(st.AggMbps)
+		pt.Schemes = append(pt.Schemes, st)
 	}
 	return pt
 }
 
 // reducePoints folds every point of a sweep, in swept-value order.
-func reducePoints(schemes []string, trials [][][]lasthop.CellResult) []PointStats {
+func reducePoints(schemes []string, trials [][][]schemeRun) []PointStats {
 	out := make([]PointStats, len(trials))
 	for pt := range trials {
 		out[pt] = reducePoint(schemes, trials[pt])
@@ -280,171 +320,4 @@ func cellPitch(csRangeM float64) float64 {
 		return 60
 	}
 	return math.Max(2*csRangeM, csRangeM+45)
-}
-
-// ---------------------------------------------------------- crosstraffic
-
-// CrossTrafficOptions configures the mesh cross-traffic experiment: the
-// §8.4 topology's routed flow sharing its collision domain with contending
-// single-hop flows between relays.
-type CrossTrafficOptions struct {
-	Topologies   int
-	Packets      int // routed packets per run
-	CrossFlows   int // contending single-hop flows
-	CrossPackets int // backlog per cross flow
-	Payload      int
-	RateMbps     int // the routed flow's fixed rate
-	Probes       int // measurement-phase probes per link
-	// CSRangeM is the carrier-sense range between cross-flow transmitters
-	// (meters). 0 keeps the classic single collision domain; positive
-	// values enable spatial reuse — and hidden terminals — between cross
-	// flows in different parts of the mesh. The routed flow's transmitter
-	// moves hop by hop, so it always contends with everyone.
-	CSRangeM float64
-	// WidthScale stretches the mesh floor (and the relay spread) by this
-	// factor; 0 or 1 keeps the default geometry. The spatial-mesh variant
-	// pairs a stretched floor with a finite CSRangeM so relay-to-relay
-	// cross flows land in different cells.
-	WidthScale float64
-}
-
-// DefaultCrossTrafficOptions returns the parameters used by ssbench:
-// one collision domain, SampleRate-adapted cross flows, rate-aware
-// interference.
-func DefaultCrossTrafficOptions() CrossTrafficOptions {
-	return CrossTrafficOptions{
-		Topologies: 20, Packets: 120, CrossFlows: 2,
-		CrossPackets: 150, Payload: 1000, RateMbps: 12, Probes: 60,
-	}
-}
-
-// SpatialCrossTrafficOptions returns the spatial-mesh variant used by
-// ssbench: the floor stretched to 1.2x the mesh default with the relays
-// spread across the span, and a carrier-sense range shortened to 20 m so
-// relay-to-relay cross flows land in different cells — they reuse the
-// medium concurrently and corrupt each other as hidden terminals, priced
-// by the rate-aware interference model. Stretching much further kills the
-// routed path outright (hops pass the 12 Mbps waterfall), so the variant
-// leans on the shorter carrier sense for its spatial structure.
-func SpatialCrossTrafficOptions() CrossTrafficOptions {
-	o := DefaultCrossTrafficOptions()
-	o.CSRangeM = 20
-	o.WidthScale = 1.2
-	return o
-}
-
-// CrossTrafficResult compares single-path routing and ExOR+SourceSync with
-// and without cross traffic on the same topologies.
-type CrossTrafficResult struct {
-	SinglePathAloneMbps  []float64 // sorted CDFs, one entry per topology
-	SinglePathLoadedMbps []float64
-	SourceSyncAloneMbps  []float64
-	SourceSyncLoadedMbps []float64
-	// Median ratios of loaded over alone throughput (1 = unaffected).
-	SinglePathRetention float64
-	SourceSyncRetention float64
-	// Median of SourceSync-loaded over single-path-loaded: does sender
-	// diversity still pay under contention?
-	GainUnderLoad float64
-	// CrossHiddenLosses totals the cross flows' attempts corrupted by
-	// hidden terminals across every loaded run (spatial variant only).
-	CrossHiddenLosses int
-	// CrossRateCorruption aggregates the interference model's per-rate
-	// outcomes over the cross flows of every loaded run (index = standard
-	// rate index).
-	CrossRateCorruption []netsim.RateCorruption
-}
-
-// RunCrossTraffic regenerates the cross-traffic comparison over random
-// §8.4 mesh topologies: relays carry their own contending flows while the
-// source routes packets to the destination. With o.CSRangeM set (the
-// spatial-mesh variant) the relays are spread across a stretched floor, so
-// cross flows in different cells reuse the medium concurrently and corrupt
-// each other as hidden terminals.
-func RunCrossTraffic(ec engine.Config, o CrossTrafficOptions) CrossTrafficResult {
-	cfg := Profile80211()
-	env := testbed.Mesh(cfg)
-	if o.WidthScale > 1 {
-		env.Width *= o.WidthScale
-	}
-	rate, err := modem.RateByMbps(o.RateMbps)
-	if err != nil {
-		panic(err)
-	}
-	m := mac.Default(cfg)
-	// The rate-aware model prices the cross flows' rate table: the
-	// standard rates they adapt over.
-	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
-
-	type tpRes struct {
-		spAlone, spLoaded, ssAlone, ssLoaded float64
-		crossHidden                          int
-		crossCorruption                      []netsim.RateCorruption
-	}
-	// The spatial variant spreads relays across a stretched floor, where a
-	// fraction of draws land with every src -> dst path past the rate's
-	// waterfall: the routed run then measures a dead topology, not
-	// contention. ETX-aware placement fixes that in two bounded stages:
-	// the shadowing-SNR proxy inside randomMeshTopology prunes hopeless
-	// geometry before the measurement phase, and if the measured ETX graph
-	// still leaves the destination unreachable (fading in the probe draws
-	// can kill a proxy-approved chain), the whole topology re-rolls. The
-	// compact variant keeps nil + no re-roll to stay draw-identical to its
-	// history.
-	var routable func(*exor.Topology) bool
-	if o.CSRangeM > 0 {
-		routable = meshRoutablePredicate(cfg, rate, o.Payload)
-	}
-	rows := engine.Map(ec, 0, o.Topologies, func(tp int, rng *rand.Rand) tpRes {
-		topo := randomMeshTopology(rng, env, o.CSRangeM > 0, routable)
-		meas := topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
-		for tries := 0; routable != nil && math.IsInf(meas.DistTo[0], 1) && tries < meshRelayRedraws; tries++ {
-			topo = randomMeshTopology(rng, env, true, routable)
-			meas = topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
-		}
-		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: o.Payload,
-			CSRangeM: o.CSRangeM, Model: model}
-		// Cross flows between distinct relays (nodes 1..N-2), drawn per
-		// topology.
-		relays := topo.N() - 2
-		cross := make([]exor.CrossFlow, o.CrossFlows)
-		for i := range cross {
-			from := 1 + rng.Intn(relays)
-			to := 1 + rng.Intn(relays-1)
-			if to >= from {
-				to++
-			}
-			cross[i] = exor.CrossFlow{From: from, To: to, Packets: o.CrossPackets}
-		}
-		spAlone := sim.Run(engine.ChildRNG(rng), exor.SinglePath, o.Packets)
-		spLoaded, spCross := sim.RunWithCross(engine.ChildRNG(rng), exor.SinglePath, o.Packets, cross)
-		ssAlone := sim.Run(engine.ChildRNG(rng), exor.ExORSourceSync, o.Packets)
-		ssLoaded, ssCross := sim.RunWithCross(engine.ChildRNG(rng), exor.ExORSourceSync, o.Packets, cross)
-		r := tpRes{spAlone: spAlone.ThroughputBps, spLoaded: spLoaded.ThroughputBps,
-			ssAlone: ssAlone.ThroughputBps, ssLoaded: ssLoaded.ThroughputBps}
-		for _, c := range append(spCross, ssCross...) {
-			r.crossHidden += c.Flow.HiddenLosses
-			r.crossCorruption = netsim.MergeRateCorruption(r.crossCorruption, c.RateCorruption)
-		}
-		return r
-	})
-
-	spAlone := func(r tpRes) float64 { return r.spAlone }
-	spLoaded := func(r tpRes) float64 { return r.spLoaded }
-	ssAlone := func(r tpRes) float64 { return r.ssAlone }
-	ssLoaded := func(r tpRes) float64 { return r.ssLoaded }
-	res := CrossTrafficResult{
-		SinglePathAloneMbps:  mbpsCDF(rows, spAlone),
-		SinglePathLoadedMbps: mbpsCDF(rows, spLoaded),
-		SourceSyncAloneMbps:  mbpsCDF(rows, ssAlone),
-		SourceSyncLoadedMbps: mbpsCDF(rows, ssLoaded),
-		SinglePathRetention:  medianRatio(rows, spLoaded, spAlone),
-		SourceSyncRetention:  medianRatio(rows, ssLoaded, ssAlone),
-		GainUnderLoad:        medianRatio(rows, ssLoaded, spLoaded),
-	}
-	for _, r := range rows {
-		res.CrossHiddenLosses += r.crossHidden
-		res.CrossRateCorruption = netsim.MergeRateCorruption(res.CrossRateCorruption, r.crossCorruption)
-	}
-	return res
 }

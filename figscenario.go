@@ -216,7 +216,7 @@ func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Pa
 // family's runner: each trial draws one placement and runs every scheme
 // of the spec over it at the point's per-client rate (ignored by
 // backlogged specs).
-func scenarioTrials(ec engine.Config, sp *scenario.Spec, rates []float64) [][][]lasthop.CellResult {
+func scenarioTrials(ec engine.Config, sp *scenario.Spec, rates []float64) [][][]schemeRun {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)

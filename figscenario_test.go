@@ -23,11 +23,11 @@ func TestMobilityHandoffsAreSchemeIndependent(t *testing.T) {
 		ec := engine.Config{Seed: seed + sp.SeedOffset}
 		total := 0
 		for pl, tr := range scenarioTrials(ec, sp, []float64{sp.Traffic.RatePps})[0] {
-			if tr[0].Handoffs != tr[1].Handoffs {
+			if tr[0].handoffs != tr[1].handoffs {
 				t.Errorf("seed %d placement %d: %s run made %d handoffs, %s run %d",
-					seed, pl, schemes[0], tr[0].Handoffs, schemes[1], tr[1].Handoffs)
+					seed, pl, schemes[0], tr[0].handoffs, schemes[1], tr[1].handoffs)
 			}
-			total += tr[0].Handoffs
+			total += tr[0].handoffs
 		}
 		if total == 0 {
 			t.Errorf("seed %d: no placement made a handoff, so the comparison shows nothing", seed)

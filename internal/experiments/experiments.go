@@ -331,13 +331,10 @@ func (r *runner) fig17() {
 	o := sourcesync.DefaultFig17Options()
 	o.Placements = r.shrink(o.Placements)
 	o.Packets = r.shrink(o.Packets)
-	res := sourcesync.RunFig17(r.ec(5), o)
+	pt := sourcesync.RunFig17(r.ec(5), o)
 	r.printf("%10s %14s %14s\n", "fraction", "single(Mbps)", "joint(Mbps)")
-	n := len(res.SingleMbps)
-	for i := 0; i < n; i++ {
-		r.printf("%10.3f %14.2f %14.2f\n", float64(i+1)/float64(n), res.SingleMbps[i], res.JointMbps[i])
-	}
-	r.printf("median gain: %.2fx (paper: 1.57x)\n", res.MedianGain)
+	r.printCDFs("%10.3f %14.2f %14.2f\n", pt.Schemes)
+	r.printf("median gain: %.2fx (paper: 1.57x)\n", pt.MedianGain(1, 0))
 }
 
 func (r *runner) fig18(mbps int) {
@@ -345,16 +342,25 @@ func (r *runner) fig18(mbps int) {
 	o := sourcesync.DefaultFig18Options(mbps)
 	o.Topologies = r.shrink(o.Topologies)
 	o.Packets = r.shrink(o.Packets)
-	res := sourcesync.RunFig18(r.ec(6), o)
+	pt := sourcesync.RunFig18(r.ec(6), o)
 	r.printf("%10s %14s %12s %18s\n", "fraction", "single(Mbps)", "ExOR(Mbps)", "ExOR+SrcSync(Mbps)")
-	n := len(res.SinglePathMbps)
-	for i := 0; i < n; i++ {
-		r.printf("%10.3f %14.3f %12.3f %18.3f\n", float64(i+1)/float64(n),
-			res.SinglePathMbps[i], res.ExORMbps[i], res.SourceSyncMbps[i])
-	}
+	r.printCDFs("%10.3f %14.3f %12.3f %18.3f\n", pt.Schemes[:3])
 	r.printf("median gains: ExOR/single %.2fx, SrcSync/ExOR %.2fx, SrcSync/single %.2fx\n",
-		res.GainExOROverSP, res.GainSSOverExOR, res.GainSSOverSP)
+		pt.MedianGain(1, 0), pt.MedianGain(2, 1), pt.MedianGain(2, 0))
 	r.println("paper: ExOR 1.26-1.4x over single path; SourceSync 1.35-1.45x over ExOR; 1.7-2x overall")
+}
+
+// printCDFs renders the throughput CDFs of schemes side by side: row i is
+// the fraction (i+1)/n, then each scheme's i-th slowest placement in Mbps.
+func (r *runner) printCDFs(format string, schemes []sourcesync.SchemeStats) {
+	n := len(schemes[0].AggMbps)
+	for i := 0; i < n; i++ {
+		row := []any{float64(i+1) / float64(n)}
+		for _, st := range schemes {
+			row = append(row, st.AggMbps[i])
+		}
+		r.printf(format, row...)
+	}
 }
 
 // printCorruption renders the interference model's per-rate outcome table:
@@ -397,14 +403,11 @@ func (r *runner) cellBody(sp *scenario.Spec, pt sourcesync.PointStats) {
 	}
 	r.println()
 	r.printf("%10s %14s %14s\n", "fraction", "single(Mbps)", "joint(Mbps)")
-	single, joint := pt.Schemes[0].AggMbps, pt.Schemes[1].AggMbps
-	n := len(single)
-	for i := 0; i < n; i++ {
-		r.printf("%10.3f %14.2f %14.2f\n", float64(i+1)/float64(n), single[i], joint[i])
-	}
+	r.printCDFs("%10.3f %14.2f %14.2f\n", pt.Schemes)
+	joint := pt.Schemes[1]
 	r.printf("median aggregate gain: %.2fx; per acquisition: collisions %.3f, captures %.3f\n",
-		pt.MedianGain, pt.CollisionRate, pt.CaptureRate)
-	r.printCorruption(pt.RateCorruption)
+		pt.MedianGain(1, 0), joint.CollisionRate, joint.CaptureRate)
+	r.printCorruption(joint.RateCorruption)
 }
 
 // sweepClients is the clients per cell of cellsweep's cell-count and
@@ -434,7 +437,7 @@ func (r *runner) cellsweep() {
 	r.printSweepTable("clients", stats, func(i int) string { return fmt.Sprintf("%d", o.ClientsPer[i]) })
 	r.println("utilization above 1 = cells beyond carrier-sense range carrying frames concurrently")
 	if last := len(stats) - 1; last >= 0 {
-		r.printCorruption(stats[last].RateCorruption)
+		r.printCorruption(stats[last].Schemes[1].RateCorruption)
 	}
 	if r.canceled() {
 		return
@@ -458,12 +461,14 @@ func (r *runner) cellsweep() {
 }
 
 // printSweepTable renders one cell-family sweep table: row i's swept value
-// key(i) under keyHeader, then the shared statistics columns.
+// key(i) under keyHeader, then both schemes' medians, the gain, and the
+// joint runs' medium statistics.
 func (r *runner) printSweepTable(keyHeader string, stats []sourcesync.PointStats, key func(i int) string) {
 	r.printf("%10s %14s %14s %8s %8s %8s %8s %8s\n", keyHeader, "single(Mbps)", "joint(Mbps)", "gain", "collis", "hidden", "capture", "util")
 	for i, s := range stats {
+		single, joint := s.Schemes[0], s.Schemes[1]
 		r.printf("%10s %14.2f %14.2f %7.2fx %8.3f %8.3f %8.3f %8.2f\n",
-			key(i), s.Schemes[0].MedianMbps, s.Schemes[1].MedianMbps, s.MedianGain, s.CollisionRate, s.HiddenRate, s.CaptureRate, s.MeanUtilization)
+			key(i), single.MedianMbps, joint.MedianMbps, s.MedianGain(1, 0), joint.CollisionRate, joint.HiddenRate, joint.CaptureRate, joint.MeanUtilization)
 	}
 }
 
@@ -499,7 +504,7 @@ func (r *runner) metro() {
 	})
 	r.println("capacity should grow with density until interference bites; joint service holds its gain city-wide")
 	if last := len(stats) - 1; last >= 0 {
-		r.printCorruption(stats[last].RateCorruption)
+		r.printCorruption(stats[last].Schemes[1].RateCorruption)
 	}
 }
 
@@ -514,27 +519,23 @@ func (r *runner) crosstrafficSpatial() {
 }
 
 // runCrossTraffic shrinks, runs, and prints one cross-traffic variant.
-func (r *runner) runCrossTraffic(ec engine.Config, o sourcesync.CrossTrafficOptions) {
+func (r *runner) runCrossTraffic(ec engine.Config, o sourcesync.MeshOptions) {
 	o.Topologies = r.shrink(o.Topologies)
 	o.Packets = r.shrink(o.Packets)
 	o.CrossPackets = r.shrink(o.CrossPackets)
-	res := sourcesync.RunCrossTraffic(ec, o)
+	pt := sourcesync.RunCrossTraffic(ec, o)
 	r.printf("%d cross flows x %d packets, SampleRate-adapted, model=rate-aware", o.CrossFlows, o.CrossPackets)
 	if o.CSRangeM > 0 {
 		r.printf(", cs-range=%.0fm width-x%.1f", o.CSRangeM, o.WidthScale)
 	}
 	r.println()
 	r.printf("%10s %12s %12s %12s %12s\n", "fraction", "sp(Mbps)", "sp+load", "ss(Mbps)", "ss+load")
-	n := len(res.SinglePathAloneMbps)
-	for i := 0; i < n; i++ {
-		r.printf("%10.3f %12.3f %12.3f %12.3f %12.3f\n", float64(i+1)/float64(n),
-			res.SinglePathAloneMbps[i], res.SinglePathLoadedMbps[i],
-			res.SourceSyncAloneMbps[i], res.SourceSyncLoadedMbps[i])
-	}
+	r.printCDFs("%10.3f %12.3f %12.3f %12.3f %12.3f\n", pt.Schemes[:4])
 	r.printf("median retention under load: single-path %.2f, SourceSync %.2f; SrcSync/single under load %.2fx\n",
-		res.SinglePathRetention, res.SourceSyncRetention, res.GainUnderLoad)
-	r.printf("cross-flow hidden-terminal losses: %d\n", res.CrossHiddenLosses)
-	r.printCorruption(res.CrossRateCorruption)
+		pt.MedianGain(1, 0), pt.MedianGain(3, 2), pt.MedianGain(3, 1))
+	cross := pt.Schemes[4]
+	r.printf("cross-flow hidden-terminal losses: %d\n", cross.HiddenLosses)
+	r.printCorruption(cross.RateCorruption)
 }
 
 func (r *runner) overhead() {
@@ -675,7 +676,7 @@ func (r *runner) arrivalsBody(sp *scenario.Spec, points []sourcesync.PointStats)
 			r.printf(" %13.2f %7.1f", st.MedianMbps, deliveredPct(st))
 		}
 		if len(schemes) == 2 {
-			r.printf(" %6.2fx", pt.MedianGain)
+			r.printf(" %6.2fx", pt.MedianGain(1, 0))
 		}
 		r.println()
 	}
@@ -702,9 +703,11 @@ func (r *runner) mobilityBody(sp *scenario.Spec, pt sourcesync.PointStats) {
 		r.printf("%10s %14.2f %8.1f %10d\n", st.Scheme, st.MedianMbps, deliveredPct(st), st.Abandoned)
 	}
 	if len(pt.Schemes) == 2 {
-		r.printf("median joint/single goodput gain: %.2fx; ", pt.MedianGain)
+		r.printf("median joint/single goodput gain: %.2fx; ", pt.MedianGain(1, 0))
 	}
-	r.printf("handoffs/client over the window: %.2f\n", pt.HandoffsPerClient)
+	// The drift trajectory is scheme-independent, so the last scheme's
+	// handoffs stand for each trial.
+	r.printf("handoffs/client over the window: %.2f\n", pt.Schemes[len(pt.Schemes)-1].HandoffsPerClient)
 	r.println("drifting clients re-anchor at cell boundaries; joint service rides out the handoff dip")
 }
 
