@@ -132,7 +132,7 @@ type SlopeWindowResult struct {
 func RunAblationSlopeWindow(ec engine.Config, draws int) SlopeWindowResult {
 	cfg := ProfileWiGLAN()
 	type sqErr struct{ w, b float64 }
-	rows := engine.Map(ec, 0, draws, func(i int, rng *rand.Rand) sqErr {
+	rows := engine.Grid(ec, 1, draws, func(_, _ int, rng *rand.Rand) sqErr {
 		m := channel.NewIndoor(rng, cfg.SampleRateHz, 60, 0) // heavy NLOS multipath
 		d1 := rng.Float64() * 3
 		d2 := d1 + 1.5
@@ -141,7 +141,7 @@ func RunAblationSlopeWindow(ec engine.Config, draws int) SlopeWindowResult {
 		w := (sls.EstimateDelay(cfg, h2) - sls.EstimateDelay(cfg, h1)) - (d2 - d1)
 		b := (sls.EstimateDelayWindowed(cfg, h2, 1e12) - sls.EstimateDelayWindowed(cfg, h1, 1e12)) - (d2 - d1)
 		return sqErr{w: w * w, b: b * b}
-	})
+	})[0]
 	var wErr, bErr float64
 	for _, r := range rows {
 		wErr += r.w
@@ -261,7 +261,7 @@ func RunAblationPilotSharing(ec engine.Config, frames int) PilotSharingResult {
 	type frameRes struct {
 		sharedEVM, naiveEVM float64
 	}
-	rows := engine.Map(ec, 0, frames, func(f int, rng *rand.Rand) frameRes {
+	rows := engine.Grid(ec, 1, frames, func(_, _ int, rng *rand.Rand) frameRes {
 		sim := fig13Sim(rng, cfg, cfg.CPLen, 25, false)
 		// Exaggerate the residual offsets so the divergence is visible in a
 		// short frame; use a longer payload for drift to accumulate.
@@ -284,7 +284,7 @@ func RunAblationPilotSharing(ec engine.Config, frames int) PilotSharingResult {
 			fr.naiveEVM = out.EVM
 		}
 		return fr
-	})
+	})[0]
 
 	var sAcc, nAcc float64
 	var sN, nN int
@@ -328,7 +328,7 @@ func RunAblationMultiRxLP(ec engine.Config, configs, receivers int) MultiRxLPRes
 		lpMax, worst float64
 		ok           bool
 	}
-	rows := engine.Map(ec, 0, configs, func(c int, rng *rand.Rand) cfgRes {
+	rows := engine.Grid(ec, 1, configs, func(_, _ int, rng *rand.Rand) cfgRes {
 		tLead := make([]float64, receivers)
 		tCo := [][]float64{make([]float64, receivers), make([]float64, receivers)}
 		for k := 0; k < receivers; k++ {
@@ -354,7 +354,7 @@ func RunAblationMultiRxLP(ec engine.Config, configs, receivers int) MultiRxLPRes
 			}
 		}
 		return cfgRes{lpMax: lpMax, worst: worst, ok: true}
-	})
+	})[0]
 
 	for _, r := range rows {
 		if !r.ok {

@@ -5,8 +5,8 @@
 //
 //	ssbench [flags] <experiment>
 //
-// Experiments: fig12 fig13 fig14 fig15 fig16 fig17 fig18 cell cellsweep
-// metro crosstraffic crosstraffic-spatial overhead detdelay ablations all
+// `ssbench -list` prints the registered experiments, which "all" runs in
+// order; docs/EXPERIMENTS.md documents each one.
 //
 // The rendering itself lives in internal/experiments, shared with the
 // ssserve daemon — this command only translates flags into
@@ -41,20 +41,20 @@ var (
 	memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
 )
 
-// params assembles the experiments.Params the flags select, validating the
-// comma-separated sweep flags up front.
+// params assembles the experiments.Params the flags select and validates
+// them, so a bad value exits 2 before any output.
 func params() experiments.Params {
-	counts, err := parseCellCounts(*cells)
+	counts, err := parseList(*cells, strconv.Atoi)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -cells %q: %v\n", *cells, err)
 		os.Exit(2)
 	}
-	ranges, err := parseCSRanges(*csRanges)
+	ranges, err := parseList(*csRanges, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -cs %q: %v\n", *csRanges, err)
 		os.Exit(2)
 	}
-	return experiments.Params{
+	p := experiments.Params{
 		Seed:    *seed,
 		Quick:   *quick,
 		Workers: *workers,
@@ -64,6 +64,12 @@ func params() experiments.Params {
 			WindowSec: *window,
 		},
 	}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		usage()
+		os.Exit(2)
+	}
+	return p
 }
 
 func main() {
@@ -74,9 +80,9 @@ func main() {
 		}
 		return
 	}
+	p := params()
 	finishProfiles := startProfiles()
 	defer finishProfiles()
-	p := params()
 	if *scenFile != "" {
 		data, err := os.ReadFile(*scenFile)
 		if err != nil {
@@ -181,33 +187,14 @@ func run(exp string, p experiments.Params) {
 	}
 }
 
-// parseCellCounts parses the -cells flag: positive integers, comma-separated.
-func parseCellCounts(s string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated flag value one element at a time;
+// experiments.Params.Validate judges the values.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("cell count %d < 1", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseCSRanges parses the -cs flag: positive carrier-sense ranges in
-// meters, comma-separated.
-func parseCSRanges(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("carrier-sense range %g <= 0", v)
 		}
 		out = append(out, v)
 	}

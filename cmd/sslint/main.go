@@ -3,19 +3,23 @@
 // count. It runs four analyzers — detwallclock, detrand, detmaprange,
 // detgoroutine — with shared //sslint:allow suppression machinery.
 //
-// Two modes:
+// Both commands run the same analysis:
 //
-//	sslint [packages]                              # standalone, defaults to ./...
-//	go vet -vettool=$(go env GOPATH)/bin/sslint ./...   # vet tool protocol
+//	sslint [packages]                                   # defaults to ./...
+//	go vet -vettool=$(go env GOPATH)/bin/sslint ./...
 //
-// Standalone mode prints findings to stdout and exits 1 when any survive.
-// As a vet tool it speaks cmd/go's unitchecker protocol: invoked once per
-// package with a *.cfg JSON file, printing findings to stderr and exiting
-// 2 when any survive, so `go vet` aggregates and fails the build.
+// sslint [packages] runs `go vet -vettool=<this executable> [packages]`,
+// passing go vet's output through and exiting with its status, so cmd/go
+// alone decides which packages and test variants are analyzed. As a vet
+// tool sslint speaks cmd/go's unitchecker protocol: invoked once per
+// package with a *.cfg JSON file, it prints findings to stderr and exits
+// 2 when any survive, so go vet reports them under a "# importpath"
+// header and fails.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -23,6 +27,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -30,9 +35,12 @@ import (
 	"repro/internal/analysis/sslint"
 )
 
-// version is reported to cmd/go's -V=full handshake and keys the vet
-// result cache: bump it when analyzer behavior changes so stale cached
-// diagnostics are not replayed.
+// version is reported to cmd/go's -V=full handshake, which hashes it into
+// the key of each cached vet result. cmd/go looks up only the facts-only
+// (VetxOnly) passes over dependencies in that cache, never a target
+// package's diagnostics, so a rebuilt sslint reports changed findings at
+// once. sslint's facts file is always empty, so the string stays fixed: a
+// per-build value would only make every dependency's facts pass re-run.
 const version = "0.1.0"
 
 func main() {
@@ -46,14 +54,10 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case strings.HasPrefix(*vFlag, "full"):
-		// cmd/go hashes this line into the build-cache action ID. The parser
-		// in cmd/go/internal/work.(*Builder).toolID demands "name version X"
-		// where X != "devel", or a trailing buildID= field; use a fixed
-		// version string so vet results are cached per tool release.
-		fmt.Printf("%s version %s\n", progname, version)
-		return
 	case *vFlag != "":
+		// cmd/go parses this line in cmd/go/internal/work.(*Builder).toolID,
+		// which demands "name version X" where X != "devel", or a trailing
+		// buildID= field.
 		fmt.Printf("%s version %s\n", progname, version)
 		return
 	case *flagsFlag:
@@ -67,55 +71,40 @@ func main() {
 		vetUnit(args[0])
 		return
 	}
-	standalone(args)
+	os.Exit(goVet(args))
 }
 
-// standalone loads the pattern-matched packages (and their test variants)
-// itself and prints every finding.
-func standalone(patterns []string) {
+// goVet runs go vet over patterns (default ./...) with this executable as
+// the vet tool, streaming go vet's output, and returns go vet's exit status.
+func goVet(patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
+	self, err := os.Executable()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	pkgs, err := load.Packages(cwd, patterns)
-	if err != nil {
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, patterns...)...)
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode()
+		}
 		fatalf("%v", err)
 	}
-	found := 0
-	for _, p := range pkgs {
-		findings, err := sslint.Run(p.Fset, p.Files, p.Types, p.Info, sslint.Analyzers())
-		if err != nil {
-			fatalf("%s: %v", p.ID, err)
-		}
-		for _, f := range findings {
-			found++
-			fmt.Println(relativize(cwd, f.String()))
-		}
-	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "sslint: %d determinism-contract finding(s)\n", found)
-		os.Exit(1)
-	}
+	return 0
 }
 
-// vetConfig mirrors the JSON configuration cmd/go hands a unitchecker-
-// style vet tool for each package.
+// vetConfig mirrors the fields vetUnit reads from the JSON configuration
+// cmd/go hands a unitchecker-style vet tool for each package.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
 	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -131,8 +120,8 @@ func vetUnit(cfgFile string) {
 	if err := json.Unmarshal(data, cfg); err != nil {
 		fatalf("parse %s: %v", cfgFile, err)
 	}
-	// The suite exports no analysis facts, but cmd/go requires the facts
-	// file to exist before it will cache the vet result.
+	// The suite exports no analysis facts; an empty facts file lets cmd/go
+	// cache each dependency's facts-only pass instead of re-running it.
 	writeVetx := func() {
 		if cfg.VetxOutput != "" {
 			if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
@@ -159,9 +148,12 @@ func vetUnit(cfgFile string) {
 		}
 		files = append(files, f)
 	}
+	conf := types.Config{
+		Importer:  load.ExportImporter(fset, cfg.ImportMap, cfg.PackageFile),
+		GoVersion: cfg.GoVersion,
+	}
 	info := load.NewInfo()
-	tconf := typesConfig(fset, cfg)
-	tpkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
+	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			writeVetx()
@@ -180,16 +172,6 @@ func vetUnit(cfgFile string) {
 			fmt.Fprintln(os.Stderr, relativize(cfg.Dir, f.String()))
 		}
 		os.Exit(2)
-	}
-}
-
-// typesConfig builds the type-checker configuration for a vet unit: the
-// gc export-data importer over cfg.PackageFile with cfg.ImportMap's
-// test-variant rewrites applied.
-func typesConfig(fset *token.FileSet, cfg *vetConfig) *types.Config {
-	return &types.Config{
-		Importer:  load.ExportImporter(fset, cfg.ImportMap, cfg.PackageFile),
-		GoVersion: cfg.GoVersion,
 	}
 }
 

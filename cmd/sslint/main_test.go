@@ -6,7 +6,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -93,6 +95,8 @@ func Child(seed int64) *rand.Rand {
 }
 `
 
+// The Standalone tests invoke the binary directly, `sslint ./...`, which
+// runs go vet with the binary as its vet tool.
 func TestStandaloneReportsInjectedViolation(t *testing.T) {
 	dir := writeModule(t, map[string]string{"netsim/netsim.go": violatingSim})
 	out, code := runIn(t, dir, binary, "./...")
@@ -144,12 +148,130 @@ func Stamp() int64 {
 	}
 }
 
-// TestVetToolProtocol drives the binary the way CI does: through cmd/go's
-// -vettool handshake (-V=full, -flags, then one .cfg per package).
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns several go builds")
+// Each case's module holds one violating file among clean ones; together
+// the five files make a module with seven findings. go vet chooses the
+// packages and test variants sslint analyzes, so the internal _test.go
+// file and the external _test package cases pin that test files stay
+// analyzed.
+var findingCases = []struct {
+	name string
+	file string
+	src  string
+	want []string // "file:line:col: message prefix", one per finding
+}{
+	{"wall clock and stale allow in a package", "netsim/netsim.go", `package netsim
+
+import "time"
+
+func Stamp() int64 {
+	return time.Now().UnixNano()
+}
+
+func Zero() int64 {
+	return 0 //sslint:allow detwallclock nothing here reads the clock
+}
+`, []string{
+		"netsim.go:6:9: time.Now reads the wall clock",
+		"netsim.go:10:11: unused suppression: no detwallclock diagnostic",
+	}},
+	{"map-range float sum in an internal test file", "netsim/netsim_test.go", `package netsim
+
+import "testing"
+
+func TestSum(t *testing.T) {
+	m := map[string]float64{"a": 1, "b": 2}
+	var sum float64
+	for _, v := range m {
+		sum += v
 	}
+	_ = sum
+}
+`, []string{"netsim_test.go:8:2: range over map m accumulates a float"}},
+	{"global rand draw in an external test package", "netsim/ext_test.go", `package netsim_test
+
+import (
+	"math/rand"
+	"testing"
+)
+
+func TestDraw(t *testing.T) {
+	_ = rand.Intn(10)
+}
+`, []string{"ext_test.go:9:6: rand.Intn draws from the process-wide source"}},
+	{"mutex and go statement in dsp", "dsp/dsp.go", `package dsp
+
+import "sync"
+
+var mu sync.Mutex
+
+func Spawn(f func()) {
+	go f()
+}
+`, []string{
+		"dsp.go:5:8: sync primitive (sync.Mutex) outside internal/engine and internal/serve",
+		"dsp.go:8:2: go statement outside internal/engine and internal/serve",
+	}},
+	{"wall clock in a main package", "cmd/tool/main.go", `package main
+
+import (
+	"fmt"
+	"time"
+)
+
+func main() {
+	fmt.Println(time.Now())
+}
+`, []string{"main.go:9:14: time.Now reads the wall clock"}},
+}
+
+// findingRE matches each line of sslint output that reports a finding.
+var findingRE = regexp.MustCompile(`(?m)^\S+\.go:\d+:\d+: .* \[\w+\]$`)
+
+// checkFindings fails t unless out reports exactly the wanted findings.
+func checkFindings(t *testing.T, out string, want []string) {
+	t.Helper()
+	got := findingRE.FindAllString(out, -1)
+	if len(got) != len(want) {
+		t.Errorf("%d findings, want %d:\n%s", len(got), len(want), out)
+	}
+	for _, w := range want {
+		if !slices.ContainsFunc(got, func(line string) bool { return strings.HasPrefix(line, w) }) {
+			t.Errorf("no finding %q in:\n%s", w, out)
+		}
+	}
+}
+
+func TestReportsEveryFinding(t *testing.T) {
+	all := map[string]string{}
+	var wantAll []string
+	for _, c := range findingCases {
+		all[c.file] = c.src
+		wantAll = append(wantAll, c.want...)
+		t.Run(c.name, func(t *testing.T) {
+			files := map[string]string{c.file: c.src}
+			if c.file != "netsim/netsim.go" {
+				files["netsim/netsim.go"] = cleanSim
+			}
+			out, code := runIn(t, writeModule(t, files), binary, "./...")
+			if code == 0 {
+				t.Fatalf("sslint exited 0:\n%s", out)
+			}
+			checkFindings(t, out, c.want)
+		})
+	}
+	t.Run("all seven", func(t *testing.T) {
+		out, code := runIn(t, writeModule(t, all), binary, "./...")
+		if code == 0 {
+			t.Fatalf("sslint exited 0:\n%s", out)
+		}
+		checkFindings(t, out, wantAll)
+	})
+}
+
+// TestVetToolProtocol drives the binary through cmd/go's -vettool
+// handshake directly (-V=full, -flags, then one .cfg per package), as
+// `go vet -vettool=sslint` users do.
+func TestVetToolProtocol(t *testing.T) {
 	dir := writeModule(t, map[string]string{"netsim/netsim.go": violatingSim})
 	out, code := runIn(t, dir, "go", "vet", "-vettool="+binary, "./...")
 	if code == 0 {

@@ -34,7 +34,7 @@ type Fig14Point struct {
 // ~15 significant taps (117 ns at 128 MHz).
 func RunFig14(ec engine.Config, o Fig14Options) []Fig14Point {
 	cfg := ProfileWiGLAN()
-	draws := engine.Map(ec, 0, o.Draws, func(d int, rng *rand.Rand) []float64 {
+	draws := engine.Grid(ec, 1, o.Draws, func(_, _ int, rng *rand.Rand) []float64 {
 		m := channel.NewIndoor(rng, cfg.SampleRateHz, 45, 3)
 		tap := make([]float64, o.Taps)
 		for i, p := range m.PowerDelayProfile() {
@@ -43,7 +43,7 @@ func RunFig14(ec engine.Config, o Fig14Options) []Fig14Point {
 			}
 		}
 		return tap
-	})
+	})[0]
 	// Accumulate in draw order so the float sum is worker-count independent.
 	acc := make([]float64, o.Taps)
 	for _, tap := range draws {

@@ -1,9 +1,9 @@
-// Package load type-checks Go packages for the sslint suite without
-// golang.org/x/tools (unavailable in this repo's offline build image). It
-// shells out to `go list -test -deps -export -json`, which compiles export
-// data for every dependency into the build cache, then parses each target
-// package from source and type-checks it with the standard library's gc
-// export-data importer pointed at those files.
+// Package load holds the type-checking plumbing the sslint suite shares
+// without golang.org/x/tools (unavailable in this repo's offline build
+// image): the types.Info maps the analyzers read and a gc export-data
+// importer, which cmd/sslint's vet unit and the analysistest fixture
+// harness both type-check with, plus the export-data lookup the harness
+// resolves a fixture's imports through.
 package load
 
 import (
@@ -13,167 +13,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 )
-
-// Package is one parsed, type-checked target package.
-type Package struct {
-	ID      string // go list ImportPath, e.g. "repro/internal/phy [repro/internal/phy.test]"
-	PkgPath string // compiled import path, e.g. "repro/internal/phy"
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
-}
-
-// listPkg mirrors the `go list -json` fields the loader consumes.
-type listPkg struct {
-	ImportPath string
-	Name       string
-	Dir        string
-	GoFiles    []string
-	CgoFiles   []string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	ForTest    string
-	ImportMap  map[string]string
-	Error      *struct{ Err string }
-}
-
-// Packages loads, parses, and type-checks the packages matching patterns
-// (run from dir), including their test variants. Dependencies are resolved
-// from `go list -export` build-cache export data, so only the analyzed
-// packages themselves are parsed from source.
-func Packages(dir string, patterns []string) ([]*Package, error) {
-	pkgs, err := goList(dir, true, patterns)
-	if err != nil {
-		return nil, err
-	}
-
-	exports := map[string]string{}
-	shadowed := map[string]bool{} // base packages superseded by a test variant
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if p.ForTest != "" && !strings.HasSuffix(p.ImportPath, ".test") {
-			shadowed[p.ForTest] = true
-		}
-	}
-
-	fset := token.NewFileSet()
-	var out []*Package
-	for _, p := range pkgs {
-		if !isTarget(p, shadowed) {
-			continue
-		}
-		tp, err := typecheck(fset, p, exports)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tp)
-	}
-	return out, nil
-}
-
-// isTarget decides whether a go list entry is analyzed: module packages
-// named on the command line, preferring the test variant (whose GoFiles
-// are a superset including _test.go files) over the plain build, and
-// skipping the synthesized ".test" main packages.
-func isTarget(p *listPkg, shadowed map[string]bool) bool {
-	if p.Standard || p.DepOnly || len(p.GoFiles) == 0 {
-		return false
-	}
-	if strings.HasSuffix(p.ImportPath, ".test") {
-		return false // generated test main, lives in the build cache
-	}
-	if p.ForTest == "" && shadowed[p.ImportPath] {
-		return false // analyzed via its test variant instead
-	}
-	return true
-}
-
-// goList runs `go list -deps -export -json` (plus -test when asked) and
-// decodes the JSON stream.
-func goList(dir string, includeTests bool, patterns []string) ([]*listPkg, error) {
-	args := []string{"list"}
-	if includeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, "-deps", "-export", "-json", "--")
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	outPipe, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("go list: %w", err)
-	}
-	var pkgs []*listPkg
-	dec := json.NewDecoder(outPipe)
-	for {
-		p := &listPkg{}
-		if err := dec.Decode(p); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			cmd.Wait()
-			return nil, fmt.Errorf("go list -json decode: %w", err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("go list %s: %w\n%s", strings.Join(patterns, " "), err, stderr.String())
-	}
-	for _, p := range pkgs {
-		if p.Error != nil {
-			return nil, fmt.Errorf("go list %s: %s", p.ImportPath, p.Error.Err)
-		}
-	}
-	return pkgs, nil
-}
-
-// typecheck parses one target package's files and type-checks them against
-// the export data of its dependencies.
-func typecheck(fset *token.FileSet, p *listPkg, exports map[string]string) (*Package, error) {
-	var files []*ast.File
-	for _, name := range append(append([]string{}, p.GoFiles...), p.CgoFiles...) {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(p.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	pkgPath := p.ImportPath
-	if i := strings.Index(pkgPath, " ["); i >= 0 {
-		pkgPath = pkgPath[:i]
-	}
-	info := NewInfo()
-	conf := types.Config{
-		Importer: ExportImporter(fset, p.ImportMap, exports),
-	}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
-	}
-	return &Package{ID: p.ImportPath, PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
 
 // NewInfo allocates the types.Info maps the analyzers consume.
 func NewInfo() *types.Info {
@@ -204,20 +50,40 @@ func ExportImporter(fset *token.FileSet, importMap map[string]string, exports ma
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// DepExports runs `go list -deps -export -json` over the given import
-// paths (typically standard-library packages a test fixture needs) and
-// returns the export-data file map. Used by test harnesses that type-check
-// synthetic sources.
+// DepExports runs `go list -deps -export -json` (run from dir) over the
+// given import paths, typically standard-library packages a test fixture
+// needs, which compiles their export data into the build cache, and
+// returns the import path to export-data file map.
 func DepExports(dir string, paths []string) (map[string]string, error) {
-	if len(paths) == 0 {
-		return map[string]string{}, nil
-	}
-	pkgs, err := goList(dir, false, paths)
-	if err != nil {
-		return nil, err
-	}
 	exports := map[string]string{}
-	for _, p := range pkgs {
+	if len(paths) == 0 {
+		return exports, nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json", "--"}, paths...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w\n%s", err, exit.Stderr)
+		}
+		return nil, fmt.Errorf("go list %s: %w", strings.Join(paths, " "), err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p struct {
+			ImportPath string
+			Export     string
+			Error      *struct{ Err string }
+		}
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("go list -json decode: %w", err)
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("go list %s: %s", p.ImportPath, p.Error.Err)
+		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}

@@ -22,8 +22,8 @@
 // serial path, which runs the trial function inline on the calling
 // goroutine.
 //
-// Map schedules the trials of a single operating point; Grid schedules the
-// full points x trials cross product on one shared pool. The repository's
+// Grid schedules the points x trials cross product on one shared pool; a
+// single operating point is a one-point grid. The repository's
 // determinism contract — every experiment's stdout byte-identical at every
 // worker count, enforced by CI — is documented in docs/ARCHITECTURE.md.
 //
@@ -46,7 +46,7 @@ type Config struct {
 	Seed    int64
 	Workers int // <= 0: GOMAXPROCS, 1: serial, n: exactly n workers
 	// Monitor, when non-nil, observes the run: it accumulates trial
-	// progress across every Map/Grid call that carries it and lets an
+	// progress across every Grid call that carries it and lets an
 	// external owner (e.g. a ssserve job) request cooperative
 	// cancellation. A nil Monitor costs nothing.
 	Monitor *Monitor
@@ -74,7 +74,7 @@ func (m *Monitor) Cancel() { m.stop.Store(true) }
 func (m *Monitor) Canceled() bool { return m.stop.Load() }
 
 // Progress returns trials completed and trials scheduled so far. Total
-// grows as an experiment's successive Map/Grid stages start, so done/total
+// grows as an experiment's successive Grid stages start, so done/total
 // is a monotone underestimate of overall completion until the last stage.
 func (m *Monitor) Progress() (done, total int64) {
 	// Read done first: total only grows, so a racing stage start can make
@@ -92,8 +92,6 @@ func WorkerCount(workers int) int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-func (c Config) workerCount() int { return WorkerCount(c.Workers) }
 
 // splitmix64 is the finalizer of the SplitMix64 generator (Steele et al.,
 // "Fast splittable pseudorandom number generators"): an invertible
@@ -200,26 +198,17 @@ func run(workers, n int, m *Monitor, fn func(i int)) {
 	}
 }
 
-// Map runs n trials of one operating point and returns their results in
-// trial order. Each trial gets an independent RNG from TrialRNG(c.Seed,
-// point, trial), so the output is identical for every worker count.
-func Map[T any](c Config, point, n int, fn func(trial int, rng *rand.Rand) T) []T {
-	out := make([]T, n)
-	run(c.workerCount(), n, c.Monitor, func(i int) {
-		out[i] = fn(i, TrialRNG(c.Seed, point, i))
-	})
-	return out
-}
-
 // Grid runs the full points x trials cross product and returns results as
-// out[point][trial]. All points' trials share one worker pool, so a sweep
-// with few trials per point still saturates the machine.
+// out[point][trial]. Each trial gets an independent RNG from
+// TrialRNG(c.Seed, point, trial), so the output is identical for every
+// worker count. All points' trials share one worker pool, so a sweep with
+// few trials per point still saturates the machine.
 func Grid[T any](c Config, points, trials int, fn func(point, trial int, rng *rand.Rand) T) [][]T {
 	out := make([][]T, points)
 	for p := range out {
 		out[p] = make([]T, trials)
 	}
-	run(c.workerCount(), points*trials, c.Monitor, func(i int) {
+	run(WorkerCount(c.Workers), points*trials, c.Monitor, func(i int) {
 		p, t := i/trials, i%trials
 		out[p][t] = fn(p, t, TrialRNG(c.Seed, p, t))
 	})

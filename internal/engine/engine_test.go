@@ -34,19 +34,20 @@ func TestPointRNGIndependentOfTrial(t *testing.T) {
 	}
 }
 
-func TestMapOrderAndWorkerIndependence(t *testing.T) {
-	fn := func(trial int, rng *rand.Rand) float64 {
+func TestGridOrderAndWorkerIndependence(t *testing.T) {
+	// A one-point grid hands trial t the stream TrialRNG(seed, 0, t) and
+	// returns the results in trial order at every worker count.
+	fn := func(_, trial int, rng *rand.Rand) float64 {
 		return float64(trial) + rng.Float64()
 	}
-	want := Map(Config{Seed: 42, Workers: 1}, 5, 100, fn)
-	for _, workers := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
-		got := Map(Config{Seed: 42, Workers: workers}, 5, 100, fn)
-		if len(got) != 100 {
-			t.Fatalf("workers=%d: %d results", workers, len(got))
+	for _, workers := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)} {
+		got := Grid(Config{Seed: 42, Workers: workers}, 1, 100, fn)
+		if len(got) != 1 || len(got[0]) != 100 {
+			t.Fatalf("workers=%d: %d points", workers, len(got))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result %d = %v, serial %v", workers, i, got[i], want[i])
+		for trial, v := range got[0] {
+			if want := fn(0, trial, TrialRNG(42, 0, trial)); v != want {
+				t.Fatalf("workers=%d: result %d = %v, want %v", workers, trial, v, want)
 			}
 		}
 	}
@@ -76,11 +77,11 @@ func TestGridShapeAndDeterminism(t *testing.T) {
 }
 
 func TestMonitorProgressAndIdenticalResults(t *testing.T) {
-	fn := func(trial int, rng *rand.Rand) float64 { return float64(trial) + rng.Float64() }
-	want := Map(Config{Seed: 5, Workers: 1}, 2, 40, fn)
+	fn := func(_, trial int, rng *rand.Rand) float64 { return float64(trial) + rng.Float64() }
+	want := Grid(Config{Seed: 5, Workers: 1}, 1, 40, fn)[0]
 	for _, workers := range []int{1, 4} {
 		m := &Monitor{}
-		got := Map(Config{Seed: 5, Workers: workers, Monitor: m}, 2, 40, fn)
+		got := Grid(Config{Seed: 5, Workers: workers, Monitor: m}, 1, 40, fn)[0]
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: monitored result %d differs from unmonitored", workers, i)
@@ -91,10 +92,11 @@ func TestMonitorProgressAndIdenticalResults(t *testing.T) {
 			t.Fatalf("workers=%d: progress %d/%d, want 40/40", workers, done, total)
 		}
 	}
-	// Totals accumulate across successive stages sharing one Monitor.
+	// Totals accumulate across successive stages sharing one Monitor, each
+	// adding its points x trials.
 	m := &Monitor{}
-	Map(Config{Seed: 5, Monitor: m}, 0, 10, fn)
-	Map(Config{Seed: 5, Monitor: m}, 1, 15, fn)
+	Grid(Config{Seed: 5, Monitor: m}, 1, 10, fn)
+	Grid(Config{Seed: 5, Monitor: m}, 3, 5, fn)
 	if done, total := m.Progress(); done != 25 || total != 25 {
 		t.Fatalf("two-stage progress %d/%d, want 25/25", done, total)
 	}
@@ -109,7 +111,7 @@ func TestMonitorCancelStopsScheduling(t *testing.T) {
 		// descheduled before its Cancel. Trials are handed out in index
 		// order, so trial 3 is already running when any later one waits.
 		canceled := make(chan struct{})
-		Map(Config{Seed: 5, Workers: workers, Monitor: m}, 0, len(ran), func(trial int, rng *rand.Rand) int {
+		Grid(Config{Seed: 5, Workers: workers, Monitor: m}, 1, len(ran), func(_, trial int, rng *rand.Rand) int {
 			ran[trial].Store(true)
 			if trial == 3 {
 				m.Cancel()
@@ -151,24 +153,28 @@ func TestTrialPanicSurfacesOnCaller(t *testing.T) {
 					t.Errorf("workers=%d: recovered %v, want the trial's panic value", workers, p)
 				}
 			}()
-			Map(Config{Seed: 5, Workers: workers}, 0, 100, func(trial int, _ *rand.Rand) int {
+			Grid(Config{Seed: 5, Workers: workers}, 1, 100, func(_, trial int, _ *rand.Rand) int {
 				if trial == 7 {
 					panic("trial 7 failed")
 				}
 				return trial
 			})
-			t.Errorf("workers=%d: Map returned after a trial panicked", workers)
+			t.Errorf("workers=%d: Grid returned after a trial panicked", workers)
 		}()
 	}
 }
 
 func TestRunHandlesEmptyAndSmall(t *testing.T) {
-	if got := Map(Config{}, 0, 0, func(int, *rand.Rand) int { return 1 }); len(got) != 0 {
-		t.Fatal("n=0 should return empty")
+	one := func(int, int, *rand.Rand) int { return 1 }
+	if got := Grid(Config{}, 1, 0, one); len(got) != 1 || len(got[0]) != 0 {
+		t.Fatalf("n=0 should return one empty point, got %v", got)
+	}
+	if got := Grid(Config{}, 0, 5, one); len(got) != 0 {
+		t.Fatalf("zero points should return empty, got %v", got)
 	}
 	// More workers than tasks must not deadlock or drop tasks.
-	got := Map(Config{Workers: 64}, 0, 3, func(trial int, _ *rand.Rand) int { return trial })
+	got := Grid(Config{Workers: 64}, 1, 3, func(_, trial int, _ *rand.Rand) int { return trial })[0]
 	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("small map: %v", got)
+		t.Fatalf("small grid: %v", got)
 	}
 }

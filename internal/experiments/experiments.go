@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	sourcesync "repro"
@@ -142,12 +143,12 @@ func (p Params) validate() error {
 		}
 	}
 	for _, v := range p.Options.CSRanges {
-		if v <= 0 {
-			return fmt.Errorf("carrier-sense range %g <= 0", v)
+		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+			return fmt.Errorf("carrier-sense range %g, want finite and > 0", v)
 		}
 	}
-	if p.Options.WindowSec < 0 {
-		return fmt.Errorf("window %g < 0", p.Options.WindowSec)
+	if w := p.Options.WindowSec; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("window %g, want finite and >= 0", w)
 	}
 	if p.Scenario != nil {
 		if err := p.Scenario.Validate(); err != nil {

@@ -753,8 +753,8 @@ func TestStatusProgressFromMonitor(t *testing.T) {
 	// progress surfaces in the job Status exactly as a real experiment's
 	// would.
 	s := New(Config{MaxRunning: 1, runFn: func(buf *bytes.Buffer, name string, p experiments.Params) error {
-		engine.Map(engine.Config{Seed: p.Seed, Workers: 1, Monitor: p.Monitor}, 0, 5,
-			func(trial int, rng *rand.Rand) int { return trial })
+		engine.Grid(engine.Config{Seed: p.Seed, Workers: 1, Monitor: p.Monitor}, 1, 5,
+			func(_, trial int, rng *rand.Rand) int { return trial })
 		buf.WriteString("done\n")
 		return nil
 	}})
