@@ -177,7 +177,6 @@ type NaiveCombiningResult struct {
 	STBCWorstSNRdB  float64
 	NaiveWorstSNRdB float64
 	NaiveFailures   int // frames that produced no usable EVM at all
-	Frames          int
 }
 
 // RunAblationNaiveCombining quantifies the Smart Combiner's value: with
@@ -190,9 +189,7 @@ type NaiveCombiningResult struct {
 // combining scheme, not the fading luck.
 func RunAblationNaiveCombining(ec engine.Config, frames int) NaiveCombiningResult {
 	cfg := ProfileWiGLAN()
-	res := NaiveCombiningResult{Frames: frames}
-	res.STBCWorstSNRdB = math.Inf(1)
-	res.NaiveWorstSNRdB = math.Inf(1)
+	res := NaiveCombiningResult{STBCWorstSNRdB: math.Inf(1), NaiveWorstSNRdB: math.Inf(1)}
 
 	type frameRes struct {
 		snrDB  float64
@@ -201,20 +198,18 @@ func RunAblationNaiveCombining(ec engine.Config, frames int) NaiveCombiningResul
 	}
 	grid := engine.Grid(ec, frames, 2, func(f, mode int, _ *rand.Rand) frameRes {
 		rng := engine.PointRNG(ec.Seed, f)
-		sim := fig13Sim(rng, cfg, cfg.CPLen, 25, false)
+		sim := fig13Pair.draw(rng, cfg, fig13SNRdB)
 		if mode == 1 {
 			sim.P.Combining = phy.CombineNaive
 		}
 		// Sweep the co-sender's oscillator phase across the circle.
 		sim.Co[0].Phase = 2 * math.Pi * float64(f) / float64(frames)
-		payload := make([]byte, sim.P.PayloadLen)
-		rng.Read(payload)
-		run, err := sim.Run(payload)
-		if err != nil || !run.CoJoined[0] {
+		wave := send(sim)
+		if wave == nil {
 			return frameRes{}
 		}
 		rx := &phy.JointReceiver{Cfg: cfg, FFTBackoff: 3}
-		out, err := rx.Receive(run.RxWave, 0)
+		out, err := rx.Receive(wave, 0)
 		if err != nil || out.EVM <= 0 {
 			return frameRes{failed: true}
 		}
@@ -248,7 +243,6 @@ func RunAblationNaiveCombining(ec engine.Config, frames int) NaiveCombiningResul
 type PilotSharingResult struct {
 	SharedPilotsEVM float64 // SourceSync design
 	NaiveTrackEVM   float64 // single common phase track
-	Frames          int
 }
 
 // RunAblationPilotSharing measures decoding quality with and without the
@@ -256,31 +250,29 @@ type PilotSharingResult struct {
 // different residual frequency offsets.
 func RunAblationPilotSharing(ec engine.Config, frames int) PilotSharingResult {
 	cfg := ProfileWiGLAN()
-	res := PilotSharingResult{Frames: frames}
+	var res PilotSharingResult
 
 	type frameRes struct {
 		sharedEVM, naiveEVM float64
 	}
 	rows := engine.Grid(ec, 1, frames, func(_, _ int, rng *rand.Rand) frameRes {
-		sim := fig13Sim(rng, cfg, cfg.CPLen, 25, false)
+		sim := fig13Pair.draw(rng, cfg, fig13SNRdB)
 		// Exaggerate the residual offsets so the divergence is visible in a
 		// short frame; use a longer payload for drift to accumulate.
 		sim.P.PayloadLen = 400
 		sim.Lead.ResidCFO = channel.PPMToCFO(0.8, 5.8e9, cfg.SampleRateHz)
 		sim.Co[0].ResidCFO = channel.PPMToCFO(-0.8, 5.8e9, cfg.SampleRateHz)
-		payload := make([]byte, sim.P.PayloadLen)
-		rng.Read(payload)
-		run, err := sim.Run(payload)
-		if err != nil || !run.CoJoined[0] {
+		wave := send(sim)
+		if wave == nil {
 			return frameRes{}
 		}
 		var fr frameRes
 		shared := &phy.JointReceiver{Cfg: cfg, FFTBackoff: 3}
-		if out, err := shared.Receive(run.RxWave, 0); err == nil && out.EVM > 0 {
+		if out, err := shared.Receive(wave, 0); err == nil && out.EVM > 0 {
 			fr.sharedEVM = out.EVM
 		}
 		naive := &phy.JointReceiver{Cfg: cfg, FFTBackoff: 3, NaivePhaseTracking: true}
-		if out, err := naive.Receive(run.RxWave, 0); err == nil && out.EVM > 0 {
+		if out, err := naive.Receive(wave, 0); err == nil && out.EVM > 0 {
 			fr.naiveEVM = out.EVM
 		}
 		return fr
@@ -312,17 +304,16 @@ func RunAblationPilotSharing(ec engine.Config, frames int) PilotSharingResult {
 // MultiRxLPResult compares the LP-optimized wait times against aligning to
 // the first receiver only, over random multi-receiver delay configurations.
 type MultiRxLPResult struct {
-	LPMaxMisalign    float64 // mean over configs of worst-case misalignment, samples
-	FirstRxMisalign  float64 // same when w aligns receiver 0 exactly
-	Configurations   int
-	ReceiversPerConf int
+	LPMaxMisalign   float64 // mean over configs of worst-case misalignment, samples
+	FirstRxMisalign float64 // same when w aligns receiver 0 exactly
 }
 
-// RunAblationMultiRxLP quantifies §4.6: with several receivers, choosing
+// RunAblationMultiRxLP quantifies §4.6: with three receivers, choosing
 // wait times via the min-max LP lowers the worst-case misalignment (and
 // hence the CP increase) relative to aligning at a single receiver.
-func RunAblationMultiRxLP(ec engine.Config, configs, receivers int) MultiRxLPResult {
-	res := MultiRxLPResult{Configurations: configs, ReceiversPerConf: receivers}
+func RunAblationMultiRxLP(ec engine.Config, configs int) MultiRxLPResult {
+	const receivers = 3
+	var res MultiRxLPResult
 
 	type cfgRes struct {
 		lpMax, worst float64

@@ -73,7 +73,7 @@ func BenchmarkEngineFig12Parallel(b *testing.B) {
 }
 
 func BenchmarkFig13CPSweep(b *testing.B) {
-	o := Fig13Options{CPsNs: []float64{117, 469}, FramesPerCP: 3, SNRdB: 25}
+	o := Fig13Options{CPsNs: []float64{117, 469}, FramesPerCP: 3}
 	var pts []Fig13Point
 	for i := 0; i < b.N; i++ {
 		pts = RunFig13(engine.Config{Seed: int64(2 + i)}, o)
@@ -211,7 +211,7 @@ func BenchmarkAblationSoftDecision(b *testing.B) {
 func BenchmarkAblationMultiRxLP(b *testing.B) {
 	var res MultiRxLPResult
 	for i := 0; i < b.N; i++ {
-		res = RunAblationMultiRxLP(engine.Config{Seed: int64(12 + i)}, 50, 3)
+		res = RunAblationMultiRxLP(engine.Config{Seed: int64(12 + i)}, 50)
 	}
 	b.ReportMetric(res.LPMaxMisalign, "lp-maxmis-samples")
 	b.ReportMetric(res.FirstRxMisalign, "firstrx-maxmis-samples")

@@ -34,7 +34,7 @@ var (
 	workers  = flag.Int("workers", 0, "worker count: 0 = GOMAXPROCS, 1 = serial (results are identical either way)")
 	list     = flag.Bool("list", false, "print the registered experiment names, one per line, and exit (CI loops over this)")
 	cells    = flag.String("cells", "1,2,3", "comma-separated cell counts for cellsweep's capacity-vs-cell-count table")
-	csRanges = flag.String("cs", "20,30,45", "comma-separated carrier-sense ranges (meters) for cellsweep's capacity-vs-CS-range table")
+	csRanges = flag.String("cs", "20,30,45", "comma-separated carrier-sense ranges (meters, each > 0 and <= 1000) for cellsweep's capacity-vs-CS-range table")
 	window   = flag.Float64("window", 0, "fixed-time-window saturation mode for cell, cellsweep, metro and backlogged -scenario specs: drain unbounded backlogs for this many virtual seconds (0 = drain fixed per-client backlogs, or keep a spec's traffic.window_sec)")
 	scenFile = flag.String("scenario", "", "path to a declarative scenario spec (JSON); with no experiment argument, runs the generic \"scenario\" experiment over it")
 	cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")

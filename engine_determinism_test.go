@@ -48,7 +48,7 @@ func TestFig13DeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	o := Fig13Options{CPsNs: []float64{0, 156, 469}, FramesPerCP: 3, SNRdB: 25}
+	o := Fig13Options{CPsNs: []float64{0, 156, 469}, FramesPerCP: 3}
 	render := func(workers int) string {
 		return fmt.Sprintf("%#v", RunFig13(engine.Config{Seed: 2, Workers: workers}, o))
 	}
@@ -75,7 +75,7 @@ func TestFig14Fig15Fig16DeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestFig13FingerprintDeterministicShort(t *testing.T) {
-	o := Fig13Options{CPsNs: []float64{0, 469}, FramesPerCP: 1, SNRdB: 25}
+	o := Fig13Options{CPsNs: []float64{0, 469}, FramesPerCP: 1}
 	render := func(workers int) uint64 {
 		return fingerprint(RunFig13(engine.Config{Seed: 2, Workers: workers}, o))
 	}

@@ -41,7 +41,7 @@ func TestFig13ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform experiment")
 	}
-	o := Fig13Options{CPsNs: []float64{39, 234, 625}, FramesPerCP: 3, SNRdB: 25}
+	o := Fig13Options{CPsNs: []float64{39, 234, 625}, FramesPerCP: 3}
 	pts := RunFig13(engine.Config{Seed: 2}, o)
 	// SourceSync at a moderate CP (234 ns = 30 samples, just past the
 	// channel's delay spread) should already be near its plateau; the
@@ -216,7 +216,7 @@ func TestAblationPilotSharing(t *testing.T) {
 }
 
 func TestAblationMultiRxLP(t *testing.T) {
-	res := RunAblationMultiRxLP(engine.Config{Seed: 11}, 60, 3)
+	res := RunAblationMultiRxLP(engine.Config{Seed: 11}, 60)
 	if res.LPMaxMisalign <= 0 {
 		t.Fatal("LP produced zero misalignment on random configs")
 	}

@@ -4,10 +4,8 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/channel"
 	"repro/internal/dsp"
 	"repro/internal/engine"
-	"repro/internal/modem"
 	"repro/internal/phy"
 )
 
@@ -55,7 +53,7 @@ func RunFig12(ec engine.Config, o Fig12Options) []Fig12Point {
 	nsToSample := cfg.SampleRateHz / 1e9
 
 	grid := engine.Grid(ec, len(o.SNRsdB), o.Trials, func(pt, trial int, rng *rand.Rand) fig12Trial {
-		sim := fig12Sim(rng, cfg, o.SNRsdB[pt])
+		sim := fig12Pair.draw(rng, cfg, o.SNRsdB[pt])
 		run, err := sim.RunCalibration(o.Reps)
 		if err != nil || !run.CoJoined[0] {
 			return fig12Trial{}
@@ -87,52 +85,4 @@ func RunFig12(ec engine.Config, o Fig12Options) []Fig12Point {
 		out = append(out, pt)
 	}
 	return out
-}
-
-// fig12Sim draws one random transmitter-pair placement at the target SNR.
-func fig12Sim(rng *rand.Rand, cfg *Config, snrDB float64) *phy.JointSimConfig {
-	p := phy.JointFrameParams{
-		Cfg: cfg, Rate: modem.Rate{Mod: modem.QPSK, Code: modem.Rate12},
-		DataCP: cfg.CPLen, PayloadLen: 40, Seed: 0x5d, NumCo: 1,
-		LeadID: 1, PacketID: 0x1234,
-	}
-	mk := func() *channel.Multipath { return channel.NewIndoor(rng, cfg.SampleRateHz, 30, 6) }
-	sigPower := cePower(cfg)
-	noise := channel.NoisePowerForSNR(sigPower, snrDB)
-	dLeadCo := 1 + rng.Float64()*10
-	tLeadRx := 1 + rng.Float64()*12
-	tCoRx := 1 + rng.Float64()*12
-	return &phy.JointSimConfig{
-		P:        p,
-		Lead:     phy.LeadSim{ResidCFO: smallResid(rng, cfg), Phase: rng.Float64() * 2 * math.Pi},
-		LeadToCo: []phy.Link{{Gain: 1, Delay: dLeadCo, Path: mk()}},
-		LeadToRx: phy.Link{Gain: 1, Delay: tLeadRx, Path: mk()},
-		CoToRx:   []phy.Link{{Gain: 1, Delay: tCoRx, Path: mk()}},
-		Co: []phy.CoSenderSim{{
-			Turnaround:       600 + rng.Float64()*400,
-			OscCFO:           channel.PPMToCFO((rng.Float64()*2-1)*20, 5.8e9, cfg.SampleRateHz),
-			ResidCFO:         smallResid(rng, cfg),
-			Phase:            rng.Float64() * 2 * math.Pi,
-			EstDelayFromLead: dLeadCo,
-			TxOffset:         tLeadRx - tCoRx,
-			NoisePower:       noise,
-			FFTBackoff:       3,
-			DetectJitter:     38,
-		}},
-		NoiseRx: noise,
-		Rng:     rng,
-	}
-}
-
-// smallResid draws a residual CFO after pre-correction: a couple percent of
-// a typical crystal offset.
-func smallResid(rng *rand.Rand, cfg *Config) float64 {
-	return channel.PPMToCFO((rng.Float64()*2-1)*0.4, 5.8e9, cfg.SampleRateHz)
-}
-
-// cePower returns the per-sample power of one OFDM training symbol for this
-// profile (the reference for SNR targets).
-func cePower(cfg *Config) float64 {
-	lts := cfg.LTSTime()
-	return dsp.MeanPower(lts)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/dsp"
 	"repro/internal/engine"
-	"repro/internal/modem"
 	"repro/internal/phy"
 	"repro/internal/testbed"
 )
@@ -107,37 +106,32 @@ type fig15Sample struct {
 	perBinSum []float64
 }
 
+// regimes lists the SNR regimes in the order Figs. 15 and 16 print them;
+// their per-regime tallies are arrays indexed by testbed.Regime.
+var regimes = [...]testbed.Regime{testbed.HighSNR, testbed.MediumSNR, testbed.LowSNR}
+
 // RunFig15 regenerates Figure 15: average SNR per regime for a single
 // sender versus joint SourceSync transmission (expected: 2-3 dB gain).
 func RunFig15(ec engine.Config, o Fig15Options) []Fig15Row {
-	samples := fig15Measure(ec, o)
-	rows := map[testbed.Regime]*Fig15Row{}
-	counts := map[testbed.Regime]int{}
-	var singleLin, jointLin map[testbed.Regime]float64
-	singleLin = map[testbed.Regime]float64{}
-	jointLin = map[testbed.Regime]float64{}
-	for _, s := range samples {
+	var singleLin, jointLin [len(regimes)]float64
+	var counts [len(regimes)]int
+	for _, s := range fig15Measure(ec, o) {
 		singleLin[s.regime] += dsp.FromDB(s.singleDB)
 		jointLin[s.regime] += dsp.FromDB(s.jointDB)
 		counts[s.regime]++
 	}
-	for _, reg := range []testbed.Regime{testbed.HighSNR, testbed.MediumSNR, testbed.LowSNR} {
+	var out []Fig15Row
+	for _, reg := range regimes {
 		n := counts[reg]
 		if n == 0 {
 			continue
 		}
 		single := dsp.DB(singleLin[reg] / float64(n))
 		joint := dsp.DB(jointLin[reg] / float64(n))
-		rows[reg] = &Fig15Row{
+		out = append(out, Fig15Row{
 			Regime: reg.String(), SingleSNRdB: single, JointSNRdB: joint,
 			GainDB: joint - single, Measurements: n,
-		}
-	}
-	var out []Fig15Row
-	for _, reg := range []testbed.Regime{testbed.HighSNR, testbed.MediumSNR, testbed.LowSNR} {
-		if r, ok := rows[reg]; ok {
-			out = append(out, *r)
-		}
+		})
 	}
 	return out
 }
@@ -164,8 +158,8 @@ type Fig16Series struct {
 func RunFig16(ec engine.Config, o Fig15Options) []Fig16Series {
 	cfg := ProfileWiGLAN()
 	samples := fig15Measure(ec, o)
-	best := map[testbed.Regime]*fig15Sample{}
-	bestSel := map[testbed.Regime]float64{}
+	var best [len(regimes)]*fig15Sample
+	var bestSel [len(regimes)]float64
 	for i := range samples {
 		s := &samples[i]
 		sel := dsp.StdDev(perBinDB(s.perBin1)) + dsp.StdDev(perBinDB(s.perBin2))
@@ -176,7 +170,7 @@ func RunFig16(ec engine.Config, o Fig15Options) []Fig16Series {
 	}
 	var out []Fig16Series
 	spacing := cfg.SubcarrierSpacingHz() / 1e6
-	for _, reg := range []testbed.Regime{testbed.HighSNR, testbed.MediumSNR, testbed.LowSNR} {
+	for _, reg := range regimes {
 		s := best[reg]
 		if s == nil {
 			continue
@@ -245,48 +239,18 @@ func fig15Measure(ec engine.Config, o Fig15Options) []fig15Sample {
 	return out
 }
 
-// fig15Frame runs one joint frame and extracts SNR measurements.
+// fig15Frame runs one joint frame whose senders reach the receiver at
+// snr1 and snr2 dB, and extracts SNR measurements.
 func fig15Frame(rng *rand.Rand, cfg *Config, snr1, snr2 float64) (fig15Sample, bool) {
-	p := phy.JointFrameParams{
-		Cfg: cfg, Rate: modem.Rate{Mod: modem.QPSK, Code: modem.Rate12},
-		DataCP: cfg.CPLen, PayloadLen: 40, Seed: 0x5d, NumCo: 1,
-		LeadID: 2, PacketID: 0x15,
-	}
-	mk := func() *channel.Multipath { return channel.NewIndoor(rng, cfg.SampleRateHz, 30, 3) }
-	noise := channel.NoisePowerForSNR(cePower(cfg), 0) // unit-SNR reference
-	g1 := math.Sqrt(dsp.FromDB(snr1))
-	g2 := math.Sqrt(dsp.FromDB(snr2))
-	dLeadCo := 1 + rng.Float64()*8
-	tLeadRx := 1 + rng.Float64()*10
-	tCoRx := 1 + rng.Float64()*10
-	sim := &phy.JointSimConfig{
-		P:        p,
-		Lead:     phy.LeadSim{ResidCFO: smallResid(rng, cfg), Phase: rng.Float64() * 2 * math.Pi},
-		LeadToCo: []phy.Link{{Gain: 4, Delay: dLeadCo, Path: mk()}}, // inter-sender link strong
-		LeadToRx: phy.Link{Gain: g1, Delay: tLeadRx, Path: mk()},
-		CoToRx:   []phy.Link{{Gain: g2, Delay: tCoRx, Path: mk()}},
-		Co: []phy.CoSenderSim{{
-			Turnaround:       700,
-			OscCFO:           channel.PPMToCFO((rng.Float64()*2-1)*20, 5.8e9, cfg.SampleRateHz),
-			ResidCFO:         smallResid(rng, cfg),
-			Phase:            rng.Float64() * 2 * math.Pi,
-			EstDelayFromLead: dLeadCo,
-			TxOffset:         tLeadRx - tCoRx,
-			NoisePower:       noise,
-			FFTBackoff:       3,
-			DetectJitter:     38,
-		}},
-		NoiseRx: noise,
-		Rng:     rng,
-	}
-	payload := make([]byte, p.PayloadLen)
-	rng.Read(payload)
-	run, err := sim.Run(payload)
-	if err != nil || !run.CoJoined[0] {
+	sim := fig15Pair.draw(rng, cfg, 0) // unit-SNR reference; the gains set each sender's SNR
+	sim.LeadToRx.Gain = math.Sqrt(dsp.FromDB(snr1))
+	sim.CoToRx[0].Gain = math.Sqrt(dsp.FromDB(snr2))
+	wave := send(sim)
+	if wave == nil {
 		return fig15Sample{}, false
 	}
 	rx := &phy.JointReceiver{Cfg: cfg, FFTBackoff: 3}
-	res, err := rx.Receive(run.RxWave, 0)
+	res, err := rx.Receive(wave, 0)
 	if err != nil || !res.ActiveCo[0] {
 		return fig15Sample{}, false
 	}

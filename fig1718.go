@@ -196,9 +196,7 @@ type meshRun struct {
 // The mesh is stretched so links sit near the chosen rate's waterfall
 // (the paper picked topologies with lossy links at each rate): the more
 // robust rates up to 6 Mbps need an 18% wider floor to see the same loss
-// rates. The rate-aware model prices the cross flows' rate table, the
-// standard rates they adapt over; netsim consults it only for placed
-// flows, so the routed flow alone never does.
+// rates.
 func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
@@ -213,7 +211,6 @@ func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
 		panic(err)
 	}
 	m := mac.Default(cfg)
-	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 	// The spatial variant spreads relays across a stretched floor, where a
 	// fraction of draws land with every src -> dst path past the rate's
 	// waterfall: the routed run then measures a dead topology, not
@@ -245,7 +242,7 @@ func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
 			meas = topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
 		}
 		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: o.Payload,
-			CSRangeM: o.CSRangeM, Model: model}
+			CSRangeM: o.CSRangeM}
 		// Cross flows between distinct relays (nodes 1..N-2), drawn per
 		// topology.
 		relays := topo.N() - 2

@@ -13,10 +13,11 @@
 // runs can share the medium with cross-traffic flows (RunWithCross). Cross
 // flows adapt their rate with SampleRate and carry their endpoints'
 // testbed positions; with Sim.CSRangeM set they contend only within
-// carrier-sense range of each other (and, with an interference Model set,
-// can corrupt each other as hidden terminals when their concurrent frames
-// overlap at a receiver), while the routed flow — whose transmitter moves
-// hop by hop — stays unplaced and contends with everyone. An ExOR packet
+// carrier-sense range of each other (and can corrupt each other as hidden
+// terminals when their concurrent frames overlap at a receiver, settled by
+// netsim's rate-aware interference model over the standard rate table they
+// adapt over), while the routed flow — whose transmitter moves hop by hop
+// — stays unplaced and contends with everyone. An ExOR packet
 // is declared lost after 40 transmissions.
 package exor
 
@@ -118,11 +119,6 @@ type Sim struct {
 	// transmitter moves hop by hop, so it stays unplaced and contends with
 	// everyone.
 	CSRangeM float64
-	// Model selects the netsim interference model settling interfered
-	// frames (e.g. netsim.NewRateAware over the cross flows' rate table);
-	// nil models no interference: collisions destroy every frame and
-	// hidden terminals never interfere.
-	Model netsim.InterferenceModel
 }
 
 // maxTxPerPacket bounds the ExOR transmissions charged to one packet
@@ -138,7 +134,7 @@ type Result struct {
 	// Flow is the flow's netsim accounting: Flow.Attempts counts its
 	// transmissions, and Flow.HiddenLosses the attempts corrupted by
 	// concurrent out-of-range transmitters (nonzero only for placed cross
-	// flows under a finite CSRangeM with an interference model).
+	// flows under a finite CSRangeM).
 	Flow netsim.Stats
 	// RateCorruption[r] is the interference model's per-rate outcome
 	// tally for this flow (rate index r of the standard rate table a cross
@@ -170,7 +166,7 @@ func (s *Sim) Run(rng *rand.Rand, scheme Scheme, nPackets int) Result {
 func (s *Sim) RunWithCross(rng *rand.Rand, scheme Scheme, nPackets int, cross []CrossFlow) (Result, []Result) {
 	sim := netsim.New(s.Mac, rng)
 	sim.CSRangeM = s.CSRangeM
-	sim.Model = s.Model
+	sim.Model = netsim.NewRateAware(s.Mac.Cfg, modem.StandardRates(), s.Payload)
 	sim.Env = s.Topo.Env
 
 	// delivered counts end-to-end packets; a netsim "delivered frame" is

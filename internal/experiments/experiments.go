@@ -135,6 +135,13 @@ func (p Params) normalized() Params {
 // (ssserve rejects a bad job spec with 400 instead of failing the job).
 func (p Params) Validate() error { return p.normalized().validate() }
 
+// maxCSRangeM caps cellsweep's carrier-sense ranges, in meters. The sweep
+// spaces its cells at least twice the range apart and places each client
+// by rejection sampling over the whole floor, so the wider the range, the
+// fewer draws land in a cell's 8-25 m client annulus: at 3e5 m none of
+// 100,000 do, and cellsweep panics after printing two of its three tables.
+const maxCSRangeM = 1000
+
 // validate rejects parameter values no experiment can run with.
 func (p Params) validate() error {
 	for _, n := range p.Options.Cells {
@@ -143,8 +150,8 @@ func (p Params) validate() error {
 		}
 	}
 	for _, v := range p.Options.CSRanges {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return fmt.Errorf("carrier-sense range %g, want finite and > 0", v)
+		if math.IsNaN(v) || v <= 0 || v > maxCSRangeM {
+			return fmt.Errorf("carrier-sense range %g, want > 0 and <= %d m", v, maxCSRangeM)
 		}
 	}
 	if w := p.Options.WindowSec; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
@@ -281,7 +288,7 @@ func (r *runner) fig12() {
 func (r *runner) fig13() {
 	r.header("Figure 13 — composite SNR vs cyclic prefix: SourceSync vs unsynchronized baseline")
 	o := sourcesync.DefaultFig13Options()
-	o.FramesPerCP = r.shrink(o.FramesPerCP * 2)
+	o.FramesPerCP = r.shrink(o.FramesPerCP)
 	r.printf("%10s %10s %14s %14s\n", "CP(ns)", "CP(smp)", "SourceSync(dB)", "Baseline(dB)")
 	for _, p := range sourcesync.RunFig13(r.ec(1), o) {
 		r.printf("%10.0f %10d %14.2f %14.2f\n", p.CPNs, p.CPSamples, p.SourceSyncSNR, p.BaselineSNR)
@@ -584,7 +591,7 @@ func (r *runner) ablations() {
 	}
 
 	r.header("Ablation — multi-receiver LP vs aligning at one receiver")
-	lp := sourcesync.RunAblationMultiRxLP(r.ec(11), r.shrink(100), 3)
+	lp := sourcesync.RunAblationMultiRxLP(r.ec(11), r.shrink(100))
 	r.printf("mean worst-case misalignment: LP %.2f samples, first-rx alignment %.2f samples\n",
 		lp.LPMaxMisalign, lp.FirstRxMisalign)
 }

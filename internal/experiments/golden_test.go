@@ -9,18 +9,24 @@ import (
 	"testing"
 )
 
-// -update regenerates testdata/golden/*.txt from the current code:
+// -update regenerates the golden files from the current code:
 //
-//	go test ./internal/experiments -run TestGoldenOutputs -update
+//	go test ./internal/experiments -run TestGolden -update
 //
 // Review the diff before committing — the golden files are the repo's
 // record of every experiment's exact quick-mode output (seed 1, default
-// sweeps), and both this test and the ssserve e2e suite diff against them.
+// sweeps), which TestGoldenOutputs and the ssserve e2e suite diff against,
+// and of the full-size output of the experiments that no perfbench digest
+// pins, which TestGoldenFullSize diffs against.
 var update = flag.Bool("update", false, "rewrite the golden experiment outputs")
 
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".txt")
 }
+
+// fullSize lists the experiments whose full-size output perfbench's
+// workloads never render, so only testdata/full pins it.
+var fullSize = []string{"fig14", "fig15", "fig16", "overhead"}
 
 // TestGoldenOutputs renders every registered experiment in quick mode at
 // seed 1 and diffs the bytes against the committed golden file — at two
@@ -28,49 +34,64 @@ func goldenPath(name string) string {
 // as a golden mismatch, not just an e2e failure.
 func TestGoldenOutputs(t *testing.T) {
 	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) { checkGolden(t, name, true, goldenPath(name)) })
+	}
+}
+
+// TestGoldenFullSize does the same at full size for the experiments in
+// fullSize, against testdata/full.
+func TestGoldenFullSize(t *testing.T) {
+	for _, name := range fullSize {
 		t.Run(name, func(t *testing.T) {
-			p := DefaultParams()
-			p.Quick = true
-			p.Workers = 4
-			var buf bytes.Buffer
-			if err := Run(&buf, name, p); err != nil {
-				t.Fatalf("Run(%q): %v", name, err)
-			}
-			got := buf.Bytes()
-
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(goldenPath(name)), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(goldenPath(name), got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-
-			want, err := os.ReadFile(goldenPath(name))
-			if err != nil {
-				t.Fatalf("no golden file for %q (run with -update to create it): %v", name, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("output of %q (workers=4) differs from %s\n%s", name, goldenPath(name), firstDiff(got, want))
-			}
-
-			if testing.Short() {
-				return
-			}
-			// Serial pass: the determinism contract says the worker count is
-			// unobservable in the bytes.
-			p.Workers = 1
-			buf.Reset()
-			if err := Run(&buf, name, p); err != nil {
-				t.Fatalf("Run(%q) serial: %v", name, err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("output of %q at workers=1 differs from golden (determinism break)\n%s",
-					name, firstDiff(buf.Bytes(), want))
-			}
+			checkGolden(t, name, false, filepath.Join("testdata", "full", name+".txt"))
 		})
+	}
+}
+
+// checkGolden renders name at seed 1 with four workers and diffs the bytes
+// against the file at path (or rewrites it under -update), then, unless
+// -short, renders it serially and diffs again.
+func checkGolden(t *testing.T, name string, quick bool, path string) {
+	p := DefaultParams()
+	p.Quick = quick
+	p.Workers = 4
+	var buf bytes.Buffer
+	if err := Run(&buf, name, p); err != nil {
+		t.Fatalf("Run(%q): %v", name, err)
+	}
+	got := buf.Bytes()
+
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden file for %q (run with -update to create it): %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output of %q (workers=4) differs from %s\n%s", name, path, firstDiff(got, want))
+	}
+
+	if testing.Short() {
+		return
+	}
+	// Serial pass: the determinism contract says the worker count is
+	// unobservable in the bytes.
+	p.Workers = 1
+	buf.Reset()
+	if err := Run(&buf, name, p); err != nil {
+		t.Fatalf("Run(%q) serial: %v", name, err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("output of %q at workers=1 differs from %s (determinism break)\n%s",
+			name, path, firstDiff(buf.Bytes(), want))
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 )
 
 // TestParamsValidate holds the one validation path every caller shares:
-// ssbench's flags, ssserve's job options and Run itself. A non-finite
-// carrier-sense range or window must be rejected up front, before any
-// experiment writes output: a NaN floor panics cellsweep mid-run and an
-// infinite window never drains.
+// ssbench's flags, ssserve's job options and Run itself. A carrier-sense
+// range or window no run can finish must be rejected up front, before any
+// experiment writes output: a NaN floor panics cellsweep mid-run, so does
+// a range past 1 km (client placement fails), and an infinite window never
+// drains.
 func TestParamsValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -29,6 +30,8 @@ func TestParamsValidate(t *testing.T) {
 		{"-Inf carrier-sense range", Options{CSRanges: []float64{-inf}}, "carrier-sense range"},
 		{"zero carrier-sense range", Options{CSRanges: []float64{0}}, "carrier-sense range"},
 		{"negative carrier-sense range", Options{CSRanges: []float64{-30}}, "carrier-sense range"},
+		{"1 km carrier-sense range", Options{CSRanges: []float64{1000}}, ""},
+		{"1e6 m carrier-sense range", Options{CSRanges: []float64{20, 1e6}}, "carrier-sense range"},
 		{"NaN window", Options{WindowSec: nan}, "window"},
 		{"+Inf window", Options{WindowSec: inf}, "window"},
 		{"-Inf window", Options{WindowSec: -inf}, "window"},

@@ -11,8 +11,6 @@ package jce
 import (
 	"math"
 	"sort"
-
-	"repro/internal/dsp"
 )
 
 // PhaseTracker tracks one sender's residual phase trajectory theta(t) from
@@ -92,6 +90,3 @@ func (p *PhaseTracker) Observations() int { return len(p.syms) }
 
 // ResidualCFO returns the tracked residual frequency in cycles per symbol.
 func (p *PhaseTracker) ResidualCFO() float64 { return p.slope / (2 * math.Pi) }
-
-// WrapPhase re-exports dsp.WrapPhase for callers of this package.
-func WrapPhase(v float64) float64 { return dsp.WrapPhase(v) }

@@ -58,8 +58,6 @@ type Verdict struct {
 // frame's decode. Implementations must be deterministic: the same
 // Reception always yields the same Verdict, and no randomness is consumed.
 type InterferenceModel interface {
-	// Name identifies the model in tables and docs.
-	Name() string
 	// Settle judges one interfered frame. It is called only when the
 	// simulator's interference model is engaged (Env and Radio present)
 	// and the frame actually overlapped other transmissions in the air.
@@ -111,9 +109,6 @@ func thresholdKey(cfg *modem.Config, rates []modem.Rate, payloadBytes int) strin
 	return fmt.Sprintf("%s|%g|%d|%d|%d|%v|%v|%d",
 		cfg.Name, cfg.SampleRateHz, cfg.NFFT, cfg.CPLen, cfg.UsedHalf, cfg.Pilots, rates, payloadBytes)
 }
-
-// Name implements InterferenceModel.
-func (m *RateAware) Name() string { return "rate-aware" }
 
 // Settle implements InterferenceModel.
 func (m *RateAware) Settle(rx Reception) Verdict {

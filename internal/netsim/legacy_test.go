@@ -12,9 +12,6 @@ type LegacyThreshold struct {
 	CaptureDB float64
 }
 
-// Name implements InterferenceModel.
-func (m LegacyThreshold) Name() string { return "legacy-threshold" }
-
 // Settle implements InterferenceModel: survive iff the SINR clears the
 // single threshold; never degrade the draw.
 func (m LegacyThreshold) Settle(rx Reception) Verdict {

@@ -18,11 +18,6 @@ import (
 // from the header + CE slots (the one SourceSync actually uses, §4.5) is
 // then scored against that ground truth.
 
-// CalibrationReps is the number of [lead LTS, co LTS] symbol pairs in the
-// calibration tail. The paper uses 200 repetitions; 100 keeps runs fast
-// while still averaging measurement noise well below the effect size.
-const CalibrationReps = 100
-
 // CalibrationLen returns the total frame length when the data region is
 // replaced by the calibration tail.
 func (p JointFrameParams) CalibrationLen(reps int) int {

@@ -355,9 +355,6 @@ func (t *Topology) totalClients() int {
 	return cells * t.Clients
 }
 
-// TotalClients is the number of client flows the spec instantiates.
-func (sp *Spec) TotalClients() int { return sp.Topology.totalClients() }
-
 // SchemeList returns the schemes to run in canonical order (single before
 // joint), defaulting to both when the spec names none.
 func (sp *Spec) SchemeList() []string {

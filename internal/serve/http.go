@@ -292,7 +292,7 @@ func specDoc() SpecDoc {
 		},
 		Options: map[string]string{
 			"cells":      "cellsweep's capacity-vs-cell-count sweep",
-			"cs_ranges":  "cellsweep's carrier-sense sweep (meters)",
+			"cs_ranges":  "cellsweep's carrier-sense sweep (meters, each > 0 and <= 1000)",
 			"window_sec": "fixed-time-window saturation mode (cell, cellsweep, metro, backlogged scenario specs)",
 		},
 	}

@@ -45,6 +45,8 @@ func TestNormalizeRejectionTable(t *testing.T) {
 			Options: &experiments.Options{Cells: []int{0}}}, "cell count"},
 		{"bad carrier-sense range", Spec{Experiment: "cellsweep",
 			Options: &experiments.Options{CSRanges: []float64{-1}}}, "carrier-sense"},
+		{"carrier-sense range past 1 km", Spec{Experiment: "cellsweep",
+			Options: &experiments.Options{CSRanges: []float64{1e6}}}, "carrier-sense"},
 		{"scenario without spec", Spec{Experiment: "scenario"}, "requires an inline"},
 		{"scenario on other experiment", Spec{Experiment: "fig12",
 			Scenario: json.RawMessage(validScenarioJSON)}, `only accepted with experiment "scenario"`},
