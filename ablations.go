@@ -29,7 +29,7 @@ type OverheadRow struct {
 // RunOverheadTable computes the §4.4 overhead numbers: SIFS + 2 CE symbols
 // per co-sender, for 1460-byte packets at 12 Mbps.
 func RunOverheadTable() []OverheadRow {
-	cfg := Profile80211()
+	cfg := modem.Profile80211()
 	rate, _ := modem.RateByMbps(12)
 	var out []OverheadRow
 	for senders := 2; senders <= 5; senders++ {
@@ -63,7 +63,7 @@ type DetDelayPoint struct {
 // RunDetDelay measures the coarse packet-detection delay (detector firing
 // instant minus true first sample) across SNRs on the WiGLAN profile.
 func RunDetDelay(ec engine.Config, snrs []float64, trials int) []DetDelayPoint {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	p := modem.FrameParams{
 		Cfg: cfg, Rate: modem.Rate{Mod: modem.BPSK, Code: modem.Rate12},
 		CP: cfg.CPLen, PayloadLen: 20, ScramblerSeed: 0x5d,
@@ -130,7 +130,7 @@ type SlopeWindowResult struct {
 // windowed estimator's error on delay differences stays lower than the
 // whole-band fit, which suffers unwrap errors across deep fades.
 func RunAblationSlopeWindow(ec engine.Config, draws int) SlopeWindowResult {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	type sqErr struct{ w, b float64 }
 	rows := engine.Grid(ec, 1, draws, func(_, _ int, rng *rand.Rand) sqErr {
 		m := channel.NewIndoor(rng, cfg.SampleRateHz, 60, 0) // heavy NLOS multipath
@@ -154,7 +154,7 @@ func RunAblationSlopeWindow(ec engine.Config, draws int) SlopeWindowResult {
 	}
 }
 
-func delayedChannel(cfg *Config, m *channel.Multipath, d float64) []complex128 {
+func delayedChannel(cfg *modem.Config, m *channel.Multipath, d float64) []complex128 {
 	h := m.FreqResponse(cfg.NFFT)
 	dsp.PhaseRampDelay(h, d)
 	used := map[int]bool{}
@@ -188,7 +188,7 @@ type NaiveCombiningResult struct {
 // identical channel realization and payload — the comparison isolates the
 // combining scheme, not the fading luck.
 func RunAblationNaiveCombining(ec engine.Config, frames int) NaiveCombiningResult {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	res := NaiveCombiningResult{STBCWorstSNRdB: math.Inf(1), NaiveWorstSNRdB: math.Inf(1)}
 
 	type frameRes struct {
@@ -249,7 +249,7 @@ type PilotSharingResult struct {
 // paper's shared-pilot per-sender phase tracking when the two senders carry
 // different residual frequency offsets.
 func RunAblationPilotSharing(ec engine.Config, frames int) PilotSharingResult {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	var res PilotSharingResult
 
 	type frameRes struct {

@@ -117,7 +117,7 @@ func BenchmarkFig16SubcarrierSNR(b *testing.B) {
 func BenchmarkFig17LastHop(b *testing.B) {
 	var res PointStats
 	for i := 0; i < b.N; i++ {
-		res = RunFig17(engine.Config{Seed: int64(6 + i)}, Fig17Options{Placements: 16, Packets: 250, Payload: 1460})
+		res = RunFig17(engine.Config{Seed: int64(6 + i)}, Fig17Options{Placements: 16, Packets: 250})
 	}
 	b.ReportMetric(res.MedianGain(1, 0), "median-gain-x")
 }
@@ -136,7 +136,7 @@ func benchFig18(b *testing.B, mbps int) {
 	for i := 0; i < b.N; i++ {
 		res = RunFig18(engine.Config{Seed: int64(7 + i)}, MeshOptions{
 			Topologies: 10, Packets: 100,
-			Payload: 1000, RateMbps: mbps, Probes: 40,
+			RateMbps: mbps, Probes: 40,
 		})
 	}
 	b.ReportMetric(res.MedianGain(1, 0), "exor-over-sp-x")

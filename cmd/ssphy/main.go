@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ssphy [-seed N] [-snr dB] [-co N] [-profile 80211|wiglan] [-baseline]
+//	ssphy [-seed N] [-snr dB] [-co N] [-bytes N] [-profile 80211|wiglan] [-baseline]
 package main
 
 import (
@@ -28,7 +28,7 @@ var (
 	numCo    = flag.Int("co", 1, "number of co-senders (1-3)")
 	profile  = flag.String("profile", "wiglan", "PHY profile: 80211 or wiglan")
 	baseline = flag.Bool("baseline", false, "disable delay compensation (unsynchronized baseline)")
-	payload  = flag.Int("bytes", 120, "payload size")
+	payload  = flag.Int("bytes", 120, "payload size in bytes (0-65535)")
 )
 
 func main() {
@@ -45,6 +45,10 @@ func main() {
 	}
 	if *numCo < 1 || *numCo > 3 {
 		fmt.Fprintln(os.Stderr, "co must be 1-3")
+		os.Exit(2)
+	}
+	if *payload < 0 || *payload > math.MaxUint16 {
+		fmt.Fprintln(os.Stderr, "bytes must be 0-65535")
 		os.Exit(2)
 	}
 
@@ -80,7 +84,6 @@ func main() {
 			NoisePower:       noise,
 			FFTBackoff:       3,
 			BaselineSync:     *baseline,
-			DetectJitter:     38,
 		})
 	}
 

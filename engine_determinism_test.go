@@ -132,7 +132,7 @@ func runCellSpec(t *testing.T, sp *scenario.Spec, seed int64, workers int) strin
 func TestCellCrossTrafficDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := backloggedCell(4, 8, 40, 0)
 	ox := MeshOptions{Topologies: 3, Packets: 40, CrossFlows: 2,
-		CrossPackets: 50, Payload: 1000, RateMbps: 12, Probes: 30}
+		CrossPackets: 50, RateMbps: 12, Probes: 30}
 	wantC := runCellSpec(t, sc, 9, 1)
 	wantX := fmt.Sprintf("%#v", RunCrossTraffic(engine.Config{Seed: 10, Workers: 1}, ox))
 	if got := runCellSpec(t, sc, 9, 4); got != wantC {
@@ -160,7 +160,7 @@ func TestWindowModeAndCSRangeSweepDeterministicAcrossWorkerCounts(t *testing.T) 
 	// Fixed-time-window saturation (RunUntil) plus the carrier-sense-range
 	// sweep, both under the default rate-aware model.
 	o := CellSweepOptions{Placements: 3, Cells: 2, APsPerCell: 2,
-		ClientsPer: []int{2}, Packets: 20, Payload: 1460, CSRangeM: 30, WindowSec: 0.05}
+		ClientsPer: []int{2}, Packets: 20, CSRangeM: 30, WindowSec: 0.05}
 	sc := backloggedCell(4, 4, 20, 0.05)
 	want := fmt.Sprintf("%#v", RunCSRangeSweep(engine.Config{Seed: 13, Workers: 1}, o, []float64{20, 40}, 2))
 	wantC := runCellSpec(t, sc, 14, 1)
@@ -174,7 +174,7 @@ func TestWindowModeAndCSRangeSweepDeterministicAcrossWorkerCounts(t *testing.T) 
 
 func TestCellSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	o := CellSweepOptions{Placements: 3, Cells: 2, APsPerCell: 2,
-		ClientsPer: []int{1, 4}, Packets: 20, Payload: 1460, CSRangeM: 30}
+		ClientsPer: []int{1, 4}, Packets: 20, CSRangeM: 30}
 	serial, par := engine.Config{Seed: 11, Workers: 1}, engine.Config{Seed: 11, Workers: 4}
 	want := fmt.Sprintf("%#v", RunCellSweep(serial, o))
 	wantC := fmt.Sprintf("%#v", RunCellCountSweep(serial, o, []int{1, 3}, 2))
@@ -187,8 +187,8 @@ func TestCellSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestFig17Fig18DeterministicAcrossWorkerCounts(t *testing.T) {
-	o17 := Fig17Options{Placements: 8, Packets: 100, Payload: 1460}
-	o18 := MeshOptions{Topologies: 5, Packets: 60, Payload: 1000, RateMbps: 12, Probes: 30}
+	o17 := Fig17Options{Placements: 8, Packets: 100}
+	o18 := MeshOptions{Topologies: 5, Packets: 60, RateMbps: 12, Probes: 30}
 	want17 := fmt.Sprintf("%#v", RunFig17(engine.Config{Seed: 5, Workers: 1}, o17))
 	want18 := fmt.Sprintf("%#v", RunFig18(engine.Config{Seed: 6, Workers: 1}, o18))
 	if got := fmt.Sprintf("%#v", RunFig17(engine.Config{Seed: 5, Workers: 4}, o17)); got != want17 {
@@ -205,7 +205,7 @@ func TestMetroDeterministicAcrossWorkerCounts(t *testing.T) {
 	// hash, event heap, per-flow interference pruning) must reduce
 	// byte-identically at any worker count.
 	o := MetroOptions{Placements: 2, CellsX: 3, CellsY: 3, APsPerCell: 2,
-		ClientsPer: []int{2, 4}, Packets: 10, Payload: 1460,
+		ClientsPer: []int{2, 4}, Packets: 10,
 		CSRangeM: 45, InterferenceRangeM: 150}
 	want := fmt.Sprintf("%#v", RunMetro(engine.Config{Seed: 17, Workers: 1}, o))
 	if got := fmt.Sprintf("%#v", RunMetro(engine.Config{Seed: 17, Workers: 4}, o)); got != want {

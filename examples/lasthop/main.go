@@ -10,14 +10,15 @@ import (
 	"fmt"
 	"math/rand"
 
-	sourcesync "repro"
 	"repro/internal/lasthop"
+	"repro/internal/mac"
+	"repro/internal/modem"
 	"repro/internal/testbed"
 )
 
 func main() {
-	cfg := sourcesync.Profile80211()
-	env := sourcesync.MeshTestbed(cfg)
+	cfg := modem.Profile80211()
+	env := testbed.Mesh(cfg)
 	rng := rand.New(rand.NewSource(7))
 
 	// A client between two APs, both ~15 m away: usable but lossy links.
@@ -33,7 +34,7 @@ func main() {
 	// highest-SNR AP alone, RunJoint from both APs at once.
 	const packets = 600
 	c := lasthop.Cell{
-		Mac:              sourcesync.DCFParams(cfg),
+		Mac:              mac.Default(cfg),
 		PayloadBytes:     1460,
 		Links:            [][]testbed.Link{links},
 		PacketsPerClient: packets,

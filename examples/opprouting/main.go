@@ -10,15 +10,15 @@ import (
 	"fmt"
 	"math/rand"
 
-	sourcesync "repro"
 	"repro/internal/exor"
+	"repro/internal/mac"
 	"repro/internal/modem"
 	"repro/internal/testbed"
 )
 
 func main() {
-	cfg := sourcesync.Profile80211()
-	env := sourcesync.MeshTestbed(cfg)
+	cfg := modem.Profile80211()
+	env := testbed.Mesh(cfg)
 	rng := rand.New(rand.NewSource(11))
 
 	pts := []testbed.Point{
@@ -47,7 +47,7 @@ func main() {
 
 	sim := &exor.Sim{
 		Topo: topo, Meas: meas,
-		Mac:  sourcesync.DCFParams(cfg),
+		Mac:  mac.Default(cfg),
 		Rate: rate, Payload: 1000,
 	}
 	const packets = 300

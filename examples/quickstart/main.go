@@ -15,7 +15,6 @@ import (
 	"log"
 	"math/rand"
 
-	sourcesync "repro"
 	"repro/internal/channel"
 	"repro/internal/dsp"
 	"repro/internal/modem"
@@ -23,7 +22,7 @@ import (
 )
 
 func main() {
-	cfg := sourcesync.Profile80211()
+	cfg := modem.Profile80211()
 	rng := rand.New(rand.NewSource(42))
 
 	// The joint frame: 12 Mbps, one co-sender, 256-byte payload.
@@ -44,18 +43,17 @@ func main() {
 	mp := func() *channel.Multipath { return channel.NewIndoor(rng, cfg.SampleRateHz, 50, 3) }
 	noise := 2e-4 // per-sample noise power at every radio
 
-	sim := &sourcesync.JointSimConfig{
+	sim := &phy.JointSimConfig{
 		P:        params,
-		LeadToCo: []sourcesync.Link{{Gain: 1, Delay: dLeadToCo, Path: mp()}},
-		LeadToRx: sourcesync.Link{Gain: 1, Delay: dLeadToRx, Path: mp()},
-		CoToRx:   []sourcesync.Link{{Gain: 1, Delay: dCoToRx, Path: mp()}},
-		Co: []sourcesync.CoSenderSim{{
+		LeadToCo: []phy.Link{{Gain: 1, Delay: dLeadToCo, Path: mp()}},
+		LeadToRx: phy.Link{Gain: 1, Delay: dLeadToRx, Path: mp()},
+		CoToRx:   []phy.Link{{Gain: 1, Delay: dCoToRx, Path: mp()}},
+		Co: []phy.CoSenderSim{{
 			Turnaround:       120,                 // hardware switch time, samples
 			EstDelayFromLead: dLeadToCo,           // measured in the probe phase
 			TxOffset:         dLeadToRx - dCoToRx, // w1 = T0 - t1
 			NoisePower:       noise,
 			FFTBackoff:       3,
-			DetectJitter:     38,
 		}},
 		NoiseRx: noise,
 		Rng:     rng,
@@ -72,7 +70,7 @@ func main() {
 	fmt.Printf("true misalignment at receiver: %+.3f samples (%.1f ns)\n",
 		run.TrueMisalign[0], run.TrueMisalign[0]/cfg.SampleRateHz*1e9)
 
-	rx := &sourcesync.JointReceiver{Cfg: cfg, FFTBackoff: 3}
+	rx := &phy.JointReceiver{Cfg: cfg, FFTBackoff: 3}
 	res, err := rx.Receive(run.RxWave, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -17,14 +17,14 @@ import (
 	"math/cmplx"
 	"math/rand"
 
-	sourcesync "repro"
 	"repro/internal/channel"
 	"repro/internal/dsp"
+	"repro/internal/modem"
 	"repro/internal/sls"
 )
 
 func main() {
-	cfg := sourcesync.ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	rng := rand.New(rand.NewSource(5))
 
 	// --- 1. Fig. 5: channel phase slope vs detection delay -------------
@@ -87,7 +87,7 @@ func main() {
 }
 
 // zeroUnused blanks the unused FFT bins like a real channel estimator.
-func zeroUnused(cfg *sourcesync.Config, h []complex128) []complex128 {
+func zeroUnused(cfg *modem.Config, h []complex128) []complex128 {
 	used := map[int]bool{}
 	for _, k := range cfg.UsedBins() {
 		used[cfg.Bin(k)] = true

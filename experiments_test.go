@@ -109,7 +109,7 @@ func TestFig15Fig16Shape(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	o := Fig17Options{Placements: 14, Packets: 200, Payload: 1460}
+	o := Fig17Options{Placements: 14, Packets: 200}
 	res := RunFig17(engine.Config{Seed: 5}, o)
 	if len(res.Schemes[0].AggMbps) != 14 || len(res.Schemes[1].AggMbps) != 14 {
 		t.Fatalf("CDF lengths %d %d", len(res.Schemes[0].AggMbps), len(res.Schemes[1].AggMbps))
@@ -121,7 +121,7 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestFig18Shape(t *testing.T) {
-	o := MeshOptions{Topologies: 8, Packets: 80, Payload: 1000, RateMbps: 6, Probes: 40}
+	o := MeshOptions{Topologies: 8, Packets: 80, RateMbps: 6, Probes: 40}
 	res := RunFig18(engine.Config{Seed: 6}, o)
 	exOverSP, ssOverEx, ssOverSP := res.MedianGain(1, 0), res.MedianGain(2, 1), res.MedianGain(2, 0)
 	// Paper at 6 Mbps: ExOR 1.26-1.4x over single path; SourceSync
@@ -134,6 +134,27 @@ func TestFig18Shape(t *testing.T) {
 	}
 	if ssOverSP < exOverSP {
 		t.Fatalf("SS/SP %.2f below ExOR/SP %.2f", ssOverSP, exOverSP)
+	}
+}
+
+func TestMeshRowsCarryMediumCounters(t *testing.T) {
+	o := MeshOptions{Topologies: 4, Packets: 40, CrossFlows: 2, CrossPackets: 40, RateMbps: 12, Probes: 30}
+	res := RunCrossTraffic(engine.Config{Seed: 9}, o)
+	for i, s := range res.Schemes[:4] {
+		// One collision domain: a routed run keeps the medium busy some
+		// but not all of the time, and only a loaded run has a second
+		// flow to collide with.
+		if s.MeanUtilization <= 0 || s.MeanUtilization > 1 {
+			t.Errorf("%s: mean utilization %.3f, want in (0, 1]", s.Scheme, s.MeanUtilization)
+		}
+		if loaded := i%2 == 1; loaded != (s.CollisionRate > 0) {
+			t.Errorf("%s: collision rate %.3f", s.Scheme, s.CollisionRate)
+		}
+	}
+	// The cross row adds up flows of several runs, so it carries no
+	// medium counters.
+	if cross := res.Schemes[4]; cross.CollisionRate != 0 || cross.MeanUtilization != 0 {
+		t.Errorf("cross row: collision rate %.3f, utilization %.3f", cross.CollisionRate, cross.MeanUtilization)
 	}
 }
 

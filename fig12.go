@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/engine"
+	"repro/internal/modem"
 	"repro/internal/phy"
 )
 
@@ -49,7 +50,7 @@ type fig12Trial struct {
 // worker pool; each draws its RNG from (ec.Seed, SNR index, trial index),
 // so the output is identical at every worker count.
 func RunFig12(ec engine.Config, o Fig12Options) []Fig12Point {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	nsToSample := cfg.SampleRateHz / 1e9
 
 	grid := engine.Grid(ec, len(o.SNRsdB), o.Trials, func(pt, trial int, rng *rand.Rand) fig12Trial {

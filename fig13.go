@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/engine"
+	"repro/internal/modem"
 	"repro/internal/phy"
 )
 
@@ -43,7 +44,7 @@ type Fig13Point struct {
 // so both arms parallelize together and remain deterministic. A trial
 // yields its frame's EVM, or 0 when the frame yields none.
 func RunFig13(ec engine.Config, o Fig13Options) []Fig13Point {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	cpSamples := make([]int, len(o.CPsNs))
 	for i, cpNs := range o.CPsNs {
 		cpSamples[i] = int(cpNs * 1e-9 * cfg.SampleRateHz)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/dsp"
 	"repro/internal/engine"
+	"repro/internal/modem"
 	"repro/internal/phy"
 	"repro/internal/testbed"
 )
@@ -32,7 +33,7 @@ type Fig14Point struct {
 // single sender's channel on the WiGLAN profile. The paper's channel shows
 // ~15 significant taps (117 ns at 128 MHz).
 func RunFig14(ec engine.Config, o Fig14Options) []Fig14Point {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	draws := engine.Grid(ec, 1, o.Draws, func(_, _ int, rng *rand.Rand) []float64 {
 		m := channel.NewIndoor(rng, cfg.SampleRateHz, 45, 3)
 		tap := make([]float64, o.Taps)
@@ -156,7 +157,7 @@ type Fig16Series struct {
 // individual profiles are the most frequency-selective represents each
 // regime.
 func RunFig16(ec engine.Config, o Fig15Options) []Fig16Series {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	samples := fig15Measure(ec, o)
 	var best [len(regimes)]*fig15Sample
 	var bestSel [len(regimes)]float64
@@ -204,7 +205,7 @@ func perBinDB(lin []float64) []float64 {
 // of placements x frames on the engine. The per-placement SNR draw comes
 // from the placement's PointRNG so every frame of a placement agrees on it.
 func fig15Measure(ec engine.Config, o Fig15Options) []fig15Sample {
-	cfg := ProfileWiGLAN()
+	cfg := modem.ProfileWiGLAN()
 	type frameRes struct {
 		s  fig15Sample
 		ok bool
@@ -241,7 +242,7 @@ func fig15Measure(ec engine.Config, o Fig15Options) []fig15Sample {
 
 // fig15Frame runs one joint frame whose senders reach the receiver at
 // snr1 and snr2 dB, and extracts SNR measurements.
-func fig15Frame(rng *rand.Rand, cfg *Config, snr1, snr2 float64) (fig15Sample, bool) {
+func fig15Frame(rng *rand.Rand, cfg *modem.Config, snr1, snr2 float64) (fig15Sample, bool) {
 	sim := fig15Pair.draw(rng, cfg, 0) // unit-SNR reference; the gains set each sender's SNR
 	sim.LeadToRx.Gain = math.Sqrt(dsp.FromDB(snr1))
 	sim.CoToRx[0].Gain = math.Sqrt(dsp.FromDB(snr2))

@@ -22,12 +22,11 @@ import (
 type Fig17Options struct {
 	Placements int // random AP/AP/client placements
 	Packets    int // downlink packets per run
-	Payload    int
 }
 
 // DefaultFig17Options returns the parameters used by ssbench.
 func DefaultFig17Options() Fig17Options {
-	return Fig17Options{Placements: 40, Packets: 400, Payload: 1460}
+	return Fig17Options{Placements: 40, Packets: 400}
 }
 
 // schemeEveryAP is fig17's selective-diversity baseline: the client served
@@ -40,7 +39,7 @@ const schemeEveryAP = "every-ap"
 // Schemes[0] of the returned row is the best single AP and Schemes[1]
 // joint service, so MedianGain(1, 0) is the median gain.
 func RunFig17(ec engine.Config, o Fig17Options) PointStats {
-	cfg := Profile80211()
+	cfg := modem.Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
 	schemes := []string{schemeEveryAP, scenario.SchemeJoint}
@@ -53,7 +52,7 @@ func RunFig17(ec engine.Config, o Fig17Options) PointStats {
 		ap2 := nearbyPoint(rng, env, client, 8, 25)
 		c := lasthop.Cell{
 			Mac:          m,
-			PayloadBytes: o.Payload,
+			PayloadBytes: cellPayload,
 			Links: [][]testbed.Link{{
 				env.NewLink(rng, ap1, client),
 				env.NewLink(rng, ap2, client),
@@ -102,7 +101,6 @@ type MeshOptions struct {
 	Packets      int // routed packets per run
 	CrossFlows   int // contending single-hop flows; none for fig18
 	CrossPackets int // backlog per cross flow
-	Payload      int
 	// RateMbps is the routed flow's fixed rate (the paper's 6 or 12).
 	// Rates up to 6 Mbps run on an 18% wider floor (runMesh).
 	RateMbps int
@@ -121,11 +119,14 @@ type MeshOptions struct {
 	WidthScale float64
 }
 
+// meshPayload is the size, in bytes, of every mesh packet, routed or
+// cross.
+const meshPayload = 1000
+
 // DefaultFig18Options returns the parameters used by ssbench.
 func DefaultFig18Options(rateMbps int) MeshOptions {
 	return MeshOptions{
-		Topologies: 20, Packets: 150, Payload: 1000,
-		RateMbps: rateMbps, Probes: 60,
+		Topologies: 20, Packets: 150, RateMbps: rateMbps, Probes: 60,
 	}
 }
 
@@ -135,7 +136,7 @@ func DefaultFig18Options(rateMbps int) MeshOptions {
 func DefaultCrossTrafficOptions() MeshOptions {
 	return MeshOptions{
 		Topologies: 20, Packets: 120, CrossFlows: 2,
-		CrossPackets: 150, Payload: 1000, RateMbps: 12, Probes: 60,
+		CrossPackets: 150, RateMbps: 12, Probes: 60,
 	}
 }
 
@@ -189,16 +190,17 @@ type meshRun struct {
 // runMesh runs o.Topologies mesh trials. Each trial draws a topology,
 // runs the measurement phase, draws o.CrossFlows cross flows between
 // distinct relays, then simulates each entry of runs on its own child
-// stream, in list order. The returned row holds each run's routed flow, in
-// list order, then a "cross" row that adds up the cross flows of every
-// loaded run (its throughputs are zero).
+// stream, in list order. The returned row holds each run's routed flow and
+// the run's medium counters, in list order, then a "cross" row that adds
+// up the cross flows of every loaded run (its throughputs and medium
+// counters are zero).
 //
 // The mesh is stretched so links sit near the chosen rate's waterfall
 // (the paper picked topologies with lossy links at each rate): the more
 // robust rates up to 6 Mbps need an 18% wider floor to see the same loss
 // rates.
 func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
-	cfg := Profile80211()
+	cfg := modem.Profile80211()
 	env := testbed.Mesh(cfg)
 	if o.RateMbps <= 6 {
 		env.Width *= 1.18
@@ -223,7 +225,7 @@ func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
 	// their history.
 	var routable func(*exor.Topology) bool
 	if o.CSRangeM > 0 {
-		routable = meshRoutablePredicate(cfg, rate, o.Payload)
+		routable = meshRoutablePredicate(cfg, rate, meshPayload)
 	}
 	names := make([]string, 0, len(runs)+1)
 	for _, r := range runs {
@@ -236,12 +238,12 @@ func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
 	names = append(names, "cross")
 	trials := runTrials(ec, 1, o.Topologies, func(_ int, rng *rand.Rand) []schemeRun {
 		topo := randomMeshTopology(rng, env, o.CSRangeM > 0, routable)
-		meas := topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
+		meas := topo.Measure(rng, rate, meshPayload, o.Probes, 0.1)
 		for tries := 0; routable != nil && math.IsInf(meas.DistTo[0], 1) && tries < meshRelayRedraws; tries++ {
 			topo = randomMeshTopology(rng, env, true, routable)
-			meas = topo.Measure(rng, rate, o.Payload, o.Probes, 0.1)
+			meas = topo.Measure(rng, rate, meshPayload, o.Probes, 0.1)
 		}
-		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: o.Payload,
+		sim := &exor.Sim{Topo: topo, Meas: meas, Mac: m, Rate: rate, Payload: meshPayload,
 			CSRangeM: o.CSRangeM}
 		// Cross flows between distinct relays (nodes 1..N-2), drawn per
 		// topology.
@@ -263,7 +265,14 @@ func runMesh(ec engine.Config, o MeshOptions, runs []meshRun) PointStats {
 				load = cross
 			}
 			res, crossRes := sim.RunWithCross(engine.ChildRNG(rng), r.scheme, o.Packets, load)
-			out[i] = schemeRun{bps: res.ThroughputBps, Stats: res.Flow, rateCorruption: res.RateCorruption}
+			out[i] = schemeRun{
+				bps:             res.ThroughputBps,
+				Stats:           res.Flow,
+				acquisitions:    res.Acquisitions,
+				collisionRounds: res.CollisionRounds,
+				utilization:     res.Utilization,
+				rateCorruption:  res.RateCorruption,
+			}
 			for _, c := range crossRes {
 				crossRow.Add(c.Flow)
 				crossRow.rateCorruption = netsim.MergeRateCorruption(crossRow.rateCorruption, c.RateCorruption)

@@ -25,6 +25,10 @@ import (
 // §8.4 mesh experiments — fig18 and both crosstraffic variants — run on
 // runMesh (fig1718.go). reducePoints folds a sweep.
 
+// cellPayload is the downlink payload, in bytes, of the cell experiments
+// that take no scenario spec: fig17, cellsweep and metro.
+const cellPayload = 1460
+
 // schemeRun is what reducePoint reads of one scheme's run in one trial.
 type schemeRun struct {
 	bps float64 // delivered bits over the run's virtual time

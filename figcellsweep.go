@@ -19,12 +19,11 @@ import (
 // backlogged clients, with N swept to trace saturation throughput versus
 // offered population for joint (SourceSync) and best-single-AP service.
 type CellSweepOptions struct {
-	Placements int   // random AP/client placements per sweep point
-	Cells      int   // spatially separated cells (>= 1)
-	APsPerCell int   // M APs serving each cell
-	ClientsPer []int // sweep: clients per cell, one curve point each
-	Packets    int   // downlink packets per client
-	Payload    int
+	Placements int     // random AP/client placements per sweep point
+	Cells      int     // spatially separated cells (>= 1)
+	APsPerCell int     // M APs serving each cell
+	ClientsPer []int   // sweep: clients per cell, one curve point each
+	Packets    int     // downlink packets per client
 	CSRangeM   float64 // carrier-sense range between transmitters (meters)
 	// WindowSec switches every run to fixed-time-window saturation mode:
 	// unbounded backlogs drained for this many virtual seconds (Packets
@@ -38,7 +37,7 @@ type CellSweepOptions struct {
 func DefaultCellSweepOptions() CellSweepOptions {
 	return CellSweepOptions{
 		Placements: 10, Cells: 2, APsPerCell: 2,
-		ClientsPer: []int{1, 2, 4, 6, 8}, Packets: 60, Payload: 1460,
+		ClientsPer: []int{1, 2, 4, 6, 8}, Packets: 60,
 		CSRangeM: 30,
 	}
 }
@@ -51,12 +50,12 @@ func DefaultCellSweepOptions() CellSweepOptions {
 // after construction, so every worker shares it) corrupts or degrades
 // each interfered downlink at its own rate's decode threshold.
 func runSweep(ec engine.Config, o CellSweepOptions, points int, at func(pt int) (cells int, cs float64, clientsPer int)) []PointStats {
-	cfg := Profile80211()
+	cfg := modem.Profile80211()
 	base := lasthop.Cell{
 		Mac:              mac.Default(cfg),
-		PayloadBytes:     o.Payload,
+		PayloadBytes:     cellPayload,
 		PacketsPerClient: o.Packets,
-		Model:            netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload),
+		Model:            netsim.NewRateAware(cfg, modem.StandardRates(), cellPayload),
 		WindowSec:        o.WindowSec,
 	}
 	return reducePoints(bothSchemes, runCells(ec, points, o.Placements, bothSchemes, func(pt int, rng *rand.Rand) func() lasthop.Cell {

@@ -27,9 +27,8 @@ type MetroOptions struct {
 	CellsX     int // cells per city row
 	CellsY     int // cells per city column (CellsX*CellsY cells total)
 	APsPerCell int
-	ClientsPer []int // density sweep: clients per cell, one map point each
-	Packets    int   // downlink packets per client
-	Payload    int
+	ClientsPer []int   // density sweep: clients per cell, one map point each
+	Packets    int     // downlink packets per client
 	CSRangeM   float64 // carrier-sense range between transmitters (meters)
 	// InterferenceRangeM bounds each settled frame's interference scan to
 	// transmitters within this radius of the receiver; it should
@@ -49,7 +48,7 @@ type MetroOptions struct {
 func DefaultMetroOptions() MetroOptions {
 	return MetroOptions{
 		Placements: 3, CellsX: 10, CellsY: 10, APsPerCell: 2,
-		ClientsPer: []int{4, 8, 12}, Packets: 20, Payload: 1460,
+		ClientsPer: []int{4, 8, 12}, Packets: 20,
 		CSRangeM: 45, InterferenceRangeM: 150,
 	}
 }
@@ -81,7 +80,7 @@ func metroPoint(rng *rand.Rand, center testbed.Point, h float64, accept func(tes
 // rate-aware throughout — the metro question is precisely how interference
 // scales with density. It returns one PointStats per ClientsPer value.
 func RunMetro(ec engine.Config, o MetroOptions) []PointStats {
-	cfg := Profile80211()
+	cfg := modem.Profile80211()
 	pitch := cellPitch(o.CSRangeM)
 	env := testbed.Mesh(cfg)
 	env.Width = float64(o.CellsX) * pitch
@@ -97,10 +96,10 @@ func RunMetro(ec engine.Config, o MetroOptions) []PointStats {
 	}
 	base := lasthop.Cell{
 		Mac:                mac.Default(cfg),
-		PayloadBytes:       o.Payload,
+		PayloadBytes:       cellPayload,
 		PacketsPerClient:   o.Packets,
 		CSRangeM:           o.CSRangeM,
-		Model:              netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload),
+		Model:              netsim.NewRateAware(cfg, modem.StandardRates(), cellPayload),
 		Env:                env,
 		InterferenceRangeM: o.InterferenceRangeM,
 		WindowSec:          o.WindowSec,

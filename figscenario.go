@@ -217,7 +217,7 @@ func (t *scenTopo) instantiate(sp *scenario.Spec, env *testbed.Testbed, m mac.Pa
 // of the spec over it at the point's per-client rate (ignored by
 // backlogged specs).
 func scenarioTrials(ec engine.Config, sp *scenario.Spec, rates []float64) [][][]schemeRun {
-	cfg := Profile80211()
+	cfg := modem.Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
 	model := netsim.NewRateAware(cfg, modem.StandardRates(), sp.Traffic.PayloadBytes)

@@ -143,6 +143,13 @@ type Result struct {
 	// Elapsed is the run's virtual time on the shared medium; with cross
 	// traffic every flow shares it.
 	Elapsed float64
+	// Acquisitions, CollisionRounds and Utilization count the run's
+	// medium, which every flow of the run shares: transmit groups that
+	// acquired it, transmit groups that collided, and busy time over
+	// Elapsed.
+	Acquisitions    int
+	CollisionRounds int
+	Utilization     float64
 }
 
 // CrossFlow describes one contending single-hop stream riding on the same
@@ -193,13 +200,16 @@ func (s *Sim) RunWithCross(rng *rand.Rand, scheme Scheme, nPackets int, cross []
 	elapsed := sim.Now()
 	mk := func(f *netsim.Flow, deliveredPkts int) Result {
 		r := Result{
-			Delivered:      deliveredPkts,
-			Flow:           f.Stats,
-			RateCorruption: f.RateCorruption,
-			Elapsed:        elapsed,
+			Delivered:       deliveredPkts,
+			Flow:            f.Stats,
+			RateCorruption:  f.RateCorruption,
+			Elapsed:         elapsed,
+			Acquisitions:    sim.Acquisitions,
+			CollisionRounds: sim.CollisionRounds,
 		}
 		if elapsed > 0 {
 			r.ThroughputBps = float64(deliveredPkts*s.Payload*8) / elapsed
+			r.Utilization = sim.BusyTime() / elapsed
 		}
 		return r
 	}

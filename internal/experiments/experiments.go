@@ -383,7 +383,7 @@ func (r *runner) printCorruption(rc []netsim.RateCorruption) {
 		r.println("per-rate interference outcomes: none (no attempt overlapped with a model engaged)")
 		return
 	}
-	cfg := sourcesync.Profile80211()
+	cfg := modem.Profile80211()
 	rates := modem.StandardRates()
 	r.println("per-rate interference outcomes:")
 	r.printf("%12s %11s %10s %9s %11s\n", "rate", "interfered", "corrupted", "degraded", "margin(dB)")

@@ -107,14 +107,15 @@ type CellResult struct {
 	Handoffs int
 }
 
-// clientPlan is one client's serving decision: its per-attempt reception
-// draw, its per-rate frame airtimes (joint service prices each client's
-// own co-sender count, so tables differ when Links rows are ragged), and,
-// when the cell is spatial, the geometry of its downlink flow.
+// clientPlan is one client's serving decision: the links that serve it
+// (every attempt draws its delivery over them jointly), its per-rate frame
+// airtimes (joint service prices each client's own co-sender count, so
+// tables differ when Links rows are ragged), and, when the cell is
+// spatial, the geometry of its downlink flow.
 type clientPlan struct {
-	attempt func(*rand.Rand, int, *samplerate.SampleRate, netsim.Interference) bool
-	ft      []float64
-	radio   *netsim.Radio
+	links []testbed.Link
+	ft    []float64
+	radio *netsim.Radio
 }
 
 // spatial reports whether the cell carries per-flow geometry.
@@ -154,11 +155,8 @@ func (c Cell) RunBestSingleAP(rng *rand.Rand) CellResult {
 	ft := frameTimes(c.Mac, c.PayloadBytes, false, 0)
 	return c.run(rng, func(client int) clientPlan {
 		best := c.bestAP(client)
-		links := c.Links[client][best : best+1]
 		return clientPlan{
-			attempt: func(rng *rand.Rand, idx int, sr *samplerate.SampleRate, ix netsim.Interference) bool {
-				return netsim.DrawDelivery(rng, links, sr.Rate(idx), c.PayloadBytes, ix.SNRScale)
-			},
+			links: c.Links[client][best : best+1],
 			ft:    ft,
 			radio: c.radioFor(client, best),
 		}
@@ -184,9 +182,7 @@ func (c Cell) RunJoint(rng *rand.Rand) CellResult {
 			ftByCo[numCo] = ft
 		}
 		return clientPlan{
-			attempt: func(rng *rand.Rand, idx int, sr *samplerate.SampleRate, ix netsim.Interference) bool {
-				return netsim.DrawDelivery(rng, links, sr.Rate(idx), c.PayloadBytes, ix.SNRScale)
-			},
+			links: links,
 			ft:    ft,
 			radio: c.radioFor(client, c.bestAP(client)),
 		}
@@ -194,8 +190,8 @@ func (c Cell) RunJoint(rng *rand.Rand) CellResult {
 }
 
 // run wires one flow per client into a shared netsim and drains the
-// backlogs. plan(client) returns the client's per-attempt reception draw,
-// frame-time table, and flow geometry.
+// backlogs. plan(client) returns the client's serving links, frame-time
+// table, and flow geometry.
 func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 	sim := netsim.New(c.Mac, rng)
 	sim.CSRangeM = c.CSRangeM
@@ -229,7 +225,7 @@ func (c Cell) run(rng *rand.Rand, plan func(client int) clientPlan) CellResult {
 			},
 			FrameTime: func(i int) float64 { return plans[client].ft[i] },
 			Deliver: func(rng *rand.Rand, i int, ix netsim.Interference) bool {
-				return plans[client].attempt(rng, i, sr, ix)
+				return netsim.DrawDelivery(rng, plans[client].links, sr.Rate(i), c.PayloadBytes, ix.SNRScale)
 			},
 			Done: func(i int, delivered bool, air float64) {
 				remaining--

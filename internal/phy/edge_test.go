@@ -123,6 +123,40 @@ func TestSimRejectsMismatchedCoSenderCount(t *testing.T) {
 	}
 }
 
+func TestSimRejectsFieldsTheSyncHeaderCannotCarry(t *testing.T) {
+	// The sync header carries PayloadLen in 16 bits and DataCP in 8. A
+	// frame whose value does not fit must be refused, not sent under a
+	// truncated header.
+	tests := []struct {
+		name       string
+		payloadLen int
+		dataCP     int
+		wantErr    bool
+	}{
+		{name: "payload length 65,536", payloadLen: 65536, dataCP: 16, wantErr: true},
+		{name: "payload length -1", payloadLen: -1, dataCP: 16, wantErr: true},
+		{name: "cyclic prefix 256", payloadLen: 120, dataCP: 256, wantErr: true},
+		{name: "largest payload length that fits", payloadLen: 65535, dataCP: 16},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			sim := idealSim(t, rand.New(rand.NewSource(1)), 1e-6)
+			sim.P.PayloadLen, sim.P.DataCP = tt.payloadLen, tt.dataCP
+			// A calibration frame sends no payload, so even the largest
+			// length runs quickly.
+			if _, err := sim.RunCalibration(2); (err != nil) != tt.wantErr {
+				t.Errorf("RunCalibration: err = %v, want error %v", err, tt.wantErr)
+			}
+			if !tt.wantErr {
+				return
+			}
+			if _, err := sim.Run(make([]byte, max(tt.payloadLen, 0))); err == nil {
+				t.Error("Run: err = nil, want an error")
+			}
+		})
+	}
+}
+
 func TestSlotMissAbstainsAndLeadStillDecodes(t *testing.T) {
 	// A co-sender whose turnaround exceeds the sync gap cannot make its TX
 	// slot. Per §4.3 it abstains — the run must not abort, the miss is

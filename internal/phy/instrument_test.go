@@ -34,7 +34,6 @@ func calibSim(rng *rand.Rand, snrDB float64, baseline bool) *JointSimConfig {
 			NoisePower:       noise,
 			FFTBackoff:       3,
 			BaselineSync:     baseline,
-			DetectJitter:     38, // ~300 ns at 128 MHz, per Williams et al.
 		}},
 		NoiseRx: noise,
 		Rng:     rng,

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/modem"
 	"repro/internal/sls"
@@ -87,6 +88,18 @@ func (p JointFrameParams) Header() SyncHeader {
 		PayloadLen: uint16(p.PayloadLen),
 		Seed:       p.Seed,
 	}
+}
+
+// checkHeaderFields reports a PayloadLen or DataCP that its sync-header
+// field cannot carry, which Header would truncate.
+func (p JointFrameParams) checkHeaderFields() error {
+	if p.PayloadLen < 0 || p.PayloadLen > math.MaxUint16 {
+		return fmt.Errorf("phy: payload length %d does not fit the sync header (0-%d)", p.PayloadLen, math.MaxUint16)
+	}
+	if p.DataCP < 0 || p.DataCP > math.MaxUint8 {
+		return fmt.Errorf("phy: data cyclic prefix %d does not fit the sync header (0-%d)", p.DataCP, math.MaxUint8)
+	}
+	return nil
 }
 
 // Frame layout offsets, all in samples from the start of the lead preamble.

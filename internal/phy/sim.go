@@ -34,13 +34,14 @@ type CoSenderSim struct {
 	// energy-detection instant, with no phase-slope refinement, no
 	// propagation-delay subtraction and no wait offset.
 	BaselineSync bool
-	// DetectJitter is the hardware detection-pipeline latency variability
-	// in samples (uniform [0, DetectJitter]); real receivers report
-	// hundreds of ns (paper §1, citing Williams et al.). It delays the
-	// detection *event*, not the buffered samples, so SourceSync's
-	// phase-slope timing is immune but the baseline is not.
-	DetectJitter float64
 }
+
+// detectJitter is the hardware detection-pipeline latency variability in
+// samples (uniform [0, detectJitter]), about 300 ns at 128 MHz; real
+// receivers report hundreds of ns (paper §1, citing Williams et al.). It
+// delays the detection *event*, not the buffered samples, so SourceSync's
+// phase-slope timing is immune but the baseline is not.
+const detectJitter = 38
 
 // LeadSim describes the lead sender's radio.
 type LeadSim struct {
@@ -93,6 +94,9 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 	if len(c.Co) != c.P.NumCo || len(c.LeadToCo) != c.P.NumCo || len(c.CoToRx) != c.P.NumCo {
 		return nil, fmt.Errorf("phy: sim has %d co-senders but frame declares %d", len(c.Co), c.P.NumCo)
 	}
+	if err := c.P.checkHeaderFields(); err != nil {
+		return nil, err
+	}
 	return c.exchange(c.P.senderWaves(payload), c.P.TotalLen()), nil
 }
 
@@ -104,6 +108,9 @@ func (c *JointSimConfig) Run(payload []byte) (*SimRun, error) {
 func (c *JointSimConfig) RunCalibration(reps int) (*SimRun, error) {
 	if c.P.NumCo != 1 || len(c.Co) != 1 {
 		return nil, fmt.Errorf("phy: calibration needs exactly one co-sender")
+	}
+	if err := c.P.checkHeaderFields(); err != nil {
+		return nil, err
 	}
 	waves := [][]complex128{c.P.BuildLeadCalibration(reps), c.P.BuildCoCalibration(0, reps)}
 	return c.exchange(waves, c.P.CalibrationLen(reps)), nil
@@ -166,22 +173,14 @@ func (c *JointSimConfig) exchange(waves [][]complex128, frameLen int) *SimRun {
 		run.CoArrivalEstErr[i] = arrivalEst - trueArrival
 
 		// --- Schedule its transmission (paper §4.3). ---
-		var txStart float64
+		est, d, w := arrivalEst, co.EstDelayFromLead, co.TxOffset
 		if co.BaselineSync {
 			// Baseline: the raw detection event (with hardware pipeline
 			// jitter) is the only time reference; no compensation at all.
-			detEvent := float64(det.CoarseIdx) + co.DetectJitter*c.Rng.Float64()
-			txStart = detEvent + float64(headerSamples) + sls.SIFSSamples(cfg)
-		} else {
-			// Estimated global reference:
-			// header arrival - d_i + headerLen + SIFS, then the wait offset.
-			gEst := arrivalEst - co.EstDelayFromLead + float64(headerSamples) + sls.SIFSSamples(cfg)
-			txStart = gEst + co.TxOffset
+			est, d, w = float64(det.CoarseIdx)+detectJitter*c.Rng.Float64(), 0, 0
 		}
-		ready := arrivalEst + float64(headerSamples) + co.Turnaround
-		if txStart < ready {
-			// The co-sender cannot make its slot: it abstains rather than
-			// transmit late and corrupt the joint frame (§4.3).
+		txStart, ok := sls.CoSenderStart(arrivalEst, est, d, w, co.Turnaround, float64(headerSamples), sls.SIFSSamples(cfg))
+		if !ok {
 			run.CoJoined[i] = false
 			run.SlotMisses++
 			continue

@@ -19,17 +19,19 @@ type rateStats struct {
 	lossyDisable int // packets remaining before the rate may be probed again
 }
 
+// probeInterval is how often, in packets, a non-current rate is sampled;
+// Bicket samples every 10th packet.
+const probeInterval = 10
+
+// alpha is the EWMA smoothing of the per-rate transmission times.
+const alpha = 0.25
+
 // SampleRate adapts the transmission rate per destination.
 type SampleRate struct {
 	rates   []modem.Rate
 	stats   []rateStats
 	current int
 	counter int
-	// ProbeInterval is how often (in packets) a non-current rate is
-	// sampled; Bicket uses every 10th packet.
-	ProbeInterval int
-	// EWMA smoothing for tx time updates.
-	Alpha float64
 	// baseline per-rate lossless frame time, used to bound which rates
 	// could possibly beat the current one.
 	frameTime []float64
@@ -44,12 +46,10 @@ func New(frameTime []float64) *SampleRate {
 		panic("samplerate: need one frame time per standard rate")
 	}
 	s := &SampleRate{
-		rates:         rates,
-		stats:         make([]rateStats, len(rates)),
-		current:       0, // start at the most robust rate
-		ProbeInterval: 10,
-		Alpha:         0.25,
-		frameTime:     frameTime,
+		rates:     rates,
+		stats:     make([]rateStats, len(rates)),
+		current:   0, // start at the most robust rate
+		frameTime: frameTime,
 	}
 	for i := range s.stats {
 		s.stats[i].avgTxTime = frameTime[i] // optimistic prior
@@ -64,7 +64,7 @@ func (s *SampleRate) Current() int { return s.current }
 // is a probe of a non-current rate.
 func (s *SampleRate) Pick(rng *rand.Rand) (idx int, probe bool) {
 	s.counter++
-	if s.counter%s.ProbeInterval == 0 {
+	if s.counter%probeInterval == 0 {
 		if c := s.probeCandidates(); len(c) > 0 {
 			return c[rng.Intn(len(c))], true
 		}
@@ -104,11 +104,11 @@ func (s *SampleRate) Update(idx int, success bool, txTime float64) {
 	st.samples++
 	if success {
 		st.consecFails = 0
-		st.avgTxTime += s.Alpha * (txTime - st.avgTxTime)
+		st.avgTxTime += alpha * (txTime - st.avgTxTime)
 	} else {
 		st.consecFails++
 		// Charge a failed packet its full (retry-limit) cost.
-		st.avgTxTime += s.Alpha * (txTime*2 - st.avgTxTime)
+		st.avgTxTime += alpha * (txTime*2 - st.avgTxTime)
 		if st.consecFails >= 4 {
 			// Bicket: stop sampling a rate after four successive failures.
 			st.lossyDisable = 50

@@ -105,7 +105,7 @@ func TestLossyRateDisabledAfterConsecutiveFailures(t *testing.T) {
 
 func TestLossyLockoutLastsFiftyPackets(t *testing.T) {
 	// Regression: the lockout used to decrement only inside probeCandidates
-	// (reached every ProbeInterval-th packet), making the documented
+	// (reached every probeInterval-th packet), making the documented
 	// 50-packet lockout last ~500 packets.
 	ft := frameTimes()
 	s := New(ft)

@@ -1,8 +1,10 @@
 // Package sls implements SourceSync's Symbol Level Synchronizer (paper §4):
 // packet-detection-delay estimation from the phase slope of OFDM channel
 // estimates, propagation-delay measurement from probe/response exchanges,
-// wait-time computation for co-senders, ACK-driven misalignment tracking,
-// and the multi-receiver min-max wait-time optimization.
+// the co-sender schedule that internal/phy's joint exchange runs
+// (CoSenderStart: when a co-sender transmits, or that it abstains),
+// ACK-driven misalignment tracking, and the multi-receiver min-max
+// wait-time optimization.
 package sls
 
 import (

@@ -1,10 +1,6 @@
 package sls
 
-import (
-	"fmt"
-
-	"repro/internal/lp"
-)
+import "repro/internal/lp"
 
 // ProbeExchange carries the measurements from one probe/response round trip
 // used to estimate the one-way propagation delay between two nodes (paper
@@ -24,32 +20,19 @@ func (p ProbeExchange) OneWayDelay() float64 {
 	return (p.RoundTrip - p.DetectRx - p.TurnRx - p.DetectTx - p.ExtraWaitRx) / 2
 }
 
-// CoSenderSchedule is the per-co-sender timing computed before a joint
-// transmission (paper §4.3). All values in samples.
-type CoSenderSchedule struct {
-	// WaitAfterReady is how long the co-sender idles after it has finished
-	// switching to transmit, to land on the global time reference:
-	// SIFS - (d_i + Delta_i + h_i).
-	WaitAfterReady float64
-	// TxOffset shifts the transmission relative to the global time
-	// reference to equalize propagation to the receiver: w_i = T0 - t_i.
-	TxOffset float64
-}
-
-// ComputeSchedule derives a co-sender's timing. sifs is the SIFS duration in
-// samples; dLead the propagation delay from the lead sender; detect the
-// detection-delay estimate for the sync header; turn the hardware
-// turnaround; tLeadRx and tCoRx the one-way delays from the lead sender and
-// this co-sender to the receiver.
-func ComputeSchedule(sifs, dLead, detect, turn, tLeadRx, tCoRx float64) (CoSenderSchedule, error) {
-	ready := dLead + detect + turn
-	if ready > sifs {
-		return CoSenderSchedule{}, fmt.Errorf("sls: co-sender not ready within SIFS (%.1f > %.1f samples)", ready, sifs)
-	}
-	return CoSenderSchedule{
-		WaitAfterReady: sifs - ready,
-		TxOffset:       tLeadRx - tCoRx,
-	}, nil
+// CoSenderStart is a co-sender's §4.3 schedule for one joint frame, in
+// samples of its own clock. The sync header, header samples long, reached
+// the co-sender at heard; the co-sender dates that arrival at est (its
+// phase-slope estimate, or the unsynchronized baseline's raw detection
+// event) and knows d, its propagation delay d_i from the lead. So the
+// global time reference, SIFS after the header ends at the lead, falls at
+// est − d + header + sifs, and the co-sender transmits w_i = w after it.
+// It makes that slot (ok) only if it has by then heard the whole header
+// and turned around, turn samples; otherwise it abstains rather than
+// transmit late and corrupt the joint frame.
+func CoSenderStart(heard, est, d, w, turn, header, sifs float64) (start float64, ok bool) {
+	start = est - d + header + sifs + w
+	return start, start >= heard+header+turn
 }
 
 // MultiReceiverWaits chooses co-sender wait times minimizing the maximum

@@ -108,48 +108,56 @@ func TestOneWayDelayAlgebra(t *testing.T) {
 	}
 }
 
+// One shared clock in whole samples, so every sum is exact: the lead
+// starts its sync header at sent, and its data leaves at the global
+// reference (the header's end plus SIFS) and reaches the receiver
+// leadToRx later. Each co-sender heard the header d after sent and
+// waits w = leadToRx - coToRx past the reference (paper §4.3), so it
+// has sifs - d + w samples from the header's end to its slot.
+const sent, header, sifs, leadToRx = 100.0, 400.0, 1280.0, 25.0
+
+var scheduleCases = []struct {
+	name      string
+	d, coToRx float64 // lead -> co-sender and co-sender -> receiver
+	late      float64 // how much later than heard the co-sender dates the arrival
+	turn      float64
+	wantOK    bool
+}{
+	{name: "nearer the receiver than the lead", d: 17, coToRx: 9, turn: 400, wantOK: true},
+	{name: "farther from the receiver than the lead", d: 6, coToRx: 40, turn: 400, wantOK: true},
+	{name: "turnaround ends at the slot", d: 17, coToRx: 9, turn: sifs - 17 + 16, wantOK: true},
+	{name: "turnaround misses the slot by a sample", d: 17, coToRx: 9, turn: sifs - 17 + 17, wantOK: false},
+	// A late date moves the slot but not when the header was heard.
+	{name: "late date, turnaround counted from hearing", d: 17, coToRx: 9, late: 30, turn: sifs - 17 + 16 + 30, wantOK: true},
+}
+
+// TestComputeSchedule checks that a co-sender makes its slot exactly when
+// its turnaround ends by then, and abstains otherwise.
 func TestComputeSchedule(t *testing.T) {
-	sifs := 1280.0 // 10 us at 128 MHz
-	s, err := ComputeSchedule(sifs, 10, 5, 300, 20, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s.WaitAfterReady-(sifs-315)) > 1e-9 {
-		t.Fatalf("wait %.1f", s.WaitAfterReady)
-	}
-	if math.Abs(s.TxOffset-8) > 1e-9 {
-		t.Fatalf("offset %.1f", s.TxOffset)
-	}
-	// Turnaround beyond SIFS must be rejected.
-	if _, err := ComputeSchedule(sifs, 10, 5, 1400, 20, 12); err == nil {
-		t.Fatal("expected error for slow turnaround")
+	for _, tt := range scheduleCases {
+		t.Run(tt.name, func(t *testing.T) {
+			heard := sent + tt.d
+			_, ok := CoSenderStart(heard, heard+tt.late, tt.d, leadToRx-tt.coToRx, tt.turn, header, sifs)
+			if ok != tt.wantOK {
+				t.Errorf("ok = %v, want %v", ok, tt.wantOK)
+			}
+		})
 	}
 }
 
+// TestScheduleAlignsAtReceiver is the end-to-end algebra check of §4.3:
+// with exact measurements, the co-sender's data and the lead's data reach
+// the receiver at the same instant.
 func TestScheduleAlignsAtReceiver(t *testing.T) {
-	// End-to-end algebra check of §4.3: with exact measurements, the
-	// co-sender's data and the lead's data arrive at the same instant.
-	sifs := 1280.0
-	dLead := 17.0   // lead -> co-sender propagation
-	detect := 6.4   // co-sender detection delay
-	turn := 400.0   // co-sender turnaround
-	tLeadRx := 25.0 // lead -> receiver
-	tCoRx := 9.0    // co-sender -> receiver
-	s, err := ComputeSchedule(sifs, dLead, detect, turn, tLeadRx, tCoRx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Timeline in absolute samples. Lead ends its sync header at 0 and
-	// starts data at SIFS (plus co-sender training, ignored here on both
-	// sides). Lead's data reaches the receiver at SIFS + tLeadRx.
-	leadArrival := sifs + tLeadRx
-	// Co-sender: hears header end at dLead, detects it detect later, is
-	// ready to transmit turn after that, waits WaitAfterReady + TxOffset,
-	// transmits; arrives tCoRx later.
-	coTx := dLead + detect + turn + s.WaitAfterReady + s.TxOffset
-	coArrival := coTx + tCoRx
-	if math.Abs(coArrival-leadArrival) > 1e-9 {
-		t.Fatalf("arrivals differ: lead %.3f co %.3f", leadArrival, coArrival)
+	for _, tt := range scheduleCases {
+		t.Run(tt.name, func(t *testing.T) {
+			heard := sent + tt.d
+			start, _ := CoSenderStart(heard, heard+tt.late, tt.d, leadToRx-tt.coToRx, tt.turn, header, sifs)
+			// Exactly aligned with the lead's data, or late by exactly the late date.
+			if got, want := start+tt.coToRx, sent+header+sifs+leadToRx+tt.late; got != want {
+				t.Errorf("co-sender's data reaches the receiver at %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -62,7 +62,7 @@ var fig15Pair = pair{
 // CFO and phase; the lead→co, lead→rx and co→rx multipath; the
 // turnaround's span; the co-sender's oscillator CFO, residual CFO and
 // phase. The frame carries QPSK 1/2 under the profile's own cyclic prefix.
-func (p pair) draw(rng *rand.Rand, cfg *Config, snrDB float64) *phy.JointSimConfig {
+func (p pair) draw(rng *rand.Rand, cfg *modem.Config, snrDB float64) *phy.JointSimConfig {
 	noise := channel.NoisePowerForSNR(dsp.MeanPower(cfg.LTSTime()), snrDB)
 	dLeadCo := p.delayFloor + rng.Float64()*p.leadCoSpan
 	tLeadRx := p.delayFloor + rng.Float64()*p.rxSpan
@@ -93,7 +93,6 @@ func (p pair) draw(rng *rand.Rand, cfg *Config, snrDB float64) *phy.JointSimConf
 			TxOffset:         tLeadRx - tCoRx,
 			NoisePower:       noise,
 			FFTBackoff:       3,
-			DetectJitter:     38,
 		}},
 		NoiseRx: noise,
 		Rng:     rng,
@@ -102,7 +101,7 @@ func (p pair) draw(rng *rand.Rand, cfg *Config, snrDB float64) *phy.JointSimConf
 
 // smallResid draws a residual CFO after pre-correction: a couple percent of
 // a typical crystal offset.
-func smallResid(rng *rand.Rand, cfg *Config) float64 {
+func smallResid(rng *rand.Rand, cfg *modem.Config) float64 {
 	return channel.PPMToCFO((rng.Float64()*2-1)*0.4, 5.8e9, cfg.SampleRateHz)
 }
 

@@ -26,12 +26,11 @@
 // forwarding (§7.2).
 //
 // This package is the public face: experiment runners that regenerate every
-// figure and table in the paper's evaluation (§8), plus re-exports of the
-// pieces examples need. Each experiment takes a run context (RunConfig:
-// the deterministic seed, the worker count and an optional progress and
-// cancellation Monitor) and an options struct that holds only the
-// workload's shape, and returns typed results; the cmd/ssbench binary and
-// the repository-root benchmarks print them.
+// figure and table in the paper's evaluation (§8). Each experiment takes a
+// run context (engine.Config: the deterministic seed, the worker count and
+// an optional progress and cancellation Monitor) and an options struct
+// that holds only the workload's shape, and returns typed results; the
+// cmd/ssbench binary and the repository-root benchmarks print them.
 //
 // # Parallel experiment engine
 //
@@ -48,58 +47,3 @@
 // cmd/ssbench's -workers flag; ssbench reports per-experiment wall clock so
 // speedups are visible.
 package sourcesync
-
-import (
-	"repro/internal/channel"
-	"repro/internal/engine"
-	"repro/internal/mac"
-	"repro/internal/modem"
-	"repro/internal/phy"
-	"repro/internal/testbed"
-)
-
-// Re-exported configuration entry points, so example programs and library
-// consumers need only this package for common tasks.
-
-// RunConfig is the run context every experiment runner takes first: base
-// seed, worker count and optional Monitor (re-export of engine.Config, so
-// code outside this module can call the runners).
-type RunConfig = engine.Config
-
-// Config is the OFDM PHY profile (re-export of modem.Config).
-type Config = modem.Config
-
-// Profile80211 returns the 20 MHz / 64-subcarrier 802.11a profile.
-func Profile80211() *Config { return modem.Profile80211() }
-
-// ProfileWiGLAN returns the 128 MHz / 128-subcarrier profile modeled on the
-// paper's radio platform.
-func ProfileWiGLAN() *Config { return modem.ProfileWiGLAN() }
-
-// JointFrameParams describes a joint transmission (re-export).
-type JointFrameParams = phy.JointFrameParams
-
-// JointSimConfig wires a distributed joint-transmission simulation
-// (re-export).
-type JointSimConfig = phy.JointSimConfig
-
-// JointReceiver decodes joint frames (re-export).
-type JointReceiver = phy.JointReceiver
-
-// Link is a directed radio link in a simulation (re-export).
-type Link = phy.Link
-
-// CoSenderSim is a co-sender's radio/measurement state (re-export).
-type CoSenderSim = phy.CoSenderSim
-
-// Testbed is the indoor radio environment (re-export).
-type Testbed = testbed.Testbed
-
-// MeshTestbed returns the lossier environment used by the mesh experiments.
-func MeshTestbed(cfg *Config) *Testbed { return testbed.Mesh(cfg) }
-
-// DCFParams returns default 802.11 DCF timing for a profile.
-func DCFParams(cfg *Config) mac.Params { return mac.Default(cfg) }
-
-// Multipath re-exports the channel's tap-delay-line type.
-type Multipath = channel.Multipath
