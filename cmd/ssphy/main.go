@@ -69,13 +69,16 @@ func main() {
 		NoiseRx:  noise,
 		Rng:      rng,
 	}
+	// A co-sender's turnaround is 500-800 samples at the WiGLAN profile's
+	// 128 MHz: a time, so it scales with the sample rate.
+	turnaroundScale := cfg.SampleRateHz / 128e6
 	for i := 0; i < *numCo; i++ {
 		d := 1 + rng.Float64()*8
 		tRx := 1 + rng.Float64()*8
 		sim.LeadToCo = append(sim.LeadToCo, phy.Link{Gain: 1, Delay: d, Path: mk()})
 		sim.CoToRx = append(sim.CoToRx, phy.Link{Gain: 1, Delay: tRx, Path: mk()})
 		sim.Co = append(sim.Co, phy.CoSenderSim{
-			Turnaround:       500 + rng.Float64()*300,
+			Turnaround:       (500 + rng.Float64()*300) * turnaroundScale,
 			OscCFO:           channel.PPMToCFO((rng.Float64()*2-1)*15, 5.8e9, cfg.SampleRateHz),
 			ResidCFO:         channel.PPMToCFO((rng.Float64()*2-1)*0.3, 5.8e9, cfg.SampleRateHz),
 			Phase:            rng.Float64() * 2 * math.Pi,

@@ -163,61 +163,51 @@ func (f *Fading) Response(rng *rand.Rand, h []complex128) {
 // Apply convolves x with the channel, returning len(x)+len(Taps)-1 samples.
 func (m *Multipath) Apply(x []complex128) []complex128 {
 	out := make([]complex128, len(x)+len(m.Taps)-1)
-	m.convolveInto(out, x)
+	m.convolveAt(out, x, 0)
 	return out
 }
 
-// convolveInto writes the first len(out) samples of x convolved with the
-// channel into out, which must be no longer than len(x)+len(Taps)-1. Each
-// sample sums tap*x in tap order from +0, skipping zero taps and x's
-// silent runs: with finite taps a skipped product is ±0, which cannot
-// change an accumulator that starts at +0.
-func (m *Multipath) convolveInto(out, x []complex128) {
-	clear(out)
-	spans := nonzeroSpans(x)
-	for i, t := range m.Taps {
-		if t == 0 {
+// convolveAt writes samples k0, k0+1, ... of x convolved with the channel
+// into w: w[j] sums Taps[i]*x[k0+j-i] over the taps in order, starting
+// from +0, for every i whose x index lies in x. Four outputs share each
+// pass over the taps where all their x indexes do. The sums are exact
+// regardless of the zeros in x and Taps: with finite samples and taps, a
+// product with a zero is ±0, and adding ±0 to a sum that starts at +0
+// never changes its bits (in round-to-nearest +0 + -0 = +0, so no sum
+// ever holds -0). Keep the tap order: a sum in any other order rounds
+// differently.
+func (m *Multipath) convolveAt(w, x []complex128, k0 int) {
+	taps := m.Taps
+	last := len(taps) - 1
+	for j := 0; j < len(w); {
+		k := k0 + j
+		if k >= last && k+4 <= len(x) && j+4 <= len(w) {
+			o := w[j : j+4 : j+4]
+			o[0], o[1], o[2], o[3] = convolve4(taps, x[k-last:k+4])
+			j += 4
 			continue
 		}
-		for _, sp := range spans {
-			lo, hi := sp[0], min(sp[1], len(out)-i)
-			if lo >= hi {
-				break
-			}
-			addScaled(out[i+lo:i+hi], x[lo:hi], t)
+		var a complex128
+		for i := max(k-len(x)+1, 0); i <= min(k, last); i++ {
+			a += taps[i] * x[k-i]
 		}
+		w[j] = a
+		j++
 	}
 }
 
-// addScaled adds t*x[j] to o[j] for every j < len(x) <= len(o). As its
-// own function the loop keeps its operands in registers.
-func addScaled(o, x []complex128, t complex128) {
-	o = o[:len(x)]
-	for j, v := range x {
-		o[j] += t * v
+// convolve4 returns four consecutive samples of a convolution with taps
+// whose inputs x all holds: x has len(taps)+3 samples, and output q sums
+// taps[i]*x[len(taps)-1+q-i] over i ascending, from +0.
+func convolve4(taps, x []complex128) (a0, a1, a2, a3 complex128) {
+	for i, t := range taps {
+		s := x[len(taps)-1-i:][:4:4]
+		a0 += t * s[0]
+		a1 += t * s[1]
+		a2 += t * s[2]
+		a3 += t * s[3]
 	}
-}
-
-// nonzeroSpans returns the maximal runs [start, end) of nonzero samples of
-// x, in order.
-func nonzeroSpans(x []complex128) [][2]int {
-	n := 0
-	for i, v := range x {
-		if v != 0 && (i == 0 || x[i-1] == 0) {
-			n++
-		}
-	}
-	spans := make([][2]int, 0, n)
-	for i, v := range x {
-		switch {
-		case v == 0:
-		case i == 0 || x[i-1] == 0:
-			spans = append(spans, [2]int{i, i + 1})
-		default:
-			spans[len(spans)-1][1] = i + 1
-		}
-	}
-	return spans
+	return a0, a1, a2, a3
 }
 
 // FreqResponse returns the channel's frequency response on an nfft-point

@@ -5,46 +5,20 @@ import "math"
 // sqrt is a local alias so hot paths avoid repeated package qualification.
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
-// FracDelayInto writes x delayed by frac (0 < frac < 1) samples into dst.
-// The delay is a Hann-windowed sinc filter of 2*side+1 taps (side < 1
-// means 8) normalized to unit DC gain, with the filter's own side samples
-// of group delay dropped: dst[m] sums x[i]*tap[m+side-i] over i in
-// ascending order, starting from zero and skipping silent samples. The
-// delayed wave has len(x)+side samples; dst may be shorter (later samples
-// are not computed) or longer (the rest is zero).
-//
-// Fractional delay is what makes sub-sample misalignment between
-// SourceSync senders representable at the waveform level.
-func FracDelayInto(dst, x []complex128, frac float64, side int) {
-	if side < 1 {
-		side = 8
+// FracDelayTaps returns the 2*side+1 taps of the Hann-windowed sinc
+// filter for a delay of side+frac samples (0 < frac < 1), normalized to
+// unit DC gain, in dst's storage when it has the capacity. Tap j scales
+// the input sample j-side samples before the output it lands on, so the
+// filter delays by frac once its side samples of group delay are
+// dropped. Fractional delay is what makes sub-sample misalignment between
+// SourceSync senders representable at the waveform level; channel.Mix
+// runs the filter.
+func FracDelayTaps(dst []float64, frac float64, side int) []float64 {
+	n := 2*side + 1
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	var stack [33]float64 // taps for side <= 16 stay off the heap
-	taps := fracDelayTaps(stack[:0], frac, side)
-	clear(dst)
-	for i, v := range x {
-		if i-side >= len(dst) {
-			break
-		}
-		if v == 0 {
-			continue
-		}
-		// Tap j lands on dst[i+j-side]; a real tap scales each part.
-		lo, hi := max(side-i, 0), min(len(taps), len(dst)+side-i)
-		re, im := real(v), imag(v)
-		ts := taps[lo:hi]
-		o := dst[i+lo-side:][:len(ts)]
-		for j, t := range ts {
-			o[j] += complex(re*t, im*t)
-		}
-	}
-}
-
-// fracDelayTaps appends to buf the 2*side+1 taps of the Hann-windowed
-// sinc filter for a delay of side+frac samples, normalized to unit DC
-// gain.
-func fracDelayTaps(buf []float64, frac float64, side int) []float64 {
-	taps := append(buf, make([]float64, 2*side+1)...)
+	taps := dst[:n]
 	var sum float64
 	for i := range taps {
 		// Tap i corresponds to n = i - side; the ideal filter for delay

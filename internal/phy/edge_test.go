@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -154,6 +155,54 @@ func TestSimRejectsFieldsTheSyncHeaderCannotCarry(t *testing.T) {
 				t.Error("Run: err = nil, want an error")
 			}
 		})
+	}
+}
+
+func TestCyclicPrefixLongerThanTheSymbolIsRefused(t *testing.T) {
+	// A cyclic prefix copies the tail of its symbol, so none can be
+	// longer than the FFT. The sender refuses such a frame, both
+	// receivers refuse its parameters, and a joint receiver refuses a
+	// sync header that declares one, instead of slicing past the symbol.
+	for _, cfg := range []*modem.Config{modem.Profile80211(), modem.ProfileWiGLAN()} {
+		tests := []struct {
+			name    string
+			cp      int
+			wantErr bool
+		}{
+			{name: "CP = NFFT", cp: cfg.NFFT},
+			{name: "CP = NFFT+1", cp: cfg.NFFT + 1, wantErr: true},
+			{name: "CP = 255", cp: 255, wantErr: true},
+		}
+		for _, tt := range tests {
+			t.Run(cfg.Name+"/"+tt.name, func(t *testing.T) {
+				sim := idealSim(t, rand.New(rand.NewSource(1)), 1e-6)
+				sim.P.Cfg, sim.P.DataCP = cfg, tt.cp
+				if _, err := sim.RunCalibration(2); (err != nil) != tt.wantErr {
+					t.Errorf("RunCalibration: err = %v, want error %v", err, tt.wantErr)
+				}
+				if _, err := sim.Run(make([]byte, sim.P.PayloadLen)); (err != nil) != tt.wantErr {
+					t.Errorf("Run: err = %v, want error %v", err, tt.wantErr)
+				}
+				if !tt.wantErr {
+					return
+				}
+				rx := &JointReceiver{Cfg: cfg, FFTBackoff: 3}
+				rng := rand.New(rand.NewSource(2))
+				good := sim.P
+				good.DataCP = cfg.CPLen
+				calib := overlay(good.BuildLeadCalibration(2), good.BuildCoCalibration(0, 2), good.GlobalRef())
+				if _, err := rx.ReceiveCalibration(sim.P, cutStream(rng, calib, 0, 0, 300, 30), 0, 2); err == nil {
+					t.Error("ReceiveCalibration: err = nil, want an error")
+				}
+				// The lead's header declaring the CP, then silence through
+				// the frame it describes.
+				frame := sim.P.leadPrefix(0)
+				frame = append(frame, make([]complex128, sim.P.TotalLen()-len(frame))...)
+				if _, err := rx.Receive(cutStream(rng, frame, 0, 0, 300, 30), 0); !errors.Is(err, ErrHeaderFailed) {
+					t.Errorf("Receive: err = %v, want ErrHeaderFailed", err)
+				}
+			})
+		}
 	}
 }
 

@@ -78,6 +78,9 @@ var errNoCalibration = errors.New("phy: calibration frame not decodable")
 // measures the per-repetition series over the tail. It does not decode the
 // sync header.
 func (r *JointReceiver) ReceiveCalibration(p JointFrameParams, x []complex128, from, reps int) (*CalibrationResult, error) {
+	if err := p.checkHeaderFields(); err != nil {
+		return nil, err
+	}
 	cfg := r.Cfg
 	acq, err := modem.Acquire(cfg, x, from, r.FFTBackoff, p.CalibrationLen(reps)+cfg.NFFT)
 	if err != nil {

@@ -91,13 +91,17 @@ func (p JointFrameParams) Header() SyncHeader {
 }
 
 // checkHeaderFields reports a PayloadLen or DataCP that its sync-header
-// field cannot carry, which Header would truncate.
+// field cannot carry, which Header would truncate, and a DataCP longer
+// than the symbol it would copy, which no symbol can be built with.
 func (p JointFrameParams) checkHeaderFields() error {
 	if p.PayloadLen < 0 || p.PayloadLen > math.MaxUint16 {
 		return fmt.Errorf("phy: payload length %d does not fit the sync header (0-%d)", p.PayloadLen, math.MaxUint16)
 	}
 	if p.DataCP < 0 || p.DataCP > math.MaxUint8 {
 		return fmt.Errorf("phy: data cyclic prefix %d does not fit the sync header (0-%d)", p.DataCP, math.MaxUint8)
+	}
+	if p.DataCP > p.Cfg.NFFT {
+		return fmt.Errorf("phy: data cyclic prefix %d is longer than the %d-sample symbol", p.DataCP, p.Cfg.NFFT)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/dsp"
@@ -110,6 +111,9 @@ func (r *JointReceiver) Receive(x []complex128, from int) (*JointRxResult, error
 		PayloadLen: int(hdr.PayloadLen),
 		Seed:       hdr.Seed,
 		NumCo:      int(hdr.NumCo),
+	}
+	if err := p.checkHeaderFields(); err != nil {
+		return res, fmt.Errorf("%w: %v", ErrHeaderFailed, err)
 	}
 	buf := acq.Buf
 	if p.TotalLen()+cfg.NFFT > len(buf) {
